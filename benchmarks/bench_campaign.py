@@ -2,23 +2,25 @@
 
 Runs the PR 4 stratified crash campaign (hashmap + queue x PMEM-Spec +
 IntelX86, 40 trials per cell = 160 trials, ~16 rungs per cell) four
-ways over identical work:
+ways over identical work.  Every pass serves each cell's trials from
+one resident live run, in ascending crash-cycle order (see
+``docs/VALIDATION.md``, "Campaign execution"); the passes differ in
+what a trial can start from besides that run, and where chunks run:
 
 ========== ===========================================================
-pass        what each trial costs
+pass        how a cell's trials are served
 ========== ===========================================================
-``cold``    no ladder store: every trial simulates from cycle 0.
-``warm``    serial trial-at-a-time restore-from-rung (the PR 4
-            methodology whose committed number is
-            ``PR4_WARM_BASELINE_S``): build + disk read + unpickle +
-            restore, per trial.
-``pooled``  trial-at-a-time over :meth:`ParallelExecutor.map`: fans out
-            when cores allow, but every trial still pays the full
-            per-trial setup.
-``batched`` cell-affine chunks over :meth:`ParallelExecutor.map_batched`:
-            each worker keeps a resident system per cell and serves
-            whole chunks from in-memory rungs -- cost scales with
-            *cells*, not trials.
+``cold``    no ladder store: the live run only, one simulation from
+            cycle 0 per cell, cut at each crash cycle in turn.
+``warm``    serial, with the on-disk rung store: a trial whose rung
+            lies ahead of the live run restores it.  The frozen warm
+            baseline below was measured when this pass still restored
+            and simulated per trial.
+``pooled``  one chunk per cell over :meth:`ParallelExecutor.map_batched`
+            (no ``batch`` cap): cells spread over the workers.
+``batched`` chunks of ``CHUNK`` trials per cell over the same pool, so
+            one cell spreads over several workers; each worker keeps a
+            resident run per cell across its chunks.
 ========== ===========================================================
 
 Methodology follows ``bench_snapshot.py``: ladder spacing is sized per
@@ -30,8 +32,8 @@ universe.  Correctness is asserted, not assumed: every pass must
 produce the same stripped per-cell outcomes (trials, cycles,
 violations, failures), so the speedup is pure mechanics.  The batched
 pass runs under an event bus + metrics registry and the JSON records
-where its restores came from (``resident`` / ``store`` / ``cold``)
-plus batch counts.
+where its trials started (``forward`` / ``resident`` / ``store`` /
+``cold``) plus batch counts.
 
 Standalone::
 
@@ -133,10 +135,10 @@ def _strip(reports) -> list:
 
 
 def _restore_sources(registry) -> dict:
-    """resident/store/cold restore counts out of the registry."""
+    """Trial-start counts by source out of the registry."""
     snap = registry.snapshot()
     series = snap.get("repro_snapshot_restores_total", {}).get("series", {})
-    sources = {"resident": 0, "store": 0, "cold": 0}
+    sources = {"forward": 0, "resident": 0, "store": 0, "cold": 0}
     for labels, count in series.items():
         for source in sources:
             if source in labels:

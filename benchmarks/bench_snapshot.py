@@ -1,13 +1,15 @@
 """Snapshot-ladder acceleration: O(segment) crash trials.
 
-Runs the same stratified crash campaign twice -- cold (every trial
-simulates from cycle 0) and warm (each trial restores the nearest rung
-at or before its crash cycle) -- in the *same* laddered timing universe,
-so the only difference is where each trial starts simulating.  Ladder
-spacing is sized per cell (~RUNGS rungs each) from untimed probe runs
-before either measured campaign: persist densities differ ~5x across
-the grid, and interval choice is campaign configuration, not part of
-the work being compared.  Records wall-clock speedup plus a determinism
+Runs the same stratified crash campaign twice -- cold (no rung store:
+each cell's trials cut one forward-sweeping live run) and warm (a trial
+whose nearest rung lies ahead of the live run restores it) -- in the
+*same* laddered timing universe, so the only difference is where each
+trial starts simulating.  Since campaigns sweep forward, the warm pass
+pays its rung captures without a per-trial rebuild to save
+(``docs/PERF.md``, Layer 5).  Ladder spacing is sized per cell (~RUNGS
+rungs each) from untimed probe runs before either measured campaign:
+persist densities differ ~5x across the grid, and interval choice is
+campaign configuration, not part of the work being compared.  Records wall-clock speedup plus a determinism
 sample (every stored rung must replay onto the straight-line run's end
 fingerprint) to ``BENCH_snapshot.json``.
 
@@ -33,8 +35,8 @@ DESIGNS = ["PMEM-Spec", "IntelX86"]
 CELLS = [(w, d) for w in WORKLOADS for d in DESIGNS]
 BUDGET = 40          # per cell: 2x2 cells -> 160 stratified trials
 N_THREADS = 2
-FASES = 400          # long runs: cold trials pay O(crash_cycle) sim,
-SEED = 42            # warm trials pay O(tail) after an O(1) restore
+FASES = 400          # long runs: many persists between trials
+SEED = 42
 RUNGS = 16
 
 

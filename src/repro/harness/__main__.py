@@ -751,12 +751,12 @@ def main(argv=None) -> int:
                              "back to seeded stratified sampling "
                              "(default 64)")
     parser.add_argument("--batch", type=int, default=0, metavar="N",
-                        help="validate command: cell-affine batched "
-                             "execution -- ship up to N trials per "
-                             "(cell, chunk) task and serve them from a "
-                             "resident warm system per worker (0 = "
-                             "trial-at-a-time; outcomes are identical "
-                             "either way)")
+                        help="validate command: cap each (cell, chunk) "
+                             "task at N trials (0 = one chunk per "
+                             "cell); smaller chunks spread a cell over "
+                             "more workers.  Every chunk is served from "
+                             "a resident per-cell run, and outcomes are "
+                             "identical for any N")
     parser.add_argument("--service-root", default=None, metavar="DIR",
                         help="serve command: durable job store "
                              "directory (default <tmpdir>/repro-"

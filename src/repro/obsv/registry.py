@@ -397,8 +397,8 @@ class MetricsRegistry:
             return
         source = str(event.get("source", "store"))
         self.counter("repro_snapshot_restores_total",
-                     "Trial restores by payload source "
-                     "(resident LRU, store read, cold start)"
+                     "Trial starts by source (forward live run, "
+                     "resident LRU, store read, cold start)"
                      ).inc(labels={"source": source})
         total = sum(self.counter("repro_snapshot_restores_total")
                     .series.values())
@@ -408,8 +408,8 @@ class MetricsRegistry:
             if dict(labels).get("source") != "cold")
         if total:
             self.gauge("repro_rung_cache_hit_ratio",
-                       "Warm restores served without rebuilding "
-                       "(resident + store) / all restores"
+                       "Trials started without rebuilding "
+                       "(forward + resident + store) / all trials"
                        ).set(round(warm / total, 4))
         rung_cycle = event.get("rung_cycle")
         if rung_cycle:

@@ -21,11 +21,11 @@ from .jobs import (
     JobSpec,
     JobStore,
 )
+from ..validation.campaign import report_fingerprint
 from .runner import (
     JobCancelled,
     JobRunner,
     ServiceExecutor,
-    report_fingerprint,
     task_key,
 )
 from .workers import (

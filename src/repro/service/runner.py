@@ -13,7 +13,8 @@ resumed run produces byte-for-byte the same chunks -- which is the
 whole trick: a job killed mid-campaign re-simulates exactly the tasks
 whose outcomes never reached the journal, and the rebuilt
 :class:`CampaignReport` is byte-identical to an uninterrupted run
-(modulo wall-clock: see :func:`report_fingerprint`).
+(modulo wall-clock and location: see
+:func:`repro.validation.campaign.report_fingerprint`).
 
 Sweep jobs need none of this machinery -- the per-spec result cache
 *is* their journal (each completed spec short-circuits as a cache
@@ -231,30 +232,6 @@ class ServiceExecutor:
                 + self.stats["tasks_executed"])
         bus.emit("job_progress", job_id=self.job_id, done=done,
                  total=self.stats["tasks_total"])
-
-
-# ------------------------------------------------------------ fingerprint
-
-
-def report_fingerprint(payload: Dict) -> str:
-    """Content hash of a report minus its wall-clock and location
-    fields.
-
-    ``elapsed_s`` and the ``obsv`` metrics snapshot are honest
-    wall-clock bookkeeping and legitimately differ between a cold run
-    and a resume; ``params.snapshot_dir`` is where that run's store
-    happened to live.  Everything else -- every cell, every trial
-    outcome, every violation -- must match bit-for-bit, which is what
-    the kill-and-resume test asserts.
-    """
-    scrubbed = json.loads(json.dumps(payload, sort_keys=True))
-    scrubbed.pop("elapsed_s", None)
-    scrubbed.pop("obsv", None)
-    params = scrubbed.get("params")
-    if isinstance(params, dict):
-        params.pop("snapshot_dir", None)
-    blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # -------------------------------------------------------------- JobRunner

@@ -6,13 +6,17 @@ outcome twice: the workload's own ``validate_recovered`` structural
 check on the recovered data image, and the :class:`PersistOrderOracle`
 on the run's trace-event history truncated at the crash horizon.  A
 *campaign* is a planned set of trials per ``workload x design`` cell,
-fanned out through :meth:`ParallelExecutor.map`, with every failing
-cell shrunk to a minimal reproducing crash cycle and everything
-summarised in a versioned :class:`CampaignReport`.
+fanned out as cell-affine chunks through
+:meth:`ParallelExecutor.map_batched`, with every failing cell shrunk to
+a minimal reproducing crash cycle and everything summarised in a
+versioned :class:`CampaignReport`.
 
 Trials are pure functions of their :class:`TrialSpec` (fixed seed, no
 wall-clock inputs), which is what makes fan-out order irrelevant,
-failures replayable, and shrinking sound.
+failures replayable, and shrinking sound.  :func:`run_trial` is the
+fresh-build definition of one trial; campaigns serve the same outcome
+from a :class:`_ResidentCell`, which cuts one live run of the cell at
+each crash cycle in turn.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from ..snapshot import (SNAPSHOT_SCHEMA_VERSION, SnapshotError,
                         restore_nearest)
 from ..telemetry import get_logger
 from ..workloads import BENCHMARKS
-from .faults import fault_by_name
+from .faults import FaultModel, fault_by_name
 from .history import (FASE, PERSIST, WRITEBACK, events_to_history,
                       history_from_recorder, truncate_history)
 from .oracle import PersistOrderOracle
@@ -88,10 +92,6 @@ class TrialSpec:
     def describe(self) -> str:
         return (f"{self.workload}/{self.design} {self.fault}"
                 f"@{self.crash_cycle}")
-
-
-def _describe_spec(spec: TrialSpec) -> str:
-    return spec.describe()
 
 
 def _cell_index_name(spec: TrialSpec) -> str:
@@ -182,18 +182,12 @@ def _emit_cold_fallback(spec: TrialSpec, error: str) -> None:
                  error=error)
 
 
-def _execute_trial(spec: TrialSpec, workload, system, fault, recorder,
-                   restored_from: Optional[int],
-                   history_prefix: Optional[Tuple[int, list]] = None
-                   ) -> Dict:
-    """The trial body shared by the cold path (:func:`run_trial`) and
-    the resident path (:class:`_ResidentCell`): run to the crash, cut,
-    recover, judge.  The system arrives built (or restored), traced,
-    and fault-armed.  ``history_prefix`` is the resident path's
-    (event count, converted history) of the restored prefix, so only
-    the trial's own tail pays conversion."""
+def _cut(system, fault, spec: TrialSpec, all_done) -> int:
+    """The acquire half of a trial: drive a launched, fault-armed
+    system (``all_done`` is its launch event) to the crash cycle and
+    apply the fault there; returns the horizon the judged state is
+    taken at."""
     env = system.env
-    all_done = system.launch()
     system.advance(until=spec.crash_cycle, stop_event=all_done)
     if env.now < spec.crash_cycle:
         # Cores finished early: power stays on, so the persistence
@@ -205,9 +199,16 @@ def _execute_trial(spec: TrialSpec, workload, system, fault, recorder,
         # abort/retry recovery must carry the run to a clean finish.
         system.advance(stop_event=all_done)
         system.advance()
-    horizon = env.now
-    commits = system.runtime.total_commits
+    return env.now
 
+
+def _judge(spec: TrialSpec, workload, system, fault, history: list,
+           horizon: int, restored_from: Optional[int]) -> Dict:
+    """The judge half of a trial: recover the persisted image, check
+    it structurally, and replay ``history`` (the run's oracle history
+    from cycle 0) through the persist-order oracle.  Reads the system,
+    never advances or mutates it."""
+    commits = system.runtime.total_commits
     snapshot = system.persisted_snapshot()
     fault_notes = fault.mutate_snapshot(snapshot, spec.n_threads)
     report = run_recovery(snapshot, spec.n_threads,
@@ -217,11 +218,6 @@ def _execute_trial(spec: TrialSpec, workload, system, fault, recorder,
          "subject": workload.name, "detail": message}
         for message in workload.validate_recovered(report.data_image())]
 
-    if history_prefix is not None:
-        count, prefix = history_prefix
-        history = prefix + events_to_history(recorder.events(count))
-    else:
-        history = history_from_recorder(recorder)
     history = truncate_history(history, horizon)
     violations.extend(v.to_dict() for v in _oracle_for(system).check(history))
 
@@ -240,10 +236,11 @@ def _execute_trial(spec: TrialSpec, workload, system, fault, recorder,
 
 
 def run_trial(spec: TrialSpec) -> Dict:
-    """Execute one trial; returns a JSON-ready outcome dict.
+    """Execute one trial from a fresh build; returns a JSON-ready
+    outcome dict.
 
-    Module-level (not a closure) so :meth:`ParallelExecutor.map` can
-    ship it to pool workers.
+    This is the definition of a trial: shrinking runs it, and every
+    outcome a :class:`_ResidentCell` serves must equal it.
     """
     workload, system, fault, recorder, ladder = _build(spec)
     restored_from = None
@@ -259,8 +256,9 @@ def run_trial(spec: TrialSpec) -> Dict:
             rung = None
         if rung is not None:
             restored_from = rung["cycle"]
-    return _execute_trial(spec, workload, system, fault, recorder,
-                          restored_from)
+    horizon = _cut(system, fault, spec, system.launch())
+    return _judge(spec, workload, system, fault,
+                  history_from_recorder(recorder), horizon, restored_from)
 
 
 # ------------------------------------------------- resident batch path
@@ -277,9 +275,9 @@ _RESIDENT_CELLS: "OrderedDict[Tuple[str, Optional[str]], _ResidentCell]" \
     = OrderedDict()
 
 #: Rung payloads seeded straight from the canonical profile run's
-#: captures (batch mode only): (snapshot_dir, object key) -> payload.
-#: A batched campaign whose trials run in the process that profiled
-#: never re-reads a rung it just wrote -- no disk read, no unpickle.
+#: captures: (snapshot_dir, object key) -> payload.  A campaign whose
+#: trials run in the process that profiled never re-reads a rung it
+#: just wrote -- no disk read, no unpickle.
 _CAPTURED_PAYLOADS: "OrderedDict[Tuple[Optional[str], str], Dict]" = \
     OrderedDict()
 _CAPTURED_PAYLOAD_CAP = _RESIDENT_RUNG_CAP * _RESIDENT_CELL_CAP
@@ -343,33 +341,39 @@ def _pre_tuple_events(payload: Dict) -> Dict:
 class _ResidentCell:
     """One campaign cell kept resident in the worker process.
 
-    Built once per (cell, worker): the traced system, its pristine
-    cycle-0 payload, the cell's rung index, and an in-memory LRU of
-    *deserialised* rung payloads.  Each trial is then served by
-    ``restore_state`` into the resident system -- no rebuild, no disk
-    read, no unpickle for a hot rung -- which is safe because restore
-    fully resets every component (the same invariant the PR 4
-    restore-equivalence suite proves) and payload containers are always
-    copied on restore, never aliased.
+    The cell keeps a *live run*: the fault-armed system it last drove,
+    positioned at the previous trial's cut.  Every trial of a cell cuts
+    the same deterministic execution, so a trial at cycle ``c`` starts
+    from the latest of the live run (source ``forward``; only while it
+    is on the canonical trajectory and at or before ``c``), the nearest
+    usable rung at or before ``c`` restored in place (``resident`` or
+    ``store``), or a fresh build (``cold``), ties going to the live
+    run.  Trials in ascending order -- the order planners emit -- thus
+    cost one run per cell instead of the sum of their crash cycles.
 
-    Trial recipe mirrors :func:`run_trial` exactly: arm a fresh fault,
-    then restore (rung payload when one is at or before the crash
-    cycle, the cycle-0 payload otherwise), then the shared
-    :func:`_execute_trial` body.  Any snapshot damage degrades to the
-    cycle-0 restore -- the same cold-start semantics as the trial-at-a-
-    time path, with the same warning + ``cold_fallback`` event.
+    Outcomes equal :func:`run_trial`'s whichever start was taken:
+    restore fully resets every component (the invariant the
+    restore-equivalence suite proves), payload containers are copied on
+    restore, never aliased, and ``restored_from_cycle`` always names
+    the nearest usable rung, not the start taken.  A cell without a
+    rung store never captures or restores.
     """
 
     def __init__(self, spec: TrialSpec):
-        self.workload, self.system, _fault, self.recorder, ladder = \
-            _build(spec)
-        # Pre-launch the heap is empty and no generator is live, so the
-        # pristine capture is legal and exact.
-        self.initial = _pre_tuple_events(self.system.capture_state())
-        self.store = ladder.store if ladder is not None else None
-        self.index_name = ladder.index_name if ladder is not None else None
+        self.store = (SnapshotStore(spec.snapshot_dir)
+                      if spec.snapshot_every and spec.snapshot_dir
+                      else None)
+        self.index_name = _cell_index_name(spec)
+        # The live run; ``_done`` (its launch's all-done event) is None
+        # until a run starts and once it leaves the canonical trajectory.
+        self.workload = self.system = self.fault = self.recorder = None
+        self._done = None
+        # (events converted, oracle history) of the live run's prefix.
+        self._history: Tuple[int, list] = (0, [])
         self._rungs: Optional[List[Dict]] = None
         self._index_error: Optional[str] = None
+        # Why the latest rung lookup fell back cold (damaged store).
+        self._fallback_error: Optional[str] = None
         self._payloads: "OrderedDict[str, dict]" = OrderedDict()
         # key -> (n_prefix_events, converted HistoryEvents): the oracle
         # history of a rung's event prefix, computed once per rung.
@@ -378,9 +382,6 @@ class _ResidentCell:
         # events_to_history is a stateless per-event map.
         self._history_prefixes: "OrderedDict[object, tuple]" = \
             OrderedDict()
-        self.trials_served = 0
-        self.sources: Dict[str, int] = {"resident": 0, "store": 0,
-                                        "cold": 0}
 
     def _rung_index(self) -> List[Dict]:
         if self._rungs is None and self._index_error is None:
@@ -394,15 +395,15 @@ class _ResidentCell:
 
     def _restore_payload(self, spec: TrialSpec
                          ) -> Tuple[Optional[Dict], str]:
-        """(rung, source) for this trial's warm start; (None, "cold")
-        when the trial must start from cycle 0."""
-        if self.store is None:
-            return None, "cold"
+        """(rung, source) for the nearest usable rung at or before the
+        crash cycle; (None, "cold") when there is none.  A damaged
+        store also leaves its error in ``_fallback_error``."""
+        self._fallback_error = None
         rungs = self._rung_index()
         if self._index_error is not None:
             log.warning("snapshot restore failed (%s); starting cold",
                         self._index_error)
-            _emit_cold_fallback(spec, self._index_error)
+            self._fallback_error = self._index_error
             return None, "cold"
         rung = nearest_rung(rungs, spec.crash_cycle)
         if rung is None:
@@ -423,7 +424,7 @@ class _ResidentCell:
             except SnapshotError as exc:
                 log.warning("snapshot restore failed (%s); starting cold",
                             exc)
-                _emit_cold_fallback(spec, str(exc))
+                self._fallback_error = str(exc)
                 return None, "cold"
             payload = _pre_tuple_events(payload)
             source = "store"
@@ -445,30 +446,67 @@ class _ResidentCell:
             self._history_prefixes.popitem(last=False)
         return prefix
 
-    def run_trial(self, spec: TrialSpec) -> Dict:
-        # Same order as _build + restore_nearest: arm, then restore.
-        fault = fault_by_name(spec.fault)
-        fault.arm(self.system)
-        rung, source = self._restore_payload(spec)
-        restored_from = None
-        if rung is not None:
-            self.system.restore_state(rung["payload"])
-            restored_from = rung["cycle"]
+    def _restart(self, spec: TrialSpec, rung: Optional[Dict]) -> None:
+        """Start a new live run from ``rung``, or from a fresh build.
+        Same order as :func:`run_trial`: arm the fault, then restore."""
+        if rung is None or self.system is None:
+            self.workload, self.system, self.fault, self.recorder, _ = \
+                _build(spec)
         else:
-            self.system.restore_state(self.initial)
+            self.fault = fault_by_name(spec.fault)
+            self.fault.arm(self.system)
+        if rung is None:
+            self._history = (0, [])
+        else:
+            self.system.restore_state(rung["payload"])
+            self._history = self._history_prefix(rung["key"])
+        self._done = self.system.launch()
+
+    def _live_history(self) -> list:
+        """The live run's oracle history, converting only the events
+        recorded since the previous trial."""
+        count, history = self._history
+        if len(self.recorder) > count:
+            history = history + events_to_history(
+                self.recorder.events(count))
+            self._history = (len(self.recorder), history)
+        return history
+
+    def run_trial(self, spec: TrialSpec) -> Dict:
+        rung, source = ((None, "cold") if self.store is None
+                        else self._restore_payload(spec))
+        restored_from = rung["cycle"] if rung is not None else None
+        if (self._done is not None
+                and (restored_from or 0) <= self.system.env.now
+                <= spec.crash_cycle):
+            source = "forward"
+        else:
+            self._restart(spec, rung)
         bus = get_bus()
         if bus.enabled:
+            fields = {}
+            if self._fallback_error is not None:
+                fields = {"outcome": "cold_fallback",
+                          "error": self._fallback_error}
             bus.emit("snapshot_restore", crash_cycle=spec.crash_cycle,
                      rung_cycle=restored_from,
                      rung=rung["rung"] if rung is not None else None,
-                     source=source)
-        self.sources[source] += 1
-        self.trials_served += 1
-        prefix = self._history_prefix(
-            rung["key"] if rung is not None else None)
-        return _execute_trial(spec, self.workload, self.system, fault,
-                              self.recorder, restored_from,
-                              history_prefix=prefix)
+                     source=source, **fields)
+        horizon = _cut(self.system, self.fault, spec, self._done)
+        if not _keeps_running(self.fault):
+            self._done = None
+        return _judge(spec, self.workload, self.system, self.fault,
+                      self._live_history(), horizon, restored_from)
+
+
+def _keeps_running(fault: FaultModel) -> bool:
+    """True when ``fault`` leaves the machine untouched at the crash,
+    so the run it cut is still the canonical execution and a later
+    trial may continue it.  Running to completion or overriding
+    :meth:`FaultModel.at_crash` (``virtual-misspec`` does both) changes
+    the machine."""
+    return (not fault.run_to_completion
+            and type(fault).at_crash is FaultModel.at_crash)
 
 
 def _resident_key(spec: TrialSpec) -> Tuple[str, Optional[str]]:
@@ -493,7 +531,7 @@ def run_trial_batch(specs: Sequence[TrialSpec]) -> List[Dict]:
 
     Module-level so :meth:`ParallelExecutor.map_batched` can ship it to
     pool workers; the resident cache is per process, so a worker that
-    receives several chunks of one cell builds its system exactly once.
+    receives several chunks of one cell keeps one live run across them.
     Any :class:`SnapshotError` the resident machinery itself cannot
     absorb evicts the cell and re-runs that trial through the plain
     cold path -- outcomes never depend on cache health.
@@ -529,8 +567,8 @@ def profile_cell(spec: TrialSpec) -> RunProfile:
 
 def profile_cell_seeding(spec: TrialSpec) -> RunProfile:
     """:func:`profile_cell`, additionally seeding this process's rung
-    cache with the payloads the canonical run just captured.  Batched
-    campaigns profile through this so trials that land in the profiling
+    cache with the payloads the canonical run just captured.
+    Campaigns profile through this so trials that land in the profiling
     process restore without ever re-reading the store."""
     profile, ladder = _profile_cell(spec, keep_rungs=True)
     _seed_captured_rungs(spec, ladder)
@@ -683,24 +721,10 @@ class CampaignReport:
         return payload
 
     def fingerprint(self) -> str:
-        """Content hash of the report's deterministic payload.
-
-        Wall-clock fields (``elapsed_s``, the crashstates ``timings``)
-        and the metrics snapshot are stripped, so two campaigns with
-        identical parameters and ``--seed`` produce byte-identical
-        fingerprints -- the reproducibility contract ``validate --seed``
-        prints and tests pin.
-        """
-        def strip(value):
-            if isinstance(value, dict):
-                return {key: strip(item) for key, item in value.items()
-                        if key not in ("elapsed_s", "timings", "obsv")}
-            if isinstance(value, list):
-                return [strip(item) for item in value]
-            return value
-
-        blob = json.dumps(strip(self.to_dict()), sort_keys=True)
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """:func:`report_fingerprint` of :meth:`to_dict` -- the
+        reproducibility contract ``validate --seed`` prints and tests
+        pin."""
+        return report_fingerprint(self.to_dict())
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -716,6 +740,32 @@ class CampaignReport:
             f"{self.total_failures} FAILURES {self.violation_kinds()}")
         return (f"CampaignReport({len(self.cells)} cells, "
                 f"{self.total_trials} trials: {status})")
+
+
+#: Report fields that record wall-clock time, metrics or where a store
+#: lived, not an outcome (``params.snapshot_dir``, each failure's
+#: ``spec.snapshot_dir``, the crash-states ``timings``).
+_VOLATILE_REPORT_KEYS = frozenset({"elapsed_s", "obsv", "timings",
+                                   "snapshot_dir"})
+
+
+def report_fingerprint(payload: Dict) -> str:
+    """Content hash of a report payload, with the volatile keys dropped
+    at any depth.  Identical campaigns fingerprint equally wherever
+    their stores lived and however long they took, and so does a report
+    reloaded from its JSON artifact (the payload is normalised through
+    a JSON round trip first)."""
+    def scrub(value):
+        if isinstance(value, dict):
+            return {key: scrub(item) for key, item in value.items()
+                    if key not in _VOLATILE_REPORT_KEYS}
+        if isinstance(value, list):
+            return [scrub(item) for item in value]
+        return value
+
+    scrubbed = scrub(json.loads(json.dumps(payload)))
+    blob = json.dumps(scrubbed, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 # ------------------------------------------------------------- campaign
@@ -753,8 +803,9 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
 
     ``budget`` is the trial budget *per cell*.  ``executor`` is a
     :class:`repro.harness.ParallelExecutor` (or anything with its
-    ``map``); ``None`` runs serially -- the package never constructs a
-    harness object itself, so the dependency points one way only.
+    ``map`` and ``map_batched``); ``None`` runs serially -- the
+    package never constructs a harness object itself, so the
+    dependency points one way only.
 
     With ``snapshot_every > 0`` and a ``snapshot_dir``, the profiling
     pass doubles as the canonical laddered run per cell, and each trial
@@ -777,15 +828,17 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
     ``crash_states`` section; :attr:`CampaignReport.crash_states_ok`
     gates on them.
 
-    ``batch > 0`` turns on cell-affine batched execution: trials ship
-    as chunks of up to ``batch`` specs per (cell, chunk) task through
+    Trials run cell-affine: they ship as (cell, chunk) tasks through
     :meth:`ParallelExecutor.map_batched` (or run through
     :func:`run_trial_batch` in-process when there is no executor), and
-    workers serve each chunk from a resident system instead of
-    rebuilding per trial; the profiling/probe passes fan out over
-    cells through the executor too.  Outcomes are byte-identical to
-    the trial-at-a-time path -- batching changes only where the work
-    runs and what it costs.
+    each process serves a cell's trials from one resident live run
+    (:class:`_ResidentCell`), in the ascending crash-cycle order the
+    planners emit.  ``batch > 0`` only caps the trials per chunk (0 =
+    one chunk per cell); smaller chunks spread a cell over more
+    workers.  The profiling/probe passes fan out over cells through
+    the executor too.  Outcomes are byte-identical to :func:`run_trial`
+    whatever the executor or chunking -- they change only where the
+    work runs and what it costs.
     """
     started = time.perf_counter()
     planner_obj = planner_by_name(planner)
@@ -812,19 +865,18 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
                          snapshot_dir=snapshot_dir)
 
     def profile_cells(specs: List[TrialSpec]) -> List[RunProfile]:
-        """Profiles are pure functions of their spec, so in batch mode
-        the per-cell canonical runs fan out over the executor (rungs
-        land in the shared on-disk store either way).  Batch-mode
-        profiling seeds the profiling process's rung cache so trials
-        that stay in that process never re-read what it just wrote; a
-        pool worker that gets the cell without the seed falls back to
-        the store read, nothing worse."""
-        profiler = profile_cell_seeding if batch else profile_cell
-        if batch and executor is not None and len(specs) > 1:
+        """Profiles are pure functions of their spec, so the per-cell
+        canonical runs fan out over the executor (rungs land in the
+        shared on-disk store either way).  Profiling seeds the
+        profiling process's rung cache so trials that stay in that
+        process never re-read what it just wrote; a pool worker that
+        gets the cell without the seed falls back to the store read,
+        nothing worse."""
+        if executor is not None and len(specs) > 1:
             return executor.map(
-                profiler, specs,
+                profile_cell_seeding, specs,
                 describe=lambda s: f"profile {s.workload}/{s.design}")
-        return [profiler(spec) for spec in specs]
+        return [profile_cell_seeding(spec) for spec in specs]
 
     if snapshot_rungs:
         say(f"sizing ladders: ~{snapshot_rungs} rungs per cell")
@@ -839,15 +891,11 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
     def fan_out(specs: List[TrialSpec]) -> List[Dict]:
         if not specs:
             return []
-        if batch:
-            if executor is not None:
-                return executor.map_batched(
-                    run_trial_batch, specs, key=_batch_key,
-                    chunk_size=batch, describe=_describe_batch)
-            return run_trial_batch(specs)
         if executor is not None:
-            return executor.map(run_trial, specs, describe=_describe_spec)
-        return [run_trial(spec) for spec in specs]
+            return executor.map_batched(
+                run_trial_batch, specs, key=_batch_key,
+                chunk_size=batch, describe=_describe_batch)
+        return run_trial_batch(specs)
 
     say(f"profiling {len(cells)} cells "
         f"({len(workloads)} workloads x {len(designs)} designs)")
@@ -901,6 +949,12 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
                              violation_kind=violation["kind"],
                              cycle=violation.get("cycle",
                                                  spec.crash_cycle))
+
+    # Every round is served: free this process's live runs before
+    # shrinking and the crash-states pass build runs of their own.
+    for workload, design in cells:
+        _RESIDENT_CELLS.pop(_resident_key(base_spec(workload, design)),
+                            None)
 
     cell_reports: List[Dict] = []
     for workload, design in cells:

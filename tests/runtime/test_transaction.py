@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import MisspeculationEvent
 from repro.runtime import EAGER, LAZY, FailureAtomicRuntime, run_recovery
+from repro.runtime.heap import LOG_BASE
 from repro.runtime.undo_log import UndoLogLayout, stamp_target
 
 
@@ -117,6 +118,7 @@ class TestRecoveryReport:
 
     def test_data_image_strips_log_region(self):
         layout = UndoLogLayout(0)
-        image = {0x100: 1, layout.epoch_addr: 3}
+        image = {0x100: 1, layout.epoch_addr: 3, LOG_BASE - 8: 2}
         report = run_recovery(image, 1)
-        assert report.data_image() == {0x100: 1}
+        assert list(report.data_image().items()) == [(0x100, 1),
+                                                     (LOG_BASE - 8, 2)]

@@ -186,11 +186,11 @@ class TestRestoreSourceEvents:
         bus.subscribe(seen.append)
         set_bus(bus)
         run_trial_batch([replace(spec, crash_cycle=crash),
-                         replace(spec, crash_cycle=crash),   # LRU hit
+                         replace(spec, crash_cycle=crash),   # live run
                          replace(spec, crash_cycle=1)])      # pre-rung
         sources = [e["source"] for e in seen
                    if e["kind"] == "snapshot_restore"]
-        assert sources == ["store", "resident", "cold"]
+        assert sources == ["store", "forward", "cold"]
 
     def test_batched_campaign_never_rereads_its_own_rungs(self, tmp_path):
         """The zero-re-read path: a batched campaign profiles, captures,

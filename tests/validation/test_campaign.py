@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.service import report_fingerprint
 from repro.validation import (
     DEFAULT_FAULTS,
     CampaignReport,
@@ -86,6 +87,32 @@ def test_campaigns_are_reproducible():
     assert first.total_trials == second.total_trials
     assert crash_cycles(first) == crash_cycles(second)
     assert first.cells[0]["trials"] == second.cells[0]["trials"]
+
+
+def test_store_location_does_not_change_the_fingerprint(tmp_path):
+    """Identical laddered campaigns in two snapshot directories: the
+    directory rides in ``params`` and in every failure's spec, and
+    neither the report nor the service fingerprint may see it."""
+    kwargs = dict(planner="stratified", fault="torn-log", budget=5,
+                  fases_per_thread=6, snapshot_rungs=4, shrink=False)
+    first, second = (
+        run_campaign(["hashmap"], ["IntelX86"],
+                     snapshot_dir=str(tmp_path / name), **kwargs)
+        for name in ("a", "b"))
+    assert first.total_failures > 0
+    assert first.fingerprint() == second.fingerprint()
+    assert report_fingerprint(json.loads(second.to_json())) == \
+        first.fingerprint()
+
+
+def test_crash_states_timings_do_not_change_the_fingerprint():
+    kwargs = dict(budget=6, fases_per_thread=4, crash_states=True,
+                  image_budget=8)
+    first = run_campaign(["array_swaps"], ["DPO"], **kwargs)
+    second = run_campaign(["array_swaps"], ["DPO"], **kwargs)
+    assert "timings" in first.crash_states["cells"][0]
+    assert report_fingerprint(first.to_dict()) == \
+        report_fingerprint(second.to_dict()) == first.fingerprint()
 
 
 def test_torn_log_campaign_catches_shrinks_and_names_the_bug():
