@@ -36,13 +36,12 @@ import sys
 import tempfile
 import time
 
+from repro.harness.pool import Task, WorkStealingPool
 from repro.obsv.bus import EventBus
 from repro.service import (
     JobRunner,
     JobSpec,
     JobStore,
-    Task,
-    WorkStealingPool,
     report_fingerprint,
 )
 
@@ -119,16 +118,9 @@ def _nap(arg):
 class _NoStealPool(WorkStealingPool):
     """Static cell-affine assignment: the stock pool minus stealing."""
 
-    def _dispatch_idle(self, pool, deques, tasks, bus) -> None:
-        for worker in pool:
-            if not worker.idle:
-                continue
-            own = deques[worker.worker_id]
-            if own:
-                seq = own.popleft()
-                bus.emit("task_start", index=seq,
-                         label=tasks[seq].describe())
-                worker.dispatch(seq, tasks[seq], stolen=False)
+    def _pick(self, worker_id, deques):
+        own = deques[worker_id]
+        return (own.popleft(), None) if own else None
 
 
 def _straggler_tasks() -> list:

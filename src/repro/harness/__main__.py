@@ -83,8 +83,12 @@ from .report import (
 log = get_logger("harness.cli")
 
 
-class _Interrupted(Exception):
-    """SIGINT/SIGTERM arrived mid-command; unwind, flush, exit clean."""
+class _Interrupted(BaseException):
+    """SIGINT/SIGTERM arrived mid-command; unwind, flush, exit clean.
+
+    A ``BaseException``, like ``KeyboardInterrupt``, so no task-failure
+    handler (the pool retries tasks that raise ``Exception``) absorbs
+    it."""
 
     def __init__(self, signum: int):
         super().__init__(signal.Signals(signum).name)
@@ -103,7 +107,7 @@ def _install_signal_handlers():
     loop can put them back -- in-process callers (the test suite, a
     notebook) must not keep our handlers after ``main()`` returns.
     Forked pool workers restore defaults on their own
-    (:func:`repro.harness.sweep.reset_worker_signals`)."""
+    (:func:`repro.harness.pool.reset_worker_signals`)."""
     previous = []
 
     def handler(signum, _frame):

@@ -1,89 +1,56 @@
 """One retry policy for every fan-out path in the repo.
 
-Before the service existed, each executor invented its own recovery
-story: :class:`ParallelExecutor` silently re-ran a failed worker task
-once in the parent, and that was the whole policy.  The service's
-work-stealing pool needs more -- bounded attempts, exponential backoff
-with jitter, a predicate for which exceptions are worth retrying at
-all -- and two divergent retry mechanisms is exactly the kind of
-drift that produces "works in the sweep, hangs in the service" bugs.
-
-:class:`RetryPolicy` is the single shared object.  It is deliberately
-*passive*: it answers "should attempt N+1 happen?" and "how long to
-wait first?", while the caller owns the loop, the clock, and the
-``task_retry`` event it must emit before re-running (silent retries
-are a bug this module exists to end).
-
-Determinism: ``jitter`` defaults to 0 so the default policy is a pure
-function of the attempt number.  Callers that want jitter pass a
-seeded :class:`random.Random`; the policy never touches global RNG
-state (sweep results must stay bit-identical regardless of retries).
+:class:`RetryPolicy` is the single shared object the worker pool
+(:mod:`repro.harness.pool`) consults for the CLI's executor and the
+service alike.  It is deliberately *passive*: it answers "should
+attempt N+1 happen?" and "how long to wait first?", while the pool owns
+the loop, the clock, and the ``task_retry`` event it emits before every
+re-run (silent retries are a bug this module exists to end).  Both
+answers are pure functions of the attempt number, so retries never
+touch RNG state (sweep results must stay bit-identical regardless).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 __all__ = ["RetryPolicy", "DEFAULT_POLICY", "SERVICE_POLICY"]
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry with exponential backoff.
+    """Bounded retry with doubling backoff.
 
     ``max_attempts`` counts *executions*, not retries: the default of 2
-    means "one retry after the first failure" -- exactly the historical
-    :class:`ParallelExecutor` behaviour.  ``base_delay_s`` is the wait
-    before attempt 2; each further attempt multiplies it by
-    ``multiplier`` and caps at ``max_delay_s``.  ``jitter`` widens each
-    delay to ``delay * uniform(1 - jitter, 1 + jitter)`` when an RNG is
-    supplied.  ``retryable`` filters exceptions: ``None`` retries
-    everything the caller bothered to catch.
+    means "one retry after the first failure".  ``base_delay_s`` is the
+    wait before attempt 2; each further attempt doubles it, capped at
+    ``max_delay_s``.
     """
 
     max_attempts: int = 2
     base_delay_s: float = 0.0
-    multiplier: float = 2.0
     max_delay_s: float = 30.0
-    jitter: float = 0.0
-    retryable: Optional[Callable[[BaseException], bool]] = None
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.base_delay_s < 0 or self.max_delay_s < 0:
             raise ValueError("delays must be >= 0")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
 
-    def should_retry(self, attempt: int,
-                     exc: Optional[BaseException] = None) -> bool:
+    def should_retry(self, attempt: int) -> bool:
         """May attempt ``attempt + 1`` happen?  ``attempt`` is the
         1-based count of executions that have already failed."""
-        if attempt >= self.max_attempts:
-            return False
-        if exc is not None and self.retryable is not None:
-            return bool(self.retryable(exc))
-        return True
+        return attempt < self.max_attempts
 
-    def delay_s(self, attempt: int,
-                rng: Optional[random.Random] = None) -> float:
+    def delay_s(self, attempt: int) -> float:
         """Seconds to wait before attempt ``attempt + 1`` (``attempt``
-        failures so far).  Deterministic unless an RNG is passed."""
+        failures so far)."""
         if attempt < 1 or self.base_delay_s == 0.0:
             return 0.0
-        delay = min(self.base_delay_s * self.multiplier ** (attempt - 1),
-                    self.max_delay_s)
-        if rng is not None and self.jitter:
-            delay *= rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
-        return delay
+        return min(self.base_delay_s * 2 ** (attempt - 1), self.max_delay_s)
 
 
-#: The historical executor behaviour: one immediate serial retry.
+#: The CLI executor's policy: one immediate retry.
 DEFAULT_POLICY = RetryPolicy(max_attempts=2, base_delay_s=0.0)
 
 #: What the service pool runs by default: three attempts, 0.5s/1s

@@ -7,15 +7,15 @@ configuration -- and a :class:`Sweep` is an ordered collection of specs
 (usually a cartesian grid).  :class:`ParallelExecutor` turns a sweep
 into a :class:`SweepResult`:
 
-* specs fan out over a ``multiprocessing`` pool (``jobs > 1``) while
-  results always come back in sweep order, so ``jobs=1`` and ``jobs=N``
-  produce bit-identical payloads;
+* specs fan out over the worker pool (:mod:`repro.harness.pool`;
+  ``jobs=1`` runs it inline) while results always come back in sweep
+  order, so ``jobs=1`` and ``jobs=N`` produce bit-identical payloads;
 * each spec's result is cached on disk (one artifact JSON per spec,
   keyed by a content hash of the resolved spec), so re-running an
   unchanged sweep is free;
-* a spec whose worker dies is retried serially in the parent; only if
-  the serial retry fails too does the executor raise, with the worker
-  traceback attached.
+* a failed spec -- it raised, or its worker process died -- re-runs as
+  the executor's :class:`RetryPolicy` allows; one that exhausts it
+  raises :class:`SweepError` with its last traceback attached.
 
 Per-spec wall-clock timing and cache provenance land in
 ``SimResult.stats["executor"]``; that section is host-specific and is
@@ -24,26 +24,26 @@ results stay deterministic.
 
 Observability: every sweep narrates itself onto the current
 :mod:`repro.obsv.bus` -- ``sweep_start``, ``cache_hit``/``cache_miss``,
-``spec_start`` (worker-side), ``spec_finish``/``spec_error``
+``spec_start`` (where the spec runs), ``spec_finish``/``spec_error``
 (authoritative, parent-side), ``sweep_finish`` -- and the legacy
 ``progress`` string callback is now a thin adapter over those same
-events.  Workers reach the parent's bus through a multiprocessing
-queue installed by the pool initializer (fork start-method only); the
-parent drains and merges, so the log stays a single ordered stream.
-Events are wall-clock-side bookkeeping: an enabled bus leaves every
-``SimResult`` payload bit-identical.
+events.  :meth:`ParallelExecutor.map` and ``map_batched`` narrate
+``task_*``/``batch_*`` the same way.  Worker-side events reach the
+parent's bus through the pool's event queue; the parent merges them,
+so the log stays a single ordered stream.  Events are wall-clock-side
+bookkeeping: an enabled bus leaves every ``SimResult`` payload
+bit-identical.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
-import multiprocessing
 import os
-import signal
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -59,17 +59,10 @@ from typing import (
 )
 
 from ..config import SystemConfig
-from ..obsv.bus import (
-    Bus,
-    EventBus,
-    QueueEmitter,
-    drain_queue,
-    get_bus,
-    set_bus,
-)
+from ..obsv.bus import NULL_BUS, Bus, EventBus, get_bus
 from ..persistency import design_by_name
 from ..system import RESULT_SCHEMA_VERSION, SimResult, build_system
-from ..telemetry import current_context, get_logger, run_context, seed_context
+from ..telemetry import get_logger, run_context
 from ..workloads import (
     BENCHMARKS,
     LoadMisspecProbe,
@@ -77,6 +70,7 @@ from ..workloads import (
 )
 from .artifacts import load_artifact, save_artifact
 from .configs import default_config
+from .pool import Task, TaskOutcome, WorkStealingPool, error_tail
 from .retry import DEFAULT_POLICY, RetryPolicy
 
 # Synthetic §8.4 probes are runnable through the sweep API even though
@@ -349,7 +343,7 @@ class SweepResult:
 
 
 class SweepError(RuntimeError):
-    """A spec failed in a worker AND in the serial retry."""
+    """A spec exhausted the executor's retry policy."""
 
     def __init__(self, spec: RunSpec, message: str,
                  worker_traceback: str = ""):
@@ -362,59 +356,19 @@ class SweepError(RuntimeError):
 
 
 class WorkerTaskError(RuntimeError):
-    """A worker-side failure the retry policy declined to re-run."""
-
-
-def _error_tail(error: str, limit: int = 200) -> str:
-    """The last non-blank line of a traceback string, for events."""
-    lines = [line for line in str(error).strip().splitlines() if line]
-    tail = lines[-1] if lines else str(error)
-    return tail[:limit]
-
-
-def _retry_serial(policy: RetryPolicy, bus: Bus, label: str,
-                  worker_error: str, action: Callable,
-                  sleep: Callable[[float], None] = time.sleep):
-    """Re-run a failed worker task serially, as the policy allows.
-
-    Emits one ``task_retry`` event -- attempt number, backoff delay,
-    error tail -- before *every* re-execution; the pre-PR 8 silent
-    serial fallback is gone.  Returns ``action()``'s value on the
-    first success.  When attempts are exhausted the last in-parent
-    exception re-raises; when the policy allows no retry at all (or
-    rules the failure non-retryable) a :class:`WorkerTaskError`
-    carrying the worker traceback raises instead.
-    """
-    attempt = 1           # the worker execution already failed
-    error = worker_error
-    while policy.should_retry(attempt):
-        delay = policy.delay_s(attempt)
-        bus.emit("task_retry", label=label, attempt=attempt + 1,
-                 delay_s=round(delay, 3), error=_error_tail(error))
-        if delay:
-            sleep(delay)
-        try:
-            return action()
-        except Exception as exc:
-            attempt += 1
-            error = str(exc)
-            if not policy.should_retry(attempt, exc):
-                raise
-    raise WorkerTaskError(
-        f"{label}: worker failed and policy allows no retry\n"
-        f"--- worker traceback ---\n{worker_error}")
+    """A map item or chunk exhausted the retry policy, or a chunk
+    returned the wrong number of results."""
 
 
 def plan_batches(items: Sequence, key: Optional[Callable] = None,
                  chunk_size: Optional[int] = None) -> List[List[int]]:
     """Affinity-batched chunk plan: item indexes per (group, chunk).
 
-    The chunking rule behind :meth:`ParallelExecutor.map_batched`,
-    exposed so other schedulers (the service's work-stealing pool)
-    produce *identical* chunks for identical inputs -- which is what
-    makes journaled chunk outcomes reusable across runs.  Items with
-    equal ``key`` stay contiguous; ``chunk_size`` caps items per chunk
-    (``None``/``0`` ships each whole group as one chunk).
+    The chunking rule behind :meth:`ParallelExecutor.map_batched`:
+    identical inputs produce *identical* chunks, which is what makes
+    the service's journaled chunk outcomes reusable across runs.  Items
+    with equal ``key`` stay contiguous; ``chunk_size`` caps items per
+    chunk (``None``/``0`` ships each whole group as one chunk).
     """
     groups: Dict[object, List[int]] = {}
     for index, item in enumerate(items):
@@ -554,99 +508,68 @@ def fork_warm_starts(base: RunSpec, variants: Sequence[RunSpec],
 _execute_spec = execute_spec
 
 
-def reset_worker_signals() -> None:
-    """Restore default signal dispositions in a forked worker.
-
-    The CLI installs SIGINT/SIGTERM handlers that raise into the
-    *parent's* dispatch loop for a graceful unwind; a forked worker
-    inherits them, which breaks ``Pool.terminate()`` -- the worker's
-    main thread can sit in an uninterruptible semaphore wait (or catch
-    the raised exception as an ordinary task failure) and outlive the
-    pool, deadlocking the parent's ``join()``.  Workers therefore go
-    back to ``SIG_DFL`` for SIGTERM (so terminate() kills them) and
-    ignore SIGINT (a Ctrl-C is the parent's to handle; it tears the
-    pool down explicitly)."""
-    try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # non-main thread / platform quirks
-        pass
+def _run_spec(spec: RunSpec) -> SimResult:
+    """Spec task body; resolves ``_execute_spec`` at call time."""
+    return _execute_spec(spec)
 
 
-def _pool_initializer(queue, context_fields: Dict[str, str]) -> None:
-    """Runs once in each pool worker: install a queue-backed bus and
-    the parent's run context, so events (and log records) emitted deep
-    inside a worker carry the parent's correlation IDs.  Only wired up
-    under the ``fork`` start method (queue inheritance)."""
-    reset_worker_signals()
-    if queue is not None:
-        set_bus(QueueEmitter(queue))
-    seed_context(context_fields)
+def _announced(start: Tuple[str, Dict], context: Dict[str, str],
+               fn: Callable, arg):
+    """Task body: emit the task's ``*_start`` event where it runs
+    (inside ``context``), then call ``fn``."""
+    kind, fields = start
+    with run_context(**context):
+        get_bus().emit(kind, **fields)
+        return fn(arg)
 
 
-def _pool_worker(item: Tuple[int, RunSpec]):
-    index, spec = item
-    start = time.perf_counter()
-    try:
-        with run_context(spec_hash=spec.cache_key()[:12]):
-            get_bus().emit("spec_start", index=index,
-                           describe=spec.describe())
-            result = _execute_spec(spec)
-        return index, "ok", result.to_dict(), time.perf_counter() - start
-    except Exception:
-        return (index, "err", traceback.format_exc(),
-                time.perf_counter() - start)
+def _task(index: int, fn: Callable, arg, start: Tuple[str, Dict],
+          label: str, affinity=None,
+          context: Optional[Dict[str, str]] = None) -> Task:
+    """The pool task for one spec, item or chunk.  The body keeps
+    ``fn``'s name, which is what the service keys its journal by."""
+    body = functools.update_wrapper(
+        functools.partial(_announced, start, context or {}, fn), fn)
+    return Task(key=str(index), fn=body, arg=arg, affinity=affinity,
+                label=label)
 
 
-def _map_worker(item: Tuple[int, Callable, object]):
-    index, fn, arg = item
-    start = time.perf_counter()
-    try:
-        get_bus().emit("task_start", index=index, label=f"item {index}")
-        return index, "ok", fn(arg), time.perf_counter() - start
-    except Exception:
-        return (index, "err", traceback.format_exc(),
-                time.perf_counter() - start)
+def _source(outcome: TaskOutcome) -> str:
+    """Where a settled task's value came from, for ``*_finish``."""
+    if outcome.attempts == 0:
+        return "journal"
+    if outcome.worker < 0:
+        return "serial"
+    return "steal" if outcome.stolen else "pool"
 
 
-def _batch_worker(item: Tuple[int, Callable, list]):
-    index, fn, chunk = item
-    start = time.perf_counter()
-    try:
-        get_bus().emit("batch_start", index=index,
-                       label=f"batch {index}", size=len(chunk))
-        return index, "ok", fn(chunk), time.perf_counter() - start
-    except Exception:
-        return (index, "err", traceback.format_exc(),
-                time.perf_counter() - start)
+def _quarantined(outcome: TaskOutcome) -> str:
+    return f"quarantined after {outcome.attempts} attempt(s)"
 
 
-def _pool_channel(context, ship: bool):
-    """(queue, initializer, initargs) for a pool: a real event channel
-    when ``ship`` is on and the platform forks workers (queue
-    inheritance needs fork); an inert initializer otherwise, so the
-    worker still gets the parent's run context."""
-    queue = None
-    if ship and context.get_start_method() == "fork":
-        queue = context.Queue()
-    return queue, _pool_initializer, (queue, current_context())
+def _task_value(bus: Bus, index: int, label: str, outcome: TaskOutcome):
+    """A settled ``map``/``map_batched`` task's value; a quarantined one
+    emits ``task_error`` and raises :class:`WorkerTaskError`."""
+    if not outcome.ok:
+        bus.emit("task_error", index=index, label=label,
+                 error=error_tail(outcome.error))
+        raise WorkerTaskError(f"{label} {_quarantined(outcome)}\n"
+                              f"--- worker traceback ---\n{outcome.error}")
+    return outcome.value
 
 
 class _ProgressAdapter:
     """Backward-compat shim: turns ``spec_finish``/``spec_error`` (and
     ``task_*``) events back into the legacy one-line-per-item progress
-    strings, so existing ``progress=callable`` users see the exact
-    output they always did -- the callback is now just another bus
-    subscriber."""
+    strings (``cached`` or the elapsed time), so existing
+    ``progress=callable`` users keep their output -- the callback is
+    now just another bus subscriber."""
 
-    _HOW = {"cache": "cached", "retry": "serial retry",
-            "degraded": "serial (no pool)"}
+    _HOW = {"cache": "cached"}
 
-    def __init__(self, callback: Callable[[str], None], total: int,
-                 describe: Optional[Callable[[int], str]] = None):
+    def __init__(self, callback: Callable[[str], None], total: int):
         self.callback = callback
         self.total = total
-        self.describe = describe
         self.done = 0
 
     def __call__(self, event: Dict) -> None:
@@ -700,11 +623,6 @@ class _SweepTally:
                 max(self.spec_walls))
 
 
-#: Distinguishes "no result yet" from a legitimate ``None`` result in
-#: :meth:`ParallelExecutor.map`'s OSError fallback.
-_UNSET = object()
-
-
 class ParallelExecutor:
     """Executes sweeps; the only way experiments run simulations.
 
@@ -716,6 +634,11 @@ class ParallelExecutor:
     ``bus`` pins the event bus this executor publishes to; the default
     resolves :func:`repro.obsv.bus.get_bus` at each ``run()``/``map()``
     so the CLI's ``--events-out`` scope is picked up automatically.
+    ``retry`` is the pool's re-dispatch policy for failed tasks.
+
+    :meth:`run`, :meth:`map` and :meth:`map_batched` each build a list
+    of :class:`~repro.harness.pool.Task` for one fan-out step,
+    :meth:`_fan_out`, which the service's executor overrides.
     """
 
     def __init__(self, jobs: Optional[int] = 1,
@@ -728,10 +651,6 @@ class ParallelExecutor:
         self.cache_dir = cache_dir
         self.progress = progress
         self.bus = bus
-        #: Worker-failure recovery policy shared with the service pool
-        #: (:mod:`repro.harness.retry`); the default reproduces the
-        #: historical behaviour -- one immediate serial retry -- but
-        #: narrated through ``task_retry`` events instead of silently.
         self.retry = retry if retry is not None else DEFAULT_POLICY
 
     def _resolve_bus(self) -> Tuple[Bus, bool]:
@@ -746,6 +665,31 @@ class ParallelExecutor:
         if bus.enabled:
             return bus, True
         return EventBus(), False
+
+    @contextlib.contextmanager
+    def _progress_lines(self, bus: Bus, total: int) -> Iterator[None]:
+        adapter = (_ProgressAdapter(self.progress, total)
+                   if self.progress is not None else None)
+        if adapter is not None:
+            bus.subscribe(adapter)
+        try:
+            yield
+        finally:
+            if adapter is not None:
+                bus.unsubscribe(adapter)
+
+    # -------------------------------------------------------- fan-out
+
+    def _fan_out(self, tasks: List[Task], bus: Bus,
+                 settle: Callable[[int, TaskOutcome], None]) -> None:
+        """Run ``tasks`` on the worker pool (inline when ``jobs=1``);
+        ``settle(position, outcome)`` runs in the parent as each task
+        settles, and an exception it raises stops the fan-out.  ``bus``
+        is the pool's: task events and the pool's own reach it."""
+        WorkStealingPool(workers=self.jobs, retry=self.retry,
+                         bus=bus).run(
+            tasks, on_result=lambda outcome: settle(outcome.index,
+                                                    outcome))
 
     # ------------------------------------------------------------ cache
 
@@ -787,11 +731,7 @@ class ParallelExecutor:
         timings: List[Dict] = [dict() for _ in specs]
         bus, external = self._resolve_bus()
         tally = _SweepTally()
-        adapter = (_ProgressAdapter(self.progress, len(specs))
-                   if self.progress is not None else None)
-        bus.subscribe(tally)
-        if adapter is not None:
-            bus.subscribe(adapter)
+        misses: List[int] = []
 
         def finish(index: int, elapsed: float, cache_hit: bool,
                    retried: bool, source: str) -> None:
@@ -808,58 +748,65 @@ class ParallelExecutor:
             log.debug("%s done (%s, %.1fs)", specs[index].describe(),
                       source, elapsed)
 
+        def settle(position: int, outcome: TaskOutcome) -> None:
+            index = misses[position]
+            spec = specs[index]
+            if not outcome.ok:
+                bus.emit("spec_error", index=index,
+                         describe=spec.describe(),
+                         error=error_tail(outcome.error))
+                raise SweepError(spec, _quarantined(outcome),
+                                 worker_traceback=outcome.error)
+            results[index] = outcome.value
+            self._cache_store(spec, outcome.value)
+            finish(index, outcome.elapsed_s, False, outcome.attempts > 1,
+                   _source(outcome))
+
+        bus.subscribe(tally)
         try:
-            bus.emit("sweep_start", n_specs=len(specs), jobs=self.jobs)
-            misses: List[int] = []
-            for index, spec in enumerate(specs):
-                cached = self._cache_load(spec)
-                if cached is not None:
-                    results[index] = cached
-                    bus.emit("cache_hit", index=index,
-                             describe=spec.describe())
-                    finish(index, 0.0, True, False, "cache")
-                else:
-                    bus.emit("cache_miss", index=index,
-                             describe=spec.describe())
-                    misses.append(index)
+            with self._progress_lines(bus, len(specs)):
+                bus.emit("sweep_start", n_specs=len(specs), jobs=self.jobs)
+                for index, spec in enumerate(specs):
+                    cached = self._cache_load(spec)
+                    if cached is not None:
+                        results[index] = cached
+                        bus.emit("cache_hit", index=index,
+                                 describe=spec.describe())
+                        finish(index, 0.0, True, False, "cache")
+                    else:
+                        bus.emit("cache_miss", index=index,
+                                 describe=spec.describe())
+                        misses.append(index)
 
-            if misses and self.jobs > 1 and len(misses) > 1:
-                self._run_pool(specs, misses, results, timings, bus,
-                               finish, ship=external)
-            else:
-                for index in misses:
-                    spec = specs[index]
-                    start = time.perf_counter()
-                    bus.emit("spec_start", index=index,
-                             describe=spec.describe())
-                    try:
-                        results[index] = _execute_spec(spec)
-                    except Exception as exc:
-                        bus.emit("spec_error", index=index,
-                                 describe=spec.describe(),
-                                 error=str(exc))
-                        raise SweepError(spec, str(exc)) from exc
-                    self._cache_store(spec, results[index])
-                    finish(index, time.perf_counter() - start, False,
-                           False, "serial")
+                self._fan_out([
+                    _task(index, _run_spec, specs[index],
+                          ("spec_start", {
+                              "index": index,
+                              "describe": specs[index].describe()}),
+                          specs[index].describe(), affinity=index,
+                          context={"spec_hash":
+                                   specs[index].cache_key()[:12]})
+                    for index in misses],
+                    bus if external else NULL_BUS, settle)
 
-            elapsed = time.perf_counter() - started
-            # The summary -- both the stats dict and the log line --
-            # is derived from the event stream (the tally subscriber),
-            # so the events are the single source of truth.
-            stats = {
-                "jobs": self.jobs,
-                "n_specs": len(specs),
-                "cache_hits": tally.cache_hits,
-                "cache_misses": tally.cache_misses,
-                "retries": tally.retries,
-                "elapsed_s": elapsed,
-            }
-            bus.emit("sweep_finish", n_specs=len(specs),
-                     cache_hits=tally.cache_hits,
-                     cache_misses=tally.cache_misses,
-                     retries=tally.retries, elapsed_s=elapsed,
-                     busy_s=tally.busy_s, jobs=self.jobs)
+                elapsed = time.perf_counter() - started
+                # The summary -- both the stats dict and the log line --
+                # is derived from the event stream (the tally
+                # subscriber), so the events are the single source of
+                # truth.
+                stats = {
+                    "jobs": self.jobs,
+                    "n_specs": len(specs),
+                    "cache_hits": tally.cache_hits,
+                    "cache_misses": tally.cache_misses,
+                    "retries": tally.retries,
+                    "elapsed_s": elapsed,
+                }
+                bus.emit("sweep_finish", n_specs=len(specs),
+                         cache_hits=tally.cache_hits,
+                         cache_misses=tally.cache_misses,
+                         retries=tally.retries, elapsed_s=elapsed,
+                         busy_s=tally.busy_s, jobs=self.jobs)
             wall_mean, wall_max = tally.wall_mean_max()
             log.info(
                 "sweep done: %d specs in %.1fs (%d cached, %d simulated, "
@@ -869,8 +816,6 @@ class ParallelExecutor:
                 wall_mean, wall_max)
         finally:
             bus.unsubscribe(tally)
-            if adapter is not None:
-                bus.unsubscribe(adapter)
         if bus.registry is not None:
             stats["obsv"] = bus.registry.snapshot()
         for index, result in enumerate(results):
@@ -886,84 +831,31 @@ class ParallelExecutor:
         """Apply a picklable ``fn`` to every item, in order.
 
         The generic sibling of :meth:`run` for non-``RunSpec`` work (the
-        validation campaign's crash trials fan out through this): same
-        pool/serial split, same per-item serial retry with the worker
-        traceback attached on a second failure, same OSError degradation
-        to serial -- but no disk cache and plain return values instead of
-        :class:`SimResult`.  ``fn`` and each item must survive pickling
-        when ``jobs > 1``.
+        validation campaign's profiling runs fan out through this): the
+        same pool and retry rule, but no disk cache and plain return
+        values instead of :class:`SimResult`.  ``fn`` and each item must
+        survive pickling when ``jobs > 1``.
         """
         items = list(items)
-        results: List = [_UNSET] * len(items)
+        results: List = [None] * len(items)
         bus, external = self._resolve_bus()
-        adapter = (_ProgressAdapter(self.progress, len(items))
-                   if self.progress is not None else None)
-        if adapter is not None:
-            bus.subscribe(adapter)
+        labels = [describe(item) if describe is not None
+                  else f"item {index}" for index, item in enumerate(items)]
 
-        def label(index: int) -> str:
-            return (describe(items[index]) if describe is not None
-                    else f"item {index}")
+        def settle(index: int, outcome: TaskOutcome) -> None:
+            results[index] = _task_value(bus, index, labels[index],
+                                         outcome)
+            bus.emit("task_finish", index=index, label=labels[index],
+                     elapsed_s=outcome.elapsed_s, source=_source(outcome))
 
-        def finish(index: int, elapsed: float, source: str) -> None:
-            bus.emit("task_finish", index=index, label=label(index),
-                     elapsed_s=elapsed, source=source)
-
-        def run_serial(index: int, source: str = "serial") -> None:
-            start = time.perf_counter()
-            results[index] = fn(items[index])
-            finish(index, time.perf_counter() - start, source)
-
-        try:
-            if self.jobs > 1 and len(items) > 1:
-                work = [(index, fn, item)
-                        for index, item in enumerate(items)]
-                queue = None
-                try:
-                    context = multiprocessing.get_context()
-                    queue, initializer, initargs = _pool_channel(
-                        context, external)
-                    with context.Pool(
-                            processes=min(self.jobs, len(work)),
-                            initializer=initializer,
-                            initargs=initargs) as pool:
-                        for index, status, payload, elapsed in \
-                                pool.imap_unordered(_map_worker, work):
-                            drain_queue(queue, bus)
-                            if status == "ok":
-                                results[index] = payload
-                                finish(index, elapsed, "pool")
-                                continue
-                            try:
-                                _retry_serial(
-                                    self.retry, bus, label(index),
-                                    payload,
-                                    lambda index=index: run_serial(
-                                        index, "retry"))
-                            except Exception as exc:
-                                bus.emit("task_error", index=index,
-                                         label=label(index),
-                                         error=str(exc))
-                                raise RuntimeError(
-                                    f"map item {index} failed in the "
-                                    f"worker and in serial retry: "
-                                    f"{exc}\n"
-                                    f"--- worker traceback ---\n"
-                                    f"{payload}") from exc
-                except OSError:
-                    log.warning("no process pool available; map "
-                                "degrades to serial")
-                    for index in range(len(items)):
-                        if results[index] is _UNSET:
-                            run_serial(index, "degraded")
-                finally:
-                    drain_queue(queue, bus)
-            else:
-                for index in range(len(items)):
-                    run_serial(index)
-        finally:
-            if adapter is not None:
-                bus.unsubscribe(adapter)
+        with self._progress_lines(bus, len(items)):
+            self._fan_out([
+                _task(index, fn, item,
+                      ("task_start", {"index": index,
+                                      "label": labels[index]}),
+                      labels[index], affinity=index)
+                for index, item in enumerate(items)],
+                bus if external else NULL_BUS, settle)
         return results
 
     # ------------------------------------------------------ map_batched
@@ -978,179 +870,49 @@ class ParallelExecutor:
         ``fn`` is a *batch* function: it receives a list of items and
         must return a list of results of the same length, in order.
         ``key`` groups items (all items with equal keys land in the
-        same chunks -- the campaign groups crash trials by cell so a
-        worker can keep the cell's system resident across the chunk);
-        ``chunk_size`` caps items per shipped task (``None``/``0``
-        ships each whole group as one task).  Results come back in the
-        original item order.
+        same chunks, and a group's chunks on the same worker -- the
+        campaign groups crash trials by cell so a worker can keep the
+        cell's system resident across its chunks); ``chunk_size`` caps
+        items per shipped task (``None``/``0`` ships each whole group
+        as one task).  Results come back in the original item order.
 
-        Pool conventions match :meth:`map` -- per-chunk serial retry in
-        the parent on a worker failure, OSError degradation to serial
-        -- but the bus carries one ``batch_start``/``batch_finish`` per
-        chunk instead of one ``task_*`` pair per item: collapsing the
-        per-item pickle round-trips into one per chunk is the point.
+        Pool and retry rule match :meth:`map`, but the bus carries one
+        ``batch_start``/``batch_finish`` per chunk instead of one
+        ``task_*`` pair per item: collapsing the per-item pickle
+        round-trips into one per chunk is the point.
         """
         items = list(items)
         batches = plan_batches(items, key=key, chunk_size=chunk_size)
-        results: List = [_UNSET] * len(items)
+        chunks = [[items[i] for i in indices] for indices in batches]
+        labels = [describe(chunk) if describe is not None
+                  else f"batch {index} (x{len(chunk)})"
+                  for index, chunk in enumerate(chunks)]
+        results: List = [None] * len(items)
         bus, external = self._resolve_bus()
-        adapter = (_ProgressAdapter(self.progress, len(batches))
-                   if self.progress is not None else None)
-        if adapter is not None:
-            bus.subscribe(adapter)
 
-        def chunk_items(batch_index: int) -> list:
-            return [items[i] for i in batches[batch_index]]
+        def settle(index: int, outcome: TaskOutcome) -> None:
+            value = _task_value(bus, index, labels[index], outcome)
+            indices = batches[index]
+            if (not isinstance(value, (list, tuple))
+                    or len(value) != len(indices)):
+                count = len(value) if hasattr(value, "__len__") else value
+                raise WorkerTaskError(
+                    f"chunk {labels[index]} returned {count!r} result(s) "
+                    f"for a {len(indices)}-item batch")
+            for item_index, item in zip(indices, value):
+                results[item_index] = item
+            bus.emit("batch_finish", index=index, label=labels[index],
+                     size=len(indices), elapsed_s=outcome.elapsed_s,
+                     source=_source(outcome))
 
-        def label(batch_index: int) -> str:
-            chunk = chunk_items(batch_index)
-            return (describe(chunk) if describe is not None
-                    else f"batch {batch_index} (x{len(chunk)})")
-
-        def install(batch_index: int, payload) -> None:
-            indices = batches[batch_index]
-            if (not isinstance(payload, (list, tuple))
-                    or len(payload) != len(indices)):
-                raise RuntimeError(
-                    f"batched fn returned "
-                    f"{len(payload) if hasattr(payload, '__len__') else payload!r} "
-                    f"result(s) for a {len(indices)}-item batch")
-            for index, value in zip(indices, payload):
-                results[index] = value
-
-        def finish(batch_index: int, elapsed: float, source: str) -> None:
-            bus.emit("batch_finish", index=batch_index,
-                     label=label(batch_index),
-                     size=len(batches[batch_index]), elapsed_s=elapsed,
-                     source=source)
-
-        def run_serial(batch_index: int, source: str = "serial") -> None:
-            start = time.perf_counter()
-            install(batch_index, fn(chunk_items(batch_index)))
-            finish(batch_index, time.perf_counter() - start, source)
-
-        try:
-            if self.jobs > 1 and len(batches) > 1:
-                work = [(batch_index, fn, chunk_items(batch_index))
-                        for batch_index in range(len(batches))]
-                queue = None
-                try:
-                    context = multiprocessing.get_context()
-                    queue, initializer, initargs = _pool_channel(
-                        context, external)
-                    with context.Pool(
-                            processes=min(self.jobs, len(work)),
-                            initializer=initializer,
-                            initargs=initargs) as pool:
-                        for batch_index, status, payload, elapsed in \
-                                pool.imap_unordered(_batch_worker, work):
-                            drain_queue(queue, bus)
-                            if status == "ok":
-                                install(batch_index, payload)
-                                finish(batch_index, elapsed, "pool")
-                                continue
-                            try:
-                                _retry_serial(
-                                    self.retry, bus,
-                                    label(batch_index), payload,
-                                    lambda batch_index=batch_index:
-                                        run_serial(batch_index, "retry"))
-                            except Exception as exc:
-                                bus.emit("task_error", index=batch_index,
-                                         label=label(batch_index),
-                                         error=str(exc))
-                                raise RuntimeError(
-                                    f"batch {batch_index} failed in the "
-                                    f"worker and in serial retry: "
-                                    f"{exc}\n"
-                                    f"--- worker traceback ---\n"
-                                    f"{payload}") from exc
-                except OSError:
-                    log.warning("no process pool available; batched map "
-                                "degrades to serial")
-                    for batch_index in range(len(batches)):
-                        if any(results[i] is _UNSET
-                               for i in batches[batch_index]):
-                            run_serial(batch_index, "degraded")
-                finally:
-                    drain_queue(queue, bus)
-            else:
-                for batch_index in range(len(batches)):
-                    run_serial(batch_index)
-        finally:
-            if adapter is not None:
-                bus.unsubscribe(adapter)
+        with self._progress_lines(bus, len(batches)):
+            self._fan_out([
+                _task(index, fn, chunk,
+                      ("batch_start", {"index": index,
+                                       "label": labels[index],
+                                       "size": len(chunk)}),
+                      labels[index],
+                      affinity=key(chunk[0]) if key is not None else None)
+                for index, chunk in enumerate(chunks)],
+                bus if external else NULL_BUS, settle)
         return results
-
-    def _run_pool(self, specs: Sequence[RunSpec], misses: Sequence[int],
-                  results: List[Optional[SimResult]],
-                  timings: List[Dict], bus: Bus, finish,
-                  ship: bool = False) -> None:
-        """Fan the cache misses out over a process pool.
-
-        Worker-side events (``spec_start`` and anything emitted deeper)
-        travel back over a multiprocessing queue and are merged into
-        ``bus`` as results stream in; the authoritative ``spec_finish``
-        for each spec is emitted parent-side by ``finish``.
-        """
-        work = [(index, specs[index]) for index in misses]
-        queue = None
-        try:
-            context = multiprocessing.get_context()
-            queue, initializer, initargs = _pool_channel(context, ship)
-            with context.Pool(processes=min(self.jobs, len(work)),
-                              initializer=initializer,
-                              initargs=initargs) as pool:
-                outcomes = pool.imap_unordered(_pool_worker, work)
-                for index, status, payload, elapsed in outcomes:
-                    drain_queue(queue, bus)
-                    if status == "ok":
-                        results[index] = SimResult.from_dict(payload)
-                        self._cache_store(specs[index], results[index])
-                        finish(index, elapsed, False, False, "pool")
-                        continue
-                    # Worker failed: re-run serially in the parent as
-                    # the retry policy allows, so a flaky worker cannot
-                    # sink the sweep; exhausting the policy surfaces
-                    # both tracebacks.
-                    start = time.perf_counter()
-                    bus.emit("spec_start", index=index,
-                             describe=specs[index].describe())
-
-                    def rerun(index=index):
-                        return _execute_spec(specs[index])
-
-                    try:
-                        results[index] = _retry_serial(
-                            self.retry, bus, specs[index].describe(),
-                            payload, rerun)
-                    except Exception as exc:
-                        bus.emit("spec_error", index=index,
-                                 describe=specs[index].describe(),
-                                 error=str(exc))
-                        raise SweepError(specs[index], str(exc),
-                                         worker_traceback=payload) from exc
-                    self._cache_store(specs[index], results[index])
-                    finish(index, time.perf_counter() - start, False,
-                           True, "retry")
-        except OSError:
-            # No process pool available (restricted environments):
-            # degrade to serial for the whole remainder.
-            for index in misses:
-                if results[index] is not None:
-                    continue
-                start = time.perf_counter()
-                bus.emit("spec_start", index=index,
-                         describe=specs[index].describe())
-                try:
-                    results[index] = _execute_spec(specs[index])
-                except Exception as exc:
-                    bus.emit("spec_error", index=index,
-                             describe=specs[index].describe(),
-                             error=str(exc))
-                    raise SweepError(specs[index], str(exc)) from exc
-                self._cache_store(specs[index], results[index])
-                finish(index, time.perf_counter() - start, False,
-                       False, "degraded")
-        finally:
-            drain_queue(queue, bus)

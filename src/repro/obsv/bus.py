@@ -74,13 +74,12 @@ EVENT_KINDS: Dict[str, tuple] = {
     #    shipped (group, chunk) task rather than one per item.
     "batch_start": ("index", "label", "size"),
     "batch_finish": ("index", "label", "size", "elapsed_s"),
-    # -- retry/recovery (repro.harness.retry + the service pool): one
-    #    task_retry per re-execution (the old silent serial fallback is
-    #    gone), one task_quarantine when a poison task exhausts its
-    #    policy and is set aside instead of sinking the pool.
+    # -- retry/recovery (repro.harness.pool): one task_retry per
+    #    re-execution, one task_quarantine when a poison task exhausts
+    #    its policy and is set aside instead of sinking the pool.
     "task_retry": ("label", "attempt", "delay_s", "error"),
     "task_quarantine": ("label", "attempts", "error"),
-    # -- work-stealing pool (repro.service.workers): an idle worker
+    # -- work-stealing pool (repro.harness.pool): an idle worker
     #    took a task from the tail of the busiest peer's queue.
     "steal": ("thief", "victim", "label"),
     # -- graceful shutdown: a SIGINT/SIGTERM stopped a CLI command or
@@ -236,9 +235,9 @@ class EventBus(Bus):
 class QueueEmitter(Bus):
     """Worker-side bus: events go onto a multiprocessing queue.
 
-    Installed as the process-global bus by the pool initializer (see
-    :func:`repro.harness.sweep._pool_initializer`); the parent merges
-    with :func:`drain_queue`.  The envelope is stamped worker-side
+    Installed as the process-global bus in each pool worker (see
+    :mod:`repro.harness.pool`); the parent merges with
+    :func:`drain_queue`.  The envelope is stamped worker-side
     (context, pid, wall time, per-worker ``worker_seq``); the global
     ``seq`` is assigned at merge time.
     """

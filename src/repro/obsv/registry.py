@@ -277,8 +277,8 @@ class MetricsRegistry:
                 ).observe(cycles / elapsed)
         if event.get("retried"):
             self.counter("repro_spec_retries_total",
-                         "Specs retried serially after a worker "
-                         "failure").inc()
+                         "Specs that succeeded after a failed "
+                         "attempt").inc()
         for depth in event.get("wpq_depth_means") or ():
             self.histogram("repro_wpq_depth",
                            "Per-window mean WPQ occupancy",
@@ -426,7 +426,7 @@ class MetricsRegistry:
     def _on_task_retry(self, event: Dict) -> None:
         self.counter("repro_task_retries_total",
                      "Task re-executions after a failure "
-                     "(sweep serial fallback + service pool)").inc()
+                     "(the worker pool)").inc()
 
     def _on_task_quarantine(self, event: Dict) -> None:
         self.counter("repro_task_quarantines_total",

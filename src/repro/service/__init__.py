@@ -2,13 +2,19 @@
 
 Promotes the harness from a CLI you babysit to a long-running service
 you submit work to: a durable job queue (:mod:`repro.service.jobs`),
-a work-stealing worker pool (:mod:`repro.service.workers`), resumable
-execution that replays journaled task outcomes instead of
-re-simulating (:mod:`repro.service.runner`), and a stdlib asyncio
+resumable execution that replays journaled task outcomes instead of
+re-simulating (:mod:`repro.service.runner`, on the harness's
+work-stealing pool, :mod:`repro.harness.pool`), and a stdlib asyncio
 HTTP/JSON front end with streaming NDJSON events
 (:mod:`repro.service.api`).  See ``docs/SERVICE.md``.
 """
 
+from ..harness.pool import (
+    PoolCancelled,
+    Task,
+    TaskOutcome,
+    WorkStealingPool,
+)
 from .client import ServiceClient, ServiceError
 from .jobs import (
     JOB_KINDS,
@@ -27,12 +33,6 @@ from .runner import (
     JobRunner,
     ServiceExecutor,
     task_key,
-)
-from .workers import (
-    PoolCancelled,
-    Task,
-    TaskOutcome,
-    WorkStealingPool,
 )
 
 __all__ = [

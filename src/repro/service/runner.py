@@ -1,17 +1,17 @@
-"""Resumable job execution: journal short-circuit + the pool bridge.
+"""Resumable job execution: journal short-circuit over the shared pool.
 
-The executor the campaign engine sees here is a drop-in for
-:class:`repro.harness.ParallelExecutor`'s ``map``/``map_batched``
-surface, but every task it would run is first given a **durable
-identity** -- a content hash of the function's qualified name plus the
-canonical JSON of its argument -- and looked up in the job's task
-journal.  Outcomes already journaled return instantly (counted as
-``tasks_from_journal``); only the rest go to the work-stealing pool,
-and each settles into the journal the moment it finishes.  Chunking
-goes through the shared :func:`repro.harness.plan_batches`, so a
-resumed run produces byte-for-byte the same chunks -- which is the
-whole trick: a job killed mid-campaign re-simulates exactly the tasks
-whose outcomes never reached the journal, and the rebuilt
+The executor the campaign engine sees here is a
+:class:`repro.harness.ParallelExecutor` whose one fan-out step first
+gives every task a **durable identity** -- a content hash of the
+function's qualified name plus the canonical JSON of its argument --
+and looks it up in the job's task journal.  Outcomes already journaled
+settle instantly (counted as ``tasks_from_journal``); only the rest go
+to the work-stealing pool (:mod:`repro.harness.pool`), and each
+settles into the journal the moment it finishes.  Chunking is the
+executor's own :func:`repro.harness.plan_batches`, so a resumed run
+produces byte-for-byte the same chunks -- which is the whole trick: a
+job killed mid-campaign re-simulates exactly the tasks whose outcomes
+never reached the journal, and the rebuilt
 :class:`CampaignReport` is byte-identical to an uninterrupted run
 (modulo wall-clock and location: see
 :func:`repro.validation.campaign.report_fingerprint`).
@@ -29,16 +29,11 @@ import hashlib
 import json
 import os
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
+from ..harness.pool import PoolCancelled, Task, TaskOutcome, WorkStealingPool
 from ..harness.retry import SERVICE_POLICY, RetryPolicy
-from ..harness.sweep import (
-    ParallelExecutor,
-    RunSpec,
-    Sweep,
-    WorkerTaskError,
-    plan_batches,
-)
+from ..harness.sweep import ParallelExecutor, RunSpec, Sweep
 from ..obsv.bus import Bus, get_bus
 from ..telemetry import get_logger
 from ..validation.planners import RunProfile
@@ -52,7 +47,6 @@ from .jobs import (
     JobRecord,
     JobStore,
 )
-from .workers import PoolCancelled, Task, WorkStealingPool
 
 log = get_logger("service.runner")
 
@@ -110,23 +104,27 @@ def _decode(payload):
 # ------------------------------------------------------- ServiceExecutor
 
 
-class ServiceExecutor:
-    """A ``map``/``map_batched`` surface that journals every outcome.
+class ServiceExecutor(ParallelExecutor):
+    """A :class:`ParallelExecutor` that journals every task outcome.
 
     Drop-in where :func:`repro.validation.run_campaign` expects an
-    executor.  ``stats`` accumulates resume attribution --
-    ``tasks_from_journal`` vs ``tasks_executed`` -- which the runner
-    writes into the job's terminal journal entry (the kill-and-resume
-    test asserts on exactly these counters).
+    executor; only the fan-out step differs.  Tasks whose durable key
+    (:func:`task_key`) is journaled settle from the journal without
+    running; the rest run on ``pool`` and each is journaled as it
+    settles; the job's stop flags are honoured between tasks.
+    ``stats`` accumulates resume attribution -- ``tasks_from_journal``
+    vs ``tasks_executed`` -- which the runner writes into the job's
+    terminal journal entry (the kill-and-resume test asserts on exactly
+    these counters).
     """
 
     def __init__(self, store: JobStore, job_id: str,
                  pool: WorkStealingPool, bus: Optional[Bus] = None,
                  interrupt=None):
+        super().__init__(jobs=pool.workers, bus=bus, retry=pool.retry)
         self.store = store
         self.job_id = job_id
         self.pool = pool
-        self.bus = bus
         #: Optional ``callable() -> bool``: the service's shutdown
         #: flag.  Both it and the on-disk cancel marker stop the job
         #: between tasks; the runner tells them apart afterwards.
@@ -135,97 +133,45 @@ class ServiceExecutor:
         self.stats = {"tasks_from_journal": 0, "tasks_executed": 0,
                       "tasks_total": 0}
 
-    def _resolve_bus(self) -> Bus:
-        return self.bus if self.bus is not None else get_bus()
-
-    # The campaign engine calls these two --------------------------------
-
-    def map(self, fn, items: Sequence, describe=None) -> List:
-        items = list(items)
-        tasks = [Task(key=task_key(fn, item), fn=fn, arg=item,
-                      affinity=index,
-                      label=(describe(item) if describe is not None
-                             else f"item {index}"))
-                 for index, item in enumerate(items)]
-        flat = self._run_tasks(tasks)
-        return flat
-
-    def map_batched(self, fn, items: Sequence, key=None,
-                    chunk_size=None, describe=None) -> List:
-        items = list(items)
-        batches = plan_batches(items, key=key, chunk_size=chunk_size)
-        tasks = []
-        for indices in batches:
-            chunk = [items[i] for i in indices]
-            tasks.append(Task(
-                key=task_key(fn, chunk), fn=fn, arg=chunk,
-                affinity=(key(chunk[0]) if key is not None else None),
-                label=(describe(chunk) if describe is not None
-                       else f"batch x{len(chunk)}")))
-        values = self._run_tasks(tasks)
-        results: List = [None] * len(items)
-        for indices, value in zip(batches, values):
-            if (not isinstance(value, (list, tuple))
-                    or len(value) != len(indices)):
-                raise WorkerTaskError(
-                    f"batched task returned "
-                    f"{len(value) if hasattr(value, '__len__') else value!r}"
-                    f" result(s) for a {len(indices)}-item chunk")
-            for index, item in zip(indices, value):
-                results[index] = item
-        return results
-
-    # ------------------------------------------------------------ guts
-
     def _should_stop(self) -> bool:
         if self.interrupt is not None and self.interrupt():
             return True
         return self.store.cancel_requested(self.job_id)
 
-    def _check_cancel(self) -> None:
+    def _fan_out(self, tasks: List[Task], bus: Bus,
+                 settle: Callable[[int, TaskOutcome], None]) -> None:
         if self._should_stop():
             raise JobCancelled(self.job_id)
-
-    def _run_tasks(self, tasks: List[Task]) -> List:
-        """Journal hits short-circuit; the rest go to the pool, each
-        journaled as it settles.  Values return in task order."""
-        self._check_cancel()
-        bus = self._resolve_bus()
+        keys = [task_key(task.fn, task.arg) for task in tasks]
         self.stats["tasks_total"] += len(tasks)
-        values: List = [None] * len(tasks)
         missing: List[int] = []
-        for position, task in enumerate(tasks):
-            if task.key in self.journaled:
-                values[position] = _decode(self.journaled[task.key])
+        for position, key in enumerate(keys):
+            if key in self.journaled:
                 self.stats["tasks_from_journal"] += 1
+                settle(position, TaskOutcome(
+                    key=key, status="ok", attempts=0, index=position,
+                    value=_decode(self.journaled[key])))
             else:
                 missing.append(position)
         self._progress(bus)
-        if not missing:
-            return values
 
-        def on_result(outcome) -> None:
+        def on_result(outcome: TaskOutcome) -> None:
             if outcome.ok:
-                self.store.append_task(self.job_id, outcome.key,
-                                       _encode(outcome.value))
-                self.journaled[outcome.key] = _encode(outcome.value)
+                encoded = _encode(outcome.value)
+                self.store.append_task(self.job_id, outcome.key, encoded)
+                self.journaled[outcome.key] = encoded
             self.stats["tasks_executed"] += 1
             self._progress(bus)
+            settle(missing[outcome.index], outcome)
 
         try:
-            outcomes = self.pool.run(
-                [tasks[position] for position in missing],
-                on_result=on_result, should_stop=self._should_stop)
+            self.pool.run([dataclasses.replace(tasks[position],
+                                               key=keys[position])
+                           for position in missing],
+                          on_result=on_result,
+                          should_stop=self._should_stop)
         except PoolCancelled as exc:
             raise JobCancelled(str(exc)) from None
-        for position, outcome in zip(missing, outcomes):
-            if not outcome.ok:
-                raise WorkerTaskError(
-                    f"task {tasks[position].describe()} quarantined "
-                    f"after {outcome.attempts} attempt(s)\n"
-                    f"--- last error ---\n{outcome.error}")
-            values[position] = outcome.value
-        return values
 
     def _progress(self, bus: Bus) -> None:
         done = (self.stats["tasks_from_journal"]

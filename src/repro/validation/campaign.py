@@ -534,7 +534,10 @@ def run_trial_batch(specs: Sequence[TrialSpec]) -> List[Dict]:
     receives several chunks of one cell keeps one live run across them.
     Any :class:`SnapshotError` the resident machinery itself cannot
     absorb evicts the cell and re-runs that trial through the plain
-    cold path -- outcomes never depend on cache health.
+    cold path -- outcomes never depend on cache health.  Any other
+    exception evicts the cell too before it propagates: the cell's live
+    run may be half-advanced, and a retry in this process must not
+    continue from it.
     """
     outcomes: List[Dict] = []
     for spec in specs:
@@ -545,6 +548,9 @@ def run_trial_batch(specs: Sequence[TrialSpec]) -> List[Dict]:
             log.warning("resident trial failed (%s); re-running cold",
                         exc)
             outcomes.append(run_trial(spec))
+        except BaseException:
+            _RESIDENT_CELLS.pop(_resident_key(spec), None)
+            raise
     return outcomes
 
 

@@ -60,7 +60,7 @@ def test_workers_shed_inherited_signal_handlers():
     # SIGTERM back to its default disposition and ignore SIGINT.
     import signal
 
-    from repro.harness.sweep import reset_worker_signals
+    from repro.harness.pool import reset_worker_signals
 
     def dummy(signum, frame):
         raise AssertionError("should never fire")

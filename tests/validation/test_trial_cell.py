@@ -162,3 +162,31 @@ def test_cold_fallback_trial_emits_one_restore_event(tmp_path):
         assert event["outcome"] == "cold_fallback"
         assert event["rung_cycle"] is None
         assert "corrupt" in event["error"]
+
+
+def test_a_trial_that_raises_evicts_its_cell(monkeypatch):
+    # A failure inside the simulator leaves the cell's live run half
+    # advanced; an in-process retry (the inline pool's) must not
+    # continue from it.
+    from repro.mem.pm_controller import PMController
+    spec = TrialSpec(workload="hashmap", design="PMEM-Spec", n_threads=2,
+                     fases_per_thread=10, seed=42)
+    early, late = replace(spec, crash_cycle=864), replace(
+        spec, crash_cycle=4080)
+    reference = run_trial(late)
+    campaign.run_trial_batch([early])
+
+    original = PMController.accept_persist
+    calls = []
+
+    def fails_once(self, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("injected persist failure")
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PMController, "accept_persist", fails_once)
+    with pytest.raises(RuntimeError, match="injected"):
+        campaign.run_trial_batch([late])
+    monkeypatch.setattr(PMController, "accept_persist", original)
+    assert campaign.run_trial_batch([late]) == [reference]
