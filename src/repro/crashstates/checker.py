@@ -18,6 +18,8 @@ each requested crash cycle:
 4. **judge** every image offline: apply the fault's snapshot mutation,
    run recovery, and ask the workload's structural validator; the
    persist-order oracle judges the cycle's history once alongside.
+   Each distinct image is judged once per cell: later crash cycles
+   reuse the verdict of an image an earlier one already judged.
 
 Failures are bisection-shrunk (PR 3 ``shrink.py``) to a minimal
 ``(crash cycle, image)`` witness, where the image is reported as the
@@ -29,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obsv.bus import get_bus
 from ..runtime.recovery import run_recovery
@@ -40,8 +42,9 @@ from ..validation.campaign import (TrialSpec, _build, _oracle_for,
 from ..validation.faults import fault_by_name
 from ..validation.history import events_to_history, truncate_history
 from ..validation.shrink import shrink_crash_cycle
-from .models import (DEFAULT_BUDGET, MODEL_FOR_DESIGN,
-                     enumerate_durable_states, order_context_from_history,
+from .models import (DEFAULT_BUDGET, MODEL_FOR_DESIGN, PersistRecord,
+                     enumerate_durable_states, materialize_image,
+                     order_context_from_history,
                      records_from_device_history)
 
 CRASH_STATES_SCHEMA_VERSION = 1
@@ -88,6 +91,34 @@ class _Cell:
                 rung["payload"] = _pre_tuple_events(_private_copy(payload))
                 self.rungs.append(rung)
         self.canonical_s = time.perf_counter() - started
+        # The verdict memo: kept record indices -> (violations, the
+        # mutated image's fingerprint when they are non-empty).  An
+        # index set names one image at every crash cycle because every
+        # cycle's record list is a prefix of the longest one seen so
+        # far, which ``pin_records`` enforces.
+        self.verdicts: Dict[Tuple[int, ...],
+                            Tuple[List[str], Optional[str]]] = {}
+        self.records: List[PersistRecord] = []
+
+    def pin_records(self, records: List[PersistRecord]) -> None:
+        """Check ``records`` against every record list this cell has
+        seen: they must agree on their common prefix.
+
+        Device history is appended in time order and a record never
+        spans two cycles, so a later horizon's list extends an earlier
+        one's.  A disagreement means acquisition stopped replaying the
+        canonical history, and the verdict memo would be unsound."""
+        known = self.records
+        common = min(len(known), len(records))
+        if records[:common] != known[:common]:
+            first = next(i for i in range(common)
+                         if records[i] != known[i])
+            raise RuntimeError(
+                f"{self.spec.workload}/{self.spec.design}: persist "
+                f"record {first} differs between crash cycles "
+                f"({records[first]} vs {known[first]})")
+        if len(records) > len(known):
+            self.records = records
 
     def acquire(self, crash_cycle: int):
         """Restore the nearest rung and replay to the crash; returns
@@ -141,24 +172,37 @@ def _check_cycle(cell: _Cell, crash_cycle: int, image_budget: int,
              n_images=states.n_states, truncated=states.truncated,
              model=states.model)
 
+    cell.pin_records(records)
     failing: List[Dict] = []
     images_failed = 0
-    for state, image in states.images(cell.initial_image):
-        fault.mutate_snapshot(image, spec.n_threads)
-        report = run_recovery(image, spec.n_threads,
-                              log_mode=spec.log_mode)
-        problems = cell.workload.validate_recovered(report.data_image())
+    for state in states.states:
+        kept = states.kept_indices(state)
+        verdict = cell.verdicts.get(kept)
+        source = "memo"
+        if verdict is None:
+            image = materialize_image(records, kept, cell.initial_image)
+            fault.mutate_snapshot(image, spec.n_threads)
+            report = run_recovery(image, spec.n_threads,
+                                  log_mode=spec.log_mode)
+            problems = cell.workload.validate_recovered(
+                report.data_image())
+            verdict = (problems,
+                       _image_fingerprint(image) if problems else None)
+            cell.verdicts[kept] = verdict
+            source = "judged"
+        problems, fingerprint = verdict
         bus.emit("image_check", workload=spec.workload,
                  design=spec.design, crash_cycle=crash_cycle,
-                 consistent=not problems, n_violations=len(problems))
+                 consistent=not problems, n_violations=len(problems),
+                 source=source)
         if problems:
             images_failed += 1
             if len(failing) < _FAILING_IMAGE_CAP:
                 dropped = sorted(set(states.uncertain) - set(state))
                 failing.append({
                     "dropped_records": dropped,
-                    "kept_records": len(states.kept_indices(state)),
-                    "image_fingerprint": _image_fingerprint(image),
+                    "kept_records": len(kept),
+                    "image_fingerprint": fingerprint,
                     "violations": problems[:4],
                 })
     t3 = time.perf_counter()

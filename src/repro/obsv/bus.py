@@ -103,7 +103,12 @@ EVENT_KINDS: Dict[str, tuple] = {
                          "violation_kind", "cycle"),
     "shrink_finish": ("workload", "design", "earliest_cycle",
                       "minimal_cycle", "trials"),
-    # -- durable-state enumeration (repro.crashstates.checker)
+    # -- durable-state enumeration (repro.crashstates.checker): one
+    #    image_enumerated per checked crash cycle, one image_check per
+    #    enumerated image.  Optional ``source`` on image_check says how
+    #    the verdict was reached -- "judged" (mutated, recovered and
+    #    validated now) or "memo" (the cell already judged the same
+    #    kept-record set at another crash cycle).
     "image_enumerated": ("workload", "design", "crash_cycle", "n_images",
                          "truncated", "model"),
     "image_check": ("workload", "design", "crash_cycle", "consistent",

@@ -380,8 +380,11 @@ class MetricsRegistry:
         consistent = ("true" if event.get("consistent", True)
                       else "false")
         self.counter("repro_image_checks_total",
-                     "Recovery runs over enumerated durable states"
-                     ).inc(labels={"consistent": consistent})
+                     "Verdicts on enumerated durable states, by outcome "
+                     "and source (judged now, or reused from the memo)"
+                     ).inc(labels={"consistent": consistent,
+                                   "source": str(event.get("source",
+                                                           "judged"))})
         if not event.get("consistent", True):
             self.counter("repro_image_check_failures_total",
                          "Enumerated images recovery failed to "

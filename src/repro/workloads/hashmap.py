@@ -20,6 +20,7 @@ hold the stripe lock, the pair is valid under any serialisation order.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, List
 
 from .base import TraceRecorder, Workload
@@ -43,6 +44,11 @@ class Hashmap(Workload):
     def setup(self, n_threads: int) -> None:
         # Entry i: [value word, gen word]; entries packed two per block.
         self.table = self.alloc_words(self.n_keys * 2, label="table")
+        # Computed once: validate_recovered reads every entry of every
+        # judged image.
+        self._value_addrs = [self._value_addr(key)
+                             for key in range(self.n_keys)]
+        self._gen_addrs = [self._gen_addr(key) for key in range(self.n_keys)]
         for key in range(self.n_keys):
             self.init_word(self._value_addr(key), key * GEN_SPACE)
             self.init_word(self._gen_addr(key), 0)
@@ -84,9 +90,9 @@ class Hashmap(Workload):
 
     def validate_recovered(self, image: Dict[int, int]) -> List[str]:
         violations = []
-        for key in range(self.n_keys):
-            value = image.get(self._value_addr(key), 0)
-            gen = image.get(self._gen_addr(key), 0)
+        values = map(image.get, self._value_addrs, repeat(0))
+        gens = map(image.get, self._gen_addrs, repeat(0))
+        for key, value, gen in zip(range(self.n_keys), values, gens):
             if value // GEN_SPACE != key:
                 violations.append(
                     f"key {key}: value {value} does not encode the key")

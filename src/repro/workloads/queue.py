@@ -20,6 +20,7 @@ so the crash invariant can verify every in-queue slot exactly.
 
 from __future__ import annotations
 
+from itertools import cycle, islice, repeat
 from typing import Dict, List
 
 from .base import TraceRecorder, Workload
@@ -40,6 +41,9 @@ class ConcurrentQueue(Workload):
         self.head_addrs: List[int] = []
         self.tail_addrs: List[int] = []
         self.slot_bases: List[int] = []
+        # Every ring's slot addresses, computed once: validate_recovered
+        # reads every in-queue slot of every judged image.
+        self._slot_addrs: List[List[int]] = []
         prefill = self.capacity // 2
         for tid in range(n_threads):
             head = self.alloc_words(8, label=f"head{tid}")
@@ -48,6 +52,8 @@ class ConcurrentQueue(Workload):
             self.head_addrs.append(head)
             self.tail_addrs.append(tail)
             self.slot_bases.append(slots)
+            self._slot_addrs.append([self.word(slots, k)
+                                     for k in range(self.capacity)])
             self.init_word(head, 0)
             self.init_word(tail, prefill)
             for k in range(prefill):
@@ -94,8 +100,12 @@ class ConcurrentQueue(Workload):
                 violations.append(f"ring {tid}: head {head} > tail {tail}")
             if tail - head > self.capacity:
                 violations.append(f"ring {tid}: over capacity")
-            for k in range(head, tail):
-                value = image.get(self._slot(tid, k), 0)
+            # Logical slot k is physical slot k % capacity: walk the ring
+            # from head's slot, wrapping as often as the counters ask.
+            addrs = islice(cycle(self._slot_addrs[tid]),
+                           head % self.capacity, None)
+            values = map(image.get, addrs, repeat(0))
+            for k, value in zip(range(head, tail), values):
                 if value != MAGIC + k:
                     violations.append(
                         f"ring {tid} slot {k}: expected {MAGIC + k}, "

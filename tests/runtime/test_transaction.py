@@ -122,3 +122,14 @@ class TestRecoveryReport:
         report = run_recovery(image, 1)
         assert list(report.data_image().items()) == [(0x100, 1),
                                                      (LOG_BASE - 8, 2)]
+        # Log words interleaved with data words, as a device persists
+        # them, and a live entry rolled back in place: data values and
+        # their insertion order survive.
+        image = {0x300: 4, layout.epoch_addr: 2, 0x100: 1,
+                 layout.entry_target_addr(0): stamp_target(2, 0x100),
+                 LOG_BASE - 8: 2, layout.entry_old_addr(0): 5,
+                 LOG_BASE + (1 << 20): 6, 0x200: 0}
+        report = run_recovery(image, 1)
+        assert report.total_undo_writes == 1
+        assert list(report.data_image().items()) == [
+            (0x300, 4), (0x100, 5), (LOG_BASE - 8, 2), (0x200, 0)]
