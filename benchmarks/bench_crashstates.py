@@ -10,6 +10,12 @@ image sets and verdicts must match byte for byte, which is also the
 bench's correctness check.  Records the result to
 ``BENCH_crashstates.json``.
 
+The checker captures only the rungs its acquisitions restore, and
+``restore=False`` restores none, so the cold run captures no rungs at
+all.  ``cold_s`` and ``total_speedup`` therefore compare different
+canonical-run costs as well as different acquires; they are recorded
+for context only.  The gate reads ``acquire_s`` alone.
+
 Standalone::
 
     PYTHONPATH=src python benchmarks/bench_crashstates.py

@@ -1,14 +1,17 @@
 """Image applicator + recovery checker: prove recovery converges from
 *every* durable state the design's model allows.
 
-One :func:`check_cell` call runs a cell's canonical laddered run once
-(device history recording on, rung payloads kept in memory), then for
+One :func:`check_cell` call runs a cell's laddered execution twice:
+once capture-free to completion, to learn the run's length and where
+its rungs fall, then once as the canonical run (device history
+recording on) that captures, in memory, only the rungs the requested
+crash cycles will restore and stops at the last of them.  Then for
 each requested crash cycle:
 
 1. **acquire** the machine state at the cycle by restoring the nearest
-   in-memory rung and replaying the tail (the PR 4 snapshot layer: a
-   rung-restore, not a cold boot; ``snapshot_every=0`` degrades to the
-   cold path so the speedup is measurable),
+   rung and replaying the tail (a rung-restore, not a cold boot;
+   ``snapshot_every=0`` degrades to the cold path so the speedup is
+   measurable),
 2. **pin** the model's floor image -- every record applied -- against
    the simulator's own ``persisted_snapshot()``, byte for byte (this is
    the end-to-end check that record grouping and materialisation are
@@ -61,34 +64,59 @@ def _image_fingerprint(image: Dict[int, int]) -> str:
 
 
 class _Cell:
-    """The resident canonical run one cell's image checks restore into."""
+    """The resident canonical run one cell's image checks restore into.
 
-    def __init__(self, spec: TrialSpec, restore: bool = True):
+    The cell knows its crash cycles up front, so it captures only the
+    rungs its acquisitions will restore, in two passes over the same
+    laddered execution (capturing never changes where cores park):
+
+    1. a capture-free run to completion gives ``total_cycles`` and every
+       rung the ladder reaches; each crash cycle names the nearest rung
+       at or before it;
+    2. a fresh build, recording device history, captures exactly those
+       rungs and stops at the last of them.
+
+    Any other cycle (a shrinking probe) restores the nearest *captured*
+    rung or cold-boots: a longer tail to replay, the same machine state
+    at the cut.
+    """
+
+    def __init__(self, spec: TrialSpec, crash_cycles: Sequence[int],
+                 restore: bool = True):
         base = replace(spec, crash_cycle=0, snapshot_dir=None)
         self.spec = base
-        # restore=False keeps the ladder's timing universe (parking is
-        # part of trial timing) but cold-boots every acquire -- the
-        # apples-to-apples baseline the crashstates bench gates against.
-        self.restore = restore
         started = time.perf_counter()
+        _workload, system, _fault, _recorder, ladder = _build(base)
+        self.total_cycles = system.run().cycles
+        # restore=False captures nothing, so every acquire cold-boots in
+        # the ladder's timing universe (parking is part of trial timing)
+        # -- the apples-to-apples baseline the crashstates bench gates
+        # against.
+        wanted: Dict[int, int] = {}
+        if restore and ladder is not None:
+            for crash_cycle in crash_cycles:
+                rung = nearest_rung(ladder.reached, crash_cycle)
+                if rung is not None:
+                    wanted[rung["rung"]] = rung["cycle"]
         self.workload, self.system, _fault, self.recorder, ladder = \
-            _build(base, capture=True, keep_rungs=True)
+            _build(base, capture=wanted.keys(), keep_rungs=True)
         # The device history is the enumerator's input; the flag is not
         # part of captured state, so it survives every restore below.
         self.system.device.record_history = True
         self.initial_image = dict(self.system.device.snapshot())
         self.initial_payload = _pre_tuple_events(
             _private_copy(self.system.capture_state()))
-        result = self.system.run()
-        self.total_cycles = result.cycles
+        # Every acquire restores before it replays, so nothing past the
+        # last wanted rung is ever read: stop there.
+        if wanted:
+            self.system.advance(until=max(wanted.values()),
+                                stop_event=self.system.launch())
         self.rungs: List[Dict] = []
         if ladder is not None:
             for rung in ladder.rungs:
-                payload = rung.get("payload")
-                if payload is None:
-                    continue
                 rung = dict(rung)
-                rung["payload"] = _pre_tuple_events(_private_copy(payload))
+                rung["payload"] = _pre_tuple_events(
+                    _private_copy(rung["payload"]))
                 self.rungs.append(rung)
         self.canonical_s = time.perf_counter() - started
         # The verdict memo: kept record indices -> (violations, the
@@ -126,8 +154,7 @@ class _Cell:
         exactly as a campaign trial's cut point."""
         fault = fault_by_name(self.spec.fault)
         fault.arm(self.system)
-        rung = (nearest_rung(self.rungs, crash_cycle)
-                if self.restore else None)
+        rung = nearest_rung(self.rungs, crash_cycle)
         if rung is not None:
             self.system.restore_state(rung["payload"])
             restored_from: Optional[int] = rung["cycle"]
@@ -234,9 +261,10 @@ def check_cell(spec: TrialSpec, crash_cycles: Sequence[int],
     """Enumerate and judge every durable state of one campaign cell.
 
     ``spec.crash_cycle`` is ignored; ``crash_cycles`` drives the loop.
-    ``spec.snapshot_every`` sizes the in-memory rung ladder the image
-    checks restore from.  ``restore=False`` keeps that ladder's timing
-    universe but cold-boots every acquire -- the apples-to-apples
+    ``spec.snapshot_every`` sizes the rung ladder; the image checks
+    restore from the rungs of it they need, captured in memory.
+    ``restore=False`` keeps that ladder's timing universe but captures
+    no rungs and cold-boots every acquire -- the apples-to-apples
     baseline the crashstates benchmark gates against (``snapshot_every
     = 0`` also degrades to cold acquires, but in a *different* timing
     universe: parking is part of trial timing, so its record stream is
@@ -257,7 +285,7 @@ def check_cell(spec: TrialSpec, crash_cycles: Sequence[int],
             "cycles": [], "consistent": True,
         }
 
-    cell = _Cell(spec, restore=restore)
+    cell = _Cell(spec, crash_cycles, restore=restore)
     timings = {"canonical_s": cell.canonical_s, "acquire_s": 0.0,
                "enumerate_s": 0.0, "check_s": 0.0}
     cycle_payloads: List[Dict] = []

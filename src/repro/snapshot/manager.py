@@ -35,11 +35,17 @@ active core is blocked on a mutex (its owner parked before releasing),
 waiting longer cannot help, so the ladder resumes everyone and skips
 the rung.  Abandonment is deterministic, so canonical and restored
 runs skip the same rungs.
+
+Capturing is the ladder's only optional work: it reads the quiesced
+machine and never changes where cores park.  So a ladder that captures
+every rung (a campaign's profiling run), none (trials) or a named
+subset of rung numbers (the crash-state checker) runs the identical
+execution and reaches, numbers and reports the same rungs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Union
 
 from ..obsv.bus import get_bus
 from .store import SnapshotError, SnapshotStore
@@ -58,12 +64,16 @@ def nearest_rung(rungs: List[Dict], crash_cycle: int) -> Optional[Dict]:
 
 
 class SnapshotLadder:
-    """Capture policy + park/quiesce/resume choreography for one system."""
+    """Capture policy + park/quiesce/resume choreography for one system.
+
+    ``capture`` says which rungs to capture: True for every rung, False
+    for none, or a collection of rung numbers.
+    """
 
     def __init__(self, system, every: int,
                  store: Optional[SnapshotStore] = None,
                  index_name: Optional[str] = None,
-                 capture: bool = True,
+                 capture: Union[bool, Iterable[int]] = True,
                  keep_in_memory: bool = False):
         if every < 0:
             raise ValueError("snapshot interval must be >= 0")
@@ -71,15 +81,20 @@ class SnapshotLadder:
         self.every = every
         self.store = store
         self.index_name = index_name
-        self.capture_enabled = capture
+        self.capture = (capture if isinstance(capture, bool)
+                        else frozenset(capture))
         self.keep_in_memory = keep_in_memory
         self._since_last = 0
         self._requested = False
         self._parked: Dict[int, object] = {}   # core_id -> park Event
-        #: Captured rungs: {"cycle", "rung", "fingerprint"?, "key"?,
+        #: Every rung this run reached, captured or not: {"cycle", "rung"}.
+        self.reached: List[Dict] = []
+        #: Captured rungs: {"cycle", "rung", "fingerprint", "key"?,
         #: "payload"?} -- "key" when stored on disk, "payload" when kept
         #: in memory for same-process forking.
         self.rungs: List[Dict] = []
+        #: Rungs reached so far, counting those before a restore point
+        #: (it rides inside every snapshot), captured or not.
         self.rungs_captured = 0
         self.rungs_abandoned = 0
 
@@ -136,10 +151,16 @@ class SnapshotLadder:
         self._requested = False
         self._since_last = 0
         if quiesced:
-            if self.capture_enabled:
-                self._capture()
-            else:
-                self.rungs_captured += 1
+            rung_no = self.rungs_captured
+            # Count this rung *before* capturing: the payload must say
+            # the rung is done, so a restored run numbers its next rung
+            # as the canonical run would.
+            self.rungs_captured += 1
+            self.reached.append({"cycle": self.system.env.now,
+                                 "rung": rung_no})
+            if (self.capture if isinstance(self.capture, bool)
+                    else rung_no in self.capture):
+                self._capture(rung_no)
         else:
             # A non-parked active core is blocked on a lock whose owner
             # parked first; the rung is unreachable -- skip it.
@@ -149,13 +170,8 @@ class SnapshotLadder:
             parked[core_id].succeed()
         return True
 
-    def _capture(self) -> None:
+    def _capture(self, rung_no: int) -> None:
         from .fingerprint import fingerprint_state
-        rung_no = self.rungs_captured
-        # Count this rung *before* capturing: the payload must say the
-        # rung is done, so a restored run numbers its next rung as the
-        # canonical run would.
-        self.rungs_captured += 1
         payload = self.system.capture_state()
         rung = {"cycle": payload["cycle"], "rung": rung_no,
                 "fingerprint": fingerprint_state(payload)}

@@ -27,7 +27,8 @@ import random
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..config import table3_config
 from ..obsv.bus import get_bus
@@ -125,13 +126,14 @@ def _built_program(spec: TrialSpec) -> Tuple[object, object]:
     return _PROGRAM_CACHE[key]
 
 
-def _build(spec: TrialSpec, capture: bool = False,
+def _build(spec: TrialSpec, capture: Union[bool, Iterable[int]] = False,
            keep_rungs: bool = False):
     """Build the traced system for one trial, fault armed.  With a
-    non-zero ``snapshot_every`` a ladder is installed: capturing for the
-    canonical profile run, replay-only (identical parking, no capture)
-    for trials.  ``keep_rungs`` keeps each captured payload on its rung
-    dict so the campaign can seed the in-process rung cache."""
+    non-zero ``snapshot_every`` a ladder is installed; ``capture`` is
+    the ladder's: every rung for the canonical profile run, none
+    (identical parking) for trials, or the rung numbers the crash-state
+    checker will restore.  ``keep_rungs`` keeps each captured payload on
+    its rung dict so the campaign can seed the in-process rung cache."""
     fault = fault_by_name(spec.fault)
     recorder = TraceRecorder()
     config = table3_config(n_cores=spec.n_threads,

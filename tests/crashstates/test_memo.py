@@ -143,12 +143,16 @@ def test_memo_verdicts_equal_judging_every_image(workload, design, fault,
 def test_record_lists_extend_each_other_across_cycles():
     """The property the memo key rests on: a later horizon's record
     list extends an earlier one's, whichever rung acquisition used."""
-    cell = _Cell(cell_spec("hashmap", "PMEM-Spec", "power-cut"))
-    lists = []
-    for crash_cycle in (5000, 650, 3350, 200, 6000):
-        _, _, horizon = cell.acquire(crash_cycle)
+    crash_cycles = (5000, 650, 3350, 200, 6000)
+    cell = _Cell(cell_spec("hashmap", "PMEM-Spec", "power-cut"),
+                 crash_cycles)
+    lists, restored = [], []
+    for crash_cycle in crash_cycles:
+        _, restored_from, horizon = cell.acquire(crash_cycle)
+        restored.append(restored_from)
         lists.append(records_from_device_history(
             cell.system.device.history, horizon=horizon))
+    assert any(cycle is not None for cycle in restored)
     lists.sort(key=len)
     assert len(lists[0]) < len(lists[-1])
     for shorter, longer in zip(lists, lists[1:]):
@@ -159,8 +163,9 @@ def test_record_lists_extend_each_other_across_cycles():
 
 
 def test_pin_records_rejects_lists_that_disagree():
-    cell = _Cell(cell_spec("queue", "DPO", "power-cut"))
-    _, _, horizon = cell.acquire(3000)
+    cell = _Cell(cell_spec("queue", "DPO", "power-cut"), (3000,))
+    _, restored_from, horizon = cell.acquire(3000)
+    assert restored_from is not None
     records = records_from_device_history(cell.system.device.history,
                                           horizon=horizon)
     cell.pin_records(records)

@@ -49,6 +49,34 @@ def test_restore_then_replay_bit_identical(design, workload):
             f"result diverged after restoring rung @{rung['cycle']}"
 
 
+@pytest.mark.parametrize("design", DESIGNS)
+def test_capture_subset_changes_nothing(design):
+    """Capturing never changes where cores park: ladders capturing
+    every rung, a subset and none run one execution and reach the same
+    rungs; the subset ladder captures exactly its rungs, byte for
+    byte."""
+    system, full, result = laddered_run(design, "hashmap", every=3)
+    assert len(full.rungs) >= 4, "too few rungs; shrink `every`"
+    subset = {rung["rung"] for rung in full.rungs[1::2]}
+    runs = [(system, full, result),
+            laddered_run(design, "hashmap", capture=subset, every=3),
+            laddered_run(design, "hashmap", capture=False, every=3)]
+    _, partial, _ = runs[1]
+    _, free, _ = runs[2]
+
+    assert full.reached == [{"cycle": rung["cycle"], "rung": rung["rung"]}
+                            for rung in full.rungs]
+    assert [rung["rung"] for rung in partial.rungs] == sorted(subset)
+    assert [rung["fingerprint"] for rung in partial.rungs] == [
+        rung["fingerprint"] for rung in full.rungs
+        if rung["rung"] in subset]
+    assert free.rungs == []
+    assert partial.reached == free.reached == full.reached
+    for other, _ladder, other_result in runs[1:]:
+        assert other.state_fingerprint() == system.state_fingerprint()
+        assert other_result.to_dict() == result.to_dict()
+
+
 def test_restored_payload_fingerprint_matches_recorded():
     _system, ladder, _result = laddered_run("PMEM-Spec", "queue")
     for rung in ladder.rungs:
