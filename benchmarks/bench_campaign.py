@@ -28,9 +28,13 @@ cell (~RUNGS rungs) from *untimed* probe runs before any measured pass
 -- interval choice is campaign configuration, not part of the work
 being compared -- and every pass, including cold, runs with the same
 per-cell ``snapshot_every`` so all four share one laddered timing
-universe.  Correctness is asserted, not assumed: every pass must
-produce the same stripped per-cell outcomes (trials, cycles,
-violations, failures), so the speedup is pure mechanics.  The batched
+universe.  Every pass starts with an empty rung cache (the process's
+one cache of decoded rungs): each campaign's profiling run seeds it
+with the rungs it captures, so in-process trials never read the store,
+and a pool worker reads a rung from the store at most once.
+Correctness is asserted, not assumed: every pass must produce the same
+stripped per-cell outcomes (trials, cycles, violations, failures), so
+the speedup is pure mechanics.  The batched
 pass runs under an event bus + metrics registry and the JSON records
 where its trials started (``forward`` / ``resident`` / ``store`` /
 ``cold``) plus batch counts.
@@ -56,10 +60,9 @@ import time
 from repro.harness import ParallelExecutor
 from repro.obsv.bus import EventBus, bus_scope
 from repro.obsv.registry import MetricsRegistry
-from repro.snapshot import SnapshotStore
-from repro.validation.campaign import (_CAPTURED_PAYLOADS,
-                                       _RESIDENT_CELLS, TrialSpec,
-                                       profile_cell, run_campaign)
+from repro.validation.campaign import (_RESIDENT_CELLS, _RUNG_CACHE,
+                                       TrialSpec, profile_cell,
+                                       run_campaign)
 
 WORKLOADS = ["hashmap", "queue"]
 DESIGNS = ["PMEM-Spec", "IntelX86"]
@@ -98,12 +101,10 @@ def pick_intervals() -> dict:
 
 def _campaign(intervals, snapshot_dir, executor=None, batch=0):
     """One grid traversal (per-cell campaigns); returns (reports, wall)."""
-    # Start from a settled process: no resident systems, no cached rung
-    # bytes or payloads, and no garbage from the previous pass
-    # inflating this one.
+    # Start from a settled process: no resident systems, no decoded
+    # rungs, and no garbage from the previous pass inflating this one.
     _RESIDENT_CELLS.clear()
-    _CAPTURED_PAYLOADS.clear()
-    SnapshotStore.clear_read_cache()
+    _RUNG_CACHE.clear()
     gc.collect()
     started = time.perf_counter()
     reports = [

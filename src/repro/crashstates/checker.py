@@ -41,7 +41,7 @@ from ..runtime.recovery import run_recovery
 from ..snapshot import nearest_rung
 from ..telemetry import get_logger
 from ..validation.campaign import (TrialSpec, _build, _oracle_for,
-                                   _pre_tuple_events, _private_copy)
+                                   _private_copy)
 from ..validation.faults import fault_by_name
 from ..validation.history import events_to_history, truncate_history
 from ..validation.shrink import shrink_crash_cycle
@@ -104,20 +104,15 @@ class _Cell:
         # part of captured state, so it survives every restore below.
         self.system.device.record_history = True
         self.initial_image = dict(self.system.device.snapshot())
-        self.initial_payload = _pre_tuple_events(
-            _private_copy(self.system.capture_state()))
+        self.initial_payload = _private_copy(self.system.capture_state())
         # Every acquire restores before it replays, so nothing past the
         # last wanted rung is ever read: stop there.
         if wanted:
             self.system.advance(until=max(wanted.values()),
                                 stop_event=self.system.launch())
-        self.rungs: List[Dict] = []
-        if ladder is not None:
-            for rung in ladder.rungs:
-                rung = dict(rung)
-                rung["payload"] = _pre_tuple_events(
-                    _private_copy(rung["payload"]))
-                self.rungs.append(rung)
+        self.rungs: List[Dict] = [
+            {**rung, "payload": _private_copy(rung["payload"])}
+            for rung in (ladder.rungs if ladder is not None else ())]
         self.canonical_s = time.perf_counter() - started
         # The verdict memo: kept record indices -> (violations, the
         # mutated image's fingerprint when they are non-empty).  An

@@ -460,7 +460,8 @@ def cmd_snapshot(args) -> int:
     ``capture`` runs one cell's canonical laddered run and stores its
     rungs; ``inspect`` lists stored indexes (or one cell's rungs);
     ``verify`` replays every stored rung and checks each lands on the
-    straight-line run's end fingerprint (exit 1 on any mismatch).
+    straight-line run's end fingerprint (exit 1 on any mismatch or on a
+    rung the store cannot return intact).
     """
     from ..snapshot import SnapshotStore
     from ..validation.campaign import (TrialSpec, _cell_index_name,
@@ -506,7 +507,10 @@ def cmd_snapshot(args) -> int:
     spec = cell_spec()
     outcome = _timed("snapshot-verify", lambda: verify_cell(spec))
     for check in outcome["checks"]:
-        status = "ok" if check["fingerprint_ok"] else "MISMATCH"
+        if "error" in check:
+            status = f"CORRUPT ({check['error']})"
+        else:
+            status = "ok" if check["fingerprint_ok"] else "MISMATCH"
         console(f"  rung {check['rung']:>3} @ cycle {check['cycle']:>8} "
                 f"{status}")
     verdict = "deterministic" if outcome["ok"] else "NON-DETERMINISTIC"

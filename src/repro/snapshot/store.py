@@ -20,25 +20,13 @@ The store sits beside the PR 1 artifact cache on purpose: artifacts are
 content, and their lifetimes differ (snapshots are a pure accelerator
 -- losing one costs time, never correctness).
 
-Read-side caching
------------------
-Campaign trials read the same few rungs hundreds of times, so the
-store keeps one *process-wide* read cache (class-level, shared by
-every :class:`SnapshotStore` instance -- content addressing makes a
-blob location-independent):
-
-* a raw-bytes LRU capped at :data:`SnapshotStore.READ_CACHE_MAX_BYTES`,
-  so repeat reads of a hot rung skip the filesystem entirely, and
-* a verified-once memo: a key's sha256 is recomputed on its first
-  disk read only.  Object files are immutable by contract (the name
-  *is* the content hash and writes are atomic), so re-verifying the
-  same bytes every read only measures the hash function.  A file
-  damaged *after* its first verified read is external interference
-  and surfaces as an unpickling error rather than a hash mismatch.
-
-``put`` never populates the read cache: a freshly written object must
-still prove it is readable from disk once, which is also what keeps
-store-damage fault injection (truncate after write) honest.
+Every ``get`` reads the object from disk and checks its sha256 against
+its key before unpickling, so a damaged object -- truncated, bit-flipped
+or overwritten at any time after it was written -- raises
+:class:`SnapshotError` instead of decoding into a different machine
+state.  The store keeps no read cache: decoded rungs are cached by the
+campaign (:mod:`repro.validation.campaign`), keyed by the same object
+key.
 """
 
 from __future__ import annotations
@@ -48,8 +36,7 @@ import json
 import os
 import pickle
 import tempfile
-from collections import OrderedDict
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 INDEX_SCHEMA_VERSION = 1
 
@@ -60,57 +47,6 @@ class SnapshotError(RuntimeError):
 
 class SnapshotStore:
     """Content-addressed pickle store with atomic writes and an LRU cap."""
-
-    #: Process-wide raw-bytes read cache (see module docstring).  Class
-    #: attributes on purpose: every store instance in the process shares
-    #: one cache, and pool workers each get their own copy-on-fork.
-    READ_CACHE_MAX_BYTES: int = 128 * 1024 * 1024
-    _read_cache: "OrderedDict[str, bytes]" = OrderedDict()
-    _read_cache_bytes: int = 0
-    _verified: Set[str] = set()
-    _read_stats: Dict[str, int] = {"hits": 0, "misses": 0,
-                                   "sha_skips": 0, "evictions": 0}
-
-    @classmethod
-    def clear_read_cache(cls) -> None:
-        """Drop the process-wide read cache (tests, memory pressure)."""
-        cls._read_cache.clear()
-        cls._read_cache_bytes = 0
-        cls._verified.clear()
-        cls._read_stats = {"hits": 0, "misses": 0,
-                           "sha_skips": 0, "evictions": 0}
-
-    @classmethod
-    def read_cache_stats(cls) -> Dict[str, int]:
-        """Counters + current occupancy of the process-wide read cache."""
-        stats = dict(cls._read_stats)
-        stats["entries"] = len(cls._read_cache)
-        stats["bytes"] = cls._read_cache_bytes
-        return stats
-
-    @classmethod
-    def _read_cache_insert(cls, key: str, blob: bytes) -> None:
-        if len(blob) > cls.READ_CACHE_MAX_BYTES:
-            return
-        previous = cls._read_cache.pop(key, None)
-        if previous is not None:
-            cls._read_cache_bytes -= len(previous)
-        cls._read_cache[key] = blob
-        cls._read_cache_bytes += len(blob)
-        while cls._read_cache_bytes > cls.READ_CACHE_MAX_BYTES:
-            _victim, old = cls._read_cache.popitem(last=False)
-            cls._read_cache_bytes -= len(old)
-            cls._read_stats["evictions"] += 1
-
-    @classmethod
-    def _read_cache_drop(cls, key: str) -> None:
-        """An object evicted from *disk* must leave the read cache too,
-        or a capped store would keep serving objects it claims not to
-        have."""
-        blob = cls._read_cache.pop(key, None)
-        if blob is not None:
-            cls._read_cache_bytes -= len(blob)
-        cls._verified.discard(key)
 
     def __init__(self, root: str, max_bytes: Optional[int] = None):
         self.root = root
@@ -151,40 +87,24 @@ class SnapshotStore:
     def get(self, key: str) -> dict:
         """Load a payload by key; raises :class:`SnapshotError` when the
         object is missing, truncated, or corrupt."""
-        cls = SnapshotStore
-        blob = cls._read_cache.get(key)
-        if blob is not None:
-            cls._read_cache.move_to_end(key)
-            cls._read_stats["hits"] += 1
-        else:
-            cls._read_stats["misses"] += 1
-            path = self._object_path(key)
-            try:
-                with open(path, "rb") as handle:
-                    blob = handle.read()
-            except OSError as exc:
-                raise SnapshotError(
-                    f"snapshot {key[:12]} unavailable: {exc}")
-            if key in cls._verified:
-                cls._read_stats["sha_skips"] += 1
-            elif hashlib.sha256(blob).hexdigest() != key:
-                raise SnapshotError(
-                    f"snapshot {key[:12]} corrupt: content hash mismatch")
-            else:
-                cls._verified.add(key)
-            cls._read_cache_insert(key, blob)
-            # LRU refresh: a rung in active use should outlive idle
-            # ones.  Only on real disk reads -- an object hot enough to
-            # live in the read cache was refreshed when it entered.
-            try:
-                os.utime(path)
-            except OSError:
-                pass
+        path = self._object_path(key)
         try:
-            payload = pickle.loads(blob)
+            with open(path, "rb") as handle:
+                blob = handle.read()
+        except OSError as exc:
+            raise SnapshotError(f"snapshot {key[:12]} unavailable: {exc}")
+        if hashlib.sha256(blob).hexdigest() != key:
+            raise SnapshotError(
+                f"snapshot {key[:12]} corrupt: content hash mismatch")
+        # LRU refresh: a rung in active use should outlive idle ones.
+        try:
+            os.utime(path)
+        except OSError:
+            pass
+        try:
+            return pickle.loads(blob)
         except Exception as exc:
             raise SnapshotError(f"snapshot {key[:12]} undecodable: {exc}")
-        return payload
 
     def has(self, key: str) -> bool:
         return os.path.exists(self._object_path(key))
@@ -209,7 +129,6 @@ class SnapshotStore:
                 os.unlink(victim)
             except OSError:
                 break
-            self._read_cache_drop(os.path.basename(victim)[:-len(".snap")])
 
     def total_bytes(self) -> int:
         return sum(os.path.getsize(p) for p in self._objects_by_age())

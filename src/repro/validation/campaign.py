@@ -266,23 +266,46 @@ def run_trial(spec: TrialSpec) -> Dict:
 # ------------------------------------------------- resident batch path
 
 
-#: Rung payloads held deserialised per resident cell (each is one full
-#: machine state, a few hundred KiB for campaign-sized runs).
-_RESIDENT_RUNG_CAP = 64
 #: Cells held resident per worker process.  Campaign chunks are
 #: cell-affine, so a worker rarely juggles more than a couple.
 _RESIDENT_CELL_CAP = 4
+#: Decoded rungs held per process, 64 per resident cell (each is one
+#: full machine state, a few hundred KiB for campaign-sized runs).
+_RUNG_CACHE_CAP = _RESIDENT_CELL_CAP * 64
 
 _RESIDENT_CELLS: "OrderedDict[Tuple[str, Optional[str]], _ResidentCell]" \
     = OrderedDict()
 
-#: Rung payloads seeded straight from the canonical profile run's
-#: captures: (snapshot_dir, object key) -> payload.  A campaign whose
-#: trials run in the process that profiled never re-reads a rung it
-#: just wrote -- no disk read, no unpickle.
-_CAPTURED_PAYLOADS: "OrderedDict[Tuple[Optional[str], str], Dict]" = \
-    OrderedDict()
-_CAPTURED_PAYLOAD_CAP = _RESIDENT_RUNG_CAP * _RESIDENT_CELL_CAP
+
+class _CachedRung:
+    """One decoded rung: its payload and, once a trial has restored it,
+    ``(event count, oracle history)`` of its trace prefix.  HistoryEvent
+    is frozen, so every trial restoring the rung shares one prefix list;
+    extending it is exact because events_to_history is a stateless
+    per-event map."""
+
+    __slots__ = ("payload", "history")
+
+    def __init__(self, payload: Dict):
+        self.payload = payload
+        self.history: Optional[Tuple[int, list]] = None
+
+
+#: The process-wide rung cache, keyed by store object key: the sha256 of
+#: the payload's pickle, so one key names one machine state (trace
+#: prefix included) wherever its store lives.  The profiling run admits
+#: its captures and resident cells admit what they read from the store;
+#: every cell in the process restores from it.  Cached payloads are
+#: never written: restore copies their containers.
+_RUNG_CACHE: "OrderedDict[str, _CachedRung]" = OrderedDict()
+
+
+def _admit_rung(key: str, payload: Dict) -> _CachedRung:
+    """Cache a decoded rung, evicting the least recently used."""
+    entry = _RUNG_CACHE[key] = _CachedRung(payload)
+    while len(_RUNG_CACHE) > _RUNG_CACHE_CAP:
+        _RUNG_CACHE.popitem(last=False)
+    return entry
 
 
 def _private_copy(value):
@@ -303,41 +326,6 @@ def _private_copy(value):
     if kind is list:
         return [_private_copy(item) for item in value]
     return value
-
-
-def _seed_captured_rungs(spec: TrialSpec, ladder) -> None:
-    """Admit a canonical run's in-memory rung payloads to the seeded
-    cache, keyed exactly like the on-disk store the run also filled."""
-    if ladder is None or ladder.store is None:
-        return
-    for rung in ladder.rungs:
-        payload = rung.pop("payload", None)
-        if payload is None or "key" not in rung:
-            continue
-        _CAPTURED_PAYLOADS[(spec.snapshot_dir, rung["key"])] = \
-            _pre_tuple_events(_private_copy(payload))
-    while len(_CAPTURED_PAYLOADS) > _CAPTURED_PAYLOAD_CAP:
-        _CAPTURED_PAYLOADS.popitem(last=False)
-
-
-def _pre_tuple_events(payload: Dict) -> Dict:
-    """Convert trace event rows to tuples once, at cache-admission time.
-
-    ``Trace.restore_state`` re-tuples every event row on each restore;
-    ``tuple()`` of a tuple returns the same object, so a payload that is
-    restored many times (the whole point of a resident cell) pays the
-    per-row copy only once.  Safe to do in place: cached payloads are
-    private to the campaign machinery (``SnapshotStore.get`` unpickles a
-    fresh object per call; seeded payloads are skeleton-copied at
-    admission) and the canonical fingerprint encodes tuples and lists
-    identically.
-    """
-    for state in payload.get("components", {}).values():
-        if isinstance(state, dict):
-            events = state.get("events")
-            if events:
-                state["events"] = [tuple(item) for item in events]
-    return payload
 
 
 class _ResidentCell:
@@ -376,14 +364,6 @@ class _ResidentCell:
         self._index_error: Optional[str] = None
         # Why the latest rung lookup fell back cold (damaged store).
         self._fallback_error: Optional[str] = None
-        self._payloads: "OrderedDict[str, dict]" = OrderedDict()
-        # key -> (n_prefix_events, converted HistoryEvents): the oracle
-        # history of a rung's event prefix, computed once per rung.
-        # HistoryEvent is frozen, so sharing one prefix list across
-        # trials is safe; concatenation is exact because
-        # events_to_history is a stateless per-event map.
-        self._history_prefixes: "OrderedDict[object, tuple]" = \
-            OrderedDict()
 
     def _rung_index(self) -> List[Dict]:
         if self._rungs is None and self._index_error is None:
@@ -398,8 +378,9 @@ class _ResidentCell:
     def _restore_payload(self, spec: TrialSpec
                          ) -> Tuple[Optional[Dict], str]:
         """(rung, source) for the nearest usable rung at or before the
-        crash cycle; (None, "cold") when there is none.  A damaged
-        store also leaves its error in ``_fallback_error``."""
+        crash cycle, its rung-cache entry under ``cached``; (None,
+        "cold") when there is none.  A damaged store also leaves its
+        error in ``_fallback_error``."""
         self._fallback_error = None
         rungs = self._rung_index()
         if self._index_error is not None:
@@ -411,42 +392,20 @@ class _ResidentCell:
         if rung is None:
             return None, "cold"
         key = rung["key"]
-        payload = self._payloads.get(key)
-        if payload is not None:
-            self._payloads.move_to_end(key)
-            return {**rung, "payload": payload}, "resident"
-        # First touch: prefer the payload the profiling run seeded in
-        # this very process (zero re-read) over the store round trip.
-        payload = _CAPTURED_PAYLOADS.get((spec.snapshot_dir, key))
-        if payload is not None:
+        entry = _RUNG_CACHE.get(key)
+        if entry is not None:
+            _RUNG_CACHE.move_to_end(key)
             source = "resident"
         else:
             try:
-                payload = self.store.get(key)
+                entry = _admit_rung(key, self.store.get(key))
             except SnapshotError as exc:
                 log.warning("snapshot restore failed (%s); starting cold",
                             exc)
                 self._fallback_error = str(exc)
                 return None, "cold"
-            payload = _pre_tuple_events(payload)
             source = "store"
-        self._payloads[key] = payload
-        while len(self._payloads) > _RESIDENT_RUNG_CAP:
-            self._payloads.popitem(last=False)
-        return {**rung, "payload": payload}, source
-
-    def _history_prefix(self, key) -> Tuple[int, list]:
-        """(event count, converted history) of the just-restored prefix."""
-        prefix = self._history_prefixes.get(key)
-        count = len(self.recorder)
-        if prefix is not None and prefix[0] == count:
-            self._history_prefixes.move_to_end(key)
-            return prefix
-        prefix = (count, events_to_history(self.recorder.events()))
-        self._history_prefixes[key] = prefix
-        while len(self._history_prefixes) > _RESIDENT_RUNG_CAP + 1:
-            self._history_prefixes.popitem(last=False)
-        return prefix
+        return {**rung, "cached": entry}, source
 
     def _restart(self, spec: TrialSpec, rung: Optional[Dict]) -> None:
         """Start a new live run from ``rung``, or from a fresh build.
@@ -460,8 +419,12 @@ class _ResidentCell:
         if rung is None:
             self._history = (0, [])
         else:
-            self.system.restore_state(rung["payload"])
-            self._history = self._history_prefix(rung["key"])
+            entry = rung["cached"]
+            self.system.restore_state(entry.payload)
+            if entry.history is None:
+                entry.history = (len(self.recorder),
+                                 events_to_history(self.recorder.events()))
+            self._history = entry.history
         self._done = self.system.launch()
 
     def _live_history(self) -> list:
@@ -579,7 +542,12 @@ def profile_cell_seeding(spec: TrialSpec) -> RunProfile:
     Campaigns profile through this so trials that land in the profiling
     process restore without ever re-reading the store."""
     profile, ladder = _profile_cell(spec, keep_rungs=True)
-    _seed_captured_rungs(spec, ladder)
+    # Rungs are captured only with a store, so every one has a key.
+    # Popping frees the live captures now, not at the run's collection.
+    for rung in ladder.rungs if ladder is not None else ():
+        payload = rung.pop("payload")
+        if rung["key"] not in _RUNG_CACHE:
+            _admit_rung(rung["key"], _private_copy(payload))
     return profile
 
 
@@ -622,7 +590,9 @@ def verify_cell(spec: TrialSpec) -> Dict:
     end-of-run fingerprint, then restores *every* stored rung into a
     fresh system and replays the tail; each replay must land on the
     reference fingerprint exactly.  Returns ``{"reference", "checks",
-    "ok"}`` with one check dict per rung.
+    "ok"}`` with one check dict per rung; a rung the store cannot return
+    intact fails its check with the store's ``error`` and the remaining
+    rungs are still checked.
     """
     if not (spec.snapshot_every and spec.snapshot_dir):
         raise ValueError("snapshot verify needs snapshot_every > 0 "
@@ -634,14 +604,19 @@ def verify_cell(spec: TrialSpec) -> Dict:
     reference = system.state_fingerprint()
     checks = []
     for rung in index:
+        check = {"rung": rung["rung"], "cycle": rung["cycle"]}
+        checks.append(check)
+        try:
+            payload = store.get(rung["key"])
+        except SnapshotError as exc:
+            check.update(fingerprint_ok=False, error=str(exc))
+            continue
         _workload, system, _fault, _recorder, _ladder = _build(spec)
-        system.restore_state(store.get(rung["key"]))
+        system.restore_state(payload)
         done = system.launch()
         system.advance(stop_event=done)
         system.advance()
-        checks.append({"rung": rung["rung"], "cycle": rung["cycle"],
-                       "fingerprint_ok":
-                           system.state_fingerprint() == reference})
+        check["fingerprint_ok"] = system.state_fingerprint() == reference
     return {"reference": reference, "checks": checks,
             "ok": bool(checks) and all(c["fingerprint_ok"]
                                        for c in checks)}

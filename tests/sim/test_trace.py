@@ -1,5 +1,6 @@
 """Tracer unit tests: recording, export schema, overhead, determinism."""
 
+import gc
 import json
 import statistics
 import time
@@ -171,10 +172,13 @@ class TestTracingIsPassive:
         itself; compared against a *recording* run it must be faster or
         within 5%.  Disabled and recording runs alternate, pair by pair,
         so host drift during the test lands on both sides; medians over
-        the pairs keep the check stable."""
+        the pairs keep the check stable.  Each run starts from a
+        collected heap, so one run's garbage is never collected on the
+        next run's clock."""
         spec = RunSpec(**self.SPEC)
 
         def timed(tracer):
+            gc.collect()
             start = time.perf_counter()
             execute_spec(spec, tracer=tracer)
             return time.perf_counter() - start

@@ -1,19 +1,20 @@
 """Shared snapshot-test hygiene.
 
-The store's read cache is process-wide and content-addressed, so two
+The campaign's rung cache is process-wide and keyed by content, so two
 tests that build byte-identical ladders (same spec, fresh tmp dirs)
 share cache entries.  Damage-injection tests tamper with the *disk*
-copy and assert the cold-fallback path runs, which it only does when
-the read cache is cold -- so every test starts with an empty one.
+copy and assert the cold-fallback path runs, which it only does for a
+rung the process has not already decoded -- so every test starts with
+an empty cache.
 """
 
 import pytest
 
-from repro.snapshot import SnapshotStore
+from repro.validation.campaign import _RUNG_CACHE
 
 
 @pytest.fixture(autouse=True)
-def _cold_read_cache():
-    SnapshotStore.clear_read_cache()
+def _cold_rung_cache():
+    _RUNG_CACHE.clear()
     yield
-    SnapshotStore.clear_read_cache()
+    _RUNG_CACHE.clear()

@@ -87,6 +87,28 @@ class TestVerifyCell:
         assert all(check["fingerprint_ok"]
                    for check in outcome["checks"])
 
+    def test_damaged_rung_fails_its_check_and_the_rest_still_run(
+            self, warm_cell):
+        spec, _profile = warm_cell
+        store = SnapshotStore(spec.snapshot_dir)
+        rungs = store.load_index(_cell_index_name(spec))
+        assert len(rungs) > 1
+        path = store._object_path(rungs[0]["key"])
+        with open(path, "rb") as handle:
+            blob = bytearray(handle.read())
+        blob[len(blob) // 2] ^= 0x01
+        with open(path, "wb") as handle:
+            handle.write(bytes(blob))
+        outcome = verify_cell(spec)
+        assert not outcome["ok"]
+        damaged, *rest = outcome["checks"]
+        assert damaged["rung"] == rungs[0]["rung"]
+        assert damaged["fingerprint_ok"] is False
+        assert "corrupt" in damaged["error"]
+        assert len(rest) == len(rungs) - 1
+        assert all(check["fingerprint_ok"] and "error" not in check
+                   for check in rest)
+
     def test_verify_requires_snapshot_config(self):
         spec = TrialSpec(workload="queue", design="PMEM-Spec",
                          n_threads=2, fases_per_thread=4)

@@ -78,10 +78,18 @@ def test_capture_subset_changes_nothing(design):
 
 
 def test_restored_payload_fingerprint_matches_recorded():
-    _system, ladder, _result = laddered_run("PMEM-Spec", "queue")
-    for rung in ladder.rungs:
-        from repro.snapshot import fingerprint_state
-        assert fingerprint_state(rung["payload"]) == rung["fingerprint"]
+    """A payload kept in memory still fingerprints as it did at capture
+    after the run went on: ``capture_state`` aliases no live state, on
+    any design or workload.  Decoded rungs are shared by every cell in
+    a process, so an aliasing capture would corrupt all of them."""
+    from repro.snapshot import fingerprint_state
+    for design in DESIGNS:
+        for workload in WORKLOADS:
+            _system, ladder, _result = laddered_run(design, workload)
+            assert ladder.rungs, (design, workload)
+            for rung in ladder.rungs:
+                assert fingerprint_state(rung["payload"]) == \
+                    rung["fingerprint"], (design, workload, rung["cycle"])
 
 
 def test_ladder_off_preserves_plain_run():

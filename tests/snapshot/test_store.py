@@ -1,6 +1,7 @@
 """SnapshotStore: content addressing, atomicity, corruption, LRU cap."""
 
 import os
+import pickle
 import time
 
 import pytest
@@ -88,69 +89,35 @@ class TestLRUCap:
         assert store.total_bytes() > 0
 
 
-class TestReadCache:
-    """The process-wide read cache: hot rungs skip the filesystem, the
-    sha256 is checked on first read only, and `put` never pre-warms."""
+class TestEveryReadChecksTheHash:
+    """The store caches nothing: every `get` reads the object from disk
+    and checks its sha256, so damage is caught whenever it happens."""
 
-    def test_second_read_skips_disk(self, store):
-        key = store.put({"cycle": 1, "pad": list(range(200))})
-        first = store.get(key)
-        os.unlink(store._object_path(key))   # disk gone, cache hot
-        assert store.get(key) == first
-        stats = SnapshotStore.read_cache_stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
-    def test_cache_shared_across_store_instances(self, store, tmp_path):
-        key = store.put({"cycle": 2})
-        store.get(key)
-        other = SnapshotStore(str(tmp_path / "elsewhere"))
-        # Content addressing makes the blob location-independent: the
-        # second store serves it from the shared cache without ever
-        # having held the object on disk.
-        assert other.get(key) == {"cycle": 2}
-
-    def test_put_does_not_populate_cache(self, store):
-        key = store.put({"cycle": 3})
-        assert SnapshotStore.read_cache_stats()["entries"] == 0
+    def test_damage_after_a_good_read_is_caught(self, store):
+        key = store.put({"cycle": 40})
+        assert store.get(key) == {"cycle": 40}
         path = store._object_path(key)
-        with open(path, "r+b") as handle:
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        # Flip the pickled small int 40 (BININT1 opcode "K", one data
+        # byte) to 41: the damaged blob still unpickles, into a
+        # different state, so only the hash check can catch it.
+        at = blob.index(b"K\x28") + 1
+        damaged = blob[:at] + b"\x29" + blob[at + 1:]
+        assert pickle.loads(damaged) == {"cycle": 41}
+        with open(path, "wb") as handle:
+            handle.write(damaged)
+        with pytest.raises(SnapshotError, match="corrupt"):
+            store.get(key)
+
+    def test_truncated_after_put_is_caught(self, store):
+        key = store.put({"cycle": 3})
+        with open(store._object_path(key), "r+b") as handle:
             handle.truncate(4)
         with pytest.raises(SnapshotError, match="corrupt"):
             store.get(key)
 
-    def test_clear_forgets_everything(self, store):
-        key = store.put({"cycle": 4})
-        store.get(key)
-        os.unlink(store._object_path(key))
-        SnapshotStore.clear_read_cache()
-        with pytest.raises(SnapshotError, match="unavailable"):
-            store.get(key)
-
-    def test_sha_verified_once(self, store):
-        key = store.put({"cycle": 5})
-        store.get(key)
-        # Evict the blob but keep the verified memo: the re-read hits
-        # disk without recomputing the hash.
-        SnapshotStore._read_cache.clear()
-        SnapshotStore._read_cache_bytes = 0
-        store.get(key)
-        assert SnapshotStore.read_cache_stats()["sha_skips"] == 1
-
-    def test_byte_cap_evicts_lru(self, store):
-        SnapshotStore.READ_CACHE_MAX_BYTES, saved = \
-            4096, SnapshotStore.READ_CACHE_MAX_BYTES
-        try:
-            keys = [store.put({"n": n, "pad": list(range(400))})
-                    for n in range(8)]
-            for key in keys:
-                store.get(key)
-            stats = SnapshotStore.read_cache_stats()
-            assert stats["evictions"] > 0
-            assert stats["bytes"] <= 4096
-        finally:
-            SnapshotStore.READ_CACHE_MAX_BYTES = saved
-
-    def test_disk_eviction_drops_cached_blob(self, tmp_path):
+    def test_disk_eviction_makes_a_read_object_unavailable(self, tmp_path):
         store = SnapshotStore(str(tmp_path))
         first = store.put({"n": 1, "pad": list(range(100))})
         store.get(first)
@@ -158,8 +125,6 @@ class TestReadCache:
         os.utime(store._object_path(first),
                  (time.time() - 10, time.time() - 10))
         store.put({"n": 2, "pad": list(range(100))})
-        # The disk LRU evicted `first`; the read cache must not keep
-        # serving an object the store claims not to have.
         assert not store.has(first)
         with pytest.raises(SnapshotError, match="unavailable"):
             store.get(first)

@@ -18,8 +18,8 @@ import pytest
 from repro.harness import ParallelExecutor
 from repro.obsv.bus import EventBus, set_bus, validate_events
 from repro.snapshot import SnapshotStore
-from repro.validation.campaign import (TrialSpec, _CAPTURED_PAYLOADS,
-                                       _RESIDENT_CELLS,
+from repro.validation.campaign import (TrialSpec, _RESIDENT_CELLS,
+                                       _RUNG_CACHE,
                                        _cell_index_name, profile_cell,
                                        run_campaign, run_trial,
                                        run_trial_batch)
@@ -30,15 +30,13 @@ GRID = dict(planner="stratified", fault="torn-log", budget=5, seed=42,
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    """Resident systems and the store read cache persist per process;
+    """Resident systems and the rung cache persist per process;
     equivalence tests must not inherit another test's warm state."""
     _RESIDENT_CELLS.clear()
-    _CAPTURED_PAYLOADS.clear()
-    SnapshotStore.clear_read_cache()
+    _RUNG_CACHE.clear()
     yield
     _RESIDENT_CELLS.clear()
-    _CAPTURED_PAYLOADS.clear()
-    SnapshotStore.clear_read_cache()
+    _RUNG_CACHE.clear()
     set_bus(None)
 
 
@@ -102,7 +100,7 @@ def run_modes(tmp_path, **overrides):
             "batched-serial": (ParallelExecutor(jobs=1), 3),
             "batched-pool": (ParallelExecutor(jobs=2), 3)}.items():
         _RESIDENT_CELLS.clear()
-        _CAPTURED_PAYLOADS.clear()
+        _RUNG_CACHE.clear()
         reports[mode] = run_campaign(
             ["hashmap"], ["PMEM-Spec", "IntelX86"],
             snapshot_dir=str(tmp_path / mode), executor=executor,
@@ -135,7 +133,7 @@ class TestDamagedStoreFallback:
             path = store._object_path(rung["key"])
             with open(path, "r+b") as handle:
                 handle.truncate(16)
-        SnapshotStore.clear_read_cache()
+        _RUNG_CACHE.clear()
 
     def test_batched_damage_equals_serial_damage(self, warm_cell):
         spec, profile = warm_cell

@@ -18,10 +18,10 @@ from repro.obsv.bus import EventBus, set_bus, validate_events
 from repro.snapshot import SnapshotStore
 from repro.system import System
 from repro.validation import campaign
-from repro.validation.campaign import (TrialSpec, _CAPTURED_PAYLOADS,
-                                       _RESIDENT_CELLS, _ResidentCell,
+from repro.validation.campaign import (TrialSpec, _RESIDENT_CELLS,
+                                       _RUNG_CACHE, _ResidentCell,
                                        _cell_index_name, profile_cell,
-                                       run_trial)
+                                       profile_cell_seeding, run_trial)
 from repro.validation.faults import FAULT_NAMES
 
 BASE = TrialSpec(workload="hashmap", design="PMEM-Spec", n_threads=2,
@@ -32,22 +32,20 @@ KINDS = ("unladdered", "laddered", "truncated")
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     _RESIDENT_CELLS.clear()
-    _CAPTURED_PAYLOADS.clear()
-    SnapshotStore.clear_read_cache()
+    _RUNG_CACHE.clear()
     yield
     _RESIDENT_CELLS.clear()
-    _CAPTURED_PAYLOADS.clear()
-    SnapshotStore.clear_read_cache()
+    _RUNG_CACHE.clear()
     set_bus(None)
 
 
-def make_cell(kind, fault, tmp_path):
+def make_cell(kind, fault, tmp_path, profile_with=profile_cell):
     """(spec, crash cycles) for one cell; laddered kinds fill a store."""
     spec = replace(BASE, fault=fault)
     if kind != "unladdered":
         spec = replace(spec, snapshot_every=6,
                        snapshot_dir=str(tmp_path / "snaps"))
-    profile = profile_cell(spec)
+    profile = profile_with(spec)
     if kind == "truncated":
         store = SnapshotStore(spec.snapshot_dir)
         rungs = store.load_index(_cell_index_name(spec))
@@ -55,7 +53,6 @@ def make_cell(kind, fault, tmp_path):
         for rung in rungs:
             with open(store._object_path(rung["key"]), "r+b") as handle:
                 handle.truncate(16)
-        SnapshotStore.clear_read_cache()
     # Before the first rung, persist boundaries (where torn-log bites),
     # mid-run, and well past the end of even a fault-perturbed run.
     total = profile.total_cycles
@@ -144,6 +141,113 @@ def test_virtual_misspec_never_continues_a_live_run(monkeypatch, kind,
     assert "forward" not in sources
     if kind == "unladdered":
         assert counts["_build"] == len(cycles)
+
+
+def log_calls(monkeypatch, owner, name, log, entry):
+    original = getattr(owner, name)
+
+    def logged(*args):
+        log.append(entry(*args))
+        return original(*args)
+    monkeypatch.setattr(owner, name, logged)
+
+
+def record_lookups(monkeypatch):
+    """The source of every rung lookup a resident cell makes, in order
+    (``forward`` trials look their rung up too)."""
+    sources = []
+    original = _ResidentCell._restore_payload
+
+    def recorded(self, spec):
+        rung, source = original(self, spec)
+        sources.append(source)
+        return rung, source
+    monkeypatch.setattr(_ResidentCell, "_restore_payload", recorded)
+    return sources
+
+
+def serve(spec, order):
+    cell = _ResidentCell(spec)
+    return [cell.run_trial(replace(spec, crash_cycle=cycle))
+            for cycle in order]
+
+
+def test_a_second_cell_restores_what_the_first_read(monkeypatch,
+                                                    tmp_path):
+    spec, cycles = make_cell("laddered", "power-cut", tmp_path)
+    sources = record_lookups(monkeypatch)
+    serve(spec, cycles)
+    first = list(sources)
+    assert "store" in first
+    counts = {}
+    count_calls(monkeypatch, SnapshotStore, "get", counts)
+    sources.clear()
+    serve(spec, cycles)
+    assert counts == {}
+    assert sources == ["cold" if source == "cold" else "resident"
+                       for source in first]
+
+
+def test_a_seeded_cell_never_reads_the_store(monkeypatch, tmp_path):
+    spec, cycles = make_cell("laddered", "power-cut", tmp_path,
+                             profile_with=profile_cell_seeding)
+    counts = {}
+    count_calls(monkeypatch, SnapshotStore, "get", counts)
+    sources = record_lookups(monkeypatch)
+    for order in orders(cycles).values():
+        serve(spec, order)
+    assert counts == {}
+    assert "resident" in sources and "store" not in sources
+
+
+def test_each_rung_prefix_is_converted_once_per_process(monkeypatch,
+                                                        tmp_path):
+    spec, cycles = make_cell("laddered", "power-cut", tmp_path)
+    # A prefix conversion is one between a rung restore and the cut.
+    log = []
+    log_calls(monkeypatch, System, "restore_state", log,
+              lambda _system, payload: payload["cycle"])
+    log_calls(monkeypatch, campaign, "_cut", log, lambda *_args: "cut")
+    log_calls(monkeypatch, campaign, "events_to_history", log,
+              lambda _events: "convert")
+    descending = sorted(cycles, reverse=True)
+    serve(spec, descending)
+    serve(spec, descending)
+    conversions, restored = {}, None
+    for entry in log:
+        if entry == "cut":
+            restored = None
+        elif entry == "convert":
+            if restored is not None:
+                conversions[restored] += 1
+        else:
+            restored = entry
+            conversions.setdefault(restored, 0)
+    assert len(conversions) > 1
+    assert set(conversions.values()) == {1}, conversions
+
+
+def test_a_two_rung_cache_changes_no_outcome(monkeypatch, tmp_path):
+    monkeypatch.setattr(campaign, "_RUNG_CACHE_CAP", 2)
+    spec, cycles = make_cell("laddered", "torn-log", tmp_path,
+                             profile_with=profile_cell_seeding)
+    reference = {cycle: run_trial(replace(spec, crash_cycle=cycle))
+                 for cycle in cycles}
+    rungs = SnapshotStore(spec.snapshot_dir).load_index(
+        _cell_index_name(spec))
+    assert len(rungs) > 2
+    sizes = [len(_RUNG_CACHE)]
+    counts = {}
+    count_calls(monkeypatch, SnapshotStore, "get", counts)
+    for name, order in orders(cycles).items():
+        cell = _ResidentCell(spec)
+        for cycle in order:
+            assert cell.run_trial(replace(spec, crash_cycle=cycle)) == \
+                reference[cycle], (name, cycle)
+            sizes.append(len(_RUNG_CACHE))
+    assert max(sizes) <= 2
+    # Evicted seeded rungs were read back from the store.
+    assert counts.get("get", 0) > 0
 
 
 def test_cold_fallback_trial_emits_one_restore_event(tmp_path):
