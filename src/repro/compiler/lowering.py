@@ -32,7 +32,8 @@ flavors.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import weakref
+from typing import List, Optional, Sequence, Tuple
 
 from ..isa import (
     Clwb,
@@ -114,13 +115,24 @@ class LoweredThread:
 
 
 class LoweredProgram:
-    __slots__ = ("program", "flavor", "threads")
+    """One program's machine-op streams for one flavor.
+
+    The program keeps this in its lowering memo, so this points back at
+    the program only weakly: :attr:`program` is None once the program is
+    gone, and the pair never forms a reference cycle.
+    """
+
+    __slots__ = ("_program", "flavor", "threads")
 
     def __init__(self, program: Program, flavor: str,
                  threads: List[LoweredThread]):
-        self.program = program
+        self._program = weakref.ref(program)
         self.flavor = flavor
         self.threads = threads
+
+    @property
+    def program(self) -> Optional[Program]:
+        return self._program()
 
     @property
     def total_ops(self) -> int:
@@ -355,10 +367,8 @@ def lower_rollback(writes, thread_id: int, flavor: str,
 # output is never mutated at runtime (machine ops are init-only value
 # objects), and campaign-style callers lower the *same* program once per
 # trial -- memoise on the program instance so the memo lives exactly as
-# long as its program.  A module-level WeakKeyDictionary cannot do this:
-# the cached LoweredProgram holds a strong reference back to its key, so
-# the value pins the key and every program ever lowered (plus its whole
-# machine-op stream) stays reachable for the life of the process.
+# long as its program, and is freed with it by reference counting (a
+# LoweredProgram refers back to its program only weakly).
 _MEMO_ATTR = "_lowered_by_flavor"
 
 

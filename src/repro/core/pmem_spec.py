@@ -45,7 +45,7 @@ class PMEMSpecPMCPolicy(PMCPolicy):
         self.spec_buffer.on_read(block, now)
 
     def on_persist(self, msg: PersistMessage, now: int) -> None:
-        self.pmc.device.persist_store(
+        self.device.persist_store(
             msg.addr, msg.value, now,
             origin=f"persist:c{msg.core_id}:s{msg.spec_id}")
         self.spec_buffer.on_persist(block_of(msg.addr), msg.spec_id,

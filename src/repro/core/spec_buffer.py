@@ -82,7 +82,13 @@ class SpecBufferEntry:
 
 
 class SpeculationBuffer:
-    """The PMC-side buffer driving both misspeculation detectors."""
+    """The PMC-side buffer driving both misspeculation detectors.
+
+    ``report`` receives each detected misspeculation.  The system that
+    owns the buffer passes a closure over its event loop and interrupt
+    controller, not one of its own bound methods, so the buffer never
+    points back at its owner.
+    """
 
     #: Trace track all speculation-buffer events land on.
     TRACE_TRACK = "spec-buffer"

@@ -20,6 +20,7 @@ behaviours the paper's comparison is sensitive to:
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, List
 
 from ..compiler import LoweredFase, LoweredThread, lower_rollback
@@ -55,11 +56,15 @@ ABORT = "abort"
 
 
 class Core:
-    """One core running one thread's lowered program."""
+    """One core running one thread's lowered program.
+
+    The system owns its cores, so a core holds ``system`` as a weak
+    proxy: a finished system and its cores form no reference cycle.
+    """
 
     def __init__(self, system: "System", core_id: int,
                  thread: LoweredThread):
-        self.system = system
+        self.system = weakref.proxy(system)
         self.env = system.env
         self.core_id = core_id
         self.thread = thread
@@ -192,6 +197,10 @@ class Core:
         design = system.design
         runtime = system.runtime
         stall = system.stall
+        image = system.image
+        hierarchy = system.hierarchy
+        locks = system.locks
+        lock_network = system.lock_network
         stats_add = self.stats.add
         store_queue = self.store_queue
         core_id = self.core_id
@@ -218,7 +227,7 @@ class Core:
             elif kind is St:
                 value = op.value
                 if op.log_of is not None:
-                    value = system.image.read(op.log_of)
+                    value = image.read(op.log_of)
                     runtime.log_write(core_id, op.log_of, value)
                 done = design.store(core_id, op.addr, value, t,
                                     to_pm=op.to_pm, kind=op.kind,
@@ -226,7 +235,7 @@ class Core:
                 accept = store_queue.push(t, done - t)
                 delay += max(1, accept - t)
             elif kind is Ld:
-                result = system.hierarchy.load(core_id, op.addr, t)
+                result = hierarchy.load(core_id, op.addr, t)
                 if result.event is None:
                     delay = result.done - env.now
                 else:
@@ -240,7 +249,7 @@ class Core:
                     result.event.add_callback(self._count_stale)
             elif kind is MirrorOld:
                 runtime.log_write(core_id, op.addr,
-                                  system.image.read(op.addr))
+                                  image.read(op.addr))
             elif kind is Clwb:
                 done = design.clwb(core_id, op.addr, t)
                 accept = store_queue.push(t, done - t)
@@ -269,9 +278,9 @@ class Core:
                 delay = max(delay, self._loads_settled(t) - env.now)
                 yield env.timeout(delay)
                 delay = 0
-                yield system.locks[op.lock_id].acquire(core_id)
+                yield locks[op.lock_id].acquire(core_id)
                 self.held_locks.append(op.lock_id)
-                handoff = system.lock_network.transfer_cost(
+                handoff = lock_network.transfer_cost(
                     op.lock_id, core_id)
                 after = design.on_lock_op(core_id, env.now + handoff)
                 delay = after - env.now
@@ -291,7 +300,7 @@ class Core:
                 yield env.timeout(delay)
                 delay = 0
                 self.held_locks.remove(op.lock_id)
-                system.locks[op.lock_id].release(core_id)
+                locks[op.lock_id].release(core_id)
             elif kind is FaseBegin:
                 runtime.fase_begin(core_id, op.fase_id, t)
             elif kind is FaseEnd:

@@ -33,10 +33,15 @@ from .pm_device import PMDevice
 
 
 class PMCPolicy:
-    """Default (baseline) PMC behaviour; designs override pieces."""
+    """Default (baseline) PMC behaviour; designs override pieces.
+
+    A controller owns its policy, so the policy keeps the device it
+    persists into, not the controller: the two form no reference cycle.
+    """
 
     def attach(self, pmc: "PMController") -> None:
-        self.pmc = pmc
+        """Called by the controller that installs this policy."""
+        self.device = pmc.device
 
     def read_delay(self, block: int, now: int) -> int:
         """Extra cycles charged before a PM read is enqueued (HOPS bloom)."""
@@ -48,11 +53,11 @@ class PMCPolicy:
     def on_writeback(self, block_addr: int, data: Dict[int, int],
                      now: int) -> None:
         """Called at writeback-arrival time; baselines persist the block."""
-        self.pmc.device.persist_block(block_addr, data, now)
+        self.device.persist_block(block_addr, data, now)
 
     def on_persist(self, msg: PersistMessage, now: int) -> None:
         """Called at persist-path message arrival; persists the store."""
-        self.pmc.device.persist_store(msg.addr, msg.value, now)
+        self.device.persist_store(msg.addr, msg.value, now)
 
     def capture_state(self) -> dict:
         """Policies are stateless by default; stateful ones override."""

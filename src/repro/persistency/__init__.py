@@ -3,6 +3,8 @@
 The proposed design itself lives in :mod:`repro.core.pmem_spec`.
 """
 
+from typing import Dict, Type
+
 from .base import Design, PersistLog, UnsupportedOp
 from .dpo import DPO, DropWritebacksPolicy
 from .hops import HOPS, CountingBloom, HOPSPMCPolicy
@@ -16,10 +18,10 @@ __all__ = [
 ]
 
 
-def design_by_name(name: str) -> Design:
-    """Factory used by the harness: 'IntelX86' | 'DPO' | 'HOPS' | 'PMEM-Spec'."""
+def design_classes() -> Dict[str, Type[Design]]:
+    """Every name :func:`design_by_name` accepts, with its class."""
     from ..core.pmem_spec import PMEMSpec
-    designs = {
+    return {
         "IntelX86": IntelX86Epoch,
         "DPO": DPO,
         "HOPS": HOPS,
@@ -27,6 +29,11 @@ def design_by_name(name: str) -> Design:
         "PMEMSpec": PMEMSpec,
         "StrandWeaver": StrandWeaver,
     }
+
+
+def design_by_name(name: str) -> Design:
+    """Factory used by the harness: 'IntelX86' | 'DPO' | 'HOPS' | 'PMEM-Spec'."""
+    designs = design_classes()
     if name not in designs:
         raise KeyError(f"unknown design {name!r}; "
                        f"choose from {sorted(designs)}")

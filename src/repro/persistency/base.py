@@ -18,12 +18,15 @@ machine through :meth:`bind`.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Dict
 
 from ..mem import PMCPolicy
 from ..sim import Counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..mem import PMDevice
+    from ..sim import Environment
     from ..system import System
 
 
@@ -32,7 +35,9 @@ class UnsupportedOp(RuntimeError):
 
 
 class Design:
-    """Base class; subclasses are IntelX86Epoch, DPO, HOPS, PMEMSpec."""
+    """Base class; subclasses are IntelX86Epoch, DPO, HOPS, PMEMSpec,
+    StrandWeaver.  The system that a design is bound to owns it, so the
+    design holds that system weakly (see :meth:`bind`)."""
 
     name = "base"
     flavor = "x86"          # which compiler lowering this design executes
@@ -46,8 +51,10 @@ class Design:
     # ------------------------------------------------------------- wiring
 
     def bind(self, system: "System") -> None:
-        """Attach to a built system; called once before simulation."""
-        self.system = system
+        """Attach to a built system; called once before simulation.
+        The system owns its design, so ``system`` is kept as a weak
+        proxy and the two form no reference cycle."""
+        self.system = weakref.proxy(system)
 
     def build_pmc_policy(self, index: int = 0) -> PMCPolicy:
         """The policy installed into PM controller ``index`` (multi-PMC
@@ -134,19 +141,22 @@ class Design:
 class PersistLog:
     """Shared helper: schedule device persists for buffered designs.
 
-    HOPS and DPO buffer (addr, value) pairs and persist them when their
-    buffers drain; this helper schedules the device update at the drain
-    acceptance time so crash snapshots observe buffered-but-undrained
-    data as *lost* -- the semantics persist buffers actually have.
+    HOPS, DPO and StrandWeaver buffer (addr, value) pairs and persist
+    them when their buffers drain; this helper schedules the device
+    update at the drain acceptance time so crash snapshots observe
+    buffered-but-undrained data as *lost* -- the semantics persist
+    buffers actually have.  It is handed the event loop and the device
+    it needs, not the system that owns them.
     """
 
-    def __init__(self, system: "System"):
-        self.system = system
+    def __init__(self, env: "Environment", device: "PMDevice"):
+        self.env = env
+        self.device = device
 
     def persist_at(self, addr: int, value: int, when: int,
                    origin: str = "drain") -> None:
-        env = self.system.env
-        device = self.system.device
+        env = self.env
+        device = self.device
         if when <= env.now:
             device.persist_store(addr, value, env.now, origin=origin)
         else:
@@ -155,8 +165,8 @@ class PersistLog:
 
     def persist_block_at(self, block_addr: int, data: Dict[int, int],
                          when: int, origin: str = "drain") -> None:
-        env = self.system.env
-        device = self.system.device
+        env = self.env
+        device = self.device
         snapshot = dict(data)
         if when <= env.now:
             device.persist_block(block_addr, snapshot, env.now,

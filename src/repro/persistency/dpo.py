@@ -50,7 +50,7 @@ class DPO(Design):
         self._channel = TimelineResource(width=1, name="dpo.flush")
         self._pending: List[Deque[int]] = [
             deque() for _ in range(config.n_cores)]
-        self._log = PersistLog(system)
+        self._log = PersistLog(system.env, system.device)
 
     def build_pmc_policy(self, index: int = 0) -> PMCPolicy:
         return DropWritebacksPolicy()

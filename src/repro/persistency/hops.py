@@ -130,7 +130,7 @@ class HOPS(Design):
         self._lookup_cycles = config.ns(config.hops_bloom_lookup_ns)
         self._conflict_delay = config.ns(
             config.extra.get("hops_conflict_delay_ns", 30.0))
-        self._log = PersistLog(system)
+        self._log = PersistLog(system.env, system.device)
         self._sticky_extra = config.ns(config.hops_sticky_bus_extra_ns)
 
     def build_pmc_policy(self, index: int = 0) -> PMCPolicy:

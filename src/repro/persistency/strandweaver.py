@@ -66,7 +66,7 @@ class StrandWeaver(Design):
             for i in range(config.n_cores)]
         self._cores: List[_CoreStrands] = [
             _CoreStrands() for _ in range(config.n_cores)]
-        self._log = PersistLog(system)
+        self._log = PersistLog(system.env, system.device)
         self._sticky_extra = config.ns(config.hops_sticky_bus_extra_ns)
 
     def build_pmc_policy(self, index: int = 0) -> PMCPolicy:

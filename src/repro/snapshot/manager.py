@@ -45,6 +45,7 @@ execution and reaches, numbers and reports the same rungs.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterable, List, Optional, Union
 
 from ..obsv.bus import get_bus
@@ -68,6 +69,11 @@ class SnapshotLadder:
 
     ``capture`` says which rungs to capture: True for every rung, False
     for none, or a collection of rung numbers.
+
+    :meth:`install` makes the system own its ladder (``system.snapshots``
+    and the device's persist hook), so the ladder keeps ``system`` as a
+    weak proxy: a finished laddered system forms no reference cycle.
+    Whoever builds the ladder keeps the system alive while it runs.
     """
 
     def __init__(self, system, every: int,
@@ -77,7 +83,7 @@ class SnapshotLadder:
                  keep_in_memory: bool = False):
         if every < 0:
             raise ValueError("snapshot interval must be >= 0")
-        self.system = system
+        self.system = weakref.proxy(system)
         self.every = every
         self.store = store
         self.index_name = index_name

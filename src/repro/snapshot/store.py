@@ -145,8 +145,10 @@ class SnapshotStore:
         fd, tmp = tempfile.mkstemp(dir=self._index_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(document, handle, indent=2)
-                handle.write("\n")
+                # One compact line from the C encoder: json.dump and any
+                # indent take the pure-Python encoder, whose recursive
+                # closures are cyclic garbage on every call.
+                handle.write(json.dumps(document) + "\n")
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

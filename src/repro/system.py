@@ -156,8 +156,30 @@ class SimResult:
                 f"{self.throughput:.3e} FASEs/s)")
 
 
+def _misspeculation_reporter(env: Environment,
+                             interrupts: InterruptController):
+    """The speculation buffers' report hook: hardware detection -> OS
+    interrupt -> runtime (§6.1).  A closure over the two collaborators
+    it needs, not a bound method of the system, which would tie the
+    buffers the system owns back to it in a reference cycle."""
+
+    def report(event: MisspeculationEvent) -> None:
+        if env.metrics.enabled:
+            env.metrics.count("misspeculations", env.now)
+            env.metrics.count(f"{event.kind}_misspeculations", env.now)
+        interrupts.raise_misspeculation(event, env.now)
+
+    return report
+
+
 class System:
-    """One machine + design + lowered workload, ready to simulate."""
+    """One machine + design + lowered workload, ready to simulate.
+
+    The object graph is acyclic (docs/ARCHITECTURE.md, "Ownership"):
+    the system owns its components, and those that need the system
+    back -- cores, the design, a snapshot ladder -- hold it weakly, so
+    dropping a finished system frees all of it by reference counting.
+    """
 
     def __init__(self, config: SystemConfig, design: Design,
                  lowered: LoweredProgram,
@@ -169,6 +191,10 @@ class System:
                 f"design {design.name} executes flavor {design.flavor!r} "
                 f"but the program was lowered for {lowered.flavor!r}")
         program = lowered.program
+        if program is None:
+            raise ValueError(
+                "the program was freed after lowering; keep a reference "
+                "to it until the system is built")
         if program.n_threads != config.n_cores:
             raise ValueError(
                 f"program has {program.n_threads} threads but the machine "
@@ -195,13 +221,15 @@ class System:
                                record_history=record_history)
         self.image = MemoryImage(program.initial_heap)
         self.stall = StallController()
+        self.interrupts = InterruptController()
         # One speculation buffer per PM controller (§5.3, §7); they share
         # the global stall controller and the interrupt report path.
+        report = _misspeculation_reporter(self.env, self.interrupts)
         self.spec_buffers = [
             SpeculationBuffer(
                 config.spec_buffer_entries,
                 config.speculation_window_cycles,
-                stall=self.stall, report=self._report_misspeculation,
+                stall=self.stall, report=report,
                 tracer=self.env.trace, metrics=self.env.metrics,
                 name=f"spec-buffer{index}")
             for index in range(config.n_pm_controllers)]
@@ -235,28 +263,16 @@ class System:
 
         # OS layer: register this "process" so misspeculation interrupts
         # find their way to the failure-atomic runtime (§6.1).
-        self.interrupts = InterruptController()
         self.process = SimProcess(pid=1, name=program.name)
         self.process.map_range(DATA_BASE, LOG_BASE)
         self.process.map_range(
             LOG_BASE, LOG_BASE + config.n_cores * LOG_REGION_BYTES)
-        self.interrupts.register_process(
-            self.process,
-            lambda event, now: self.runtime.on_misspeculation(event, now))
+        self.interrupts.register_process(self.process,
+                                         self.runtime.on_misspeculation)
 
         # Snapshot ladder (repro.snapshot.SnapshotLadder.install sets it);
         # None means the park/quiesce machinery is completely inert.
         self.snapshots = None
-
-    # ---------------------------------------------------------- misspec
-
-    def _report_misspeculation(self, event: MisspeculationEvent) -> None:
-        """Hardware detection -> OS interrupt -> runtime (§6.1)."""
-        if self.env.metrics.enabled:
-            self.env.metrics.count("misspeculations", self.env.now)
-            self.env.metrics.count(f"{event.kind}_misspeculations",
-                                   self.env.now)
-        self.interrupts.raise_misspeculation(event, self.env.now)
 
     # --------------------------------------------------------------- run
 

@@ -112,18 +112,27 @@ def _cell_index_name(spec: TrialSpec) -> str:
 # large fase counts, and every trial of a cell builds the identical
 # program.  Memoise the built pair per process: workload and program are
 # immutable after build() (the system copies the initial heap), so trials
-# stay pure functions of their spec.  Keys are one per campaign cell --
-# the cache stays tiny.
-_PROGRAM_CACHE: Dict[Tuple[str, int, int, int], Tuple[object, object]] = {}
+# stay pure functions of their spec.  An LRU of _RESIDENT_CELL_CAP
+# entries, so a process running campaign after campaign (over many
+# seeds) does not keep every program -- with its memoised lowerings --
+# it ever built.
+_PROGRAM_CACHE: \
+    "OrderedDict[Tuple[str, int, int, int], Tuple[object, object]]" \
+    = OrderedDict()
 
 
 def _built_program(spec: TrialSpec) -> Tuple[object, object]:
     key = (spec.workload, spec.n_threads, spec.fases_per_thread, spec.seed)
-    if key not in _PROGRAM_CACHE:
+    built = _PROGRAM_CACHE.get(key)
+    if built is None:
         workload = BENCHMARKS[spec.workload](seed=spec.seed)
         program = workload.build(spec.n_threads, spec.fases_per_thread)
-        _PROGRAM_CACHE[key] = (workload, program)
-    return _PROGRAM_CACHE[key]
+        built = _PROGRAM_CACHE[key] = (workload, program)
+        while len(_PROGRAM_CACHE) > _RESIDENT_CELL_CAP:
+            _PROGRAM_CACHE.popitem(last=False)
+    else:
+        _PROGRAM_CACHE.move_to_end(key)
+    return built
 
 
 def _build(spec: TrialSpec, capture: Union[bool, Iterable[int]] = False,
@@ -267,7 +276,8 @@ def run_trial(spec: TrialSpec) -> Dict:
 
 
 #: Cells held resident per worker process.  Campaign chunks are
-#: cell-affine, so a worker rarely juggles more than a couple.
+#: cell-affine, so a worker rarely juggles more than a couple.  Also the
+#: program cache's size.
 _RESIDENT_CELL_CAP = 4
 #: Decoded rungs held per process, 64 per resident cell (each is one
 #: full machine state, a few hundred KiB for campaign-sized runs).

@@ -1,0 +1,116 @@
+"""A finished machine is freed by reference counting alone.
+
+The ownership rule (docs/ARCHITECTURE.md): an owner keeps strong
+references to what it owns; anything that points back at an owner holds
+it weakly, or is handed the collaborator it needs instead.  Then a
+completed ``System`` -- its components, event machinery, program and
+lowered op lists -- forms no reference cycle, and dropping the last
+reference frees all of it at once instead of leaving it for a full
+collection of the cyclic collector.
+
+Every case builds and runs with the collector disabled, keeps only a
+``weakref.ref`` to each system built, and drops the rest: each ref must
+be dead at once, and ``gc.collect()`` must then find nothing.
+"""
+
+import gc
+import weakref
+
+import pytest
+
+from repro.config import table3_config
+from repro.harness import ParallelExecutor, RunSpec, Sweep, fork_warm_starts
+from repro.persistency import design_by_name, design_classes
+from repro.sim import MetricsCollector, TraceRecorder
+from repro.snapshot import SnapshotLadder
+from repro.system import System, build_system
+from repro.validation.campaign import TrialSpec, profile_cell
+from repro.workloads import workload_by_name
+
+DESIGNS = sorted(design_classes())
+SETUPS = ("plain", "ladder", "observed", "two-pmcs")
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Weak refs to every System built while the test body runs, with
+    the cyclic collector off."""
+    refs = []
+    init = System.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(System, "__init__", recording_init)
+    gc.collect()
+    gc.disable()
+    try:
+        yield refs
+    finally:
+        gc.enable()
+
+
+def assert_freed(refs, expected):
+    assert len(refs) == expected
+    assert [ref() for ref in refs] == [None] * expected, \
+        "a finished system outlived its last strong reference"
+    assert gc.collect() == 0, "a finished run left cyclic garbage"
+
+
+def run_one(design, setup):
+    program = workload_by_name("hashmap", seed=3).build(
+        n_threads=2, fases_per_thread=12)
+    overrides = {"n_pm_controllers": 2} if setup == "two-pmcs" else {}
+    observed = setup == "observed"
+    system = build_system(
+        program, design_by_name(design),
+        table3_config(n_cores=2, **overrides),
+        tracer=TraceRecorder() if observed else None,
+        metrics=MetricsCollector(window_cycles=500) if observed else None)
+    if setup == "ladder":
+        ladder = SnapshotLadder(system, every=6).install()
+    result = system.run()
+    assert result.fases_committed == 24
+    if setup == "ladder":
+        assert ladder.rungs, "the ladder captured nothing"
+
+
+@pytest.mark.parametrize("setup", SETUPS)
+@pytest.mark.parametrize("design", DESIGNS)
+def test_a_finished_system_is_freed_at_once(built, design, setup):
+    run_one(design, setup)
+    assert_freed(built, 1)
+
+
+@pytest.mark.parametrize("design", DESIGNS)
+def test_warm_forks_free_every_system(built, design):
+    base = RunSpec("hashmap", design, n_threads=2, fases_per_thread=12,
+                   seed=3)
+    variant = RunSpec("hashmap", design, n_threads=2, fases_per_thread=12,
+                      seed=3, config_overrides={"pm_write_ns": 150.0})
+    base_result, [forked] = fork_warm_starts(base, [variant],
+                                             snapshot_every=6)
+    assert forked.stats["warm_fork"]["rung_cycle"] > 0
+    del base_result, forked
+    assert_freed(built, 2)
+
+
+def test_a_serial_sweep_frees_every_system(built):
+    specs = [RunSpec("queue", design, n_threads=2, fases_per_thread=8)
+             for design in ("PMEM-Spec", "HOPS")]
+    results = ParallelExecutor(jobs=1, cache_dir=None).run(Sweep(specs))
+    assert len(results) == 2
+    del results
+    assert_freed(built, 2)
+
+
+def test_profiling_a_laddered_cell_frees_its_system(built, tmp_path):
+    spec = TrialSpec("hashmap", "PMEM-Spec", n_threads=2,
+                     fases_per_thread=10, snapshot_every=5,
+                     snapshot_dir=str(tmp_path))
+    profile = profile_cell(spec)
+    assert profile.total_cycles > 0
+    assert list((tmp_path / "objects").iterdir()), "no rung was stored"
+    del profile
+    assert_freed(built, 1)

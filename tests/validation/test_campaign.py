@@ -172,3 +172,22 @@ def test_report_rows_and_save(tmp_path):
     assert row["minimal_cycle"] is None
     path = report.save(str(tmp_path / "report.json"))
     assert json.loads(open(path).read())["total_trials"] == 3
+
+
+def test_program_cache_is_bounded_and_changes_no_report():
+    """Campaigns over seeds 1-6 in one process keep at most
+    ``_RESIDENT_CELL_CAP`` built programs, and every report equals the
+    same campaign run on an empty program cache."""
+    from repro.validation.campaign import _PROGRAM_CACHE, _RESIDENT_CELL_CAP
+    params = dict(workloads=["queue"], designs=["IntelX86"], budget=3,
+                  fases_per_thread=6, shrink=False)
+    _PROGRAM_CACHE.clear()
+    warm = {}
+    for seed in range(1, 7):
+        warm[seed] = run_campaign(seed=seed, **params).fingerprint()
+        assert len(_PROGRAM_CACHE) <= _RESIDENT_CELL_CAP
+    assert _RESIDENT_CELL_CAP == 4
+    assert [key[-1] for key in _PROGRAM_CACHE] == [3, 4, 5, 6]
+    for seed in range(1, 7):
+        _PROGRAM_CACHE.clear()
+        assert run_campaign(seed=seed, **params).fingerprint() == warm[seed]
