@@ -1,17 +1,18 @@
-"""Service fabric: warm-resume speedup + work-stealing straggler win.
+"""Journaled resume speedup + work-stealing straggler win.
 
-Two headline numbers for the PR 9 service (``repro.service``), both on
-the ``bench_campaign`` 160-trial grid (hashmap + queue x PMEM-Spec +
-IntelX86, 40 stratified trials per cell, ~16 rungs):
+Two headline numbers for the worker pool and its resume journal, the
+first on the ``bench_campaign`` 160-trial grid (hashmap + queue x
+PMEM-Spec + IntelX86, 40 stratified trials per cell, ~16 rungs):
 
 ``resume``
-    The same campaign job run twice through :class:`JobRunner` over
-    one :class:`JobStore`: a cold submit-to-done pass that simulates
-    and journals all 24 tasks, then a forced re-run that must replay
-    every outcome from the task journal (``tasks_executed == 0``) and
-    produce a byte-identical report (:func:`report_fingerprint`).
-    That replay-to-cold ratio is what a killed-and-resumed job gets
-    back for work completed before the kill.
+    The same campaign run twice over one task journal
+    (:class:`repro.harness.resume.JournaledExecutor`, what ``validate
+    --resume DIR`` runs): a cold pass that simulates and journals all
+    24 tasks, then a replay that must settle every outcome from the
+    journal (``tasks_executed == 0``) and produce a byte-identical
+    report (:func:`report_fingerprint`).  That replay-to-cold ratio is
+    what a killed-and-resumed campaign gets back for work completed
+    before the kill.
 
 ``steal``
     A deliberately skewed grid (one cell-affine deque owning 8 x ~250ms
@@ -35,15 +36,13 @@ import shutil
 import sys
 import tempfile
 import time
+import traceback
 
 from repro.harness.pool import Task, WorkStealingPool
+from repro.harness.resume import JournaledExecutor
 from repro.obsv.bus import EventBus
-from repro.service import (
-    JobRunner,
-    JobSpec,
-    JobStore,
-    report_fingerprint,
-)
+from repro.validation import run_campaign
+from repro.validation.campaign import report_fingerprint
 
 WORKLOADS = ["hashmap", "queue"]
 DESIGNS = ["PMEM-Spec", "IntelX86"]
@@ -55,8 +54,8 @@ RUNGS = 16
 CHUNK = 10
 JOBS = 2             # pool width; 2 keeps single-core CI honest
 
-#: A resumed job must replay journaled work at least this much faster
-#: than simulating it (the fabric's reason to exist).
+#: A resumed campaign must replay journaled work at least this much
+#: faster than simulating it (the journal's reason to exist).
 MIN_RESUME_SPEEDUP = 3.0
 #: Stealing must beat static cell-affine assignment on the skewed grid.
 MIN_STEAL_SPEEDUP = 1.25
@@ -68,42 +67,43 @@ STRAGGLER_S = 0.25   # per chunk on the overloaded deque (x8)
 QUICK_S = 0.05       # per chunk on the idle-prone deque (x2)
 
 
-def fixture_spec() -> JobSpec:
-    return JobSpec.campaign(WORKLOADS, DESIGNS, budget=BUDGET,
-                            seed=SEED, n_threads=N_THREADS,
-                            fases_per_thread=FASES,
-                            snapshot_rungs=RUNGS, batch=CHUNK)
-
-
 # ------------------------------------------------------------- resume
 
 
+def _campaign_pass(scratch: str):
+    """One pass of the fixture over the journal in ``scratch``: the
+    report (None if the campaign raised), the executor's counters and
+    the wall time, which includes reading the journal."""
+    started = time.perf_counter()
+    executor = JournaledExecutor(f"{scratch}/journal", jobs=JOBS)
+    try:
+        report = run_campaign(
+            WORKLOADS, DESIGNS, budget=BUDGET, seed=SEED,
+            n_threads=N_THREADS, fases_per_thread=FASES, shrink=False,
+            executor=executor, snapshot_dir=f"{scratch}/snapshots",
+            snapshot_rungs=RUNGS, batch=CHUNK)
+    except Exception:                           # reported, not raised
+        traceback.print_exc()
+        report = None
+    return report, executor.stats, time.perf_counter() - started
+
+
 def run_resume_bench(scratch: str) -> dict:
-    store = JobStore(f"{scratch}/store")
-    runner = JobRunner(store, workers=JOBS)
-    record = store.submit(fixture_spec())
-
-    started = time.perf_counter()
-    cold = runner.run_job(record.job_id)
-    cold_s = time.perf_counter() - started
-    cold_print = report_fingerprint(store.load_report(record.job_id))
-
-    store.submit(fixture_spec(), force=True)
-    started = time.perf_counter()
-    warm = runner.run_job(record.job_id)
-    warm_s = time.perf_counter() - started
-    warm_print = report_fingerprint(store.load_report(record.job_id))
-
+    cold, cold_stats, cold_s = _campaign_pass(scratch)
+    warm, warm_stats, warm_s = _campaign_pass(scratch)
+    reported = cold is not None and warm is not None
     return {
         "cold_s": round(cold_s, 3),
         "warm_s": round(warm_s, 3),
         "speedup": round(cold_s / warm_s, 1),
-        "tasks_total": cold.detail["tasks_total"],
-        "cold_tasks_executed": cold.detail["tasks_executed"],
-        "warm_tasks_executed": warm.detail["tasks_executed"],
-        "warm_tasks_from_journal": warm.detail["tasks_from_journal"],
-        "states": [cold.state, warm.state],
-        "fingerprint_match": cold_print == warm_print,
+        "tasks_total": sum(cold_stats.values()),
+        "cold_tasks_executed": cold_stats["tasks_executed"],
+        "warm_tasks_executed": warm_stats["tasks_executed"],
+        "warm_tasks_from_journal": warm_stats["tasks_from_journal"],
+        "both_reported": reported,
+        "fingerprint_match": reported and (
+            report_fingerprint(cold.to_dict())
+            == report_fingerprint(warm.to_dict())),
     }
 
 
@@ -184,8 +184,8 @@ def main(argv) -> int:
         shutil.rmtree(scratch, ignore_errors=True)
     resume, steal = payload["resume"], payload["steal"]
     failures = []
-    if resume["states"] != ["done", "done"]:
-        failures.append(f"job states {resume['states']}")
+    if not resume["both_reported"]:
+        failures.append("a campaign pass returned no report")
     if not resume["fingerprint_match"]:
         failures.append("resumed report is not byte-identical")
     if resume["warm_tasks_executed"] != 0:
@@ -232,9 +232,9 @@ def test_service_resume_and_steal(benchmark, run_once, tmp_path):
                        lambda: run_service_bench(str(tmp_path)))
     print("\n" + json.dumps(payload, indent=2))  # noqa: T201
     resume, steal = payload["resume"], payload["steal"]
-    assert resume["states"] == ["done", "done"]
+    assert resume["both_reported"]
     assert resume["fingerprint_match"], \
-        "forced re-run changed the campaign report"
+        "the replay changed the campaign report"
     assert resume["warm_tasks_executed"] == 0
     assert resume["speedup"] >= MIN_RESUME_SPEEDUP
     assert steal["steals"] > 0 and steal["stolen_tasks"] > 0

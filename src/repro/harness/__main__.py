@@ -27,12 +27,8 @@ Usage::
     python -m repro.harness snapshot inspect --snapshot-dir snaps/
     python -m repro.harness snapshot verify --benchmark hashmap \
         --design PMEM-Spec --snapshot-every 50 --snapshot-dir snaps/
-    python -m repro.harness serve --service-root jobs/ --port 8642 \
-        --jobs 4            # long-running simulation service
-    python -m repro.harness submit --url http://127.0.0.1:8642 \
-        --benchmarks hashmap,queue --designs PMEM-Spec --budget 40 \
-        --wait              # submit a campaign job, poll to done
-    python -m repro.harness status --url http://127.0.0.1:8642
+    python -m repro.harness validate --resume runs/c1 --jobs 4 \
+        --budget 40   # journal task outcomes; rerun after a kill resumes
 
 ``--jobs N`` fans the experiment grid out over N worker processes
 (``0`` = all cores).  Results are cached per grid cell (keyed by a
@@ -96,12 +92,13 @@ class _Interrupted(BaseException):
 
 
 def _install_signal_handlers():
-    """Long-running commands (validate, sweeps, serve) must not die
-    with a traceback and half-written artifacts: a signal raises
+    """Long-running commands (validate, sweeps) must not die with a
+    traceback and half-written artifacts: a signal raises
     :class:`_Interrupted`, the dispatch loop's ``finally`` flushes the
     event log and metrics exposition, and the process exits with the
-    conventional ``128 + signum``.  (``serve`` replaces these with its
-    own asyncio handlers for the graceful job-interrupt path.)
+    conventional ``128 + signum``.  A ``validate --resume`` run stopped
+    this way keeps every task outcome it journaled, so rerunning the
+    same command finishes it.
 
     Returns the displaced ``(signum, handler)`` pairs so the dispatch
     loop can put them back -- in-process callers (the test suite, a
@@ -393,12 +390,17 @@ def cmd_metrics(args) -> None:
 
 def cmd_validate(args) -> int:
     """Crash-consistency campaign over benchmarks x designs (exits 1 on
-    any violation, so CI can gate on it)."""
+    any violation, so CI can gate on it).  ``--resume DIR`` runs it
+    over a task journal in DIR, so rerunning a killed campaign
+    simulates only the tasks it never finished."""
     from ..validation import run_campaign
     from .report import format_campaign_table
     benchmarks = [b.strip() for b in args.benchmarks.split(",") if b.strip()]
     designs = [d.strip() for d in args.designs.split(",") if d.strip()]
     if args.litmus:
+        if args.resume:
+            raise ValueError("--resume journals campaign tasks; "
+                             "--litmus runs none")
         from ..crashstates.litmus import format_litmus_table, run_litmus
         # The litmus tier covers every design (incl. StrandWeaver, which
         # the campaign default leaves out) unless --designs narrows it.
@@ -410,6 +412,11 @@ def cmd_validate(args) -> int:
                 json.dump(litmus, fh, indent=2, sort_keys=True)
             console(f"litmus report written to {args.report_out}")
         return 0 if litmus["ok"] else 1
+    executor = args.executor
+    if args.resume:
+        from .resume import JournaledExecutor
+        executor = JournaledExecutor(args.resume, jobs=executor.jobs,
+                                     progress=executor.progress)
     progress_log = get_logger("validation.progress")
     with run_context(run_id="validate"):
         report = run_campaign(
@@ -417,7 +424,7 @@ def cmd_validate(args) -> int:
             planner=args.planner, fault=args.fault, budget=args.budget,
             seed=args.seed, n_threads=args.val_threads,
             fases_per_thread=args.val_fases, log_mode=args.log_mode,
-            shrink=args.shrink, executor=args.executor,
+            shrink=args.shrink, executor=executor,
             progress=progress_log.info if args.progress else None,
             snapshot_dir=(args.snapshot_dir
                           if args.snapshot_every or args.snapshot_rungs
@@ -448,6 +455,10 @@ def cmd_validate(args) -> int:
                 f"(budget {args.image_budget}/cycle): {cs_status}")
     console(f"seed={args.seed} report fingerprint "
             f"{report.fingerprint()[:16]}")
+    if args.resume:
+        console(f"resume {args.resume}: "
+                f"{executor.stats['tasks_from_journal']} tasks from the "
+                f"journal, {executor.stats['tasks_executed']} executed")
     if args.report_out:
         report.save(args.report_out)
         console(f"campaign report written to {args.report_out}")
@@ -518,88 +529,6 @@ def cmd_snapshot(args) -> int:
     return 0 if outcome["ok"] else 1
 
 
-def _default_service_root() -> str:
-    return os.path.join(tempfile.gettempdir(), "repro-service")
-
-
-def cmd_serve(args) -> int:
-    """Run the simulation service: durable job queue + HTTP/JSON API.
-
-    Boots on ``--service-root`` (jobs journal + shared artifact
-    tiers), recovers any jobs a previous process left unfinished, and
-    serves until SIGINT/SIGTERM -- a signal interrupts the running job
-    between tasks (journaled ``interrupted``, resumed on next start)
-    and exits ``128 + signum``.
-    """
-    from ..service.api import run_service
-    return run_service(
-        root=args.service_root or _default_service_root(),
-        host=args.host, port=args.port,
-        workers=args.jobs if args.jobs > 0 else (os.cpu_count() or 1),
-        task_timeout_s=args.task_timeout or None,
-        ready_file=args.ready_file)
-
-
-def _job_spec_from_args(args):
-    """Build the JobSpec ``submit`` ships: a campaign over the
-    validate-style grid, or a sweep over benchmarks x designs."""
-    from ..service import JobSpec
-    benchmarks = [b.strip() for b in args.benchmarks.split(",")
-                  if b.strip()]
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
-    if args.kind == "sweep":
-        from .sweep import Sweep
-        sweep = Sweep.grid(benchmarks, designs, n_threads=args.threads,
-                           seeds=args.seed, name="submit")
-        return JobSpec.sweep(sweep, name=args.job_name)
-    return JobSpec.campaign(
-        benchmarks, designs, planner=args.planner, fault=args.fault,
-        budget=args.budget, seed=args.seed, n_threads=args.val_threads,
-        fases_per_thread=args.val_fases, log_mode=args.log_mode,
-        shrink=False, snapshot_rungs=args.snapshot_rungs or 16,
-        batch=args.batch or 10, name=args.job_name)
-
-
-def cmd_submit(args) -> int:
-    """Submit a job to a running service and (optionally) wait."""
-    from ..service import ServiceClient
-    client = ServiceClient(args.url)
-    spec = _job_spec_from_args(args)
-    record = client.submit(spec, force=args.force)
-    console(json.dumps({"job_id": record["job_id"],
-                        "state": record["state"]}))
-    if args.follow:
-        for event in client.events(record["job_id"]):
-            console(json.dumps(event, sort_keys=True))
-    if args.wait or args.follow:
-        final = client.wait(record["job_id"], timeout_s=args.wait_s)
-        console(json.dumps(final, sort_keys=True, indent=2))
-        return 0 if final["state"] == "done" else 1
-    return 0
-
-
-def cmd_status(args) -> int:
-    """Show a running service's jobs (or one job; --follow streams)."""
-    from ..service import ServiceClient
-    client = ServiceClient(args.url)
-    if not args.target:
-        health = client.health()
-        console(f"service ok: uptime {health['uptime_s']:.0f}s, "
-                f"current={health['current_job'] or '-'}, "
-                f"states={json.dumps(health['jobs'], sort_keys=True)}")
-        for record in client.jobs():
-            console(f"  {record['job_id']}  {record['state']:<12}"
-                    f"{record['spec']['kind']:<9}"
-                    f"{record['spec'].get('name', '')}")
-        return 0
-    if args.follow:
-        for event in client.events(args.target):
-            console(json.dumps(event, sort_keys=True))
-    record = client.job(args.target)
-    console(json.dumps(record, sort_keys=True, indent=2))
-    return 0
-
-
 def cmd_all(args) -> None:
     cmd_table3(args)
     console()
@@ -632,9 +561,6 @@ COMMANDS = {
     "bench-history": cmd_bench_history,
     "snapshot": cmd_snapshot,
     "validate": cmd_validate,
-    "serve": cmd_serve,
-    "submit": cmd_submit,
-    "status": cmd_status,
     "all": cmd_all,
 }
 
@@ -765,45 +691,12 @@ def main(argv=None) -> int:
                              "more workers.  Every chunk is served from "
                              "a resident per-cell run, and outcomes are "
                              "identical for any N")
-    parser.add_argument("--service-root", default=None, metavar="DIR",
-                        help="serve command: durable job store "
-                             "directory (default <tmpdir>/repro-"
-                             "service)")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="serve command: bind address")
-    parser.add_argument("--port", type=int, default=8642,
-                        help="serve command: bind port (0 = kernel-"
-                             "assigned; see --ready-file)")
-    parser.add_argument("--ready-file", default=None, metavar="FILE",
-                        help="serve command: write 'host port' here "
-                             "once the socket is bound")
-    parser.add_argument("--task-timeout", type=float, default=0.0,
-                        metavar="S",
-                        help="serve command: per-task wall-clock "
-                             "timeout (0 = none; hung workers are "
-                             "killed and the task retried)")
-    parser.add_argument("--url", default="http://127.0.0.1:8642",
-                        help="submit/status commands: service base URL")
-    parser.add_argument("--kind", default="campaign",
-                        choices=("campaign", "sweep"),
-                        help="submit command: job kind (campaign uses "
-                             "the validate-style options, sweep a "
-                             "benchmarks x designs RunSpec grid)")
-    parser.add_argument("--job-name", default="", metavar="NAME",
-                        help="submit command: display tag (not part "
-                             "of the job id)")
-    parser.add_argument("--force", action="store_true",
-                        help="submit command: re-queue the job even "
-                             "if an identical one already finished")
-    parser.add_argument("--wait", action="store_true",
-                        help="submit command: poll until the job is "
-                             "terminal (exit 1 unless it is done)")
-    parser.add_argument("--wait-s", type=float, default=3600.0,
-                        metavar="S",
-                        help="submit command: --wait timeout")
-    parser.add_argument("--follow", action="store_true",
-                        help="submit/status commands: stream the "
-                             "job's NDJSON events to stdout")
+    parser.add_argument("--resume", default=None, metavar="DIR",
+                        help="validate command: journal each campaign "
+                             "task's outcome in DIR/tasks.jsonl and "
+                             "replay the journaled ones, so rerunning "
+                             "a killed campaign simulates only what it "
+                             "never finished")
     parser.add_argument("--log-level", default="info",
                         choices=("debug", "info", "warning", "error"),
                         help="diagnostic verbosity on stderr")

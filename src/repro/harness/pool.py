@@ -1,8 +1,9 @@
 """The worker pool: the one place the harness starts worker processes.
 
 Every parallel run goes through :class:`WorkStealingPool` -- the sweeps
-and campaign fan-out of :class:`repro.harness.ParallelExecutor` and the
-journaled jobs of :class:`repro.service.ServiceExecutor`.  Scheduling
+and campaign fan-out of :class:`repro.harness.ParallelExecutor`, the
+journaled ``validate --resume`` runs of
+:class:`repro.harness.resume.JournaledExecutor` included.  Scheduling
 stays in the parent:
 
 * each worker owns a deque of tasks, seeded **cell-affine** -- tasks
@@ -54,24 +55,19 @@ from .retry import SERVICE_POLICY, RetryPolicy
 
 log = get_logger("harness.pool")
 
-#: Longest the parent blocks between checks of ``should_stop`` and
-#: merges of worker events.
+#: Longest the parent blocks between merges of worker events.
 _TICK_S = 0.5
 
 
 # ------------------------------------------------------------------ tasks
 
 
-class PoolCancelled(RuntimeError):
-    """``should_stop`` fired: the run stopped between tasks."""
-
-
 @dataclass(frozen=True)
 class Task:
     """One schedulable unit: a picklable ``fn(arg)`` call.
 
-    ``key`` is the task's identity in its outcome (the service keys
-    its journal by a content hash of ``fn`` and ``arg``); ``affinity``
+    ``key`` is the task's identity in its outcome (the resume journal
+    keys it by a content hash of ``fn`` and ``arg``); ``affinity``
     groups tasks onto the same worker (the campaign cell); ``label`` is
     display-only.
     """
@@ -351,37 +347,32 @@ class WorkStealingPool:
     # -------------------------------------------------------------- run
 
     def run(self, tasks: Sequence[Task],
-            on_result: Optional[Callable[[TaskOutcome], None]] = None,
-            should_stop: Optional[Callable[[], bool]] = None
+            on_result: Optional[Callable[[TaskOutcome], None]] = None
             ) -> List[TaskOutcome]:
         """Execute every task; outcomes return in submission order.
 
         ``on_result`` fires in the parent in *settlement* order as each
-        task finishes (the service journals outcomes from it, so a kill
-        loses at most the in-flight tasks); an exception it raises
-        stops the run.  ``should_stop`` is polled between tasks; when
-        it returns true the run raises :class:`PoolCancelled` instead
-        of dispatching further work.  The pool never raises for a task
+        task finishes (the resume journal records outcomes from it, so
+        a kill loses at most the in-flight tasks); an exception it
+        raises stops the run.  The pool never raises for a task
         failure -- exhausted tasks come back as quarantined ``error``
-        outcomes; the caller decides whether that fails the job.
+        outcomes; the caller decides whether that fails the run.
         """
         tasks = list(tasks)
         run = _Run(tasks, self._resolve_bus(), self.retry, on_result)
         if self.workers > 1 and len(tasks) > 1:
             started = self._start(min(self.workers, len(tasks)), run.bus)
             if started is not None:
-                self._run_workers(run, *started, should_stop)
+                self._run_workers(run, *started)
                 return run.outcomes
-        self._run_inline(run, should_stop)
+        self._run_inline(run)
         return run.outcomes
 
     # ------------------------------------------------------ inline mode
 
-    def _run_inline(self, run: _Run, should_stop) -> None:
+    def _run_inline(self, run: _Run) -> None:
         with bus_scope(run.bus):
             for seq, task in enumerate(run.tasks):
-                if should_stop is not None and should_stop():
-                    raise PoolCancelled(f"stopped before task {seq}")
                 while run.outcomes[seq] is None:
                     start = time.perf_counter()
                     try:
@@ -416,7 +407,7 @@ class WorkStealingPool:
         return workers, event_queue
 
     def _run_workers(self, run: _Run, workers: List[_Worker],
-                     event_queue, should_stop) -> None:
+                     event_queue) -> None:
         # Imported here: it pulls in ``subprocess`` and friends, which
         # no inline (``jobs=1``) run needs at startup.
         from multiprocessing.connection import wait
@@ -427,10 +418,6 @@ class WorkStealingPool:
         delayed: List[Tuple[float, int]] = []
         try:
             while not run.done:
-                if should_stop is not None and should_stop():
-                    raise PoolCancelled(
-                        f"stopped with {len(run.tasks) - run.settled} "
-                        f"task(s) unfinished")
                 now = time.monotonic()
                 for entry in [e for e in delayed if e[0] <= now]:
                     delayed.remove(entry)

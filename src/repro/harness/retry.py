@@ -1,9 +1,9 @@
 """One retry policy for every fan-out path in the repo.
 
 :class:`RetryPolicy` is the single shared object the worker pool
-(:mod:`repro.harness.pool`) consults for the CLI's executor and the
-service alike.  It is deliberately *passive*: it answers "should
-attempt N+1 happen?" and "how long to wait first?", while the pool owns
+(:mod:`repro.harness.pool`) consults for every executor.  It is
+deliberately *passive*: it answers "should attempt N+1 happen?" and
+"how long to wait first?", while the pool owns
 the loop, the clock, and the ``task_retry`` event it emits before every
 re-run (silent retries are a bug this module exists to end).  Both
 answers are pure functions of the attempt number, so retries never
@@ -53,9 +53,9 @@ class RetryPolicy:
 #: The CLI executor's policy: one immediate retry.
 DEFAULT_POLICY = RetryPolicy(max_attempts=2, base_delay_s=0.0)
 
-#: What the service pool runs by default: three attempts, 0.5s/1s
-#: backoff -- enough to ride out a transient (OOM-killed worker, a
-#: snapshot store being rewritten underneath) without stalling a
-#: straggler task for long.
+#: What a bare :class:`~repro.harness.pool.WorkStealingPool` runs by
+#: default: three attempts, 0.5s/1s backoff -- enough to ride out a
+#: transient (OOM-killed worker, a snapshot store being rewritten
+#: underneath) without stalling a straggler task for long.
 SERVICE_POLICY = RetryPolicy(max_attempts=3, base_delay_s=0.5,
                              max_delay_s=10.0)

@@ -366,9 +366,10 @@ def plan_batches(items: Sequence, key: Optional[Callable] = None,
 
     The chunking rule behind :meth:`ParallelExecutor.map_batched`:
     identical inputs produce *identical* chunks, which is what makes
-    the service's journaled chunk outcomes reusable across runs.  Items
-    with equal ``key`` stay contiguous; ``chunk_size`` caps items per
-    chunk (``None``/``0`` ships each whole group as one chunk).
+    ``validate --resume``'s journaled chunk outcomes reusable across
+    runs.  Items with equal ``key`` stay contiguous; ``chunk_size``
+    caps items per chunk (``None``/``0`` ships each whole group as one
+    chunk).
     """
     groups: Dict[object, List[int]] = {}
     for index, item in enumerate(items):
@@ -527,7 +528,7 @@ def _task(index: int, fn: Callable, arg, start: Tuple[str, Dict],
           label: str, affinity=None,
           context: Optional[Dict[str, str]] = None) -> Task:
     """The pool task for one spec, item or chunk.  The body keeps
-    ``fn``'s name, which is what the service keys its journal by."""
+    ``fn``'s name, which is what the resume journal keys tasks by."""
     body = functools.update_wrapper(
         functools.partial(_announced, start, context or {}, fn), fn)
     return Task(key=str(index), fn=body, arg=arg, affinity=affinity,
@@ -638,7 +639,8 @@ class ParallelExecutor:
 
     :meth:`run`, :meth:`map` and :meth:`map_batched` each build a list
     of :class:`~repro.harness.pool.Task` for one fan-out step,
-    :meth:`_fan_out`, which the service's executor overrides.
+    :meth:`_fan_out`, which :class:`repro.harness.resume.JournaledExecutor`
+    overrides.
     """
 
     def __init__(self, jobs: Optional[int] = 1,

@@ -82,14 +82,9 @@ EVENT_KINDS: Dict[str, tuple] = {
     # -- work-stealing pool (repro.harness.pool): an idle worker
     #    took a task from the tail of the busiest peer's queue.
     "steal": ("thief", "victim", "label"),
-    # -- graceful shutdown: a SIGINT/SIGTERM stopped a CLI command or
-    #    the service mid-flight; partial artifacts were flushed.
+    # -- graceful shutdown: a SIGINT/SIGTERM stopped a CLI command
+    #    mid-flight; partial artifacts were flushed.
     "interrupted": ("signal_name", "command"),
-    # -- service jobs (repro.service): lifecycle of one submitted job.
-    "job_submitted": ("job_id", "job_kind"),
-    "job_start": ("job_id", "job_kind"),
-    "job_progress": ("job_id", "done", "total"),
-    "job_finish": ("job_id", "state", "elapsed_s"),
     # -- crash campaigns (repro.validation.campaign)
     "campaign_start": ("workloads", "designs", "planner", "fault",
                        "budget"),
@@ -335,20 +330,14 @@ class JsonlSink:
     """Bus subscriber writing one JSON object per line.
 
     Lines are flushed per event so a crashed run leaves a readable
-    prefix; ``sort_keys`` keeps the envelope diffable.  ``mode="a"``
-    appends instead of truncating -- the service's per-job event logs
-    span multiple process lifetimes (a resumed job keeps narrating
-    into the same file).
+    prefix; ``sort_keys`` keeps the envelope diffable.
     """
 
-    def __init__(self, path: str, mode: str = "w"):
-        if mode not in ("w", "a"):
-            raise ValueError(f"JsonlSink mode must be 'w' or 'a', "
-                             f"not {mode!r}")
+    def __init__(self, path: str):
         self.path = path
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
-        self._handle: Optional[TextIO] = open(path, mode)
+        self._handle: Optional[TextIO] = open(path, "w")
         self.written = 0
 
     def __call__(self, event: Dict) -> None:

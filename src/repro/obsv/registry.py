@@ -441,31 +441,6 @@ class MetricsRegistry:
                      "Tasks stolen by idle workers from the busiest "
                      "queue").inc()
 
-    def _on_job_submitted(self, event: Dict) -> None:
-        self.counter("repro_jobs_submitted_total",
-                     "Jobs accepted by the service"
-                     ).inc(labels={"kind": str(event.get("job_kind",
-                                                         "?"))})
-
-    def _on_job_finish(self, event: Dict) -> None:
-        state = str(event.get("state", "?"))
-        self.counter("repro_jobs_total",
-                     "Jobs finished by terminal state"
-                     ).inc(labels={"state": state})
-        elapsed = event.get("elapsed_s")
-        if elapsed is not None and state == "done":
-            self.histogram("repro_job_seconds",
-                           "Submit-to-done wall time per completed job"
-                           ).observe(float(elapsed))
-
-    def _on_job_progress(self, event: Dict) -> None:
-        total = event.get("total")
-        if total:
-            self.gauge("repro_job_progress_ratio",
-                       "Completed tasks / planned tasks of the "
-                       "running job"
-                       ).set(round(event.get("done", 0) / total, 4))
-
     # ------------------------------------------------------------ export
 
     def to_prometheus(self) -> str:

@@ -1,15 +1,13 @@
 """WorkStealingPool: ordering, affinity, stealing, retry, quarantine,
-hung-task reaping, cancellation.  Task functions live at module level
-so the process-pool path can pickle them."""
+hung-task reaping.  Task functions live at module level so the
+process-pool path can pickle them."""
 
 import os
 import time
 
-import pytest
-
 from repro.harness import RetryPolicy
+from repro.harness.pool import Task, WorkStealingPool
 from repro.obsv import EventBus
-from repro.service import PoolCancelled, Task, WorkStealingPool
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.0)
 ONE_SHOT = RetryPolicy(max_attempts=1)
@@ -105,19 +103,6 @@ class TestInline:
         assert "task_quarantine" in kinds
         assert "poison task" in outcomes[1].error
 
-    def test_should_stop_raises_pool_cancelled(self):
-        pool = WorkStealingPool(workers=1)
-        seen = []
-
-        def stop_after_two() -> bool:
-            return len(seen) >= 2
-
-        with pytest.raises(PoolCancelled):
-            pool.run(_tasks(_square, [1, 2, 3, 4]),
-                     on_result=seen.append,
-                     should_stop=stop_after_two)
-        assert len(seen) == 2
-
 
 class TestPlan:
     def test_affinity_groups_stay_together(self):
@@ -199,9 +184,3 @@ class TestPool:
         assert not outcomes[0].ok
         assert "timeout" in outcomes[0].error
         assert [o.value for o in outcomes[1:]] == [4, 9, 16]
-
-    def test_should_stop_cancels_pool_mode(self):
-        pool = WorkStealingPool(workers=2)
-        with pytest.raises(PoolCancelled):
-            pool.run(_tasks(_square, list(range(6))),
-                     should_stop=lambda: True)

@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.service import report_fingerprint
 from repro.validation import (
     DEFAULT_FAULTS,
     CampaignReport,
@@ -16,6 +15,7 @@ from repro.validation import (
     run_campaign,
     run_trial,
 )
+from repro.validation.campaign import report_fingerprint
 
 CELL = dict(workload="array_swaps", design="PMEM-Spec")
 
@@ -92,7 +92,8 @@ def test_campaigns_are_reproducible():
 def test_store_location_does_not_change_the_fingerprint(tmp_path):
     """Identical laddered campaigns in two snapshot directories: the
     directory rides in ``params`` and in every failure's spec, and
-    neither the report nor the service fingerprint may see it."""
+    neither the report's fingerprint nor its reloaded JSON's may see
+    it."""
     kwargs = dict(planner="stratified", fault="torn-log", budget=5,
                   fases_per_thread=6, snapshot_rungs=4, shrink=False)
     first, second = (
@@ -191,3 +192,23 @@ def test_program_cache_is_bounded_and_changes_no_report():
     for seed in range(1, 7):
         _PROGRAM_CACHE.clear()
         assert run_campaign(seed=seed, **params).fingerprint() == warm[seed]
+
+
+class TestReportFingerprint:
+    BASE = {"schema_version": 1, "elapsed_s": 1.5,
+            "obsv": {"events": 10},
+            "params": {"budget": 4, "snapshot_dir": "/tmp/a"},
+            "cells": [{"passes": 3}]}
+
+    def test_ignores_wall_clock_and_location(self):
+        other = {"schema_version": 1, "elapsed_s": 99.0,
+                 "obsv": {"events": 123},
+                 "params": {"budget": 4, "snapshot_dir": "/tmp/b"},
+                 "cells": [{"passes": 3}]}
+        assert (report_fingerprint(self.BASE)
+                == report_fingerprint(other))
+
+    def test_tracks_outcomes(self):
+        other = {**self.BASE, "cells": [{"passes": 2}]}
+        assert (report_fingerprint(self.BASE)
+                != report_fingerprint(other))
