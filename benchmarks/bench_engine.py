@@ -2,29 +2,26 @@
 
 Times **only** ``System.run()`` (build and lowering excluded) across
 the reduced fig9 matrix -- every benchmark x every design, 8 threads,
-scale 0.25, seed 42 -- for both event-queue implementations
-(:class:`repro.sim.HeapScheduler` and the default
-:class:`repro.sim.CalendarScheduler`).  Each scheduler gets a *cold*
+scale 0.25, seed 42.  The grid is run twice in one process: a *cold*
 pass (first in-process traversal of the grid) and a *warm* pass
 (second traversal: allocator, bytecode and branch caches hot), which
 is what a long parameter sweep actually sees.
 
 Correctness is asserted, not assumed: every cell's ``SimResult`` dict
-and post-run ``state_fingerprint()`` must be identical across the two
-schedulers and across the cold/warm passes; any divergence fails the
-bench.
+and post-run ``state_fingerprint()`` must be identical across the cold
+and warm passes; any divergence fails the bench.
 
 ``LEGACY_BASELINE`` pins the pre-overhaul number (single-heap
 push/pop-per-Event scheduler, no fast callback path, unindexed PM
 device) measured with this exact grid and methodology; the reported
-``speedup_vs_legacy`` is the PR's headline figure and must stay >= 5x.
+``speedup_vs_legacy`` must stay >= 5x.
 
 Standalone::
 
     PYTHONPATH=src python benchmarks/bench_engine.py
 
 CI regression gate (compares against the committed JSON, fails the
-process if the default scheduler's cold throughput drops >20%)::
+process if the cold throughput drops >20%)::
 
     PYTHONPATH=src python benchmarks/bench_engine.py --check BENCH_engine.json
 """
@@ -37,7 +34,6 @@ import time
 
 from repro.harness.configs import BENCHMARK_ORDER, DESIGNS
 from repro.harness.sweep import RunSpec, build_spec_system
-from repro.sim import DEFAULT_SCHEDULER, SCHEDULERS
 from repro.workloads import BENCHMARKS
 
 SCALE = float(os.environ.get("REPRO_BENCH_ENGINE_SCALE", "0.25"))
@@ -67,13 +63,13 @@ def _grid():
                           seed=SEED)
 
 
-def _run_grid(scheduler: str):
+def _run_grid():
     """One traversal; returns (cycles, wall_s, per-cell outcomes)."""
     outcomes = {}
     total_cycles = 0
     total_wall = 0.0
     for spec in _grid():
-        system = build_spec_system(spec, scheduler=scheduler)
+        system = build_spec_system(spec)
         started = time.perf_counter()
         result = system.run()
         total_wall += time.perf_counter() - started
@@ -85,36 +81,18 @@ def _run_grid(scheduler: str):
 
 def run_engine_bench() -> dict:
     passes = {}
-    reference = None
-    identical = True
-    for scheduler in sorted(SCHEDULERS):
-        for temperature in ("cold", "warm"):
-            # Every pass starts from a settled heap: garbage left by the
-            # previous pass must not tax this pass's GC (the old
-            # warm-slower-than-cold inversion was exactly that, fed by a
-            # lowering-cache leak that grew the heap on every pass).
-            gc.collect()
-            cycles, wall, outcomes = _run_grid(scheduler)
-            passes[(scheduler, temperature)] = (cycles, wall)
-            if reference is None:
-                reference = outcomes
-            elif outcomes != reference:
-                identical = False
-    default_cold = passes[(DEFAULT_SCHEDULER, "cold")]
-    schedulers = {
-        scheduler: {
-            "cold_cycles_per_sec": round(
-                passes[(scheduler, "cold")][0]
-                / passes[(scheduler, "cold")][1], 1),
-            "warm_cycles_per_sec": round(
-                passes[(scheduler, "warm")][0]
-                / passes[(scheduler, "warm")][1], 1),
-            "cold_wall_s": round(passes[(scheduler, "cold")][1], 3),
-            "warm_wall_s": round(passes[(scheduler, "warm")][1], 3),
-        }
-        for scheduler in sorted(SCHEDULERS)
-    }
-    cycles_per_sec = round(default_cold[0] / default_cold[1], 1)
+    outcomes = {}
+    for temperature in ("cold", "warm"):
+        # Every pass starts from a settled heap: garbage left by the
+        # previous pass must not tax this pass's GC (the old
+        # warm-slower-than-cold inversion was exactly that, fed by a
+        # lowering-cache leak that grew the heap on every pass).
+        gc.collect()
+        cycles, wall, outcomes[temperature] = _run_grid()
+        passes[temperature] = (cycles, wall)
+    cold_cycles, cold_wall = passes["cold"]
+    warm_cycles, warm_wall = passes["warm"]
+    cycles_per_sec = round(cold_cycles / cold_wall, 1)
     return {
         "bench": "engine_loop_throughput",
         "params": {"benchmarks": list(BENCHMARK_ORDER),
@@ -122,32 +100,33 @@ def run_engine_bench() -> dict:
                    "n_threads": N_THREADS, "seed": SEED,
                    "cells": len(BENCHMARK_ORDER) * len(DESIGNS),
                    "timed": "System.run() only (build excluded)"},
-        "default_scheduler": DEFAULT_SCHEDULER,
-        "total_cycles": default_cold[0],
+        "total_cycles": cold_cycles,
         "cycles_per_sec": cycles_per_sec,
-        "schedulers": schedulers,
+        "cold_cycles_per_sec": cycles_per_sec,
+        "warm_cycles_per_sec": round(warm_cycles / warm_wall, 1),
+        "cold_wall_s": round(cold_wall, 3),
+        "warm_wall_s": round(warm_wall, 3),
         "legacy_baseline": LEGACY_BASELINE,
         "speedup_vs_legacy": round(
             cycles_per_sec / LEGACY_BASELINE["cycles_per_sec"], 2),
-        "results_identical_across_schedulers": identical,
+        "results_identical_cold_warm": outcomes["cold"] == outcomes["warm"],
     }
 
 
 def main(argv) -> int:
     payload = run_engine_bench()
     failures = []
-    if not payload["results_identical_across_schedulers"]:
-        failures.append("scheduler A/B results diverged")
+    if not payload["results_identical_cold_warm"]:
+        failures.append("cold and warm passes diverged")
     if payload["speedup_vs_legacy"] < MIN_SPEEDUP:
         failures.append(
             f"speedup {payload['speedup_vs_legacy']}x < {MIN_SPEEDUP}x bar")
-    for scheduler, numbers in payload["schedulers"].items():
-        cold = numbers["cold_cycles_per_sec"]
-        warm = numbers["warm_cycles_per_sec"]
-        if warm < MIN_WARM_RATIO * cold:
-            failures.append(
-                f"{scheduler}: warm {warm} < {MIN_WARM_RATIO:.0%} of "
-                f"cold {cold} (state leaking across passes?)")
+    cold = payload["cold_cycles_per_sec"]
+    warm = payload["warm_cycles_per_sec"]
+    if warm < MIN_WARM_RATIO * cold:
+        failures.append(
+            f"warm {warm} < {MIN_WARM_RATIO:.0%} of cold {cold} "
+            f"(state leaking across passes?)")
     if "--check" in argv:
         committed_path = argv[argv.index("--check") + 1]
         with open(committed_path) as handle:

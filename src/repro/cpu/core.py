@@ -201,24 +201,28 @@ class Core:
         hierarchy = system.hierarchy
         locks = system.locks
         lock_network = system.lock_network
-        stats_add = self.stats.add
+        # Counters are bumped in the dict itself (``Counter.add``
+        # inlined): this loop runs once per instruction.
+        stats = self.stats
+        stats_get = stats.get
         store_queue = self.store_queue
         core_id = self.core_id
         eager = runtime.recovery_mode == "eager"
         delay = 0
         for op in ops:
-            stats_add("instructions")
+            stats["instructions"] = stats_get("instructions", 0) + 1
             t = env.now + delay
             # Speculation-buffer overflow pauses every core (§5.3).
             release = stall.resume_at
             if release > t:
-                stats_add("spec_stall_cycles", release - t)
+                stats["spec_stall_cycles"] = (
+                    stats_get("spec_stall_cycles", 0) + (release - t))
                 delay += release - t
                 t = release
             if abortable and eager and runtime.must_abort(
                     core_id, at_boundary=False):
                 yield env.timeout(delay)
-                stats_add("eager_aborts")
+                stats["eager_aborts"] = stats_get("eager_aborts", 0) + 1
                 return ABORT
 
             kind = op.__class__
@@ -241,10 +245,12 @@ class Core:
                 else:
                     # PM miss: overlap it (MLP) instead of blocking; the
                     # fill happens via the event's callback at `done`.
-                    stats_add("pm_loads")
+                    stats["pm_loads"] = stats_get("pm_loads", 0) + 1
                     accept = self._misses.push(t, result.done)
                     if accept > t:
-                        stats_add("mlp_stall_cycles", accept - t)
+                        stats["mlp_stall_cycles"] = (
+                            stats_get("mlp_stall_cycles", 0)
+                            + (accept - t))
                     delay += max(1, accept - t)
                     result.event.add_callback(self._count_stale)
             elif kind is MirrorOld:
@@ -284,7 +290,7 @@ class Core:
                     op.lock_id, core_id)
                 after = design.on_lock_op(core_id, env.now + handoff)
                 delay = after - env.now
-                stats_add("lock_acquires")
+                stats["lock_acquires"] = stats_get("lock_acquires", 0) + 1
             elif kind is Unlock:
                 # Lazy recovery's check site: just before releasing the
                 # outermost lock (§6.2.1).
@@ -292,7 +298,7 @@ class Core:
                         and runtime.must_abort(core_id,
                                                at_boundary=True)):
                     yield env.timeout(delay)
-                    stats_add("lazy_aborts")
+                    stats["lazy_aborts"] = stats_get("lazy_aborts", 0) + 1
                     return ABORT
                 release_at = max(design.on_lock_op(core_id, t),
                                  self._loads_settled(t))
@@ -310,7 +316,7 @@ class Core:
                 delay = 0
                 if abortable and runtime.must_abort(core_id,
                                                     at_boundary=True):
-                    stats_add("lazy_aborts")
+                    stats["lazy_aborts"] = stats_get("lazy_aborts", 0) + 1
                     return ABORT
                 runtime.fase_commit(core_id, env.now)
             else:  # pragma: no cover - lowering emits nothing else

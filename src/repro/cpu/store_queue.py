@@ -29,10 +29,13 @@ class StoreQueue:
         """Occupy an entry until ``now + service``; returns the admission
         time (``> now`` means the queue was full and the core stalls)."""
         accept = self._queue.push(now, now + max(1, service))
-        self.stats.add("pushes")
+        # Counter.add, inlined: one push per store, CLWB and SFENCE.
+        stats = self.stats
+        stats["pushes"] = stats.get("pushes", 0) + 1
         if accept > now:
-            self.stats.add("full_stalls")
-            self.stats.add("full_stall_cycles", accept - now)
+            stats["full_stalls"] = stats.get("full_stalls", 0) + 1
+            stats["full_stall_cycles"] = (
+                stats.get("full_stall_cycles", 0) + (accept - now))
         return accept
 
     def drain_complete_time(self, now: int) -> int:

@@ -383,23 +383,41 @@ def plan_batches(items: Sequence, key: Optional[Callable] = None,
     return batches
 
 
-def build_spec_system(spec: RunSpec, tracer=None, metrics=None,
-                      scheduler=None):
-    """Build (but do not run) the fully wired system for one spec.
+#: ``(key, program)`` of the program :func:`build_spec_system` built
+#: last; key = (workload class, seed, threads, FASEs).
+_LAST_BUILT: Optional[Tuple[tuple, object]] = None
 
-    ``scheduler`` selects the event-queue implementation (see
-    :data:`repro.sim.SCHEDULERS`); it is an execution detail -- results
-    are identical either way -- so it is not part of the spec and does
-    not perturb the sweep cache key.
+
+def _spec_program(spec: RunSpec):
+    """The spec's program, reused from the previous call when the spec
+    names the same workload class, seed, thread count and FASE count.
+
+    Sweeps are design-innermost grids (Figure 9 runs each program under
+    its four designs in a row), so one entry builds each program once
+    per sweep, and IntelX86 and DPO share its memoised x86 lowering.  A
+    run never mutates its program (the system copies the initial heap).
+    One entry, not an LRU: a sweep is past a program once its designs
+    are done, so more entries would only hold programs in memory.
     """
-    workload = _workload_class(spec.benchmark)(seed=spec.seed)
-    program = workload.build(spec.n_threads, spec.resolved_fases())
-    system = build_system(program, design_by_name(spec.design),
+    global _LAST_BUILT
+    workload_class = _workload_class(spec.benchmark)
+    fases = spec.resolved_fases()
+    key = (workload_class, spec.seed, spec.n_threads, fases)
+    if _LAST_BUILT is None or _LAST_BUILT[0] != key:
+        _LAST_BUILT = None      # free the old program before building
+        program = workload_class(seed=spec.seed).build(spec.n_threads,
+                                                       fases)
+        _LAST_BUILT = (key, program)
+    return _LAST_BUILT[1]
+
+
+def build_spec_system(spec: RunSpec, tracer=None, metrics=None):
+    """Build (but do not run) the fully wired system for one spec."""
+    system = build_system(_spec_program(spec), design_by_name(spec.design),
                           spec.resolved_config(),
                           recovery_mode=spec.recovery_mode,
                           log_mode=spec.log_mode,
-                          tracer=tracer, metrics=metrics,
-                          scheduler=scheduler)
+                          tracer=tracer, metrics=metrics)
     if spec.core_extra_cycles is not None:
         core_id, cycles = spec.core_extra_cycles
         system.persist_path.set_core_extra(core_id, cycles)

@@ -72,19 +72,18 @@ class Cache:
         self._tick = 0
         self.stats = Counter()
 
-    def _set_of(self, block: int) -> List[CacheLine]:
-        return self._sets.setdefault(block % self.n_sets, [])
-
-    def _next_tick(self) -> int:
-        self._tick += 1
-        return self._tick
+    # The per-access methods probe ``_sets`` with ``setdefault``: a probe
+    # creates the set's (empty) list, and the captured state lists every
+    # set in first-probe order, so a probe that skipped it would change
+    # snapshot payloads.  Ticks and counters are bumped inline.
 
     def lookup(self, block: int, touch: bool = True) -> Optional[CacheLine]:
         """Find the line holding ``block``; optionally refresh its LRU age."""
-        for line in self._set_of(block):
+        for line in self._sets.setdefault(block % self.n_sets, []):
             if line.block == block:
                 if touch:
-                    line.lru_tick = self._next_tick()
+                    self._tick += 1
+                    line.lru_tick = self._tick
                 return line
         return None
 
@@ -97,29 +96,40 @@ class Cache:
         """
         if state not in _VALID_STATES:
             raise ValueError(f"cannot insert line in state {state!r}")
-        cache_set = self._set_of(block)
-        existing = self.lookup(block, touch=True)
-        if existing is not None:
-            existing.data = data
-            existing.state = state
-            return None
+        cache_set = self._sets.setdefault(block % self.n_sets, [])
+        for existing in cache_set:
+            if existing.block == block:
+                self._tick += 1
+                existing.lru_tick = self._tick
+                existing.data = data
+                existing.state = state
+                return None
+        stats = self.stats
         victim: Optional[EvictedLine] = None
         if len(cache_set) >= self.n_ways:
             loser = min(cache_set, key=lambda line: line.lru_tick)
             cache_set.remove(loser)
             victim = EvictedLine(loser)
-            self.stats.add("evictions")
+            stats["evictions"] = stats.get("evictions", 0) + 1
             if victim.dirty:
-                self.stats.add("dirty_evictions")
-        cache_set.append(CacheLine(block, state, data, self._next_tick()))
-        self.stats.add("fills")
+                stats["dirty_evictions"] = stats.get("dirty_evictions", 0) + 1
+        self._tick += 1
+        cache_set.append(CacheLine(block, state, data, self._tick))
+        stats["fills"] = stats.get("fills", 0) + 1
         return victim
 
     def write(self, block: int, addr: int, value: int) -> None:
         """Write one word into a resident line and mark it MODIFIED."""
-        line = self.lookup(block)
+        line = self.lookup(block, touch=False)
         if line is None:
             raise KeyError(f"{self.name}: write to non-resident block {block}")
+        self.write_line(line, addr, value)
+
+    def write_line(self, line: CacheLine, addr: int, value: int) -> None:
+        """:meth:`write` into ``line``, which :meth:`lookup` just returned:
+        the same LRU touch, without probing the set again."""
+        self._tick += 1
+        line.lru_tick = self._tick
         line.data[addr] = value
         line.state = MODIFIED
 
@@ -132,7 +142,7 @@ class Cache:
 
     def invalidate(self, block: int) -> Optional[EvictedLine]:
         """Drop ``block`` if resident; returns its final contents."""
-        cache_set = self._set_of(block)
+        cache_set = self._sets.setdefault(block % self.n_sets, [])
         for line in cache_set:
             if line.block == block:
                 cache_set.remove(line)

@@ -91,6 +91,8 @@ class CacheHierarchy:
         # coherence lookups O(sharers) instead of O(n_cores), which is
         # what makes 64-core runs tractable.
         self._sharers: Dict[int, set] = {}
+        # Bumped in place on the load/store/clwb paths (``Counter.add``
+        # inlined: they run once per memory access).
         self.stats = Counter()
 
     # ---------------------------------------------------------- snapshotting
@@ -217,18 +219,19 @@ class CacheHierarchy:
 
     def load(self, core_id: int, addr: int, now: int) -> LoadResult:
         block = block_of(addr)
+        stats = self.stats
         l1 = self.l1s[core_id]
         t = now + self.l1_lat
         line = l1.lookup(block)
         if line is not None:
-            self.stats.add("l1_hits")
+            stats["l1_hits"] = stats.get("l1_hits", 0) + 1
             return LoadResult(value=line.data.get(addr, 0), done=t,
                               level="l1")
         t += self.l2_lat
         # Dirty copy in a peer L1: cache-to-cache transfer, both -> SHARED.
         owner = self._other_modified_owner(core_id, block)
         if owner is not None:
-            self.stats.add("c2c_transfers")
+            stats["c2c_transfers"] = stats.get("c2c_transfers", 0) + 1
             peer = self.l1s[owner].lookup(block, touch=False)
             data = dict(peer.data)
             self.l1s[owner].downgrade(block, SHARED)
@@ -237,14 +240,14 @@ class CacheHierarchy:
             return LoadResult(value=data.get(addr, 0), done=t, level="c2c")
         llc_line = self.llc.lookup(block)
         if llc_line is not None:
-            self.stats.add("llc_hits")
+            stats["llc_hits"] = stats.get("llc_hits", 0) + 1
             shared = self._snoop_downgrade_peers(core_id, block)
             self._fill_l1(core_id, block, dict(llc_line.data),
                           SHARED if shared else EXCLUSIVE, t)
             return LoadResult(value=llc_line.data.get(addr, 0), done=t,
                               level="llc")
         # PM access (regular path read).
-        self.stats.add("pm_reads")
+        stats["pm_reads"] = stats.get("pm_reads", 0) + 1
         pm_event, est_done = self.pmc.read_block(block, t)
         result_event = self.env.event()
         # Stale-read accounting compares against the architectural value
@@ -262,7 +265,7 @@ class CacheHierarchy:
             stale = (value != arch_at_issue
                      and value != self.image.read(addr))
             if stale:
-                self.stats.add("stale_reads")
+                stats["stale_reads"] = stats.get("stale_reads", 0) + 1
             # A store may have write-allocated this block while the fetch
             # was in flight; never clobber newer cached data -- only add
             # words the caches do not have yet.
@@ -308,38 +311,39 @@ class CacheHierarchy:
         """Apply a committed store through the caches; returns the time the
         store is globally performed (exclusive ownership + data written)."""
         block = block_of(addr)
+        stats = self.stats
         l1 = self.l1s[core_id]
         self.image.write(addr, value)
         line = l1.lookup(block)
         if line is not None and line.state in (MODIFIED, EXCLUSIVE):
-            self.stats.add("store_l1_hits")
-            l1.write(block, addr, value)
+            stats["store_l1_hits"] = stats.get("store_l1_hits", 0) + 1
+            l1.write_line(line, addr, value)
             return now + self.l1_lat
         t = now + self.l1_lat + self.l2_lat
         if line is not None:  # SHARED: upgrade
-            self.stats.add("store_upgrades")
+            stats["store_upgrades"] = stats.get("store_upgrades", 0) + 1
             self._invalidate_other_l1s(core_id, block)
-            l1.write(block, addr, value)
-            line.state = MODIFIED
+            l1.write_line(line, addr, value)
             return t
         # Write-allocate fetch.
         owner = self._other_modified_owner(core_id, block)
         merged = self._invalidate_other_l1s(core_id, block)
         if owner is not None:
-            self.stats.add("store_c2c")
+            stats["store_c2c"] = stats.get("store_c2c", 0) + 1
             data = merged
             self._merge_into_llc(block, data, dirty=True, now=t)
         else:
             llc_line = self.llc.lookup(block)
             if llc_line is not None:
-                self.stats.add("store_llc_hits")
+                stats["store_llc_hits"] = stats.get("store_llc_hits", 0) + 1
                 data = dict(llc_line.data)
             else:
                 # Write-on-allocation fetch from PM (Figure 4): a regular-
                 # path Read the PMC observes, though the store itself does
                 # not wait for full fetch latency in an OoO core; charge
                 # the LLC round trip and book the PM read.
-                self.stats.add("store_pm_fetches")
+                stats["store_pm_fetches"] = (
+                    stats.get("store_pm_fetches", 0) + 1)
                 self.pmc.read_block(block, t)
                 data = dict(self.pmc.device.block_content(block))
                 llc_victim = self.llc.insert(block, dict(data), EXCLUSIVE)
@@ -356,10 +360,11 @@ class CacheHierarchy:
         invalidating it.  Returns the durability (WPQ-acceptance) time a
         following SFENCE must wait for."""
         block = block_of(addr)
+        stats = self.stats
         t = now + self.l1_lat
         line = self.l1s[core_id].lookup(block, touch=False)
         if line is not None and line.state == MODIFIED:
-            self.stats.add("clwb_flushes")
+            stats["clwb_flushes"] = stats.get("clwb_flushes", 0) + 1
             line.state = EXCLUSIVE
             self._merge_into_llc(block, dict(line.data), dirty=False, now=t)
             arrival = self.flush_path.send(t)
@@ -367,10 +372,10 @@ class CacheHierarchy:
                                              arrival)
         llc_line = self.llc.lookup(block, touch=False)
         if llc_line is not None and llc_line.state == MODIFIED:
-            self.stats.add("clwb_flushes")
+            stats["clwb_flushes"] = stats.get("clwb_flushes", 0) + 1
             llc_line.state = EXCLUSIVE
             arrival = self.flush_path.send(t + self.l2_lat)
             return self.pmc.accept_writeback(block * 64,
                                              dict(llc_line.data), arrival)
-        self.stats.add("clwb_clean")
+        stats["clwb_clean"] = stats.get("clwb_clean", 0) + 1
         return t

@@ -110,7 +110,8 @@ class PMController:
         if entry is not None:
             booked_at, accept, drain = entry
             if booked_at <= arrival < drain:
-                self.stats.add("wpq_coalesced")
+                stats = self.stats
+                stats["wpq_coalesced"] = stats.get("wpq_coalesced", 0) + 1
                 return max(arrival, accept)
         accept, drain = self.write_queue.push(arrival)
         self._wpq_open[block] = (arrival, accept, drain)
@@ -132,10 +133,12 @@ class PMController:
         not visible.  ``done`` is exposed synchronously so the core can
         model memory-level parallelism without blocking on the event.
         """
-        self.stats.add("reads")
+        stats = self.stats
+        stats["reads"] = stats.get("reads", 0) + 1
         delay = self.policy.read_delay(block, now)
         if delay:
-            self.stats.add("read_delay_cycles", delay)
+            stats["read_delay_cycles"] = (
+                stats.get("read_delay_cycles", 0) + delay)
         accept, done = self.read_queue.push(now + delay)
         if self.env.trace.enabled:
             # Reads participate in the WriteBack-Read-Persist pattern
@@ -161,7 +164,8 @@ class PMController:
                          arrival: int) -> int:
         """An LLC dirty eviction or CLWB flush arriving from the regular
         path.  Returns the write-queue acceptance (durability) time."""
-        self.stats.add("writebacks")
+        stats = self.stats
+        stats["writebacks"] = stats.get("writebacks", 0) + 1
         accept = self._wpq_admit(block_addr >> 6, arrival)
         if self.env.trace.enabled:
             self.env.trace.instant(
@@ -184,7 +188,8 @@ class PMController:
         path delivers a core's stores in commit order, and WPQ admission
         must not reorder them (strict intra-thread persist order is the
         property the undo-log protocol rests on)."""
-        self.stats.add("persists")
+        stats = self.stats
+        stats["persists"] = stats.get("persists", 0) + 1
         accept = self._wpq_admit(msg.addr >> 6, arrival)
         previous = self._core_fifo.get(msg.core_id, 0)
         if accept < previous:

@@ -2,19 +2,14 @@
 stats, tracing, metrics)."""
 
 from .engine import (
-    DEFAULT_SCHEDULER,
-    SCHEDULERS,
     AllOf,
     AnyOf,
-    CalendarScheduler,
     Environment,
     Event,
-    HeapScheduler,
     Interrupted,
     Process,
     SimulationError,
     Timeout,
-    make_scheduler,
 )
 from .metrics import (
     NULL_METRICS,
@@ -40,15 +35,10 @@ from .trace import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CalendarScheduler",
     "CapacityQueue",
     "Counter",
-    "DEFAULT_SCHEDULER",
     "Environment",
     "Event",
-    "HeapScheduler",
-    "SCHEDULERS",
-    "make_scheduler",
     "Histogram",
     "Interrupted",
     "Metrics",

@@ -3,8 +3,8 @@
 This is the substrate every timing model in the reproduction runs on.  It
 is a deliberately small re-implementation of the SimPy programming model:
 
-* an :class:`Environment` owns simulated time and a pluggable pending-event
-  :class:`Scheduler` (calendar queue by default, binary heap for A/B runs),
+* an :class:`Environment` owns simulated time and the pending-event
+  queue,
 * a :class:`Process` wraps a Python generator; each value the generator
   yields is an :class:`Event` the process waits on,
 * :meth:`Environment.timeout` produces delay events, :meth:`Environment.event`
@@ -16,45 +16,29 @@ Simulated time is a plain integer.  Throughout the repository one time
 unit is one CPU cycle at 2 GHz (0.5 ns) -- see
 :class:`repro.harness.configs.SystemConfig`.
 
-Scheduler protocol
-------------------
-A scheduler is any object with this surface (duck-typed, no ABC -- the
-kernel only ever calls these five operations):
+The pending-event queue
+-----------------------
+The queue is a calendar of per-cycle FIFO buckets, fused into the
+environment: :meth:`Environment._schedule` and
+:meth:`Environment.schedule_at` push, :meth:`Environment.run` pops.  A
+dict maps each pending cycle to its bucket (a list of :class:`Event` or
+bare callables, in push order), and a binary heap holds the *distinct*
+cycles not yet opened.  Pushing into a populated cycle is a list
+append; the heap is touched once per populated cycle, not once per
+event (the machine's wakeups cluster on shared cycles: ~2.1 events per
+populated cycle on the Figure 9 grid).
 
-``push(when, item)``
-    Enqueue ``item`` (an :class:`Event` or a bare callable) at absolute
-    cycle ``when``.  ``when`` is never in the past: every producer goes
-    through :meth:`Environment._schedule` / :meth:`Environment.schedule_at`,
-    which guarantee ``when >= now``.
-``pop() -> (when, item)``
-    Remove and return the earliest item.  Items at the same cycle MUST
-    come back in insertion order (global FIFO per cycle) -- this is the
-    kernel's only tie-breaking rule and the determinism contract every
-    implementation must honour bit-for-bit.  Raises ``IndexError`` when
-    empty (the :class:`Environment` wraps it in a typed error).
-``peek() -> Optional[int]``
-    Cycle of the earliest item, or ``None`` when empty.  Must be O(1)
-    (amortised): the run loop calls it once per event.
-``__len__``
-    Number of pending items (0 means drained -- the snapshot quiesce
-    check relies on it).
-``clear()``
-    Drop everything, including any internal cursor, so a restored
-    environment starts from a genuinely empty queue.
-
-Two implementations ship: :class:`HeapScheduler` (the classic
-``(when, seq)`` binary heap -- one push/pop per event) and
-:class:`CalendarScheduler` (buckets keyed on cycle with a heap of
-*distinct* cycles -- one heap operation per populated cycle, list appends
-otherwise, which coalesces same-cycle wakeups into a single bucket
-drain).  Both order identically; ``tests/sim/test_scheduler_equivalence``
-holds them to that with randomised event programs.
+The bucket being drained stays in the dict under its cycle until the
+loop moves past it, so an item pushed for the cycle being drained lands
+behind the drain cursor.  The total order is therefore: ascending
+cycle, then push order within a cycle -- the kernel's only
+tie-breaking rule and its determinism contract.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from .metrics import NULL_METRICS, Metrics
 from .trace import NULL_TRACER, Tracer
@@ -63,150 +47,6 @@ from .trace import NULL_TRACER, Tracer
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (double trigger, stepping an empty queue,
     scheduling into the past...)."""
-
-
-# ---------------------------------------------------------------- schedulers
-
-
-class HeapScheduler:
-    """The classic binary-heap scheduler: one heap push/pop per event.
-
-    Entries are ``(when, seq, item)`` tuples; ``seq`` is a monotonically
-    increasing insertion counter, so same-cycle items pop in insertion
-    order and the comparison never reaches the (unorderable) item.
-    Kept as the reference implementation for A/B benchmarking against
-    :class:`CalendarScheduler`.
-    """
-
-    __slots__ = ("_heap", "_seq")
-
-    name = "heap"
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, Any]] = []
-        self._seq = 0
-
-    def push(self, when: int, item: Any) -> None:
-        self._seq += 1
-        heappush(self._heap, (when, self._seq, item))
-
-    def pop(self) -> Tuple[int, Any]:
-        when, _seq, item = heappop(self._heap)
-        return when, item
-
-    def peek(self) -> Optional[int]:
-        return self._heap[0][0] if self._heap else None
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def clear(self) -> None:
-        self._heap = []
-        self._seq = 0
-
-
-class CalendarScheduler:
-    """Calendar-queue scheduler: per-cycle FIFO buckets, a heap of cycles.
-
-    The DES workload here is extremely tie-heavy -- persist acceptances,
-    store-queue drains and same-cycle process wakeups cluster on shared
-    cycles -- so the heap only ever carries *distinct* populated cycles.
-    Pushing into an existing bucket is a list append; draining a bucket
-    costs one ``heappop`` regardless of how many wakeups coalesced into
-    it.  Between populated cycles the queue jumps directly to the next
-    bucket (no per-cycle tick), which is what lets quiescent components
-    cost nothing between persist events.
-
-    Ordering contract: buckets preserve insertion order, and a bucket
-    re-created for the cycle currently being drained (an event at ``now``
-    scheduling another event at ``now``) appends *behind* the remaining
-    items -- exactly the ``(when, seq)`` order of :class:`HeapScheduler`.
-    """
-
-    __slots__ = ("_buckets", "_cycles", "_cur_cycle", "_cur_bucket",
-                 "_cur_idx", "_size")
-
-    name = "calendar"
-
-    def __init__(self) -> None:
-        self._buckets: dict = {}     # cycle -> list of items (FIFO)
-        self._cycles: List[int] = []  # heap of distinct pending cycles
-        self._cur_cycle = -1
-        self._cur_bucket: Optional[list] = None
-        self._cur_idx = 0
-        self._size = 0
-
-    def push(self, when: int, item: Any) -> None:
-        bucket = self._buckets.get(when)
-        if bucket is None:
-            self._buckets[when] = [item]
-            heappush(self._cycles, when)
-        else:
-            bucket.append(item)
-        self._size += 1
-
-    def pop(self) -> Tuple[int, Any]:
-        bucket = self._cur_bucket
-        idx = self._cur_idx
-        if bucket is None or idx >= len(bucket):
-            # Advance the cursor: retire the drained bucket (same-cycle
-            # late arrivals appended to it while it sat in the dict have
-            # already been consumed if idx caught up) and open the next
-            # earliest one.
-            if bucket is not None:
-                del self._buckets[self._cur_cycle]
-            cycle = heappop(self._cycles)      # IndexError when empty
-            bucket = self._buckets[cycle]
-            self._cur_cycle = cycle
-            self._cur_bucket = bucket
-            idx = 0
-        item = bucket[idx]
-        bucket[idx] = None                     # drop the reference early
-        self._cur_idx = idx + 1
-        self._size -= 1
-        return self._cur_cycle, item
-
-    def peek(self) -> Optional[int]:
-        bucket = self._cur_bucket
-        if bucket is not None and self._cur_idx < len(bucket):
-            return self._cur_cycle
-        return self._cycles[0] if self._cycles else None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def clear(self) -> None:
-        self._buckets = {}
-        self._cycles = []
-        self._cur_cycle = -1
-        self._cur_bucket = None
-        self._cur_idx = 0
-        self._size = 0
-
-
-SCHEDULERS = {
-    HeapScheduler.name: HeapScheduler,
-    CalendarScheduler.name: CalendarScheduler,
-}
-
-#: Scheduler used when :class:`Environment` is built without an explicit
-#: choice.  The calendar queue is the production default; the heap stays
-#: available for A/B comparisons (``Environment(scheduler="heap")``).
-DEFAULT_SCHEDULER = CalendarScheduler.name
-
-
-def make_scheduler(scheduler) -> Any:
-    """Resolve a scheduler argument: None/name/instance -> instance."""
-    if scheduler is None:
-        scheduler = DEFAULT_SCHEDULER
-    if isinstance(scheduler, str):
-        try:
-            return SCHEDULERS[scheduler]()
-        except KeyError:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; choose from "
-                f"{sorted(SCHEDULERS)}") from None
-    return scheduler
 
 
 # -------------------------------------------------------------------- events
@@ -250,7 +90,10 @@ class Event:
 
     def _fire(self) -> None:
         self._triggered = True
-        callbacks, self.callbacks = self.callbacks, []
+        # A fired event runs late callbacks at once (add_callback), so
+        # its list is never appended to again: leave a shared empty
+        # tuple, not a fresh list per event.
+        callbacks, self.callbacks = self.callbacks, ()
         for callback in callbacks:
             callback(self)
 
@@ -350,8 +193,10 @@ class Process(Event):
         start.succeed()
 
     def _resume(self, event: Event) -> None:
+        # Callbacks run only once ``event`` has fired, so its value is
+        # set: read the slot, not the checking property.
         try:
-            target = self._generator.send(event.value)
+            target = self._generator.send(event._value)
         except StopIteration as stop:
             if not (self._triggered or self._scheduled):
                 self.succeed(stop.value)
@@ -359,7 +204,11 @@ class Process(Event):
         if not isinstance(target, Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}, not an Event")
-        target.add_callback(self._resume)
+        # ``target.add_callback(self._resume)``, inlined: once per yield.
+        if target._triggered:
+            self._resume(target)
+        else:
+            target.callbacks.append(self._resume)
 
     def interrupt(self, reason: Any = None) -> None:
         """Throw :class:`Interrupted` into the generator at the current time."""
@@ -388,14 +237,15 @@ class Interrupted(Exception):
 
 
 class Environment:
-    """Owns the clock and the pending-event scheduler and drives the
+    """Owns the clock and the pending-event queue and drives the
     simulation.
 
-    ``scheduler`` picks the queue implementation: ``"calendar"`` (default),
-    ``"heap"``, or any object honouring the scheduler protocol documented
-    in the module docstring.  All schedulers order identically (FIFO per
-    cycle), so the choice is a pure performance knob -- results are
-    bit-identical by contract.
+    The queue is the calendar described in the module docstring; its
+    state is five attributes: ``_buckets`` (cycle -> FIFO list),
+    ``_cycles`` (heap of the bucketed cycles not yet opened), and the
+    drain cursor -- ``_drain`` (the bucket being drained, still in
+    ``_buckets`` under ``_drain_cycle``) and ``_cursor`` (the index of
+    its next item).
 
     Also the anchor for observability: every component reachable from
     the environment shares its ``trace`` (:class:`~repro.sim.trace.Tracer`)
@@ -405,36 +255,39 @@ class Environment:
     """
 
     def __init__(self, tracer: Optional[Tracer] = None,
-                 metrics: Optional[Metrics] = None,
-                 scheduler=None) -> None:
+                 metrics: Optional[Metrics] = None) -> None:
         self.now: int = 0
         self.trace: Tracer = NULL_TRACER if tracer is None else tracer
         self.metrics: Metrics = (NULL_METRICS if metrics is None
                                  else metrics)
-        self._scheduler = make_scheduler(scheduler)
-        # Counts every scheduling operation (events *and* bare callbacks).
-        # Only ever used to break same-cycle ties in the HeapScheduler and
-        # to keep snapshot payloads byte-identical across scheduler
-        # implementations; never architectural state.
+        self._buckets: Dict[int, list] = {}
+        self._cycles: List[int] = []
+        self._drain: list = []
+        self._drain_cycle = -1
+        self._cursor = 0
+        # Counts every push (events *and* bare callbacks).  Part of the
+        # snapshot payload, outside its fingerprint: never architectural
+        # state, but a restored run numbers its pushes on from it.
         self._sequence = 0
-
-    @property
-    def scheduler(self):
-        """The live scheduler instance (read-only; swap via constructor)."""
-        return self._scheduler
 
     # ------------------------------------------------------------ scheduling
 
     def _schedule(self, event: Event, delay: int) -> None:
         self._sequence += 1
-        self._scheduler.push(self.now + delay, event)
+        when = self.now + delay
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [event]
+            heappush(self._cycles, when)
+        else:
+            bucket.append(event)
 
     def schedule_at(self, when: int, callback: Callable[[], None]) -> None:
         """Run a bare callback at absolute cycle ``when`` (>= now).
 
         This is the allocation-free fast path for component wakeups: no
         :class:`Event` or tuple is created per hop -- the callable goes
-        straight into the scheduler and is invoked with no arguments when
+        straight into the queue and is invoked with no arguments when
         its cycle comes up.  Use :meth:`event` + callbacks only when some
         other party needs to *wait* on the occurrence.
         """
@@ -442,10 +295,14 @@ class Environment:
             raise SimulationError(
                 f"schedule_at into the past: {when} < {self.now}")
         self._sequence += 1
-        self._scheduler.push(when, callback)
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [callback]
+            heappush(self._cycles, when)
+        else:
+            bucket.append(callback)
 
-    #: Established alias (pre-dates the scheduler redesign); identical
-    #: fast-path semantics.
+    #: Established alias; identical fast-path semantics.
     call_at = schedule_at
 
     # ------------------------------------------------------- event factories
@@ -469,12 +326,25 @@ class Environment:
 
     def peek(self) -> Optional[int]:
         """Cycle of the next pending item, or None when the queue is
-        empty.  O(1) under both shipped schedulers."""
-        return self._scheduler.peek()
+        empty.  O(1)."""
+        if self._cursor < len(self._drain):
+            return self._drain_cycle
+        return self._cycles[0] if self._cycles else None
 
     def pending(self) -> int:
-        """Number of pending scheduler items (0 == quiesced)."""
-        return len(self._scheduler)
+        """Number of pending items (0 == quiesced).  Walks the buckets:
+        meant for quiesce checks, not for per-event use."""
+        return sum(map(len, self._buckets.values())) - self._cursor
+
+    def _open_next(self) -> None:
+        """Retire the drained bucket and open the earliest pending one,
+        advancing the clock to its cycle."""
+        when = heappop(self._cycles)
+        self._buckets.pop(self._drain_cycle, None)
+        self._drain = self._buckets[when]
+        self._drain_cycle = when
+        self._cursor = 0
+        self.now = when
 
     def step(self) -> None:
         """Fire the single earliest pending item (advancing ``now``).
@@ -483,14 +353,15 @@ class Environment:
         empty queue is a legitimate simulation state, so callers that are
         not sure should guard with :meth:`peek`.
         """
-        scheduler = self._scheduler
-        if not len(scheduler):
+        if self.peek() is None:
             raise SimulationError(
                 "step() called with no pending events (guard with peek())")
-        when, item = scheduler.pop()
-        if when < self.now:
-            raise SimulationError("event scheduled in the past")
-        self.now = when
+        if self._cursor == len(self._drain):
+            self._open_next()
+        drain = self._drain
+        item = drain[self._cursor]
+        drain[self._cursor] = None
+        self._cursor += 1
         if isinstance(item, Event):
             item._fire()
         else:
@@ -511,27 +382,41 @@ class Environment:
           before every item; items already scheduled for the same cycle
           but after ``e``'s trigger remain queued.
         * Both bounds may be combined; whichever trips first wins.
+
+        The pop is fused in: the loop walks the drain bucket by index
+        and touches the cycle heap only to open the next bucket.  The
+        cursor is stored back before each item fires, so the queue
+        reads the same from inside a callback as from outside the loop.
         """
-        scheduler = self._scheduler
-        pop = scheduler.pop
-        peek = scheduler.peek
-        # One tight loop, bound checks hoisted as locals; the generic
-        # shape (both bounds) is rare enough to share the code path.
-        while True:
-            if stop_event is not None and stop_event._triggered:
+        buckets = self._buckets
+        cycles = self._cycles
+        drain = self._drain
+        cursor = self._cursor
+        while stop_event is None or not stop_event._triggered:
+            if cursor < len(drain):
+                item = drain[cursor]
+                # Drop the queue's reference now: a fired item must not
+                # outlive its bucket (it may close over its owner).
+                drain[cursor] = None
+                cursor += 1
+                self._cursor = cursor
+                if isinstance(item, Event):
+                    item._fire()
+                else:
+                    item()
+                continue
+            if not cycles:
                 break
-            when = peek()
-            if when is None:
-                break
-            if until is not None and when > until:
+            if until is not None and cycles[0] > until:
                 self.now = until
                 break
-            when, item = pop()
+            # _open_next(), inlined: once per populated cycle.
+            when = heappop(cycles)
+            buckets.pop(self._drain_cycle, None)
+            drain = self._drain = buckets[when]
+            self._drain_cycle = when
+            cursor = self._cursor = 0
             self.now = when
-            if isinstance(item, Event):
-                item._fire()
-            else:
-                item()
         return self.now
 
     # -------------------------------------------------------- snapshotting
@@ -540,7 +425,7 @@ class Environment:
         """Snapshot the clock.  Only legal at a quiesce point: pending
         events wrap live generators/callbacks and cannot be serialised,
         so a non-empty queue is a hard error, not a silent omission."""
-        pending = len(self._scheduler)
+        pending = self.pending()
         if pending:
             from ..snapshot.store import SnapshotError
             raise SnapshotError(
@@ -550,12 +435,14 @@ class Environment:
 
     def restore_state(self, state: dict) -> None:
         self.now = state["now"]
-        # The sequence counter only breaks same-time scheduler ties among
-        # events created *after* this point, so restoring it is about
-        # byte-identical replay, not correctness.
+        # The push counter is not architectural state; restoring it is
+        # about byte-identical snapshots of the replayed run.
         self._sequence = state["sequence"]
-        # Reset the queue *and* any internal cursor (the calendar queue
-        # keeps a partially-drained bucket between pops); absolute-time
-        # callbacks registered after the restore re-arm against a clean
-        # queue at the restored ``now``.
-        self._scheduler.clear()
+        # Reset the queue *and* the drain cursor (it keeps the bucket of
+        # the last drained cycle): callbacks registered after the restore
+        # re-arm against an empty queue at the restored ``now``.
+        self._buckets = {}
+        self._cycles = []
+        self._drain = []
+        self._drain_cycle = -1
+        self._cursor = 0

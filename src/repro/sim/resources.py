@@ -106,7 +106,7 @@ class TimelineResource:
             raise ValueError("width must be >= 1")
         self.width = width
         self.name = name
-        # Next-free time per lane; lazily rotated min selection.
+        # Next-free time per lane.
         self._lanes = [0] * width
         self.total_busy = 0
         self.total_requests = 0
@@ -119,16 +119,9 @@ class TimelineResource:
         if service < 0:
             raise ValueError("negative service time")
         lanes = self._lanes
-        # Earliest-free lane, first-index tie-break (matches
-        # ``min(range(width), key=...)`` but without the per-call lambda).
-        lane = 0
-        free = lanes[0]
-        if len(lanes) > 1:
-            for index in range(1, len(lanes)):
-                when = lanes[index]
-                if when < free:
-                    lane = index
-                    free = when
+        # Earliest-free lane, first-index tie-break.
+        free = min(lanes)
+        lane = lanes.index(free)
         start = free if free > now else now
         finish = start + service
         lanes[lane] = finish
@@ -192,8 +185,10 @@ class OccupancyQueue:
     def push(self, now: int, completion: int) -> int:
         """Admit an entry completing at ``completion``; returns admission
         time (> ``now`` means the queue was full: caller stalls)."""
-        self._evict_completed(now)
         completions = self._completions
+        # _evict_completed(now), inlined: one push per store or PM load.
+        if completions and completions[0] <= now:
+            del completions[:bisect_right(completions, now)]
         accept = now
         if len(completions) >= self.capacity:
             overflow = len(completions) - self.capacity + 1
@@ -269,7 +264,13 @@ class CapacityQueue:
     def push(self, now: int, service: Optional[int] = None) -> Tuple[int, int]:
         """Insert an entry; returns ``(accept_time, drain_complete_time)``."""
         service = self.drain_latency if service is None else service
-        accept = self.admission_time(now)
+        # admission_time(now), inlined: one push per PM access.
+        completions = self._completions
+        while completions and completions[0] <= now:
+            completions.popleft()
+        accept = now
+        if len(completions) >= self.capacity:
+            accept = completions[len(completions) - self.capacity]
         if accept > now:
             self.stalled_pushes += 1
             self.total_stall += accept - now

@@ -185,7 +185,7 @@ class System:
                  lowered: LoweredProgram,
                  recovery_mode: str = "lazy",
                  record_history: bool = False,
-                 tracer=None, metrics=None, scheduler=None):
+                 tracer=None, metrics=None):
         if design.flavor != lowered.flavor:
             raise ValueError(
                 f"design {design.name} executes flavor {design.flavor!r} "
@@ -205,8 +205,7 @@ class System:
         self.lowered = lowered
         self.program = program
 
-        self.env = Environment(tracer=tracer, metrics=metrics,
-                               scheduler=scheduler)
+        self.env = Environment(tracer=tracer, metrics=metrics)
         # Pre-register tracks in a stable order so trace tids (and
         # therefore Perfetto row order) do not depend on which component
         # happens to emit first: cores, persist path, PMC, spec buffer.
@@ -468,17 +467,12 @@ def build_system(program: Program, design: Design,
                  recovery_mode: str = "lazy",
                  record_history: bool = False,
                  log_mode: str = "undo",
-                 tracer=None, metrics=None, scheduler=None) -> System:
-    """Convenience: lower ``program`` for ``design`` and assemble.
-
-    ``scheduler`` selects the environment's event-queue implementation
-    (``"calendar"``/``"heap"``/instance; see :mod:`repro.sim.engine`) --
-    a pure performance knob, results are scheduler-independent.
-    """
+                 tracer=None, metrics=None) -> System:
+    """Convenience: lower ``program`` for ``design`` and assemble."""
     from .config import table3_config
     if config is None:
         config = table3_config(n_cores=program.n_threads)
     lowered = lower_program(program, design.flavor, log_mode=log_mode)
     return System(config, design, lowered, recovery_mode=recovery_mode,
                   record_history=record_history,
-                  tracer=tracer, metrics=metrics, scheduler=scheduler)
+                  tracer=tracer, metrics=metrics)

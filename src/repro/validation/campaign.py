@@ -136,13 +136,15 @@ def _built_program(spec: TrialSpec) -> Tuple[object, object]:
 
 
 def _build(spec: TrialSpec, capture: Union[bool, Iterable[int]] = False,
-           keep_rungs: bool = False):
+           keep_rungs: bool = False, index_name: Optional[str] = None):
     """Build the traced system for one trial, fault armed.  With a
     non-zero ``snapshot_every`` a ladder is installed; ``capture`` is
     the ladder's: every rung for the canonical profile run, none
     (identical parking) for trials, or the rung numbers the crash-state
     checker will restore.  ``keep_rungs`` keeps each captured payload on
-    its rung dict so the campaign can seed the in-process rung cache."""
+    its rung dict so the campaign can seed the in-process rung cache.
+    ``index_name`` is the cell's :func:`_cell_index_name`, for callers
+    that already hold it."""
     fault = fault_by_name(spec.fault)
     recorder = TraceRecorder()
     config = table3_config(n_cores=spec.n_threads,
@@ -157,7 +159,8 @@ def _build(spec: TrialSpec, capture: Union[bool, Iterable[int]] = False,
                  if spec.snapshot_dir else None)
         ladder = SnapshotLadder(
             system, spec.snapshot_every, store=store,
-            index_name=_cell_index_name(spec), capture=capture,
+            index_name=index_name or _cell_index_name(spec),
+            capture=capture,
             keep_in_memory=keep_rungs).install()
     fault.arm(system)
     return workload, system, fault, recorder, ladder
@@ -283,8 +286,7 @@ _RESIDENT_CELL_CAP = 4
 #: full machine state, a few hundred KiB for campaign-sized runs).
 _RUNG_CACHE_CAP = _RESIDENT_CELL_CAP * 64
 
-_RESIDENT_CELLS: "OrderedDict[Tuple[str, Optional[str]], _ResidentCell]" \
-    = OrderedDict()
+_RESIDENT_CELLS: "OrderedDict[TrialSpec, _ResidentCell]" = OrderedDict()
 
 
 class _CachedRung:
@@ -422,7 +424,7 @@ class _ResidentCell:
         Same order as :func:`run_trial`: arm the fault, then restore."""
         if rung is None or self.system is None:
             self.workload, self.system, self.fault, self.recorder, _ = \
-                _build(spec)
+                _build(spec, index_name=self.index_name)
         else:
             self.fault = fault_by_name(spec.fault)
             self.fault.arm(self.system)
@@ -484,8 +486,10 @@ def _keeps_running(fault: FaultModel) -> bool:
             and type(fault).at_crash is FaultModel.at_crash)
 
 
-def _resident_key(spec: TrialSpec) -> Tuple[str, Optional[str]]:
-    return _cell_index_name(spec), spec.snapshot_dir
+def _resident_key(spec: TrialSpec) -> TrialSpec:
+    """A cell's key: the spec without its crash cycle (every trial of a
+    cell continues or restores the same canonical run)."""
+    return replace(spec, crash_cycle=0)
 
 
 def _resident_cell(spec: TrialSpec) -> _ResidentCell:

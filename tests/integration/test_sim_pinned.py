@@ -1,0 +1,75 @@
+"""Pinned simulator answer over the whole Figure 9 grid.
+
+A change to the event queue, the hot paths of the timing models or the
+way a sweep builds its programs must not move a single simulated event.
+This test runs the Figure 9 grid (8 benchmarks x 4 designs, 8 threads,
+seed 42, scale 0.05) and pins one sha256 over three things per cell:
+``SimResult.to_dict()``, the end-of-run ``state_fingerprint()`` and the
+number of scheduled events (``env.capture_state()["sequence"]``).
+
+The digest is asserted twice.  Once through ``figure9``'s serial
+executor, where consecutive cells of one benchmark may share a built
+program, and once with a fresh ``build_spec_system`` per cell and the
+build memo emptied before every cell -- so a run that mutated a shared
+program would show up as a mismatch.  Any change to the value must be
+justified in CHANGES.md: say what answer moved and why the new one is
+right.
+"""
+
+import hashlib
+import json
+
+from repro.harness import sweep as sweep_module
+from repro.harness.experiments import BENCHMARK_ORDER, DESIGNS, figure9
+from repro.harness.sweep import (ParallelExecutor, RunSpec,
+                                 build_spec_system)
+
+PINNED_DIGEST = (
+    "0a94e3c6afdd467cbd32c8d29e8dc0b86878f62ee3e97a6bbde5c98c8ab4e2e8")
+
+SCALE = 0.05
+SEED = 42
+THREADS = 8
+
+
+def _cell_record(spec: RunSpec, system, result) -> list:
+    return [spec.benchmark, spec.design, result.to_dict(),
+            system.state_fingerprint(),
+            system.env.capture_state()["sequence"]]
+
+
+def _digest(records) -> str:
+    blob = json.dumps(sorted(records, key=lambda r: (r[0], r[1])),
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_fig9_grid_through_serial_executor(monkeypatch):
+    records = []
+
+    def execute(spec, tracer=None, metrics=None):
+        system = build_spec_system(spec, tracer=tracer, metrics=metrics)
+        result = system.run()
+        records.append(_cell_record(spec, system, result))
+        return result
+
+    monkeypatch.setattr(sweep_module, "_execute_spec", execute)
+    figure9(n_threads=THREADS, scale=SCALE, seed=SEED,
+            executor=ParallelExecutor(jobs=1, cache_dir=None))
+    assert len(records) == len(BENCHMARK_ORDER) * len(DESIGNS)
+    assert _digest(records) == PINNED_DIGEST
+
+
+def test_fig9_grid_with_fresh_builds(monkeypatch):
+    from repro.harness.experiments import _fases
+    records = []
+    for benchmark in BENCHMARK_ORDER:
+        for design in DESIGNS:
+            monkeypatch.setattr(sweep_module, "_LAST_BUILT", None,
+                                raising=False)
+            spec = RunSpec(benchmark=benchmark, design=design,
+                           n_threads=THREADS, seed=SEED,
+                           fases_per_thread=_fases(benchmark, SCALE))
+            system = build_spec_system(spec)
+            records.append(_cell_record(spec, system, system.run()))
+    assert _digest(records) == PINNED_DIGEST

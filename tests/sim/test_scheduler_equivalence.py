@@ -1,36 +1,62 @@
-"""Scheduler A/B contract: heap and calendar fire identically.
+"""Event-queue ordering contract, checked against a reference order.
 
-The :mod:`repro.sim.engine` Scheduler protocol promises a total order
--- ascending cycle, FIFO among same-cycle entries -- regardless of the
-queue implementation behind it.  These tests generate random event
-programs (timeouts, manual events, interrupts, same-cycle ties,
-``call_at`` callbacks) and assert the *exact* firing order matches
-between :class:`HeapScheduler` and :class:`CalendarScheduler`, plus
-the snapshot-facing invariants the ladder relies on.
+The environment's queue promises a total order: ascending cycle, then
+push order within a cycle.  These tests generate random event programs
+(timeouts, manual events, interrupts, same-cycle ties, ``call_at``
+callbacks), number every push the environment receives, record every
+item it fires, and assert the firing order is exactly a test-local
+reference: every pushed item sorted by (cycle, push order).  Plus the
+snapshot-facing invariants the ladder relies on.
 """
 
 import random
 
 import pytest
 
-from repro.sim import (
-    CalendarScheduler,
-    Environment,
-    HeapScheduler,
-    Interrupted,
-    SimulationError,
-    make_scheduler,
-)
+from repro.sim import Environment, Interrupted
 from repro.snapshot.store import SnapshotError
 
 SEEDS = [0, 1, 2, 3, 17, 99, 1234, 777777]
 
 
+class PushLog:
+    """Wraps an environment's two push entry points: every push gets a
+    ``(cycle, push number)`` key, recorded again when its item fires."""
+
+    def __init__(self, env):
+        self.pushed = []
+        self.fired = []
+        schedule, schedule_at = env._schedule, env.schedule_at
+
+        def numbered_schedule(event, delay):
+            key = (env.now + delay, len(self.pushed))
+            # First callback, so it runs before the event's own.
+            event.callbacks.insert(0, lambda _event: self.fired.append(key))
+            schedule(event, delay)
+            self.pushed.append(key)
+
+        def numbered_schedule_at(when, callback):
+            key = (when, len(self.pushed))
+
+            def fire():
+                self.fired.append(key)
+                callback()
+
+            schedule_at(when, fire)
+            self.pushed.append(key)
+
+        env._schedule = numbered_schedule
+        env.schedule_at = env.call_at = numbered_schedule_at
+
+    def reference(self):
+        """The order the queue must fire in: (cycle, push order)."""
+        return sorted(self.pushed)
+
+
 def random_program(env, rng, log):
     """Spawn a random mess of processes against ``env``.
 
-    Every observable step appends ``(now, tag)`` to ``log``; two
-    schedulers agree iff their logs are equal element-for-element.
+    Every observable step appends ``(now, tag)`` to ``log``.
     """
     gates = [env.event() for _ in range(rng.randint(1, 4))]
     interruptibles = []
@@ -90,26 +116,24 @@ def random_program(env, rng, log):
     env.process(sweeper())
 
 
-def run_program(scheduler, seed):
-    env = Environment(scheduler=scheduler)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_programs_fire_identically(seed):
+    """The queue fires exactly the reference order, and the push
+    counter the snapshots carry counts every push."""
+    env = Environment()
+    pushes = PushLog(env)
     log = []
     random_program(env, random.Random(seed), log)
     env.run()
-    return log, env.now
+    assert len(log) > 0
+    assert pushes.fired == pushes.reference()
+    assert env.pending() == 0
+    assert env.capture_state()["sequence"] == len(pushes.pushed)
+    assert [now for now, _tag in log] == sorted(now for now, _tag in log)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_random_programs_fire_identically(seed):
-    heap_log, heap_end = run_program("heap", seed)
-    cal_log, cal_end = run_program("calendar", seed)
-    assert heap_log == cal_log
-    assert heap_end == cal_end
-    assert len(heap_log) > 0
-
-
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_same_cycle_fifo_is_insertion_order(scheduler):
-    env = Environment(scheduler=scheduler)
+def test_same_cycle_fifo_is_insertion_order():
+    env = Environment()
     order = []
 
     def proc(tag):
@@ -127,20 +151,28 @@ def test_same_cycle_fifo_is_insertion_order(scheduler):
     assert order == ["cb"] + list("abcdef")
 
 
-def test_make_scheduler_accepts_names_and_instances():
-    assert isinstance(make_scheduler("heap"), HeapScheduler)
-    assert isinstance(make_scheduler("calendar"), CalendarScheduler)
-    assert isinstance(make_scheduler(None),
-                      (HeapScheduler, CalendarScheduler))
-    custom = CalendarScheduler()
-    assert make_scheduler(custom) is custom
-    with pytest.raises(SimulationError, match="unknown scheduler"):
-        make_scheduler("splay-tree")
+def test_push_into_the_draining_cycle_lands_behind_the_cursor():
+    env = Environment()
+    pushes = PushLog(env)
+    order = []
+
+    def first():
+        order.append("first")
+        env.call_at(env.now, lambda: order.append("late"))
+        env.timeout(0).add_callback(lambda _event: order.append("zero"))
+
+    env.call_at(4, first)
+    env.call_at(4, lambda: order.append("second"))
+    env.call_at(5, lambda: order.append("next"))
+    env.run()
+    # Both pushes made while cycle 4 drains fire in cycle 4, after the
+    # item that was already queued behind ``first``.
+    assert order == ["first", "second", "late", "zero", "next"]
+    assert pushes.fired == pushes.reference()
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_capture_refuses_non_empty_queue(scheduler):
-    env = Environment(scheduler=scheduler)
+def test_capture_refuses_non_empty_queue():
+    env = Environment()
 
     def proc():
         yield env.timeout(10)
@@ -155,12 +187,11 @@ def test_capture_refuses_non_empty_queue(scheduler):
     assert state["now"] == 10
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_call_at_rearms_after_restore(scheduler):
-    """Satellite: absolute-time callbacks must fire correctly in a
-    restored run -- the calendar's drain cursor survives a full drain
-    and must be cleared by ``restore_state``."""
-    env = Environment(scheduler=scheduler)
+def test_call_at_rearms_after_restore():
+    """Absolute-time callbacks must fire correctly in a restored run --
+    the drain cursor survives a full drain and must be cleared by
+    ``restore_state``."""
+    env = Environment()
     fired = []
     env.call_at(5, lambda: fired.append(env.now))
     env.run()
@@ -169,12 +200,13 @@ def test_call_at_rearms_after_restore(scheduler):
 
     # Restore into an environment whose queue has already drained much
     # later cycles: a stale drain cursor would corrupt ordering.
-    target = Environment(scheduler=scheduler)
+    target = Environment()
     target.call_at(50, lambda: None)
     target.run()
     assert target.now == 50
     target.restore_state(state)
     assert target.now == 5
+    assert target.peek() is None
     refired = []
     target.call_at(12, lambda: refired.append(target.now))
     target.call_at(7, lambda: refired.append(target.now))

@@ -294,3 +294,16 @@ def test_a_trial_that_raises_evicts_its_cell(monkeypatch):
         campaign.run_trial_batch([late])
     monkeypatch.setattr(PMController, "accept_persist", original)
     assert campaign.run_trial_batch([late]) == [reference]
+
+
+def test_a_campaign_names_each_resident_cell_once(monkeypatch):
+    # Resident cells are keyed by their spec, so a trial costs no
+    # hash of the cell identity; the rung-index name is computed once
+    # per cell, when the cell is created.
+    counts = {}
+    count_calls(monkeypatch, campaign, "_cell_index_name", counts)
+    report = campaign.run_campaign(["hashmap", "queue"],
+                                   ["PMEM-Spec", "IntelX86"], budget=6,
+                                   fases_per_thread=6, seed=42)
+    assert report.total_trials > len(report.cells) == 4
+    assert counts == {"_cell_index_name": 4}
