@@ -35,9 +35,9 @@ and a pool worker reads a rung from the store at most once.
 Correctness is asserted, not assumed: every pass must produce the same
 stripped per-cell outcomes (trials, cycles, violations, failures), so
 the speedup is pure mechanics.  The batched
-pass runs under an event bus + metrics registry and the JSON records
-where its trials started (``forward`` / ``resident`` / ``store`` /
-``cold``) plus batch counts.
+pass runs under an event bus, and the JSON records where its trials
+started (``forward`` / ``resident`` / ``store`` / ``cold``) plus batch
+counts, tallied from the bus's events.
 
 Standalone::
 
@@ -59,7 +59,6 @@ import time
 
 from repro.harness import ParallelExecutor
 from repro.obsv.bus import EventBus, bus_scope
-from repro.obsv.registry import MetricsRegistry
 from repro.validation.campaign import (_RESIDENT_CELLS, _RUNG_CACHE,
                                        TrialSpec, profile_cell,
                                        run_campaign)
@@ -135,20 +134,21 @@ def _strip(reports) -> list:
     return cells
 
 
-def _restore_sources(registry) -> dict:
-    """Trial-start counts by source out of the registry."""
-    snap = registry.snapshot()
-    series = snap.get("repro_snapshot_restores_total", {}).get("series", {})
-    sources = {"forward": 0, "resident": 0, "store": 0, "cold": 0}
-    for labels, count in series.items():
-        for source in sources:
-            if source in labels:
-                sources[source] += int(count)
-    fallbacks = snap.get("repro_snapshot_cold_fallbacks_total", {})
-    sources["cold_fallbacks"] = int(
-        sum(fallbacks.get("series", {}).values()))
-    batches = snap.get("repro_batches_total", {})
-    sources["batches"] = int(sum(batches.get("series", {}).values()))
+def _restore_sources(events) -> dict:
+    """Trial-start counts by ``snapshot_restore`` source, plus cold
+    fallbacks and ``batch_finish`` chunks.  A restore without a source
+    read a rung from the store; a cold fallback counts only as one."""
+    sources = {"forward": 0, "resident": 0, "store": 0, "cold": 0,
+               "cold_fallbacks": 0, "batches": 0}
+    for event in events:
+        if event["kind"] == "batch_finish":
+            sources["batches"] += 1
+        elif event["kind"] == "snapshot_restore":
+            source = event.get("source", "store")
+            if event.get("outcome") == "cold_fallback":
+                sources["cold_fallbacks"] += 1
+            elif source in sources:
+                sources[source] += 1
     return sources
 
 
@@ -164,9 +164,9 @@ def run_campaign_bench(scratch: str) -> dict:
         intervals, f"{scratch}/pooled",
         executor=ParallelExecutor(jobs=JOBS))
 
-    registry = MetricsRegistry()
-    bus = EventBus(registry=registry)
-    bus.subscribe(registry.observe_event)
+    events = []
+    bus = EventBus()
+    bus.subscribe(events.append)
     with bus_scope(bus):
         reports["batched"], passes["batched"] = _campaign(
             intervals, f"{scratch}/batched",
@@ -198,7 +198,7 @@ def run_campaign_bench(scratch: str) -> dict:
             PR4_WARM_BASELINE_S / passes["batched"], 2),
         "speedup_vs_warm": round(passes["warm"] / passes["batched"], 2),
         "speedup_vs_cold": round(passes["cold"] / passes["batched"], 2),
-        "batched_restore_sources": _restore_sources(registry),
+        "batched_restore_sources": _restore_sources(events),
         "outcomes_match": outcomes_match,
     }
 

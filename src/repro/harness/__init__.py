@@ -29,7 +29,7 @@ from .report import (
     format_timeseries,
     sparkline,
 )
-from .retry import DEFAULT_POLICY, SERVICE_POLICY, RetryPolicy
+from .retry import DEFAULT_POLICY, RetryPolicy
 from .runner import normalized_throughput
 from .sweep import (
     STRUCTURAL_FIELDS,
@@ -60,6 +60,6 @@ __all__ = [
     "structural_mismatches", "undo_vs_redo_ablation",
     "naive_tagging_ablation", "normalized_throughput",
     "table3_rows",
-    "DEFAULT_POLICY", "SERVICE_POLICY", "RetryPolicy",
+    "DEFAULT_POLICY", "RetryPolicy",
     "WorkerTaskError", "plan_batches",
 ]

@@ -16,8 +16,7 @@ Usage::
     python -m repro.harness profile tatp --design PMEM-Spec \
         --profile-out tatp.folded
     python -m repro.harness bench-history artifacts/ --html trends.html
-    python -m repro.harness fig9 --events-out events.jsonl \
-        --prom-out metrics.prom
+    python -m repro.harness fig9 --events-out events.jsonl
     python -m repro.harness validate --planner stratified --budget 200 \
         --jobs 4 --report-out campaign.json
     python -m repro.harness validate --snapshot-every 50 \
@@ -605,9 +604,6 @@ def main(argv=None) -> int:
     parser.add_argument("--events-out", default=None, metavar="FILE",
                         help="write the run's lifecycle events as "
                              "JSON-Lines (any command)")
-    parser.add_argument("--prom-out", default=None, metavar="FILE",
-                        help="write live aggregate metrics as a "
-                             "Prometheus textfile (any command)")
     parser.add_argument("--profile-out", default=None, metavar="FILE",
                         help="profile command: collapsed-stack output "
                              "path (default <benchmark>-<design>.folded)")
@@ -714,24 +710,16 @@ def main(argv=None) -> int:
         cache_dir=cache_dir,
         progress=progress_log.info if args.progress else None)
 
-    # Observability: --events-out / --prom-out install an event bus as
-    # the process-current bus for the duration of the command, so the
+    # Observability: --events-out installs an event bus as the
+    # process-current bus for the duration of the command, so the
     # executor, the campaign engine, and the snapshot manager all
     # publish to it without any of them knowing about the CLI.
-    bus = sink = exporter = None
-    if args.events_out or args.prom_out:
-        from ..obsv import (EventBus, JsonlSink, MetricsRegistry,
-                            TextfileExporter, bus_scope)
+    bus = sink = None
+    if args.events_out:
+        from ..obsv import EventBus, JsonlSink, bus_scope
         bus = EventBus()
-        if args.events_out:
-            sink = JsonlSink(args.events_out)
-            bus.subscribe(sink)
-        if args.prom_out:
-            registry = MetricsRegistry()
-            bus.registry = registry
-            bus.subscribe(registry.observe_event)
-            exporter = TextfileExporter(registry, args.prom_out)
-            bus.subscribe(exporter.on_event)
+        sink = JsonlSink(args.events_out)
+        bus.subscribe(sink)
     scope = (bus_scope(bus) if bus is not None
              else contextlib.nullcontext())
     previous_handlers = _install_signal_handlers()
@@ -754,9 +742,6 @@ def main(argv=None) -> int:
         return 128 + exc.signum
     finally:
         _restore_signal_handlers(previous_handlers)
-        if exporter is not None:
-            exporter.write()
-            log.info("metrics exposition written to %s", args.prom_out)
         if sink is not None:
             sink.close()
             log.info("%d events written to %s", sink.written,

@@ -28,17 +28,23 @@ def save_artifact(directory: str, name: str, payload,
     """Write ``<directory>/<name>.json``; returns the path.
 
     The write is atomic (temp file + rename) so concurrent executors
-    sharing a result-cache directory never observe a torn artifact.
+    sharing a result-cache directory never observe a torn artifact; a
+    failed write removes its staging file.
     """
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{name}.json")
     document = {"experiment": name, "meta": _normalise(meta or {}),
                 "data": _normalise(payload)}
     staging = f"{path}.tmp.{os.getpid()}"
-    with open(staging, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(staging, path)
+    try:
+        with open(staging, "w") as handle:
+            json.dump(document, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        os.replace(staging, path)
+    except BaseException:
+        if os.path.exists(staging):
+            os.unlink(staging)
+        raise
     return path
 
 

@@ -51,7 +51,7 @@ from ..obsv.bus import (
     set_bus,
 )
 from ..telemetry import current_context, get_logger, seed_context
-from .retry import SERVICE_POLICY, RetryPolicy
+from .retry import DEFAULT_POLICY, RetryPolicy
 
 log = get_logger("harness.pool")
 
@@ -298,8 +298,9 @@ class WorkStealingPool:
     ``workers`` is the process count (``<= 1`` runs inline);
     ``task_timeout_s`` bounds any single execution (``None`` = no
     limit); ``retry`` governs re-dispatch after failures (default
-    :data:`repro.harness.SERVICE_POLICY`: 3 attempts, 0.5 s doubling
-    backoff).  ``bus`` pins the event bus (default: the ambient
+    :data:`repro.harness.DEFAULT_POLICY`: 2 attempts, no backoff, the
+    same policy :class:`repro.harness.ParallelExecutor` passes).
+    ``bus`` pins the event bus (default: the ambient
     :func:`repro.obsv.get_bus` at each :meth:`run`).
     """
 
@@ -308,7 +309,7 @@ class WorkStealingPool:
                  task_timeout_s: Optional[float] = None,
                  bus: Optional[Bus] = None):
         self.workers = max(1, workers)
-        self.retry = retry if retry is not None else SERVICE_POLICY
+        self.retry = retry if retry is not None else DEFAULT_POLICY
         self.task_timeout_s = task_timeout_s
         self.bus = bus
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["RetryPolicy", "DEFAULT_POLICY", "SERVICE_POLICY"]
+__all__ = ["RetryPolicy", "DEFAULT_POLICY"]
 
 
 @dataclass(frozen=True)
@@ -50,12 +50,6 @@ class RetryPolicy:
         return min(self.base_delay_s * 2 ** (attempt - 1), self.max_delay_s)
 
 
-#: The CLI executor's policy: one immediate retry.
+#: The policy of every pool and executor unless one is passed: one
+#: immediate retry.
 DEFAULT_POLICY = RetryPolicy(max_attempts=2, base_delay_s=0.0)
-
-#: What a bare :class:`~repro.harness.pool.WorkStealingPool` runs by
-#: default: three attempts, 0.5s/1s backoff -- enough to ride out a
-#: transient (OOM-killed worker, a snapshot store being rewritten
-#: underneath) without stalling a straggler task for long.
-SERVICE_POLICY = RetryPolicy(max_attempts=3, base_delay_s=0.5,
-                             max_delay_s=10.0)

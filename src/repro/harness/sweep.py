@@ -25,19 +25,19 @@ results stay deterministic.
 Observability: every sweep narrates itself onto the current
 :mod:`repro.obsv.bus` -- ``sweep_start``, ``cache_hit``/``cache_miss``,
 ``spec_start`` (where the spec runs), ``spec_finish``/``spec_error``
-(authoritative, parent-side), ``sweep_finish`` -- and the legacy
-``progress`` string callback is now a thin adapter over those same
-events.  :meth:`ParallelExecutor.map` and ``map_batched`` narrate
+(authoritative, parent-side), ``sweep_finish``.
+:meth:`ParallelExecutor.map` and ``map_batched`` narrate
 ``task_*``/``batch_*`` the same way.  Worker-side events reach the
 parent's bus through the pool's event queue; the parent merges them,
-so the log stays a single ordered stream.  Events are wall-clock-side
-bookkeeping: an enabled bus leaves every ``SimResult`` payload
-bit-identical.
+so the log stays a single ordered stream.  The ``progress`` lines and
+the end-of-sweep statistics are counted where those events are
+emitted, so they read the same whether or not a bus is enabled.
+Events are wall-clock-side bookkeeping: an enabled bus leaves every
+``SimResult`` payload bit-identical.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -59,7 +59,7 @@ from typing import (
 )
 
 from ..config import SystemConfig
-from ..obsv.bus import NULL_BUS, Bus, EventBus, get_bus
+from ..obsv.bus import Bus, get_bus
 from ..persistency import design_by_name
 from ..system import RESULT_SCHEMA_VERSION, SimResult, build_system
 from ..telemetry import get_logger, run_context
@@ -566,80 +566,18 @@ def _quarantined(outcome: TaskOutcome) -> str:
     return f"quarantined after {outcome.attempts} attempt(s)"
 
 
-def _task_value(bus: Bus, index: int, label: str, outcome: TaskOutcome):
+def _task_value(bus: Bus, report: Callable[[str, str], None], index: int,
+                label: str, outcome: TaskOutcome):
     """A settled ``map``/``map_batched`` task's value; a quarantined one
-    emits ``task_error`` and raises :class:`WorkerTaskError`."""
+    emits ``task_error``, reports an ``error`` progress line and raises
+    :class:`WorkerTaskError`."""
     if not outcome.ok:
         bus.emit("task_error", index=index, label=label,
                  error=error_tail(outcome.error))
+        report(label, "error")
         raise WorkerTaskError(f"{label} {_quarantined(outcome)}\n"
                               f"--- worker traceback ---\n{outcome.error}")
     return outcome.value
-
-
-class _ProgressAdapter:
-    """Backward-compat shim: turns ``spec_finish``/``spec_error`` (and
-    ``task_*``) events back into the legacy one-line-per-item progress
-    strings (``cached`` or the elapsed time), so existing
-    ``progress=callable`` users keep their output -- the callback is
-    now just another bus subscriber."""
-
-    _HOW = {"cache": "cached"}
-
-    def __init__(self, callback: Callable[[str], None], total: int):
-        self.callback = callback
-        self.total = total
-        self.done = 0
-
-    def __call__(self, event: Dict) -> None:
-        kind = event.get("kind")
-        if kind in ("spec_finish", "task_finish", "batch_finish"):
-            how = (self._HOW.get(event.get("source"))
-                   or f"{event.get('elapsed_s', 0.0):.1f}s")
-        elif kind in ("spec_error", "task_error"):
-            how = "error"
-        else:
-            return
-        self.done += 1
-        label = event.get("describe") or event.get("label") or ""
-        self.callback(f"[{self.done}/{self.total}] {label} ({how})")
-
-
-class _SweepTally:
-    """Bus subscriber accumulating the end-of-sweep statistics (cache
-    provenance, retries, per-spec wall time) from the event stream
-    itself -- the summary line and ``SweepResult.stats`` report what
-    the events say, not a parallel set of hand-kept counters."""
-
-    def __init__(self):
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.retries = 0
-        self.errors = 0
-        self.busy_s = 0.0
-        self.spec_walls: List[float] = []
-
-    def __call__(self, event: Dict) -> None:
-        kind = event.get("kind")
-        if kind == "cache_hit":
-            self.cache_hits += 1
-        elif kind == "cache_miss":
-            self.cache_misses += 1
-        elif kind in ("spec_finish", "task_finish"):
-            elapsed = float(event.get("elapsed_s") or 0.0)
-            if not event.get("cache_hit"):
-                self.busy_s += elapsed
-                self.spec_walls.append(elapsed)
-            if event.get("retried"):
-                self.retries += 1
-        elif kind in ("spec_error", "task_error"):
-            self.errors += 1
-
-    def wall_mean_max(self) -> Tuple[float, float]:
-        if not self.spec_walls:
-            return 0.0, 0.0
-        return (sum(self.spec_walls) / len(self.spec_walls),
-                max(self.spec_walls))
 
 
 class ParallelExecutor:
@@ -648,12 +586,13 @@ class ParallelExecutor:
     ``jobs`` is the worker-process count (``None`` = ``os.cpu_count()``,
     ``1`` = in-process serial).  ``cache_dir`` enables the per-spec
     result cache (``None`` disables it).  ``progress`` is an optional
-    ``callable(str)`` invoked once per completed spec -- implemented as
-    a subscription on the event bus (see :class:`_ProgressAdapter`).
-    ``bus`` pins the event bus this executor publishes to; the default
-    resolves :func:`repro.obsv.bus.get_bus` at each ``run()``/``map()``
-    so the CLI's ``--events-out`` scope is picked up automatically.
-    ``retry`` is the pool's re-dispatch policy for failed tasks.
+    ``callable(str)`` invoked once per settled spec, item or chunk with
+    a ``[done/total] label (how)`` line, ``how`` being ``cached``, the
+    elapsed time or ``error``.  ``bus`` pins the event bus this
+    executor publishes to; the default resolves
+    :func:`repro.obsv.bus.get_bus` at each ``run()``/``map()`` so the
+    CLI's ``--events-out`` scope is picked up automatically.  ``retry``
+    is the pool's re-dispatch policy for failed tasks.
 
     :meth:`run`, :meth:`map` and :meth:`map_batched` each build a list
     of :class:`~repro.harness.pool.Task` for one fan-out step,
@@ -673,30 +612,24 @@ class ParallelExecutor:
         self.bus = bus
         self.retry = retry if retry is not None else DEFAULT_POLICY
 
-    def _resolve_bus(self) -> Tuple[Bus, bool]:
-        """(bus to publish on, whether it is externally observed).
+    def _resolve_bus(self) -> Bus:
+        """The pinned bus, else the process-current one (``NULL_BUS``
+        when observability is off)."""
+        return self.bus if self.bus is not None else get_bus()
 
-        With no external bus the executor still runs a private
-        :class:`EventBus` so the progress adapter and the stats tally
-        are fed from real events; privately-generated events are
-        dropped at the end of the call (and no worker queue is set up).
-        """
-        bus = self.bus if self.bus is not None else get_bus()
-        if bus.enabled:
-            return bus, True
-        return EventBus(), False
+    def _reporter(self, total: int) -> Callable[[str, str], None]:
+        """``report(label, how)``: one ``progress`` line per settled
+        spec, item or chunk (a no-op without a callback)."""
+        progress = self.progress
+        if progress is None:
+            return lambda label, how: None
+        done = 0
 
-    @contextlib.contextmanager
-    def _progress_lines(self, bus: Bus, total: int) -> Iterator[None]:
-        adapter = (_ProgressAdapter(self.progress, total)
-                   if self.progress is not None else None)
-        if adapter is not None:
-            bus.subscribe(adapter)
-        try:
-            yield
-        finally:
-            if adapter is not None:
-                bus.unsubscribe(adapter)
+        def report(label: str, how: str) -> None:
+            nonlocal done
+            done += 1
+            progress(f"[{done}/{total}] {label} ({how})")
+        return report
 
     # -------------------------------------------------------- fan-out
 
@@ -749,24 +682,32 @@ class ParallelExecutor:
         started = time.perf_counter()
         results: List[Optional[SimResult]] = [None] * len(specs)
         timings: List[Dict] = [dict() for _ in specs]
-        bus, external = self._resolve_bus()
-        tally = _SweepTally()
+        bus = self._resolve_bus()
+        report = self._reporter(len(specs))
         misses: List[int] = []
+        walls: List[float] = []     # wall time of each spec not cached
+        retries = 0
 
-        def finish(index: int, elapsed: float, cache_hit: bool,
-                   retried: bool, source: str) -> None:
+        def finish(index: int, elapsed: float, retried: bool,
+                   source: str) -> None:
             """One authoritative parent-side spec_finish per spec."""
+            nonlocal retries
+            cache_hit = source == "cache"
             timings[index] = {"cache_hit": int(cache_hit),
                               "elapsed_s": elapsed,
                               "retried": int(retried)}
+            if not cache_hit:
+                walls.append(elapsed)
+            retries += retried
+            describe = specs[index].describe()
             bus.emit(
-                "spec_finish", index=index,
-                describe=specs[index].describe(), elapsed_s=elapsed,
-                cache_hit=cache_hit, retried=retried, source=source,
+                "spec_finish", index=index, describe=describe,
+                elapsed_s=elapsed, cache_hit=cache_hit, retried=retried,
+                source=source,
                 cycles=(results[index].cycles
                         if results[index] is not None else 0))
-            log.debug("%s done (%s, %.1fs)", specs[index].describe(),
-                      source, elapsed)
+            report(describe, "cached" if cache_hit else f"{elapsed:.1f}s")
+            log.debug("%s done (%s, %.1fs)", describe, source, elapsed)
 
         def settle(position: int, outcome: TaskOutcome) -> None:
             index = misses[position]
@@ -775,69 +716,54 @@ class ParallelExecutor:
                 bus.emit("spec_error", index=index,
                          describe=spec.describe(),
                          error=error_tail(outcome.error))
+                report(spec.describe(), "error")
                 raise SweepError(spec, _quarantined(outcome),
                                  worker_traceback=outcome.error)
             results[index] = outcome.value
             self._cache_store(spec, outcome.value)
-            finish(index, outcome.elapsed_s, False, outcome.attempts > 1,
+            finish(index, outcome.elapsed_s, outcome.attempts > 1,
                    _source(outcome))
 
-        bus.subscribe(tally)
-        try:
-            with self._progress_lines(bus, len(specs)):
-                bus.emit("sweep_start", n_specs=len(specs), jobs=self.jobs)
-                for index, spec in enumerate(specs):
-                    cached = self._cache_load(spec)
-                    if cached is not None:
-                        results[index] = cached
-                        bus.emit("cache_hit", index=index,
-                                 describe=spec.describe())
-                        finish(index, 0.0, True, False, "cache")
-                    else:
-                        bus.emit("cache_miss", index=index,
-                                 describe=spec.describe())
-                        misses.append(index)
+        bus.emit("sweep_start", n_specs=len(specs), jobs=self.jobs)
+        for index, spec in enumerate(specs):
+            cached = self._cache_load(spec)
+            if cached is not None:
+                results[index] = cached
+                bus.emit("cache_hit", index=index, describe=spec.describe())
+                finish(index, 0.0, False, "cache")
+            else:
+                bus.emit("cache_miss", index=index,
+                         describe=spec.describe())
+                misses.append(index)
 
-                self._fan_out([
-                    _task(index, _run_spec, specs[index],
-                          ("spec_start", {
-                              "index": index,
-                              "describe": specs[index].describe()}),
-                          specs[index].describe(), affinity=index,
-                          context={"spec_hash":
-                                   specs[index].cache_key()[:12]})
-                    for index in misses],
-                    bus if external else NULL_BUS, settle)
+        self._fan_out([
+            _task(index, _run_spec, specs[index],
+                  ("spec_start", {"index": index,
+                                  "describe": specs[index].describe()}),
+                  specs[index].describe(), affinity=index,
+                  context={"spec_hash": specs[index].cache_key()[:12]})
+            for index in misses], bus, settle)
 
-                elapsed = time.perf_counter() - started
-                # The summary -- both the stats dict and the log line --
-                # is derived from the event stream (the tally
-                # subscriber), so the events are the single source of
-                # truth.
-                stats = {
-                    "jobs": self.jobs,
-                    "n_specs": len(specs),
-                    "cache_hits": tally.cache_hits,
-                    "cache_misses": tally.cache_misses,
-                    "retries": tally.retries,
-                    "elapsed_s": elapsed,
-                }
-                bus.emit("sweep_finish", n_specs=len(specs),
-                         cache_hits=tally.cache_hits,
-                         cache_misses=tally.cache_misses,
-                         retries=tally.retries, elapsed_s=elapsed,
-                         busy_s=tally.busy_s, jobs=self.jobs)
-            wall_mean, wall_max = tally.wall_mean_max()
-            log.info(
-                "sweep done: %d specs in %.1fs (%d cached, %d simulated, "
-                "%d retried, jobs=%d, spec wall mean/max "
-                "%.1f/%.1fs)", len(specs), elapsed, tally.cache_hits,
-                tally.cache_misses, tally.retries, self.jobs,
-                wall_mean, wall_max)
-        finally:
-            bus.unsubscribe(tally)
-        if bus.registry is not None:
-            stats["obsv"] = bus.registry.snapshot()
+        elapsed = time.perf_counter() - started
+        cache_misses = len(misses)
+        cache_hits = len(specs) - cache_misses
+        stats = {
+            "jobs": self.jobs,
+            "n_specs": len(specs),
+            "cache_hits": cache_hits,
+            "cache_misses": cache_misses,
+            "retries": retries,
+            "elapsed_s": elapsed,
+        }
+        bus.emit("sweep_finish", n_specs=len(specs), cache_hits=cache_hits,
+                 cache_misses=cache_misses, retries=retries,
+                 elapsed_s=elapsed, busy_s=sum(walls), jobs=self.jobs)
+        log.info(
+            "sweep done: %d specs in %.1fs (%d cached, %d simulated, "
+            "%d retried, jobs=%d, spec wall mean/max %.1f/%.1fs)",
+            len(specs), elapsed, cache_hits, cache_misses, retries,
+            self.jobs, sum(walls) / len(walls) if walls else 0.0,
+            max(walls, default=0.0))
         for index, result in enumerate(results):
             info = dict(timings[index])
             info["jobs"] = self.jobs
@@ -858,24 +784,23 @@ class ParallelExecutor:
         """
         items = list(items)
         results: List = [None] * len(items)
-        bus, external = self._resolve_bus()
+        bus = self._resolve_bus()
+        report = self._reporter(len(items))
         labels = [describe(item) if describe is not None
                   else f"item {index}" for index, item in enumerate(items)]
 
         def settle(index: int, outcome: TaskOutcome) -> None:
-            results[index] = _task_value(bus, index, labels[index],
+            results[index] = _task_value(bus, report, index, labels[index],
                                          outcome)
             bus.emit("task_finish", index=index, label=labels[index],
                      elapsed_s=outcome.elapsed_s, source=_source(outcome))
+            report(labels[index], f"{outcome.elapsed_s:.1f}s")
 
-        with self._progress_lines(bus, len(items)):
-            self._fan_out([
-                _task(index, fn, item,
-                      ("task_start", {"index": index,
-                                      "label": labels[index]}),
-                      labels[index], affinity=index)
-                for index, item in enumerate(items)],
-                bus if external else NULL_BUS, settle)
+        self._fan_out([
+            _task(index, fn, item,
+                  ("task_start", {"index": index, "label": labels[index]}),
+                  labels[index], affinity=index)
+            for index, item in enumerate(items)], bus, settle)
         return results
 
     # ------------------------------------------------------ map_batched
@@ -908,10 +833,11 @@ class ParallelExecutor:
                   else f"batch {index} (x{len(chunk)})"
                   for index, chunk in enumerate(chunks)]
         results: List = [None] * len(items)
-        bus, external = self._resolve_bus()
+        bus = self._resolve_bus()
+        report = self._reporter(len(batches))
 
         def settle(index: int, outcome: TaskOutcome) -> None:
-            value = _task_value(bus, index, labels[index], outcome)
+            value = _task_value(bus, report, index, labels[index], outcome)
             indices = batches[index]
             if (not isinstance(value, (list, tuple))
                     or len(value) != len(indices)):
@@ -924,15 +850,13 @@ class ParallelExecutor:
             bus.emit("batch_finish", index=index, label=labels[index],
                      size=len(indices), elapsed_s=outcome.elapsed_s,
                      source=_source(outcome))
+            report(labels[index], f"{outcome.elapsed_s:.1f}s")
 
-        with self._progress_lines(bus, len(batches)):
-            self._fan_out([
-                _task(index, fn, chunk,
-                      ("batch_start", {"index": index,
-                                       "label": labels[index],
-                                       "size": len(chunk)}),
-                      labels[index],
-                      affinity=key(chunk[0]) if key is not None else None)
-                for index, chunk in enumerate(chunks)],
-                bus if external else NULL_BUS, settle)
+        self._fan_out([
+            _task(index, fn, chunk,
+                  ("batch_start", {"index": index, "label": labels[index],
+                                   "size": len(chunk)}),
+                  labels[index],
+                  affinity=key(chunk[0]) if key is not None else None)
+            for index, chunk in enumerate(chunks)], bus, settle)
         return results

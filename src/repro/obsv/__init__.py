@@ -1,4 +1,4 @@
-"""Campaign-scale observability: event bus, metrics, profiler, history.
+"""Campaign-scale observability: event bus, profiler, history.
 
 The package is wall-clock-side only: nothing in here touches the
 simulator, so enabling any of it leaves ``SimResult`` payloads and
@@ -7,8 +7,6 @@ neutrality property ``tests/obsv/test_neutrality.py`` pins down).
 
 * :mod:`repro.obsv.bus` -- schema-versioned JSON-Lines lifecycle
   events with run-context correlation IDs; multiprocessing-safe.
-* :mod:`repro.obsv.registry` -- live counters/gauges/histograms fed
-  by bus events; Prometheus text exposition + JSON snapshots.
 * :mod:`repro.obsv.profiler` -- deterministic cycle attribution over
   trace spans; collapsed-stack output for flamegraph tools.
 * :mod:`repro.obsv.history` -- cross-run bench trend reports
@@ -43,14 +41,6 @@ from .profiler import (  # noqa: F401
     CycleProfile,
     profile_run,
 )
-from .registry import (  # noqa: F401
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    TextfileExporter,
-    parse_prometheus_text,
-)
 
 __all__ = [
     "ENVELOPE_FIELDS",
@@ -75,10 +65,4 @@ __all__ = [
     "COMPONENT_PRIORITY",
     "CycleProfile",
     "profile_run",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "TextfileExporter",
-    "parse_prometheus_text",
 ]

@@ -15,8 +15,8 @@ pattern as :class:`repro.sim.trace.Tracer`):
   and ``emit`` is a no-op, so instrumented sites pay one attribute
   load when observability is off.
 * :class:`EventBus` -- the in-process hub: stamps events, fans them
-  out to subscribers (a :class:`JsonlSink`, a
-  :class:`repro.obsv.registry.MetricsRegistry`, a progress adapter).
+  out to subscribers (a :class:`JsonlSink`, or any callable taking
+  the event dict).
 * :class:`QueueEmitter` -- the worker side of a multiprocessing pool:
   events go onto a ``multiprocessing`` queue with a per-worker
   sequence number and origin pid; the parent drains the queue with
@@ -134,9 +134,6 @@ class Bus:
     """
 
     enabled = False
-    #: A :class:`repro.obsv.registry.MetricsRegistry` when one is
-    #: attached (the harness folds its snapshot into run artifacts).
-    registry = None
 
     def emit(self, kind: str, **fields) -> Optional[Dict]:
         """Emit one event; returns the stamped event (None when off)."""
@@ -171,13 +168,11 @@ class EventBus(Bus):
 
     enabled = True
 
-    def __init__(self, clock: Callable[[], float] = time.time,
-                 registry=None):
+    def __init__(self, clock: Callable[[], float] = time.time):
         self._clock = clock
         self._lock = threading.Lock()
         self._seq = 0
         self._subscribers: List[Callable[[Dict], None]] = []
-        self.registry = registry
         self.emitted = 0
 
     # ---------------------------------------------------- subscriptions

@@ -23,7 +23,7 @@ from .resources import (
     OccupancyQueue,
     TimelineResource,
 )
-from .stats import Counter, Histogram, RunningStat, geomean
+from .stats import Counter, geomean
 from .trace import (
     NULL_TRACER,
     NullTracer,
@@ -39,7 +39,6 @@ __all__ = [
     "Counter",
     "Environment",
     "Event",
-    "Histogram",
     "Interrupted",
     "Metrics",
     "MetricsCollector",
@@ -50,7 +49,6 @@ __all__ = [
     "NullTracer",
     "OccupancyQueue",
     "Process",
-    "RunningStat",
     "SimulationError",
     "Timeout",
     "TimelineResource",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable
 
 
 class Counter(dict):
@@ -39,90 +39,6 @@ class Counter(dict):
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.items()))
         return f"Counter({inner})"
-
-
-class RunningStat:
-    """Streaming mean/variance/min/max (Welford)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / self.count if self.count else 0.0
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-
-class Histogram:
-    """Fixed-bucket histogram for latency distributions."""
-
-    def __init__(self, bucket_width: int, max_buckets: int = 64):
-        if bucket_width < 1:
-            raise ValueError("bucket_width must be >= 1")
-        self.bucket_width = bucket_width
-        self.max_buckets = max_buckets
-        self.buckets: List[int] = [0] * max_buckets
-        self.overflow = 0
-        self.stat = RunningStat()
-
-    def record(self, value: float) -> None:
-        self.stat.record(value)
-        index = int(value // self.bucket_width)
-        if index >= self.max_buckets:
-            self.overflow += 1
-        else:
-            self.buckets[index] += 1
-
-    @property
-    def count(self) -> int:
-        return self.stat.count
-
-    def percentile(self, fraction: float) -> float:
-        """Approximate percentile from bucket midpoints.
-
-        Overflow records (values past the last bucket) are part of
-        ``count`` but are not scanned bucket-by-bucket; they form a
-        virtual final bucket whose only known statistic is the stream
-        maximum.  Any target rank landing in that overflow mass
-        therefore reports ``stat.maximum`` rather than the last
-        in-range bucket.  Empty leading buckets are skipped so low
-        fractions report the first *populated* bucket, not bucket 0.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = fraction * self.count
-        in_range = self.count - self.overflow
-        if target > in_range:
-            # seen + overflow crosses the target only once the scan is
-            # past every in-range record: the rank lives in overflow.
-            return self.stat.maximum
-        seen = 0
-        for index, population in enumerate(self.buckets):
-            seen += population
-            if population and seen >= target:
-                return (index + 0.5) * self.bucket_width
-        return self.stat.maximum
 
 
 def geomean(values: Iterable[float]) -> float:

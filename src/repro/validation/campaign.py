@@ -648,9 +648,6 @@ class CampaignReport:
         self.params = params
         self.cells = cells
         self.elapsed_s = elapsed_s
-        # Aggregate-metrics snapshot from the run's MetricsRegistry
-        # (set by run_campaign when an observed bus is active).
-        self.obsv: Optional[Dict] = None
         # Versioned durable-state enumeration section (set by
         # run_campaign when crash_states is on): per-cell payloads from
         # repro.crashstates.checker.check_cell.
@@ -713,8 +710,6 @@ class CampaignReport:
         if self.crash_states is not None:
             payload["crash_states"] = self.crash_states
             payload["crash_states_ok"] = self.crash_states_ok
-        if self.obsv is not None:
-            payload["obsv"] = self.obsv
         return payload
 
     def fingerprint(self) -> str:
@@ -741,7 +736,10 @@ class CampaignReport:
 
 #: Report fields that record wall-clock time, metrics or where a store
 #: lived, not an outcome (``params.snapshot_dir``, each failure's
-#: ``spec.snapshot_dir``, the crash-states ``timings``).
+#: ``spec.snapshot_dir``, the crash-states ``timings``).  ``obsv`` is
+#: the metrics snapshot reports carried before the event log became
+#: the one aggregate record; it stays listed so those reports still
+#: fingerprint the same.
 _VOLATILE_REPORT_KEYS = frozenset({"elapsed_s", "obsv", "timings",
                                    "snapshot_dir"})
 
@@ -1038,8 +1036,6 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
     bus.emit("campaign_finish", cells=len(cells),
              trials=report.total_trials, failures=report.total_failures,
              consistent=report.consistent, elapsed_s=report.elapsed_s)
-    if bus.registry is not None:
-        report.obsv = bus.registry.snapshot()
     say(f"campaign done: {report!r}")
     return report
 

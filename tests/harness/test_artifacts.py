@@ -32,6 +32,12 @@ class TestSaveLoad:
         with pytest.raises(ValueError):
             load_artifact(str(path))
 
+    def test_failed_dump_leaves_no_staging_file(self, tmp_path):
+        # A set is not JSON-serialisable: the dump fails mid-write.
+        with pytest.raises(TypeError):
+            save_artifact(str(tmp_path), "x", {"a": {1, 2}})
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDiff:
     def test_unchanged_within_tolerance(self):

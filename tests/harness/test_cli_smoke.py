@@ -3,33 +3,55 @@
 Drives ``python -m repro.harness fig9`` at a tiny scale through the
 parallel executor, saves the artifact, and checks it loads and diffs
 clean against itself; a second run must be served from the result cache
-and produce an identical artifact.
+and produce an identical artifact.  Both runs write ``--events-out``
+logs, which must validate and tell the same cache story.
 """
 
 from repro.harness import BENCHMARK_ORDER, diff_artifacts, load_artifact
 from repro.harness.__main__ import main
+from repro.obsv import read_event_log, validate_event_log
+
+
+def _sweep_story(path):
+    """The log's one ``sweep_finish`` and its ``spec_finish`` sources."""
+    assert validate_event_log(str(path)) == []
+    events = read_event_log(str(path))
+    [finish] = [e for e in events if e["kind"] == "sweep_finish"]
+    sources = {e["source"] for e in events if e["kind"] == "spec_finish"}
+    return finish, sources
 
 
 def test_cli_fig9_parallel_save_and_cache(tmp_path, capsys):
     save_first = tmp_path / "artifacts-1"
     save_second = tmp_path / "artifacts-2"
     cache = tmp_path / "cache"
+    cells = len(BENCHMARK_ORDER) * 4
     base = ["fig9", "--scale", "0.1", "--threads", "2", "--seed", "3",
             "--jobs", "2", "--cache-dir", str(cache)]
 
-    assert main(base + ["--save", str(save_first)]) == 0
+    assert main(base + ["--save", str(save_first), "--events-out",
+                        str(tmp_path / "events-1.jsonl")]) == 0
     assert "Figure 9" in capsys.readouterr().out
     first = load_artifact(str(save_first / "fig9.json"))
     assert set(first["data"]) == set(BENCHMARK_ORDER)
     assert diff_artifacts(first, first) == []
 
     # One cache entry per grid cell was written.
-    assert len(list(cache.glob("*.json"))) == len(BENCHMARK_ORDER) * 4
+    assert len(list(cache.glob("*.json"))) == cells
+
+    # Every cell was simulated, by the pool's workers.
+    finish, sources = _sweep_story(tmp_path / "events-1.jsonl")
+    assert (finish["cache_misses"], finish["cache_hits"]) == (cells, 0)
+    assert sources <= {"pool", "steal"} and "pool" in sources
 
     # Second run: all cells come from the cache, artifact identical.
-    assert main(base + ["--save", str(save_second)]) == 0
+    assert main(base + ["--save", str(save_second), "--events-out",
+                        str(tmp_path / "events-2.jsonl")]) == 0
     second = load_artifact(str(save_second / "fig9.json"))
     assert diff_artifacts(first, second, tolerance=0.0) == []
+    finish, sources = _sweep_story(tmp_path / "events-2.jsonl")
+    assert (finish["cache_hits"], finish["cache_misses"]) == (cells, 0)
+    assert sources == {"cache"}
 
 
 def test_cli_no_cache_flag(tmp_path):

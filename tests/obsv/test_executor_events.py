@@ -1,16 +1,24 @@
 """Executor-to-bus integration: the sweep's event stream."""
 
+import re
+
 import pytest
 
-from repro.harness import ParallelExecutor, RunSpec
-from repro.obsv.bus import EventBus, set_bus, validate_events
-from repro.obsv.registry import MetricsRegistry
+from repro.harness import (ParallelExecutor, RetryPolicy, RunSpec,
+                           WorkerTaskError)
+from repro.obsv.bus import EventBus, bus_scope, set_bus, validate_events
 
 
 def tiny_specs(count=2):
     return [RunSpec(benchmark="queue", design="PMEM-Spec",
                     n_threads=2, fases_per_thread=2, seed=seed)
             for seed in range(count)]
+
+
+def positive(value):
+    if value < 0:
+        raise ValueError(f"negative item {value}")
+    return value
 
 
 def observed_bus():
@@ -80,20 +88,10 @@ class TestSweepEvents:
         assert outcome.stats["cache_misses"] == 0
         assert outcome.stats["retries"] == 0
 
-    def test_registry_snapshot_folded_into_stats(self):
-        bus = EventBus()
-        registry = MetricsRegistry()
-        bus.registry = registry
-        bus.subscribe(registry.observe_event)
-        outcome = ParallelExecutor(jobs=1, bus=bus).run(tiny_specs(1))
-        obsv = outcome.stats["obsv"]
-        assert obsv["repro_specs_per_sec"]["series"]["_"] > 0
-        assert (obsv["repro_events_total"]["series"]
-                ['{kind="sweep_finish"}'] == 1)
-
     def test_no_external_bus_leaks_no_events(self):
-        # The executor's private fallback bus must never publish to
-        # the (disabled) current bus.
+        """With no bus pinned or current, the executor publishes to the
+        null bus: an enabled bus that is not in scope sees nothing, and
+        the stats are counted all the same."""
         bus, seen = observed_bus()
         outcome = ParallelExecutor(jobs=1).run(tiny_specs(1))
         assert seen == []
@@ -120,6 +118,36 @@ class TestProgressAdapter:
         ParallelExecutor(jobs=1, cache_dir=cache,
                          progress=lines.append).run(specs)
         assert lines == [f"[1/1] {specs[0].describe()} (cached)"]
+
+    def test_lines_and_stats_same_with_a_bus_in_scope(self, tmp_path):
+        def sweep(cache):
+            lines = []
+            outcome = ParallelExecutor(jobs=1, cache_dir=cache,
+                                       progress=lines.append).run(specs)
+            stats = {key: value for key, value in outcome.stats.items()
+                     if key != "elapsed_s"}
+            return [re.sub(r"\(\d+\.\ds\)", "(Ns)", line)
+                    for line in lines], stats
+
+        specs = tiny_specs(2)
+        plain = [sweep(str(tmp_path / "plain")) for _ in range(2)]
+        bus, seen = observed_bus()
+        with bus_scope(bus):
+            watched = [sweep(str(tmp_path / "watched")) for _ in range(2)]
+        assert watched == plain
+        assert plain[1][1]["cache_hits"] == 2
+        finishes = [e for e in seen if e["kind"] == "sweep_finish"]
+        assert [(e["cache_hits"], e["cache_misses"]) for e in finishes] \
+            == [(0, 2), (2, 0)]
+
+    def test_quarantined_item_reports_an_error_line(self):
+        lines = []
+        executor = ParallelExecutor(jobs=1, progress=lines.append,
+                                    retry=RetryPolicy(max_attempts=1))
+        with pytest.raises(WorkerTaskError, match="item 1 quarantined"):
+            executor.map(positive, [1, -1, 2])
+        assert lines[0].startswith("[1/3] item 0 (")
+        assert lines[1:] == ["[2/3] item 1 (error)"]
 
 
 class TestMapEvents:

@@ -1,10 +1,9 @@
 """Observability is provably neutral: same simulation, watched or not.
 
 The acceptance property for the whole obsv stack: enabling the event
-bus, the metrics registry, the textfile exporter, and the JSONL sink
-must not change a single simulated bit -- SimResult payloads and
-snapshot fingerprints are compared byte for byte against an unobserved
-run.
+bus and the JSONL sink must not change a single simulated bit --
+SimResult payloads and snapshot fingerprints are compared byte for
+byte against an unobserved run.
 """
 
 import json
@@ -13,7 +12,6 @@ import pytest
 
 from repro.harness import ParallelExecutor, RunSpec
 from repro.obsv.bus import EventBus, JsonlSink, bus_scope, set_bus
-from repro.obsv.registry import MetricsRegistry, TextfileExporter
 from repro.snapshot import SnapshotLadder
 from repro.validation.campaign import (
     BENCHMARKS,
@@ -29,18 +27,17 @@ def _restore_current_bus():
 
 
 def observed_bus(tmp_path, tag):
-    """A fully-loaded bus: sink + registry + exporter, like the CLI."""
+    """A bus with a JSONL sink, like the CLI's ``--events-out``, plus
+    the list of events it delivered."""
     bus = EventBus()
-    sink = JsonlSink(str(tmp_path / f"{tag}-events.jsonl"))
-    bus.subscribe(sink)
-    registry = MetricsRegistry()
-    bus.registry = registry
-    bus.subscribe(registry.observe_event)
-    exporter = TextfileExporter(registry,
-                                str(tmp_path / f"{tag}.prom"),
-                                every_s=0.0)
-    bus.subscribe(exporter.on_event)
-    return bus
+    bus.subscribe(JsonlSink(str(tmp_path / f"{tag}-events.jsonl")))
+    seen = []
+    bus.subscribe(seen.append)
+    return bus, seen
+
+
+def kinds(seen, kind):
+    return [event for event in seen if event["kind"] == kind]
 
 
 def sim_payloads(outcome):
@@ -66,15 +63,18 @@ class TestSweepNeutrality:
     def test_results_bit_identical_with_full_observability(
             self, tmp_path, jobs):
         plain = ParallelExecutor(jobs=jobs).run(SPECS)
-        bus = observed_bus(tmp_path, "sweep")
+        bus, seen = observed_bus(tmp_path, "sweep")
         watched = ParallelExecutor(jobs=jobs, bus=bus).run(SPECS)
         assert sim_payloads(watched) == sim_payloads(plain)
+        assert len(kinds(seen, "spec_finish")) == len(SPECS)
 
     def test_current_bus_scope_neutral_too(self, tmp_path):
         plain = ParallelExecutor(jobs=1).run(SPECS)
-        with bus_scope(observed_bus(tmp_path, "scope")):
+        bus, seen = observed_bus(tmp_path, "scope")
+        with bus_scope(bus):
             watched = ParallelExecutor(jobs=1).run(SPECS)
         assert sim_payloads(watched) == sim_payloads(plain)
+        assert len(kinds(seen, "spec_finish")) == len(SPECS)
 
 
 class TestSnapshotNeutrality:
@@ -92,7 +92,7 @@ class TestSnapshotNeutrality:
 
     def test_rung_fingerprints_bit_identical(self, tmp_path):
         plain_system, plain_ladder = self.laddered()
-        bus = observed_bus(tmp_path, "ladder")
+        bus, seen = observed_bus(tmp_path, "ladder")
         watched_system, watched_ladder = self.laddered(bus)
         assert plain_ladder.rungs, "no rungs captured; shrink `every`"
         assert ([r["fingerprint"] for r in watched_ladder.rungs]
@@ -100,9 +100,7 @@ class TestSnapshotNeutrality:
         assert (watched_system.state_fingerprint()
                 == plain_system.state_fingerprint())
         # And the bus really was live: rung captures were narrated.
-        assert bus.registry.counter(
-            "repro_rungs_captured_total").value() == len(
-                watched_ladder.rungs)
+        assert len(kinds(seen, "rung_capture")) == len(watched_ladder.rungs)
 
 
 class TestCampaignNeutrality:
@@ -118,6 +116,12 @@ class TestCampaignNeutrality:
 
     def test_report_rows_identical(self, tmp_path):
         plain = self.campaign()
-        watched = self.campaign(observed_bus(tmp_path, "campaign"))
+        bus, seen = observed_bus(tmp_path, "campaign")
+        watched = self.campaign(bus)
         assert watched.rows() == plain.rows()
-        assert watched.obsv is not None and plain.obsv is None
+        assert watched.fingerprint() == plain.fingerprint()
+        # The bus was live: one trial_finish per trial, one
+        # campaign_finish whose totals are the report's.
+        assert len(kinds(seen, "trial_finish")) == watched.total_trials
+        [finish] = kinds(seen, "campaign_finish")
+        assert finish["trials"] == watched.total_trials

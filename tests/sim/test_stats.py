@@ -1,13 +1,12 @@
 """Unit and property tests for statistics containers."""
 
 import math
-import statistics
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim import Counter, Histogram, RunningStat, geomean
+from repro.sim import Counter, geomean
 
 
 class TestCounter:
@@ -36,60 +35,6 @@ class TestCounter:
         c.add("b")
         c.add("a")
         assert repr(c) == "Counter(a=1, b=1)"
-
-
-class TestRunningStat:
-    def test_empty(self):
-        s = RunningStat()
-        assert s.mean == 0.0
-        assert s.variance == 0.0
-
-    def test_known_values(self):
-        s = RunningStat()
-        for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
-            s.record(v)
-        assert s.mean == pytest.approx(5.0)
-        assert s.stddev == pytest.approx(2.0)
-        assert s.minimum == 2.0
-        assert s.maximum == 9.0
-
-    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
-                              allow_nan=False), min_size=1, max_size=200))
-    def test_matches_statistics_module(self, values):
-        s = RunningStat()
-        for v in values:
-            s.record(v)
-        assert s.mean == pytest.approx(statistics.fmean(values), abs=1e-6)
-        assert s.count == len(values)
-
-
-class TestHistogram:
-    def test_bucketing(self):
-        h = Histogram(bucket_width=10, max_buckets=4)
-        for v in [0, 5, 15, 100]:
-            h.record(v)
-        assert h.buckets[0] == 2
-        assert h.buckets[1] == 1
-        assert h.overflow == 1
-        assert h.count == 4
-
-    def test_percentile_midpoint(self):
-        h = Histogram(bucket_width=10, max_buckets=10)
-        for _ in range(100):
-            h.record(12)
-        assert h.percentile(0.5) == pytest.approx(15.0)
-
-    def test_percentile_bounds_checked(self):
-        h = Histogram(bucket_width=1)
-        with pytest.raises(ValueError):
-            h.percentile(1.5)
-
-    def test_empty_percentile_zero(self):
-        assert Histogram(bucket_width=1).percentile(0.9) == 0.0
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            Histogram(bucket_width=0)
 
 
 class TestGeomean:
@@ -123,60 +68,3 @@ class TestGeomean:
         values = [2.0, 8.0, 32.0]
         assert math.log(geomean(values)) == pytest.approx(
             sum(math.log(v) for v in values) / 3)
-
-
-class TestHistogramOverflowPercentile:
-    """Regression: percentile() must account for overflow records.
-
-    Overflow records are part of ``count`` but live past the last
-    bucket; a rank landing in that mass must report the stream maximum,
-    not whatever the bucket scan falls back to, and low fractions must
-    not report an *empty* leading bucket's midpoint."""
-
-    def test_rank_in_overflow_reports_maximum(self):
-        h = Histogram(bucket_width=10, max_buckets=4)
-        for v in [5, 15, 25]:
-            h.record(v)
-        for v in [100, 200, 300]:  # overflow (>= 40)
-            h.record(v)
-        # p99 of 6 records: rank 5.94 > 3 in-range records.
-        assert h.percentile(0.99) == 300
-        assert h.percentile(0.75) == 300
-        # Ranks inside the bucketed range still use midpoints
-        # (rank 3 of 6 is the third in-range record, bucket 2).
-        assert h.percentile(0.5) == pytest.approx(25.0)
-        assert h.percentile(1 / 6) == pytest.approx(5.0)
-
-    def test_all_overflow(self):
-        h = Histogram(bucket_width=1, max_buckets=2)
-        for v in [10, 20, 30]:
-            h.record(v)
-        assert h.percentile(0.5) == 30
-        assert h.percentile(0.99) == 30
-
-    def test_low_fraction_skips_empty_leading_buckets(self):
-        h = Histogram(bucket_width=10, max_buckets=10)
-        for _ in range(10):
-            h.record(55)  # bucket 5 only
-        # fraction=0 -> target rank 0: first populated bucket, not
-        # bucket 0's midpoint.
-        assert h.percentile(0.0) == pytest.approx(55.0)
-        assert h.percentile(0.1) == pytest.approx(55.0)
-
-    def test_no_overflow_unchanged(self):
-        h = Histogram(bucket_width=10, max_buckets=10)
-        for v in [5, 15, 25, 35]:
-            h.record(v)
-        assert h.percentile(1.0) == pytest.approx(35.0)
-        assert h.percentile(0.25) == pytest.approx(5.0)
-
-    @given(st.lists(st.integers(min_value=0, max_value=500), min_size=1,
-                    max_size=60),
-           st.floats(min_value=0.0, max_value=1.0))
-    def test_percentile_never_exceeds_maximum(self, values, fraction):
-        h = Histogram(bucket_width=10, max_buckets=4)
-        for v in values:
-            h.record(v)
-        p = h.percentile(fraction)
-        # Midpoint approximation can round up by at most half a bucket.
-        assert p <= max(values) + h.bucket_width / 2

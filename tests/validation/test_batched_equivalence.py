@@ -52,7 +52,6 @@ def canonical(report):
     """Report JSON minus timing/stats and store-location params."""
     payload = report.to_dict()
     payload.pop("elapsed_s")
-    payload.pop("obsv", None)
     payload["params"] = {k: v for k, v in payload["params"].items()
                         if k not in ("batch", "snapshot_dir")}
     for cell in payload["cells"]:
