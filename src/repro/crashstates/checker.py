@@ -40,8 +40,7 @@ from ..obsv.bus import get_bus
 from ..runtime.recovery import run_recovery
 from ..snapshot import nearest_rung
 from ..telemetry import get_logger
-from ..validation.campaign import (TrialSpec, _build, _oracle_for,
-                                   _private_copy)
+from ..validation.campaign import TrialSpec, _build, _oracle_for
 from ..validation.faults import fault_by_name
 from ..validation.history import events_to_history, truncate_history
 from ..validation.shrink import shrink_crash_cycle
@@ -99,20 +98,21 @@ class _Cell:
                 if rung is not None:
                     wanted[rung["rung"]] = rung["cycle"]
         self.workload, self.system, _fault, self.recorder, ladder = \
-            _build(base, capture=wanted.keys(), keep_rungs=True)
+            _build(base, capture=wanted.keys())
         # The device history is the enumerator's input; the flag is not
         # part of captured state, so it survives every restore below.
         self.system.device.record_history = True
         self.initial_image = dict(self.system.device.snapshot())
-        self.initial_payload = _private_copy(self.system.capture_state())
+        # ``capture_state`` returns fresh containers and restore never
+        # aliases a payload, so the payloads below are restored as they
+        # are, however many crash cycles restore them.
+        self.initial_payload = self.system.capture_state()
         # Every acquire restores before it replays, so nothing past the
         # last wanted rung is ever read: stop there.
         if wanted:
             self.system.advance(until=max(wanted.values()),
                                 stop_event=self.system.launch())
-        self.rungs: List[Dict] = [
-            {**rung, "payload": _private_copy(rung["payload"])}
-            for rung in (ladder.rungs if ladder is not None else ())]
+        self.rungs: List[Dict] = ladder.rungs if ladder is not None else []
         self.canonical_s = time.perf_counter() - started
         # The verdict memo: kept record indices -> (violations, the
         # mutated image's fingerprint when they are non-empty).  An

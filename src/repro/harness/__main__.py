@@ -337,14 +337,10 @@ def cmd_profile(args) -> None:
                  elapsed, len(tracer))
         bus = get_bus()
         if bus.enabled:
-            series = (result.timeseries or {}).get("series", {})
-            wpq = series.get("wpq_depth", {})
             bus.emit("spec_start", index=0, describe=spec.describe())
             bus.emit("spec_finish", index=0, describe=spec.describe(),
                      elapsed_s=elapsed, cache_hit=False, retried=False,
-                     source="profile", cycles=result.cycles,
-                     wpq_depth_means=[w.get("mean", 0.0)
-                                      for w in wpq.get("windows", [])])
+                     source="profile", cycles=result.cycles)
     profile = profile_run(tracer, result.cycles, wall_s=elapsed,
                           label=spec.describe())
     out = args.profile_out or f"{spec.benchmark}-{spec.design}.folded"

@@ -499,8 +499,8 @@ def fork_warm_starts(base: RunSpec, variants: Sequence[RunSpec],
                 f"across timing changes")
 
     base_system = build_spec_system(base)
-    ladder = SnapshotLadder(base_system, snapshot_every,
-                            keep_in_memory=True).install()
+    # Store-less, so every captured rung keeps its payload.
+    ladder = SnapshotLadder(base_system, snapshot_every).install()
     base_result = base_system.run()
     if not ladder.rungs:
         raise SnapshotError(

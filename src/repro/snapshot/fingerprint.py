@@ -17,6 +17,7 @@ error at capture time than a fingerprint that silently depends on
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from typing import Any
 
 
@@ -36,35 +37,27 @@ def _key_order(key: Any):
     raise FingerprintError(f"unsupported dict key {key!r} in captured state")
 
 
-def _all_plain_ints(items) -> bool:
-    # bool is an int subclass but encodes as T/F, so `type is int`
-    # exactly (not isinstance) guards the bulk paths below.
-    return all(type(item) is int for item in items)
-
-
-def _all_plain_strs(items) -> bool:
-    return all(type(item) is str for item in items)
+#: The exact-type set of an all-int sequence.  ``bool`` is an int
+#: subclass but encodes as T/F, so the bulk paths below guard on exact
+#: types (``set(map(type, ...))``, C speed), never on isinstance.
+_INTS = {int}
+_ROWS = {tuple, list}
 
 
 def _int_rows(obj, out: bytearray) -> bool:
-    """Bulk-emit a sequence of int-only tuples/lists (PM images, cache
-    tag arrays); False (emitting nothing) if any row doesn't conform."""
-    chunk = bytearray()
-    for item in obj:
-        if type(item) not in (tuple, list):
-            return False
-        if len(item) == 2:
-            first, second = item
-            if type(first) is int and type(second) is int:
-                chunk += b"l2:i%d;i%d;" % (first, second)
-                continue
-            return False
-        if not _all_plain_ints(item):
-            return False
-        chunk += b"l%d:" % len(item)
-        for value in item:
-            chunk += b"i%d;" % value
-    out += chunk
+    """Bulk-emit a sequence of equal-length int-only tuples/lists (PM
+    images, cache line data, captured dict items) in one ``%`` call;
+    False (emitting nothing) if any row doesn't conform."""
+    if not set(map(type, obj)) <= _ROWS:
+        return False
+    widths = set(map(len, obj))
+    if len(widths) != 1:
+        return False
+    flat = tuple(chain.from_iterable(obj))
+    if flat and set(map(type, flat)) != _INTS:
+        return False
+    width = widths.pop()
+    out += (b"l%d:" % width + b"i%d;" * width) * len(obj) % flat
     return True
 
 
@@ -72,9 +65,9 @@ def _encode(obj: Any, out: bytearray) -> None:
     # Captured states are overwhelmingly int-heavy (PM images, cache
     # sets, per-address maps), and this encoder runs over the *entire*
     # state at every rung capture -- so containers inline their leaf
-    # elements and bulk-emit int-only rows with C-speed joins instead
-    # of recursing once per element.  Output bytes are identical to the
-    # element-wise encoding either way.
+    # elements and format int-only rows and int-to-int maps with one
+    # C-level ``%`` call instead of recursing once per element.  Output
+    # bytes are identical to the element-wise encoding either way.
     if obj is None:
         out += b"N"
     elif obj is True:
@@ -91,8 +84,8 @@ def _encode(obj: Any, out: bytearray) -> None:
         if obj:
             head = type(obj[0])
             if head is int:
-                if _all_plain_ints(obj):
-                    out += b"".join(b"i%d;" % item for item in obj)
+                if set(map(type, obj)) == _INTS:
+                    out += b"i%d;" * len(obj) % tuple(obj)
                     return
             elif (head is tuple or head is list) and _int_rows(obj, out):
                 return
@@ -107,8 +100,16 @@ def _encode(obj: Any, out: bytearray) -> None:
                 _encode(item, out)
     elif isinstance(obj, dict):
         out += b"d%d:" % len(obj)
-        if _all_plain_ints(obj):
-            for key, value in sorted(obj.items()):
+        key_types = set(map(type, obj))
+        if key_types <= _INTS:
+            # Keys are unique, so sorting (key, value) pairs compares
+            # keys only -- the order _key_order gives all-int keys.
+            items = sorted(obj.items())
+            if set(map(type, obj.values())) <= _INTS:
+                out += (b"i%d;i%d;" * len(items)
+                        % tuple(chain.from_iterable(items)))
+                return
+            for key, value in items:
                 out += b"i%d;" % key
                 kind = type(value)
                 if kind is int:
@@ -119,9 +120,8 @@ def _encode(obj: Any, out: bytearray) -> None:
                 else:
                     _encode(value, out)
             return
-        if _all_plain_strs(obj):
-            # Keys are unique, so sorting (key, value) pairs compares
-            # keys only -- same order _key_order would give all-strs.
+        if key_types == {str}:
+            # Unique keys again: sorting pairs compares keys only.
             for key, value in sorted(obj.items()):
                 body = key.encode("utf-8")
                 out += b"s%d:" % len(body) + body

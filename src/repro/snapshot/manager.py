@@ -49,7 +49,8 @@ import weakref
 from typing import Dict, Iterable, List, Optional, Union
 
 from ..obsv.bus import get_bus
-from .store import SnapshotError, SnapshotStore
+from .store import (SnapshotError, SnapshotStore, decode_payload,
+                    encode_payload)
 
 SNAPSHOT_SCHEMA_VERSION = 1
 
@@ -68,7 +69,10 @@ class SnapshotLadder:
     """Capture policy + park/quiesce/resume choreography for one system.
 
     ``capture`` says which rungs to capture: True for every rung, False
-    for none, or a collection of rung numbers.
+    for none, or a collection of rung numbers.  Without a ``store``
+    every captured payload stays on its rung, decoded; with one, each
+    is written as :func:`~repro.snapshot.store.encode_payload` bytes,
+    and ``keep_in_memory`` keeps those bytes on the rung as well.
 
     :meth:`install` makes the system own its ladder (``system.snapshots``
     and the device's persist hook), so the ladder keeps ``system`` as a
@@ -95,9 +99,9 @@ class SnapshotLadder:
         self._parked: Dict[int, object] = {}   # core_id -> park Event
         #: Every rung this run reached, captured or not: {"cycle", "rung"}.
         self.reached: List[Dict] = []
-        #: Captured rungs: {"cycle", "rung", "fingerprint", "key"?,
-        #: "payload"?} -- "key" when stored on disk, "payload" when kept
-        #: in memory for same-process forking.
+        #: Captured rungs: {"cycle", "rung", "fingerprint", and "key"
+        #: (with "blob" when kept in memory) for a stored ladder, else
+        #: "payload"}.
         self.rungs: List[Dict] = []
         #: Rungs reached so far, counting those before a restore point
         #: (it rides inside every snapshot), captured or not.
@@ -181,10 +185,13 @@ class SnapshotLadder:
         payload = self.system.capture_state()
         rung = {"cycle": payload["cycle"], "rung": rung_no,
                 "fingerprint": fingerprint_state(payload)}
-        if self.store is not None:
-            rung["key"] = self.store.put(payload)
-        if self.keep_in_memory or self.store is None:
+        if self.store is None:
             rung["payload"] = payload
+        else:
+            blob = encode_payload(payload)
+            rung["key"] = self.store.put(blob)
+            if self.keep_in_memory:
+                rung["blob"] = blob
         self.rungs.append(rung)
         # Wall-side narration only: the capture itself (cycle, payload,
         # fingerprint) is already done, so an enabled bus cannot
@@ -231,8 +238,8 @@ def restore_nearest(system, store: SnapshotStore, index_name: str,
     rung = nearest_rung(rungs, crash_cycle)
     if rung is None:
         return None
-    payload = store.get(rung["key"])
-    system.restore_state(payload)
+    system.restore_state(decode_payload(store.get(rung["key"]),
+                                        rung["key"]))
     bus = get_bus()
     if bus.enabled:
         # How deep a warm start got: the distance crash_cycle -

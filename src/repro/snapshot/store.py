@@ -3,7 +3,7 @@
 Layout under the store root::
 
     objects/<k0k1>/<key>.snap   pickled snapshot payloads, keyed by the
-                                sha256 of their serialised bytes
+                                sha256 of their bytes
     index/<name>.json           rung indexes: which snapshots form the
                                 ladder of one campaign cell / sweep base
 
@@ -20,13 +20,16 @@ The store sits beside the PR 1 artifact cache on purpose: artifacts are
 content, and their lifetimes differ (snapshots are a pure accelerator
 -- losing one costs time, never correctness).
 
-Every ``get`` reads the object from disk and checks its sha256 against
-its key before unpickling, so a damaged object -- truncated, bit-flipped
-or overwritten at any time after it was written -- raises
-:class:`SnapshotError` instead of decoding into a different machine
-state.  The store keeps no read cache: decoded rungs are cached by the
-campaign (:mod:`repro.validation.campaign`), keyed by the same object
-key.
+The store deals in bytes: :func:`encode_payload` pickles a captured
+state, ``put`` writes the bytes under their sha256, and every ``get``
+reads the object from disk and checks its sha256 against its key before
+returning the bytes, so a damaged object -- truncated, bit-flipped or
+overwritten at any time after it was written -- raises
+:class:`SnapshotError` instead of decoding (:func:`decode_payload`)
+into a different machine state.  The store keeps no read cache: the
+campaign (:mod:`repro.validation.campaign`) caches the verified bytes
+of the rungs it uses, keyed by the same object key, and decodes one
+only when it restores it.
 """
 
 from __future__ import annotations
@@ -45,8 +48,25 @@ class SnapshotError(RuntimeError):
     """A snapshot could not be stored, found, or decoded."""
 
 
+def encode_payload(payload: dict) -> bytes:
+    """The bytes a captured state is stored and cached as."""
+    try:
+        return pickle.dumps(payload, protocol=4)
+    except Exception as exc:
+        raise SnapshotError(f"unpicklable snapshot payload: {exc}")
+
+
+def decode_payload(blob: bytes, key: str) -> dict:
+    """A fresh captured state from :func:`encode_payload` bytes (``key``
+    names them in the error)."""
+    try:
+        return pickle.loads(blob)
+    except Exception as exc:
+        raise SnapshotError(f"snapshot {key[:12]} undecodable: {exc}")
+
+
 class SnapshotStore:
-    """Content-addressed pickle store with atomic writes and an LRU cap."""
+    """Content-addressed byte store with atomic writes and an LRU cap."""
 
     def __init__(self, root: str, max_bytes: Optional[int] = None):
         self.root = root
@@ -61,12 +81,8 @@ class SnapshotStore:
     def _object_path(self, key: str) -> str:
         return os.path.join(self._objects, key[:2], key + ".snap")
 
-    def put(self, payload: dict) -> str:
-        """Store a payload; returns its content key (idempotent)."""
-        try:
-            blob = pickle.dumps(payload, protocol=4)
-        except Exception as exc:
-            raise SnapshotError(f"unpicklable snapshot payload: {exc}")
+    def put(self, blob: bytes) -> str:
+        """Store encoded bytes; returns their content key (idempotent)."""
         key = hashlib.sha256(blob).hexdigest()
         path = self._object_path(key)
         if not os.path.exists(path):
@@ -84,9 +100,10 @@ class SnapshotStore:
             self._enforce_cap()
         return key
 
-    def get(self, key: str) -> dict:
-        """Load a payload by key; raises :class:`SnapshotError` when the
-        object is missing, truncated, or corrupt."""
+    def get(self, key: str) -> bytes:
+        """The verified bytes stored under ``key``; raises
+        :class:`SnapshotError` when the object is missing, truncated, or
+        corrupt."""
         path = self._object_path(key)
         try:
             with open(path, "rb") as handle:
@@ -101,10 +118,7 @@ class SnapshotStore:
             os.utime(path)
         except OSError:
             pass
-        try:
-            return pickle.loads(blob)
-        except Exception as exc:
-            raise SnapshotError(f"snapshot {key[:12]} undecodable: {exc}")
+        return blob
 
     def has(self, key: str) -> bool:
         return os.path.exists(self._object_path(key))

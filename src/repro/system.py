@@ -370,6 +370,14 @@ class System:
         values -- latencies, capacities, geometries come from rebuilding
         a system from its spec -- which is what lets a snapshot restore
         into a variant-latency system for warm-start sweeps.
+
+        The payload is made of fresh containers: no list, dict or set in
+        it is shared with the live machine, so clearing or overwriting
+        any of them changes neither :meth:`state_fingerprint` nor the
+        next capture.  The one shared part is the trace prefix's rows,
+        the recorder's own immutable tuples (their args dicts are never
+        written after recording).  Callers rely on this to restore or
+        encode a payload without copying it first.
         """
         from .snapshot import SNAPSHOT_SCHEMA_VERSION
         env_state = self.env.capture_state()

@@ -39,6 +39,7 @@ from ..sim.trace import TraceRecorder
 from ..snapshot import (SNAPSHOT_SCHEMA_VERSION, SnapshotError,
                         SnapshotLadder, SnapshotStore, nearest_rung,
                         restore_nearest)
+from ..snapshot.store import decode_payload
 from ..telemetry import get_logger
 from ..workloads import BENCHMARKS
 from .faults import FaultModel, fault_by_name
@@ -141,8 +142,8 @@ def _build(spec: TrialSpec, capture: Union[bool, Iterable[int]] = False,
     non-zero ``snapshot_every`` a ladder is installed; ``capture`` is
     the ladder's: every rung for the canonical profile run, none
     (identical parking) for trials, or the rung numbers the crash-state
-    checker will restore.  ``keep_rungs`` keeps each captured payload on
-    its rung dict so the campaign can seed the in-process rung cache.
+    checker will restore.  ``keep_rungs`` keeps each stored rung's bytes
+    on its rung dict so the campaign can seed the in-process rung cache.
     ``index_name`` is the cell's :func:`_cell_index_name`, for callers
     that already hold it."""
     fault = fault_by_name(spec.fault)
@@ -282,62 +283,44 @@ def run_trial(spec: TrialSpec) -> Dict:
 #: cell-affine, so a worker rarely juggles more than a couple.  Also the
 #: program cache's size.
 _RESIDENT_CELL_CAP = 4
-#: Decoded rungs held per process, 64 per resident cell (each is one
-#: full machine state, a few hundred KiB for campaign-sized runs).
+#: Rungs held per process, 64 per resident cell.  Each is the stored
+#: bytes of one full machine state: 40-290 KB (median 165 KB) on the
+#: campaign-ladder inputs, 10 MB for all 62 of their rungs.
 _RUNG_CACHE_CAP = _RESIDENT_CELL_CAP * 64
 
 _RESIDENT_CELLS: "OrderedDict[TrialSpec, _ResidentCell]" = OrderedDict()
 
 
 class _CachedRung:
-    """One decoded rung: its payload and, once a trial has restored it,
-    ``(event count, oracle history)`` of its trace prefix.  HistoryEvent
-    is frozen, so every trial restoring the rung shares one prefix list;
-    extending it is exact because events_to_history is a stateless
-    per-event map."""
+    """One rung: its verified store bytes and, once a trial has restored
+    it, ``(event count, oracle history)`` of its trace prefix.
+    HistoryEvent is immutable, so every trial restoring the rung shares
+    one prefix list; extending it is exact because events_to_history is
+    a stateless per-event map."""
 
-    __slots__ = ("payload", "history")
+    __slots__ = ("blob", "history")
 
-    def __init__(self, payload: Dict):
-        self.payload = payload
+    def __init__(self, blob: bytes):
+        self.blob = blob
         self.history: Optional[Tuple[int, list]] = None
 
 
 #: The process-wide rung cache, keyed by store object key: the sha256 of
-#: the payload's pickle, so one key names one machine state (trace
-#: prefix included) wherever its store lives.  The profiling run admits
-#: its captures and resident cells admit what they read from the store;
-#: every cell in the process restores from it.  Cached payloads are
-#: never written: restore copies their containers.
+#: the rung's bytes, so one key names one machine state (trace prefix
+#: included) wherever its store lives.  The profiling run admits the
+#: bytes it wrote and resident cells admit the bytes they read; every
+#: cell in the process restores from it.  Entries are immutable bytes,
+#: decoded afresh at each restore: seeding needs no copy, and the cache
+#: holds no payload containers for the collector to walk.
 _RUNG_CACHE: "OrderedDict[str, _CachedRung]" = OrderedDict()
 
 
-def _admit_rung(key: str, payload: Dict) -> _CachedRung:
-    """Cache a decoded rung, evicting the least recently used."""
-    entry = _RUNG_CACHE[key] = _CachedRung(payload)
+def _admit_rung(key: str, blob: bytes) -> _CachedRung:
+    """Cache a rung's bytes, evicting the least recently used."""
+    entry = _RUNG_CACHE[key] = _CachedRung(blob)
     while len(_RUNG_CACHE) > _RUNG_CACHE_CAP:
         _RUNG_CACHE.popitem(last=False)
     return entry
-
-
-def _private_copy(value):
-    """Copy the dict/list skeleton of a live capture payload; leaves and
-    tuples are shared.
-
-    Component ``capture_state`` implementations build fresh containers,
-    but that is convention, not contract -- the skeleton copy makes a
-    seeded payload safe even against a capture that returns a live dict
-    or list the canonical run later mutates.  Tuples are shared because
-    the only captured tuples wrapping mutables are trace event rows,
-    whose ``args`` dicts are never written after recording (the same
-    sharing ``TraceRecorder.restore_state`` itself relies on).
-    """
-    kind = type(value)
-    if kind is dict:
-        return {key: _private_copy(item) for key, item in value.items()}
-    if kind is list:
-        return [_private_copy(item) for item in value]
-    return value
 
 
 class _ResidentCell:
@@ -355,10 +338,10 @@ class _ResidentCell:
 
     Outcomes equal :func:`run_trial`'s whichever start was taken:
     restore fully resets every component (the invariant the
-    restore-equivalence suite proves), payload containers are copied on
-    restore, never aliased, and ``restored_from_cycle`` always names
-    the nearest usable rung, not the start taken.  A cell without a
-    rung store never captures or restores.
+    restore-equivalence suite proves), every restore decodes a fresh
+    payload from the cached bytes, and ``restored_from_cycle`` always
+    names the nearest usable rung, not the start taken.  A cell without
+    a rung store never captures or restores.
     """
 
     def __init__(self, spec: TrialSpec):
@@ -422,6 +405,9 @@ class _ResidentCell:
     def _restart(self, spec: TrialSpec, rung: Optional[Dict]) -> None:
         """Start a new live run from ``rung``, or from a fresh build.
         Same order as :func:`run_trial`: arm the fault, then restore."""
+        # The live run's converted history, while it is on the canonical
+        # trajectory (every trial converts it up to its cut).
+        live = self._history if self._done is not None else None
         if rung is None or self.system is None:
             self.workload, self.system, self.fault, self.recorder, _ = \
                 _build(spec, index_name=self.index_name)
@@ -432,10 +418,18 @@ class _ResidentCell:
             self._history = (0, [])
         else:
             entry = rung["cached"]
-            self.system.restore_state(entry.payload)
+            self.system.restore_state(decode_payload(entry.blob,
+                                                     rung["key"]))
             if entry.history is None:
-                entry.history = (len(self.recorder),
-                                 events_to_history(self.recorder.events()))
+                # A canonical live run that has not reached the rung has
+                # recorded a prefix of the rung's trace: the rung's
+                # history extends the live one, sharing its events.
+                count, history = 0, []
+                if live is not None and live[0] <= len(self.recorder):
+                    count, history = live
+                entry.history = (len(self.recorder), history
+                                 + events_to_history(
+                                     self.recorder.events(count)))
             self._history = entry.history
         self._done = self.system.launch()
 
@@ -552,16 +546,15 @@ def profile_cell(spec: TrialSpec) -> RunProfile:
 
 def profile_cell_seeding(spec: TrialSpec) -> RunProfile:
     """:func:`profile_cell`, additionally seeding this process's rung
-    cache with the payloads the canonical run just captured.
-    Campaigns profile through this so trials that land in the profiling
-    process restore without ever re-reading the store."""
+    cache with the bytes the canonical run just stored.  Campaigns
+    profile through this so trials that land in the profiling process
+    restore without ever re-reading the store."""
     profile, ladder = _profile_cell(spec, keep_rungs=True)
-    # Rungs are captured only with a store, so every one has a key.
-    # Popping frees the live captures now, not at the run's collection.
+    # Rungs are captured only with a store, so every one has its key
+    # and bytes.
     for rung in ladder.rungs if ladder is not None else ():
-        payload = rung.pop("payload")
         if rung["key"] not in _RUNG_CACHE:
-            _admit_rung(rung["key"], _private_copy(payload))
+            _admit_rung(rung["key"], rung["blob"])
     return profile
 
 
@@ -621,7 +614,7 @@ def verify_cell(spec: TrialSpec) -> Dict:
         check = {"rung": rung["rung"], "cycle": rung["cycle"]}
         checks.append(check)
         try:
-            payload = store.get(rung["key"])
+            payload = decode_payload(store.get(rung["key"]), rung["key"])
         except SnapshotError as exc:
             check.update(fingerprint_ok=False, error=str(exc))
             continue

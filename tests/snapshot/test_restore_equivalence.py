@@ -80,8 +80,11 @@ def test_capture_subset_changes_nothing(design):
 def test_restored_payload_fingerprint_matches_recorded():
     """A payload kept in memory still fingerprints as it did at capture
     after the run went on: ``capture_state`` aliases no live state, on
-    any design or workload.  Decoded rungs are shared by every cell in
-    a process, so an aliasing capture would corrupt all of them."""
+    any design or workload.  The crash-state checker restores such
+    payloads as they are, cycle after cycle, so an aliasing capture
+    would corrupt every later restore (``test_capture_contract.py``
+    checks the other direction: writes to a capture never reach the
+    machine)."""
     from repro.snapshot import fingerprint_state
     for design in DESIGNS:
         for workload in WORKLOADS:

@@ -1,4 +1,9 @@
-"""SnapshotStore: content addressing, atomicity, corruption, LRU cap."""
+"""SnapshotStore: content addressing, atomicity, corruption, LRU cap.
+
+The store deals in bytes.  These tests store payloads through
+:class:`PayloadStore`, which encodes and decodes with the codec the
+ladder uses, so each property is checked on the bytes a ladder writes.
+"""
 
 import os
 import pickle
@@ -7,11 +12,23 @@ import time
 import pytest
 
 from repro.snapshot import SnapshotError, SnapshotStore
+from repro.snapshot.store import decode_payload, encode_payload
+
+
+class PayloadStore(SnapshotStore):
+    """The store with ``put``/``get`` taking and giving payloads, through
+    :func:`encode_payload` and :func:`decode_payload`."""
+
+    def put(self, payload):
+        return super().put(encode_payload(payload))
+
+    def get(self, key):
+        return decode_payload(super().get(key), key)
 
 
 @pytest.fixture
 def store(tmp_path):
-    return SnapshotStore(str(tmp_path / "snaps"))
+    return PayloadStore(str(tmp_path / "snaps"))
 
 
 class TestContentAddressing:
@@ -68,10 +85,15 @@ class TestCorruption:
         with pytest.raises(SnapshotError, match="unpicklable"):
             store.put({"fn": lambda: None})
 
+    def test_get_returns_the_verified_bytes(self, store):
+        blob = encode_payload({"cycle": 9})
+        key = SnapshotStore.put(store, blob)
+        assert SnapshotStore.get(store, key) == blob
+
 
 class TestLRUCap:
     def test_cap_evicts_oldest(self, tmp_path):
-        store = SnapshotStore(str(tmp_path))
+        store = PayloadStore(str(tmp_path))
         first = store.put({"n": 1, "pad": list(range(100))})
         # Cap fits one object but not two; age the first so mtime
         # ordering is unambiguous even on coarse filesystems.
@@ -118,7 +140,7 @@ class TestEveryReadChecksTheHash:
             store.get(key)
 
     def test_disk_eviction_makes_a_read_object_unavailable(self, tmp_path):
-        store = SnapshotStore(str(tmp_path))
+        store = PayloadStore(str(tmp_path))
         first = store.put({"n": 1, "pad": list(range(100))})
         store.get(first)
         store.max_bytes = store.total_bytes() + 10

@@ -9,6 +9,7 @@ descending, and shuffled with repeats through one cell.  It also pins
 the mechanism: which starts are taken and what each one costs.
 """
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -225,6 +226,39 @@ def test_each_rung_prefix_is_converted_once_per_process(monkeypatch,
             conversions.setdefault(restored, 0)
     assert len(conversions) > 1
     assert set(conversions.values()) == {1}, conversions
+
+
+def test_every_cached_rung_is_its_stored_bytes(tmp_path):
+    # Seeded entries hold the bytes the profiling run wrote, read
+    # entries the bytes the store returned: either way the entry is
+    # immutable bytes named by their own sha256, decoded per restore.
+    spec, cycles = make_cell("laddered", "power-cut", tmp_path,
+                             profile_with=profile_cell_seeding)
+    seeded = len(_RUNG_CACHE)
+    assert seeded > 2
+    evicted = list(_RUNG_CACHE)[::2]
+    for key in evicted:
+        del _RUNG_CACHE[key]
+    for order in orders(cycles).values():
+        serve(spec, order)
+    assert set(evicted) <= set(_RUNG_CACHE)
+    for key, entry in _RUNG_CACHE.items():
+        assert type(entry.blob) is bytes
+        assert hashlib.sha256(entry.blob).hexdigest() == key
+
+
+def test_an_ascending_cell_shares_one_history(tmp_path):
+    # Each rung the ascending live run catches up with extends the live
+    # run's history: the cache holds one set of HistoryEvents, not one
+    # per rung.
+    spec, cycles = make_cell("laddered", "power-cut", tmp_path,
+                             profile_with=profile_cell_seeding)
+    serve(spec, sorted(cycles))
+    histories = [entry.history[1] for entry in _RUNG_CACHE.values()
+                 if entry.history is not None]
+    assert len(histories) > 2
+    distinct = {id(event) for history in histories for event in history}
+    assert len(distinct) <= max(map(len, histories))
 
 
 def test_a_two_rung_cache_changes_no_outcome(monkeypatch, tmp_path):
