@@ -6,8 +6,9 @@ behaviours the paper's comparison is sensitive to:
 
 * compute batches into a single timeout (an 8-wide OoO core is far from
   memory-bound on ALU work);
-* loads block for their cache/PM latency (hits are synchronous, PM
-  misses yield an event);
+* loads cost their cache latency; PM misses overlap up to the MSHR
+  budget (memory-level parallelism) and are settled at lock and FASE
+  boundaries;
 * stores, CLWBs and SFENCEs occupy store-queue entries; a full queue
   stalls the core (§8.2.1);
 * fences stall for whatever the active design says;
@@ -86,10 +87,6 @@ class Core:
     def _loads_settled(self, now: int) -> int:
         """Time by which every outstanding PM-miss load has returned."""
         return self._misses.drain_complete_time(now)
-
-    def _count_stale(self, event) -> None:
-        if event.value.stale:
-            self.stats.add("stale_loads")
 
     # ------------------------------------------------------------ main loop
 
@@ -239,12 +236,13 @@ class Core:
                 accept = store_queue.push(t, done - t)
                 delay += max(1, accept - t)
             elif kind is Ld:
-                result = hierarchy.load(core_id, op.addr, t)
-                if result.event is None:
+                result = hierarchy.load(core_id, op.addr, t, stats)
+                if result.level != "pm":
                     delay = result.done - env.now
                 else:
                     # PM miss: overlap it (MLP) instead of blocking; the
-                    # fill happens via the event's callback at `done`.
+                    # fill lands at `done` and counts a stale load in
+                    # this core's stats.
                     stats["pm_loads"] = stats_get("pm_loads", 0) + 1
                     accept = self._misses.push(t, result.done)
                     if accept > t:
@@ -252,7 +250,6 @@ class Core:
                             stats_get("mlp_stall_cycles", 0)
                             + (accept - t))
                     delay += max(1, accept - t)
-                    result.event.add_callback(self._count_stale)
             elif kind is MirrorOld:
                 runtime.log_write(core_id, op.addr,
                                   image.read(op.addr))

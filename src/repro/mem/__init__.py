@@ -9,7 +9,7 @@ from .cache import (
     CacheLine,
     EvictedLine,
 )
-from .hierarchy import CacheHierarchy, LoadResult, MemoryImage
+from .hierarchy import CacheHierarchy, LoadResult, MemoryImage, PMLoad
 from .interconnect import (
     FlushPath,
     LockNetwork,
@@ -25,5 +25,5 @@ __all__ = [
     "Cache", "CacheHierarchy", "CacheLine", "EXCLUSIVE", "EvictedLine",
     "FlushPath", "INVALID", "LoadResult", "LockNetwork", "MODIFIED",
     "MemoryImage", "PMCComplex", "PMCPolicy", "PMController", "PMDevice",
-    "PersistMessage", "PersistPath", "SHARED", "SpecIdCounter",
+    "PMLoad", "PersistMessage", "PersistPath", "SHARED", "SpecIdCounter",
 ]

@@ -4,9 +4,9 @@ LLC, with MESI-lite coherence and write-back/write-allocate policy.
 Timing conventions
 ------------------
 * **Loads** return a :class:`LoadResult`; cache hits are fully
-  synchronous (``result.event is None``), LLC misses hand back an event
-  that fires when the PM controller's read completes.  The value a PM
-  miss returns is the *persisted* content at arrival time -- this is how
+  synchronous, LLC misses hand back a :class:`PMLoad` that the PM
+  controller's read fills when it completes.  The value a PM miss
+  returns is the *persisted* content at arrival time -- this is how
   stale reads (PM load misspeculation, §5.1) manifest.
 * **Stores** are computed synchronously: state is mutated immediately
   and a completion time is returned; the store queue in
@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 
 from ..config import SystemConfig
 from ..isa import block_of
-from ..sim import Counter, Environment, Event
+from ..sim import Counter, Environment
 from .cache import EXCLUSIVE, MODIFIED, SHARED, Cache, EvictedLine
 from .interconnect import FlushPath
 from .pm_controller import PMController
@@ -55,18 +55,110 @@ class MemoryImage:
 
 
 class LoadResult:
-    """Outcome of a load: synchronous (value/done) or event-completed."""
+    """Outcome of a load.  A cache hit is complete when returned; a PM
+    miss (``level == "pm"``) is a :class:`PMLoad`, whose ``value`` and
+    ``stale`` are set when its fill lands at ``done``."""
 
-    __slots__ = ("value", "done", "event", "level", "stale")
+    __slots__ = ("value", "done", "level", "stale")
 
     def __init__(self, value: Optional[int] = None, done: int = 0,
-                 event: Optional[Event] = None, level: str = "l1",
-                 stale: bool = False):
+                 level: str = "l1", stale: bool = False):
         self.value = value
         self.done = done
-        self.event = event
         self.level = level
         self.stale = stale
+
+
+class PMLoad(LoadResult):
+    """A load that missed to PM: the hierarchy's fill record for it,
+    and the load's result once filled.
+
+    :meth:`PMController.read_block` calls it with the block contents
+    at the read's completion; it fills the caches, then queues itself
+    for the result's hop at ``done``, where a stale load is counted in
+    ``sink``.  No :class:`~repro.sim.Event` is made: nobody waits on a
+    miss (the core overlaps it and settles its ``done`` at lock and
+    FASE boundaries).  The result hop is a push of its own because the
+    queue's push count is part of every snapshot payload and of the
+    pinned simulation digests.
+    """
+
+    __slots__ = ("hierarchy", "core_id", "addr", "arch_at_issue", "sink")
+
+    def __init__(self, hierarchy: "CacheHierarchy", core_id: int,
+                 addr: int, arch_at_issue: int,
+                 sink: Optional[Counter]):
+        self.value = None
+        self.done = 0
+        self.level = "pm"
+        self.stale = False
+        self.hierarchy = hierarchy
+        self.core_id = core_id
+        self.addr = addr
+        self.arch_at_issue = arch_at_issue
+        self.sink = sink
+
+    def __call__(self, content: Optional[Dict[int, int]] = None,
+                 done: int = 0) -> None:
+        if content is None:
+            # The result hop, queued by the fill below.
+            sink = self.sink
+            if self.stale and sink is not None:
+                sink["stale_loads"] = sink.get("stale_loads", 0) + 1
+            return
+        hierarchy = self.hierarchy
+        core_id = self.core_id
+        addr = self.addr
+        block = block_of(addr)
+        value = content.get(addr, 0)
+        # Stale means the PM returned an *old* value: different from
+        # what a race-free reader expected at issue AND not simply the
+        # fresh value of a store whose persist landed before this
+        # read's (queue-delayed) arrival at the controller.
+        stale = (value != self.arch_at_issue
+                 and value != hierarchy.image.read(addr))
+        if stale:
+            stats = hierarchy.stats
+            stats["stale_reads"] = stats.get("stale_reads", 0) + 1
+        # A store may have write-allocated this block while the fetch
+        # was in flight, or an earlier miss filled it; never clobber
+        # newer cached data -- only add words the caches do not have
+        # yet (usually none: the key-view test skips the word loop).
+        existing = hierarchy.llc.lookup(block, touch=False)
+        if existing is None:
+            llc_victim = hierarchy.llc.insert(block, dict(content),
+                                              EXCLUSIVE)
+            if llc_victim is not None:
+                hierarchy._retire_llc_victim(llc_victim, done)
+        elif not content.keys() <= existing.data.keys():
+            for word_addr, word_value in content.items():
+                existing.data.setdefault(word_addr, word_value)
+        l1s = hierarchy.l1s
+        l1_line = l1s[core_id].lookup(block, touch=False)
+        if l1_line is None:
+            owner = hierarchy._other_modified_owner(core_id, block)
+            if owner is not None:
+                # A store write-allocated the block (MODIFIED) while
+                # the fetch was in flight: fill from the peer's data,
+                # c2c-style, so the caches stay coherent even though
+                # the load's returned value is the (possibly stale)
+                # PM content.
+                peer = l1s[owner].lookup(block, touch=False)
+                data = dict(peer.data)
+                l1s[owner].downgrade(block, SHARED)
+                hierarchy._merge_into_llc(block, data, dirty=True,
+                                          now=done)
+                hierarchy._fill_l1(core_id, block, data, SHARED, done)
+            else:
+                shared = hierarchy._snoop_downgrade_peers(core_id, block)
+                hierarchy._fill_l1(core_id, block, dict(content),
+                                   SHARED if shared else EXCLUSIVE, done)
+        elif not content.keys() <= l1_line.data.keys():
+            for word_addr, word_value in content.items():
+                l1_line.data.setdefault(word_addr, word_value)
+        self.value = value
+        self.stale = stale
+        hierarchy.env.schedule_at(done, self)
 
 
 class CacheHierarchy:
@@ -217,7 +309,11 @@ class CacheHierarchy:
 
     # ----------------------------------------------------------------- load
 
-    def load(self, core_id: int, addr: int, now: int) -> LoadResult:
+    def load(self, core_id: int, addr: int, now: int,
+             sink: Optional[Counter] = None) -> LoadResult:
+        """Load ``addr`` for ``core_id``; a PM miss returns a
+        :class:`PMLoad` that completes at its ``done`` and, if the value
+        it returns is stale, bumps ``sink["stale_loads"]``."""
         block = block_of(addr)
         stats = self.stats
         l1 = self.l1s[core_id]
@@ -248,62 +344,12 @@ class CacheHierarchy:
                               level="llc")
         # PM access (regular path read).
         stats["pm_reads"] = stats.get("pm_reads", 0) + 1
-        pm_event, est_done = self.pmc.read_block(block, t)
-        result_event = self.env.event()
         # Stale-read accounting compares against the architectural value
         # a race-free reader should observe *when the load issues*; later
         # same-thread stores must not be mistaken for staleness.
-        arch_at_issue = self.image.read(addr)
-
-        def on_fill(event: Event) -> None:
-            content, done = event.value
-            value = content.get(addr, 0)
-            # Stale means the PM returned an *old* value: different from
-            # what a race-free reader expected at issue AND not simply the
-            # fresh value of a store whose persist landed before this
-            # read's (queue-delayed) arrival at the controller.
-            stale = (value != arch_at_issue
-                     and value != self.image.read(addr))
-            if stale:
-                stats["stale_reads"] = stats.get("stale_reads", 0) + 1
-            # A store may have write-allocated this block while the fetch
-            # was in flight; never clobber newer cached data -- only add
-            # words the caches do not have yet.
-            existing = self.llc.lookup(block, touch=False)
-            if existing is None:
-                llc_victim = self.llc.insert(block, dict(content),
-                                             EXCLUSIVE)
-                if llc_victim is not None:
-                    self._retire_llc_victim(llc_victim, done)
-            else:
-                for word_addr, word_value in content.items():
-                    existing.data.setdefault(word_addr, word_value)
-            l1_line = self.l1s[core_id].lookup(block, touch=False)
-            if l1_line is None:
-                owner = self._other_modified_owner(core_id, block)
-                if owner is not None:
-                    # A store write-allocated the block (MODIFIED) while
-                    # the fetch was in flight: fill from the peer's data,
-                    # c2c-style, so the caches stay coherent even though
-                    # the load's returned value is the (possibly stale)
-                    # PM content.
-                    peer = self.l1s[owner].lookup(block, touch=False)
-                    data = dict(peer.data)
-                    self.l1s[owner].downgrade(block, SHARED)
-                    self._merge_into_llc(block, data, dirty=True, now=done)
-                    self._fill_l1(core_id, block, data, SHARED, done)
-                else:
-                    shared = self._snoop_downgrade_peers(core_id, block)
-                    self._fill_l1(core_id, block, dict(content),
-                                  SHARED if shared else EXCLUSIVE, done)
-            else:
-                for word_addr, word_value in content.items():
-                    l1_line.data.setdefault(word_addr, word_value)
-            result_event.succeed(LoadResult(value=value, done=done,
-                                            level="pm", stale=stale))
-
-        pm_event.add_callback(on_fill)
-        return LoadResult(event=result_event, done=est_done)
+        load = PMLoad(self, core_id, addr, self.image.read(addr), sink)
+        load.done = self.pmc.read_block(block, t, load)
+        return load
 
     # ---------------------------------------------------------------- store
 

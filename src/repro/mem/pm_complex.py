@@ -84,8 +84,8 @@ class PMCComplex:
 
     # ------------------------------------------------- PMC-compatible API
 
-    def read_block(self, block: int, now: int):
-        return self.controller_of(block).read_block(block, now)
+    def read_block(self, block: int, now: int, fill=None) -> int:
+        return self.controller_of(block).read_block(block, now, fill)
 
     def accept_writeback(self, block_addr: int, data, arrival: int) -> int:
         block = block_addr >> 6

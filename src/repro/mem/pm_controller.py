@@ -17,9 +17,9 @@ through a :class:`PMCPolicy`:
   arrival into the speculation buffer's automaton.
 
 All policy hooks run at message *arrival time* in global time order (the
-controller schedules them on the event heap), which is what makes the
-``WriteBack - Read - Persist`` misspeculation pattern detectable exactly
-as in Figure 5.
+controller queues one slotted record per message, which calls its hook
+at the message's cycle), which is what makes the ``WriteBack - Read -
+Persist`` misspeculation pattern detectable exactly as in Figure 5.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..config import SystemConfig
-from ..sim import CapacityQueue, Counter, Environment, Event
+from ..sim import CapacityQueue, Counter, Environment
 from .interconnect import PersistMessage
 from .pm_device import PMDevice
 
@@ -65,6 +65,73 @@ class PMCPolicy:
 
     def restore_state(self, state: dict) -> None:
         pass
+
+
+class _PMRead:
+    """One regular-path PM read in flight: the controller's only queue
+    item for it, queued three times.
+
+    At arrival it runs the policy's read hook and takes the block's
+    persisted contents; at ``done`` it queues itself once more, for the
+    completion's own hop; on that hop it hands the contents to
+    ``fill``.  A read without a fill (a store's write-allocate fetch)
+    takes every hop too, so every read costs the same three pushes: the
+    queue's push count is part of every snapshot payload and of the
+    pinned simulation digests.
+    """
+
+    __slots__ = ("pmc", "block", "done", "fill", "content", "hops")
+
+    def __init__(self, pmc: "PMController", block: int, done: int, fill):
+        self.pmc = pmc
+        self.block = block
+        self.done = done
+        self.fill = fill
+        self.content = None
+        self.hops = 0
+
+    def __call__(self) -> None:
+        hops = self.hops = self.hops + 1
+        if hops == 1:
+            pmc = self.pmc
+            pmc.policy.on_read(self.block, pmc.env.now)
+            if self.fill is not None:
+                self.content = pmc.device.block_content(self.block)
+        elif hops == 2:
+            self.pmc.env.schedule_at(self.done, self)
+        elif self.fill is not None:
+            self.fill(self.content, self.done)
+
+
+class _WritebackArrival:
+    """A writeback reaching the policy at its acceptance cycle."""
+
+    __slots__ = ("policy", "block_addr", "data", "when")
+
+    def __init__(self, policy: PMCPolicy, block_addr: int,
+                 data: Dict[int, int], when: int):
+        self.policy = policy
+        self.block_addr = block_addr
+        self.data = data
+        self.when = when
+
+    def __call__(self) -> None:
+        self.policy.on_writeback(self.block_addr, self.data, self.when)
+
+
+class _PersistArrival:
+    """A persist-path message reaching the policy at its acceptance
+    cycle."""
+
+    __slots__ = ("policy", "msg", "when")
+
+    def __init__(self, policy: PMCPolicy, msg: PersistMessage, when: int):
+        self.policy = policy
+        self.msg = msg
+        self.when = when
+
+    def __call__(self) -> None:
+        self.policy.on_persist(self.msg, self.when)
 
 
 class PMController:
@@ -124,14 +191,15 @@ class PMController:
 
     # ---------------------------------------------------------------- reads
 
-    def read_block(self, block: int, now: int):
-        """Fetch a block from PM for the regular path.
+    def read_block(self, block: int, now: int, fill=None) -> int:
+        """Fetch a block from PM for the regular path; returns ``done``.
 
-        Returns ``(event, done)``: the event fires at ``done`` with the
-        block contents *as persisted at arrival time* -- the stale-read
-        semantics of §5.1: a value still in flight on the persist path is
-        not visible.  ``done`` is exposed synchronously so the core can
-        model memory-level parallelism without blocking on the event.
+        ``fill(content, done)``, when given, runs at ``done`` with the
+        block contents *as persisted at arrival time* (a fresh dict the
+        callee may keep) -- the stale-read semantics of §5.1: a value
+        still in flight on the persist path is not visible.  ``done`` is
+        returned synchronously so the core can model memory-level
+        parallelism without waiting on the read.
         """
         stats = self.stats
         stats["reads"] = stats.get("reads", 0) + 1
@@ -146,17 +214,10 @@ class PMController:
             # at the same time the policy observes them.
             self.env.trace.instant(self.TRACE_TRACK, "pm-read", accept,
                                    args={"block": block}, cat="pmc")
-        completion = self.env.event()
-        content_cell: Dict[int, int] = {}
-
-        def at_arrival() -> None:
-            self.policy.on_read(block, self.env.now)
-            content_cell.update(self.device.block_content(block))
-
-        self.env.call_at(accept, at_arrival)
-        self.env.call_at(done, lambda: completion.succeed(
-            (dict(content_cell), done)))
-        return completion, done
+        read = _PMRead(self, block, done, fill)
+        self.env.schedule_at(accept, read)
+        self.env.schedule_at(done, read)
+        return done
 
     # ----------------------------------------------------------- writebacks
 
@@ -173,10 +234,8 @@ class PMController:
                 args={"block": block_addr >> 6}, cat="pmc")
         if self.env.metrics.enabled:
             self._observe_wpq(arrival)
-        snapshot = dict(data)
-        self.env.call_at(
-            accept, lambda: self.policy.on_writeback(
-                block_addr, snapshot, self.env.now))
+        self.env.schedule_at(accept, _WritebackArrival(
+            self.policy, block_addr, dict(data), accept))
         return accept
 
     # -------------------------------------------------------- persist path
@@ -204,8 +263,8 @@ class PMController:
                                    accept, args=args, cat="pmc")
         if self.env.metrics.enabled:
             self._observe_wpq(arrival)
-        self.env.call_at(
-            accept, lambda: self.policy.on_persist(msg, self.env.now))
+        self.env.schedule_at(accept,
+                             _PersistArrival(self.policy, msg, accept))
         return accept
 
     # -------------------------------------------------------------- helpers

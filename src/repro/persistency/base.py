@@ -160,8 +160,8 @@ class PersistLog:
         if when <= env.now:
             device.persist_store(addr, value, env.now, origin=origin)
         else:
-            env.call_at(when, lambda: device.persist_store(
-                addr, value, when, origin=origin))
+            env.schedule_at(when, _StoreLanding(device, addr, value, when,
+                                                origin))
 
     def persist_block_at(self, block_addr: int, data: Dict[int, int],
                          when: int, origin: str = "drain") -> None:
@@ -172,5 +172,34 @@ class PersistLog:
             device.persist_block(block_addr, snapshot, env.now,
                                  origin=origin)
         else:
-            env.call_at(when, lambda: device.persist_block(
-                block_addr, snapshot, when, origin=origin))
+            env.schedule_at(when, _BlockLanding(device, block_addr,
+                                                snapshot, when, origin))
+
+
+class _StoreLanding:
+    """A buffered store reaching the device at its drain cycle."""
+
+    __slots__ = ("device", "addr", "value", "when", "origin")
+
+    def __init__(self, device: "PMDevice", addr: int, value, when: int,
+                 origin: str):
+        self.device = device
+        self.addr = addr
+        self.value = value
+        self.when = when
+        self.origin = origin
+
+    def __call__(self) -> None:
+        self.device.persist_store(self.addr, self.value, self.when,
+                                  origin=self.origin)
+
+
+class _BlockLanding(_StoreLanding):
+    """A buffered block (``value`` is its word map) reaching the device
+    at its drain cycle."""
+
+    __slots__ = ()
+
+    def __call__(self) -> None:
+        self.device.persist_block(self.addr, self.value, self.when,
+                                  origin=self.origin)

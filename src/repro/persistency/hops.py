@@ -95,6 +95,19 @@ class HOPSPMCPolicy(DropWritebacksPolicy):
         self.conflicts = state["conflicts"]
 
 
+class _BloomClear:
+    """A persist-buffer line leaving the bloom filter as it drains."""
+
+    __slots__ = ("bloom", "block")
+
+    def __init__(self, bloom: CountingBloom, block: int):
+        self.bloom = bloom
+        self.block = block
+
+    def __call__(self) -> None:
+        self.bloom.remove(self.block)
+
+
 class HOPS(Design):
     """Epoch persistency with ofence/dfence and PMC-side bloom filter."""
 
@@ -170,8 +183,8 @@ class HOPS(Design):
                 self.bloom.insert(block)
                 env = self.system.env
                 remove_at = max(drained, env.now)
-                env.call_at(remove_at,
-                            lambda b=block: self.bloom.remove(b))
+                env.schedule_at(remove_at,
+                                _BloomClear(self.bloom, block))
             if drained < self._fifo_drain[core_id]:
                 drained = self._fifo_drain[core_id]
             self._fifo_drain[core_id] = drained

@@ -10,7 +10,9 @@ is a deliberately small re-implementation of the SimPy programming model:
 * :meth:`Environment.timeout` produces delay events, :meth:`Environment.event`
   produces manually-triggered ones, and :class:`AllOf` joins several,
 * :meth:`Environment.schedule_at` is the allocation-free fast path: it fires
-  a bare callback at an absolute cycle without creating an :class:`Event`.
+  a bare callback at an absolute cycle without creating an :class:`Event`,
+* :meth:`Environment.abandon` gives up a launched run that was cut
+  mid-flight, so that reference counting can free it.
 
 Simulated time is a plain integer.  Throughout the repository one time
 unit is one CPU cycle at 2 GHz (0.5 ns) -- see
@@ -322,6 +324,37 @@ class Environment:
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         return Process(self, generator, name=name)
 
+    def abandon(self, launch: Event) -> None:
+        """Give up a launched run for good.
+
+        ``launch`` is a :class:`Process`, or an :class:`AllOf` joining
+        processes (``System.launch``'s all-done event).  Each process's
+        generator is closed, so its frame lets go of the event it waits
+        on; the callbacks waiting on the processes and on ``launch`` are
+        dropped, and none of them will fire; the queue is emptied, since
+        every pending item belongs to the run given up.  The clock
+        stays: restore a state into the environment, or drop it.
+
+        A run cut mid-flight is otherwise a web of cycles (process ->
+        generator -> frame -> awaited event -> the process's resume
+        callback; process -> join callback -> join -> process; queued
+        event -> environment -> queue) left for the cyclic collector.
+        After this call, reference counting frees it.
+        """
+        events = [launch]
+        if isinstance(launch, AllOf):
+            events += launch._children
+            launch._children = []
+        for event in events:
+            if isinstance(event, Process):
+                event._generator.close()
+            if not event._triggered:
+                # Marked scheduled: a stray wakeup of a closed process
+                # finishes its generator but never fires the process.
+                event._scheduled = True
+                event.callbacks = []
+        self._empty_queue()
+
     # ------------------------------------------------------------ the loop
 
     def peek(self) -> Optional[int]:
@@ -438,9 +471,13 @@ class Environment:
         # The push counter is not architectural state; restoring it is
         # about byte-identical snapshots of the replayed run.
         self._sequence = state["sequence"]
-        # Reset the queue *and* the drain cursor (it keeps the bucket of
-        # the last drained cycle): callbacks registered after the restore
-        # re-arm against an empty queue at the restored ``now``.
+        # Callbacks registered after the restore re-arm against an empty
+        # queue at the restored ``now``.
+        self._empty_queue()
+
+    def _empty_queue(self) -> None:
+        """Drop every pending item and reset the drain cursor (it keeps
+        the bucket of the last drained cycle)."""
         self._buckets = {}
         self._cycles = []
         self._drain = []

@@ -135,7 +135,7 @@ def _encode(obj: Any, out: bytearray) -> None:
                     _encode(value, out)
             return
         for key in sorted(obj, key=_key_order):
-            if type(key) is str:
+            if isinstance(key, str):
                 body = key.encode("utf-8")
                 out += b"s%d:" % len(body) + body
             else:

@@ -349,10 +349,12 @@ class _ResidentCell:
                       if spec.snapshot_every and spec.snapshot_dir
                       else None)
         self.index_name = _cell_index_name(spec)
-        # The live run; ``_done`` (its launch's all-done event) is None
-        # until a run starts and once it leaves the canonical trajectory.
+        # The live run: ``_launch`` is its all-done event (None until a
+        # run starts), ``_canonical`` whether it is still on the
+        # canonical trajectory.
         self.workload = self.system = self.fault = self.recorder = None
-        self._done = None
+        self._launch = None
+        self._canonical = False
         # (events converted, oracle history) of the live run's prefix.
         self._history: Tuple[int, list] = (0, [])
         self._rungs: Optional[List[Dict]] = None
@@ -407,7 +409,8 @@ class _ResidentCell:
         Same order as :func:`run_trial`: arm the fault, then restore."""
         # The live run's converted history, while it is on the canonical
         # trajectory (every trial converts it up to its cut).
-        live = self._history if self._done is not None else None
+        live = self._history if self._canonical else None
+        self.close()
         if rung is None or self.system is None:
             self.workload, self.system, self.fault, self.recorder, _ = \
                 _build(spec, index_name=self.index_name)
@@ -431,7 +434,17 @@ class _ResidentCell:
                                  + events_to_history(
                                      self.recorder.events(count)))
             self._history = entry.history
-        self._done = self.system.launch()
+        self._launch = self.system.launch()
+        self._canonical = True
+
+    def close(self) -> None:
+        """Abandon the live run's launch, so that a restore into its
+        system, or dropping it, frees the run by reference counting
+        instead of leaving its processes to the cyclic collector."""
+        if self._launch is not None:
+            self.system.env.abandon(self._launch)
+            self._launch = None
+            self._canonical = False
 
     def _live_history(self) -> list:
         """The live run's oracle history, converting only the events
@@ -447,7 +460,7 @@ class _ResidentCell:
         rung, source = ((None, "cold") if self.store is None
                         else self._restore_payload(spec))
         restored_from = rung["cycle"] if rung is not None else None
-        if (self._done is not None
+        if (self._canonical
                 and (restored_from or 0) <= self.system.env.now
                 <= spec.crash_cycle):
             source = "forward"
@@ -463,9 +476,9 @@ class _ResidentCell:
                      rung_cycle=restored_from,
                      rung=rung["rung"] if rung is not None else None,
                      source=source, **fields)
-        horizon = _cut(self.system, self.fault, spec, self._done)
+        horizon = _cut(self.system, self.fault, spec, self._launch)
         if not _keeps_running(self.fault):
-            self._done = None
+            self._canonical = False
         return _judge(spec, self.workload, self.system, self.fault,
                       self._live_history(), horizon, restored_from)
 
@@ -493,10 +506,17 @@ def _resident_cell(spec: TrialSpec) -> _ResidentCell:
         cell = _ResidentCell(spec)
         _RESIDENT_CELLS[key] = cell
         while len(_RESIDENT_CELLS) > _RESIDENT_CELL_CAP:
-            _RESIDENT_CELLS.popitem(last=False)
+            _RESIDENT_CELLS.popitem(last=False)[1].close()
     else:
         _RESIDENT_CELLS.move_to_end(key)
     return cell
+
+
+def _evict_resident(spec: TrialSpec) -> None:
+    """Drop ``spec``'s resident cell, abandoning its live run."""
+    cell = _RESIDENT_CELLS.pop(_resident_key(spec), None)
+    if cell is not None:
+        cell.close()
 
 
 def run_trial_batch(specs: Sequence[TrialSpec]) -> List[Dict]:
@@ -517,12 +537,12 @@ def run_trial_batch(specs: Sequence[TrialSpec]) -> List[Dict]:
         try:
             outcomes.append(_resident_cell(spec).run_trial(spec))
         except SnapshotError as exc:
-            _RESIDENT_CELLS.pop(_resident_key(spec), None)
+            _evict_resident(spec)
             log.warning("resident trial failed (%s); re-running cold",
                         exc)
             outcomes.append(run_trial(spec))
         except BaseException:
-            _RESIDENT_CELLS.pop(_resident_key(spec), None)
+            _evict_resident(spec)
             raise
     return outcomes
 
@@ -941,8 +961,7 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
     # Every round is served: free this process's live runs before
     # shrinking and the crash-states pass build runs of their own.
     for workload, design in cells:
-        _RESIDENT_CELLS.pop(_resident_key(base_spec(workload, design)),
-                            None)
+        _evict_resident(base_spec(workload, design))
 
     cell_reports: List[Dict] = []
     for workload, design in cells:

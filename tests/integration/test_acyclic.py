@@ -114,3 +114,42 @@ def test_profiling_a_laddered_cell_frees_its_system(built, tmp_path):
     assert list((tmp_path / "objects").iterdir()), "no rung was stored"
     del profile
     assert_freed(built, 1)
+
+
+def test_a_resident_restart_frees_the_abandoned_launch(monkeypatch,
+                                                       tmp_path):
+    """A campaign cell that restores a rung into its live system, or
+    rebuilds it, abandons the launch it was driving: with the collector
+    off, every core generator of every abandoned launch must be gone
+    once the pass ends (the campaign-ladder benchmark's inputs)."""
+    from repro.validation import campaign
+
+    latest, abandoned = {}, []
+    launch, restart = System.launch, campaign._ResidentCell._restart
+
+    def recording_launch(self):
+        done = launch(self)
+        latest[id(self)] = [weakref.ref(process._generator)
+                            for process in done.children]
+        return done
+
+    def recording_restart(self, spec, rung):
+        if self.system is not None:
+            abandoned.extend(latest.pop(id(self.system), ()))
+        restart(self, spec, rung)
+
+    monkeypatch.setattr(System, "launch", recording_launch)
+    monkeypatch.setattr(campaign._ResidentCell, "_restart",
+                        recording_restart)
+    gc.collect()
+    gc.disable()
+    try:
+        report = campaign.run_campaign(
+            workloads=["hashmap", "queue"], designs=["PMEM-Spec", "IntelX86"],
+            budget=40, seed=42, fases_per_thread=120, snapshot_rungs=16,
+            batch=10, snapshot_dir=str(tmp_path))
+        assert abandoned, "no trial restarted a live run"
+        assert [ref for ref in abandoned if ref() is not None] == []
+    finally:
+        gc.enable()
+    assert report.fingerprint()[:16] == "9a27880ffcfc1e10"

@@ -73,3 +73,34 @@ def test_fig9_grid_with_fresh_builds(monkeypatch):
             system = build_spec_system(spec)
             records.append(_cell_record(spec, system, system.run()))
     assert _digest(records) == PINNED_DIGEST
+
+
+# The Figure 9 grid reaches neither ``PMCComplex.read_block`` nor
+# StrandWeaver's block drains, so a second digest pins the cells that
+# do: StrandWeaver on one controller and every Figure 9 design on two
+# block-interleaved controllers, over all eight benchmarks (40 cells),
+# each with a fresh build.
+PINNED_EXTRA_DIGEST = (
+    "40702abe74ffc56483c99a0e6283edb899d339e7f11967a394570a96b30ab830")
+
+EXTRA_CELLS = (("StrandWeaver", {}),) + tuple(
+    (design, {"n_pm_controllers": 2}) for design in DESIGNS)
+
+
+def test_strandweaver_and_two_controller_cells(monkeypatch):
+    from repro.harness.experiments import _fases
+    records = []
+    for benchmark in BENCHMARK_ORDER:
+        for design, overrides in EXTRA_CELLS:
+            monkeypatch.setattr(sweep_module, "_LAST_BUILT", None,
+                                raising=False)
+            spec = RunSpec(benchmark=benchmark, design=design,
+                           n_threads=THREADS, seed=SEED,
+                           fases_per_thread=_fases(benchmark, SCALE),
+                           config_overrides=overrides)
+            system = build_spec_system(spec)
+            record = _cell_record(spec, system, system.run())
+            record[1] += f"/pmcs={system.config.n_pm_controllers}"
+            records.append(record)
+    assert len(records) == len(BENCHMARK_ORDER) * len(EXTRA_CELLS)
+    assert _digest(records) == PINNED_EXTRA_DIGEST

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.config import table3_config
-from repro.mem import CacheHierarchy, MemoryImage, PMController, PMDevice
+from repro.mem import (CacheHierarchy, MemoryImage, PMController, PMDevice,
+                       PMLoad)
 from repro.sim import Environment
 
 
@@ -18,18 +19,11 @@ def make_system(initial=None, **overrides):
 
 
 def run_load(env, hier, core, addr, now=0):
-    """Drive one load to completion; returns the LoadResult."""
-    out = []
-
-    def proc():
-        res = hier.load(core, addr, now)
-        if res.event is not None:
-            res = yield res.event
-        out.append(res)
-
-    env.process(proc())
+    """Drive one load to completion; returns the LoadResult (a PM miss's
+    :class:`PMLoad` is filled in by then)."""
+    res = hier.load(core, addr, now)
     env.run()
-    return out[0]
+    return res
 
 
 class TestLoadPath:
@@ -45,7 +39,7 @@ class TestLoadPath:
         env, config, hier = make_system({0x40: 5})
         run_load(env, hier, 0, 0x40)
         res = hier.load(0, 0x40, 1000)
-        assert res.event is None
+        assert not isinstance(res, PMLoad)
         assert res.level == "l1"
         assert res.value == 5
         assert res.done == 1000 + config.ns(config.l1_hit_ns)
@@ -55,7 +49,7 @@ class TestLoadPath:
         run_load(env, hier, 0, 0x40)
         # Core 1 misses its L1 but the inclusive LLC has the block.
         res = hier.load(1, 0x40, 2000)
-        assert res.event is None
+        assert not isinstance(res, PMLoad)
         assert res.level == "llc"
         assert res.value == 5
 
@@ -63,7 +57,7 @@ class TestLoadPath:
         env, config, hier = make_system()
         hier.store(0, 0x40, 77, 0)
         res = hier.load(1, 0x40, 100)
-        assert res.event is None
+        assert not isinstance(res, PMLoad)
         assert res.level in ("c2c", "llc")
         assert res.value == 77
 
@@ -78,7 +72,7 @@ class TestStorePath:
         env, _config, hier = make_system()
         hier.store(0, 0x40, 9, 0)
         res = hier.load(0, 0x40, 10)
-        assert res.event is None
+        assert not isinstance(res, PMLoad)
         assert res.value == 9
 
     def test_store_updates_architectural_image(self):
@@ -96,7 +90,7 @@ class TestStorePath:
         env, _config, hier = make_system({0x40: 1})
         run_load(env, hier, 0, 0x40)
         res = hier.load(1, 0x40, 500)
-        assert res.event is None  # LLC hit
+        assert not isinstance(res, PMLoad)  # LLC hit
         hier.store(1, 0x40, 2, 600)
         # Core 0's copy must be gone: its next load refetches and sees 2.
         res0 = hier.load(0, 0x40, 700)

@@ -18,14 +18,11 @@ class TestReads:
         env, pmc = make_pmc(initial={0x40: 7})
         results = []
 
-        def proc():
-            content, done = yield pmc.read_block(1, env.now)[0]
-            results.append((content, done))
-
-        env.process(proc())
+        done = pmc.read_block(
+            1, env.now, lambda content, at: results.append((content, at)))
         env.run()
         config = table3_config()
-        assert results[0][1] == config.ns(config.pm_read_ns)
+        assert results[0][1] == config.ns(config.pm_read_ns) == done
         assert results[0][0] == {0x40: 7}
 
     def test_read_snapshot_taken_at_arrival(self):
@@ -34,15 +31,12 @@ class TestReads:
         env, pmc = make_pmc()
         seen = []
 
-        def reader():
-            content, _done = yield pmc.read_block(1, 0)[0]
-            seen.append(content.get(0x40, 0))
-
         def late_writer():
             yield env.timeout(50)  # after read arrival (0), before done (350)
             pmc.accept_persist(PersistMessage(0, 0x40, 99), arrival=env.now)
 
-        env.process(reader())
+        pmc.read_block(
+            1, 0, lambda content, _done: seen.append(content.get(0x40, 0)))
         env.process(late_writer())
         env.run()
         assert seen == [0]
@@ -54,8 +48,8 @@ class TestReads:
         def writer_then_reader():
             pmc.accept_persist(PersistMessage(0, 0x40, 42), arrival=0)
             yield env.timeout(10)
-            content, _ = yield pmc.read_block(1, env.now)[0]
-            seen.append(content[0x40])
+            pmc.read_block(1, env.now,
+                           lambda content, _done: seen.append(content[0x40]))
 
         env.process(writer_then_reader())
         env.run()
@@ -65,13 +59,9 @@ class TestReads:
         env, pmc = make_pmc(pmc_read_queue=2, pmc_banks=1)
         done_times = []
 
-        def proc():
-            events = [pmc.read_block(i, 0)[0] for i in range(3)]
-            for event in events:
-                _content, done = yield event
-                done_times.append(done)
-
-        env.process(proc())
+        for i in range(3):
+            pmc.read_block(
+                i, 0, lambda _content, done: done_times.append(done))
         env.run()
         read = table3_config().ns(table3_config().pm_read_ns)
         assert done_times == [read, 2 * read, 3 * read]
@@ -144,12 +134,7 @@ class TestPolicyDispatch:
         # Host call order: persist first, but with the LATEST arrival.
         pmc.accept_persist(PersistMessage(0, 0x40, 1), arrival=500)
         pmc.accept_writeback(0x40, {0x40: 0}, arrival=100)
-        event, _done = pmc.read_block(1, 200)
-
-        def proc():
-            yield event
-
-        env.process(proc())
+        pmc.read_block(1, 200)
         env.run()
         kinds = [entry[0] for entry in policy.trace]
         assert kinds == ["writeback", "read", "persist"]
@@ -159,11 +144,7 @@ class TestPolicyDispatch:
         env, pmc = make_pmc(policy=policy)
         done_holder = []
 
-        def proc():
-            _content, done = yield pmc.read_block(1, 0)[0]
-            done_holder.append(done)
-
-        env.process(proc())
+        pmc.read_block(1, 0, lambda _content, done: done_holder.append(done))
         env.run()
         base = table3_config().ns(table3_config().pm_read_ns)
         assert done_holder[0] == base + 7

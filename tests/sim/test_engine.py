@@ -305,3 +305,42 @@ def test_all_of_retains_children():
     assert joined.children == [a, b]
     env.run()
     assert joined.children == [a, b]
+
+
+def test_abandon_closes_a_cut_launch_and_frees_it():
+    import gc
+    import weakref
+
+    env = Environment()
+    gate = env.event()
+    stopped = []
+
+    def parked():
+        try:
+            yield gate          # the frame holds the event it waits on
+        finally:
+            stopped.append(env.now)
+
+    def ticking():
+        while True:
+            yield env.timeout(3)
+
+    processes = [env.process(parked()), env.process(ticking())]
+    launch = env.all_of(processes)
+    env.run(until=10)
+    generators = [weakref.ref(process._generator) for process in processes]
+    gc.collect()
+    gc.disable()
+    try:
+        env.abandon(launch)
+        assert stopped == [10]
+        assert env.peek() is None and env.pending() == 0
+        assert env.now == 10
+        gate.succeed()          # a stray wakeup fires nothing
+        env.run()
+        assert not launch.triggered
+        assert not any(process.triggered for process in processes)
+        del processes, launch, gate
+        assert [ref() for ref in generators] == [None, None]
+    finally:
+        gc.enable()

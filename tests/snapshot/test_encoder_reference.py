@@ -4,8 +4,11 @@ Every state fingerprint and pinned digest in the repo is a sha256 of
 ``canonical_bytes``, so its C-speed bulk paths (int rows and int-keyed
 maps formatted in one ``%`` call) must never change a byte.  The
 reference below is the encoder those digests were first pinned with,
-kept here verbatim; hypothesis checks the two agree byte for byte on
-random plain data, and that both reject the same bad inputs.
+kept here verbatim but for one fix both encoders share: a ``str``
+subclass dict key encodes as its string, as a ``str`` subclass value
+always has (it used to reach ``%d`` and raise ``TypeError``).
+Hypothesis checks the two agree byte for byte on random plain data, and
+that both reject the same bad inputs.
 """
 
 from typing import Any
@@ -119,7 +122,7 @@ def _encode(obj: Any, out: bytearray) -> None:
                     _encode(value, out)
             return
         for key in sorted(obj, key=_key_order):
-            if type(key) is str:
+            if isinstance(key, str):
                 body = key.encode("utf-8")
                 out += b"s%d:" % len(body) + body
             else:
@@ -169,12 +172,17 @@ class DictSub(dict):
     pass
 
 
+class StrSub(str):
+    pass
+
+
 ints = st.integers(min_value=-2 ** 70, max_value=2 ** 70)
 small_ints = st.integers(min_value=-3, max_value=3)
 
 leaves = st.one_of(
     st.none(), st.booleans(), ints, small_ints, st.floats(),
-    st.binary(max_size=6), st.text(max_size=6), ints.map(IntSub))
+    st.binary(max_size=6), st.text(max_size=6), ints.map(IntSub),
+    st.text(max_size=6).map(StrSub))
 
 #: Row shapes the bulk paths take or must decline: int pairs, equal
 #: rows of other widths, and rows that differ in width or hold a
@@ -203,8 +211,9 @@ def containers(children):
         st.dictionaries(st.text(max_size=4), children, max_size=5),
         st.dictionaries(ints, children, max_size=5),
         st.dictionaries(st.one_of(ints, st.text(max_size=4),
-                                  ints.map(IntSub)), children,
-                        max_size=5),
+                                  ints.map(IntSub),
+                                  st.text(max_size=4).map(StrSub)),
+                        children, max_size=5),
         st.dictionaries(st.text(max_size=4), children,
                         max_size=5).map(DictSub))
 
@@ -245,6 +254,15 @@ def outcome(encode, value):
 def test_both_encoders_reject_the_same_inputs(value):
     assert outcome(canonical_bytes, value) == \
         outcome(reference_bytes, value)
+
+
+def test_a_str_subclass_key_encodes_as_its_string():
+    for value in ({StrSub("a"): 1}, {StrSub("a"): 1, 2: 3},
+                  {StrSub("b"): [1], "a": StrSub("c")}):
+        plain = {(str(key) if isinstance(key, str) else key): item
+                 for key, item in value.items()}
+        assert canonical_bytes(value) == reference_bytes(value) == \
+            reference_bytes(plain)
 
 
 BAD = {
