@@ -14,45 +14,45 @@ shows the real thing:
 4. the recovery protocol scans each thread's epoch-stamped undo log and
    rolls uncommitted FASEs back;
 5. a full structural validator walks the recovered trees: BST order,
-   red-red violations, black-height balance, parent pointers, cycles.
+   red-red violations, black-height balance, parent pointers, cycles;
+   the persist-order oracle replays the run's persists up to the cut.
+
+Each crash is one :func:`repro.validation.run_trial` with the
+``power-cut`` fault -- the same trial a ``validate`` campaign runs.
 
 Run:  python examples/crash_recovery_demo.py
 """
 
-from repro.runtime import measure_run_cycles, run_with_crash
-from repro.workloads import RBTree
+from dataclasses import replace
 
-DESIGN = "PMEM-Spec"
-THREADS = 2
-FASES = 15
-SEED = 2026
+from repro.validation import TrialSpec, profile_cell, run_trial
+
+SPEC = TrialSpec("rbtree", "PMEM-Spec", fault="power-cut", n_threads=2,
+                 fases_per_thread=15, seed=2026)
 
 
 def main() -> None:
-    total = measure_run_cycles(RBTree, DESIGN, THREADS, FASES, SEED)
+    total = profile_cell(SPEC).total_cycles
     print(f"Uninterrupted run: {total:,} cycles for "
-          f"{THREADS * FASES} tree operations under {DESIGN}.\n")
+          f"{SPEC.n_threads * SPEC.fases_per_thread} tree operations "
+          f"under {SPEC.design}.\n")
 
     print(f"{'crash cycle':>12} {'committed':>10} {'rolled-back':>12} "
-          f"{'undo writes':>12} {'tree valid':>11}")
-    print("-" * 62)
+          f"{'tree valid':>11}")
+    print("-" * 49)
     consistent = 0
     crashes = [round(total * fraction) for fraction in
                (0.05, 0.15, 0.25, 0.35, 0.45, 0.55, 0.65, 0.75, 0.85, 0.95)]
     for crash_cycle in crashes:
-        outcome = run_with_crash(RBTree, DESIGN, crash_cycle,
-                                 n_threads=THREADS,
-                                 fases_per_thread=FASES, seed=SEED)
-        status = "yes" if outcome.consistent else "NO!"
-        consistent += outcome.consistent
-        print(f"{crash_cycle:>12,} {outcome.commits_before_crash:>10} "
-              f"{len(outcome.report.rolled_back_threads):>12} "
-              f"{outcome.report.total_undo_writes:>12} {status:>11}")
-        if not outcome.consistent:
-            for violation in outcome.violations[:3]:
-                print(f"    !! {violation}")
+        outcome = run_trial(replace(SPEC, crash_cycle=crash_cycle))
+        status = "yes" if outcome["consistent"] else "NO!"
+        consistent += outcome["consistent"]
+        print(f"{crash_cycle:>12,} {outcome['commits_before_crash']:>10} "
+              f"{len(outcome['rolled_back_threads']):>12} {status:>11}")
+        for violation in outcome["violations"][:3]:
+            print(f"    !! {violation['kind']}: {violation['detail']}")
 
-    print("-" * 62)
+    print("-" * 49)
     print(f"{consistent}/{len(crashes)} crash points recovered to a "
           f"structurally valid red-black tree.")
     assert consistent == len(crashes)

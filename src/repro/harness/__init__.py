@@ -1,6 +1,6 @@
 """Experiment harness: per-figure drivers, sweeps, and reporting."""
 
-from .artifacts import diff_artifacts, load_artifact, save_artifact
+from .artifacts import load_artifact, save_artifact
 from .configs import (
     BASELINE,
     BENCHMARK_ORDER,
@@ -29,10 +29,8 @@ from .report import (
     format_timeseries,
     sparkline,
 )
-from .retry import DEFAULT_POLICY, RetryPolicy
 from .runner import normalized_throughput
 from .sweep import (
-    STRUCTURAL_FIELDS,
     ParallelExecutor,
     RunSpec,
     Sweep,
@@ -41,13 +39,11 @@ from .sweep import (
     WorkerTaskError,
     build_spec_system,
     execute_spec,
-    fork_warm_starts,
     plan_batches,
-    structural_mismatches,
 )
 
 __all__ = [
-    "BASELINE", "diff_artifacts", "load_artifact", "save_artifact",
+    "BASELINE", "load_artifact", "save_artifact",
     "BENCHMARK_ORDER", "DESIGNS",
     "default_config", "figure9", "figure10", "figure10_summary",
     "figure11", "figure12", "format_bar_chart", "format_misspec_table",
@@ -55,11 +51,10 @@ __all__ = [
     "format_timeseries", "sparkline", "execute_spec",
     "figure2_annotation_burden",
     "lazy_vs_eager_recovery", "misspeculation_rates",
-    "ParallelExecutor", "RunSpec", "STRUCTURAL_FIELDS", "Sweep",
-    "SweepError", "SweepResult", "build_spec_system", "fork_warm_starts",
-    "structural_mismatches", "undo_vs_redo_ablation",
+    "ParallelExecutor", "RunSpec", "Sweep",
+    "SweepError", "SweepResult", "build_spec_system",
+    "undo_vs_redo_ablation",
     "naive_tagging_ablation", "normalized_throughput",
     "table3_rows",
-    "DEFAULT_POLICY", "RetryPolicy",
     "WorkerTaskError", "plan_batches",
 ]

@@ -322,16 +322,15 @@ def cmd_profile(args) -> None:
     """Run one spec traced, attribute every simulated cycle to a
     component, and write collapsed stacks for flamegraph tools."""
     from ..obsv import get_bus, profile_run
-    from ..sim import MetricsCollector, TraceRecorder
+    from ..sim import TraceRecorder
     from .sweep import execute_spec
     spec = _observed_spec(args)
     config = spec.resolved_config()
     tracer = TraceRecorder(cycle_ns=config.cycle_ns)
-    metrics = MetricsCollector(window_cycles=args.metrics_window)
     start = time.time()
     with run_context(run_id=f"profile/{spec.benchmark}",
                      spec_hash=spec.cache_key()[:12]):
-        result = execute_spec(spec, tracer=tracer, metrics=metrics)
+        result = execute_spec(spec, tracer=tracer)
         elapsed = time.time() - start
         log.info("%s done in %.1fs (%d trace events)", spec.describe(),
                  elapsed, len(tracer))
@@ -608,8 +607,9 @@ def main(argv=None) -> int:
                              "trend report")
     parser.add_argument("--metrics-window", type=int, default=10_000,
                         metavar="CYCLES",
-                        help="aggregation window for time-series metrics "
-                             "(default 10000 cycles)")
+                        help="trace and metrics commands: aggregation "
+                             "window for time-series metrics (default "
+                             "10000 cycles)")
     parser.add_argument("--summary", action="store_true",
                         help="metrics command: sparkline summary instead "
                              "of JSON")

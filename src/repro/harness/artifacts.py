@@ -2,16 +2,14 @@
 
 ``python -m repro.harness fig9 --save results/`` drops one
 timestamp-free, diff-friendly JSON file per experiment so runs can be
-compared across commits; :func:`load_artifact` reads them back and
-:func:`diff_artifacts` reports which series moved by more than a
-tolerance -- a poor man's regression tracker for the figures.
+compared across commits; :func:`load_artifact` reads them back.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Tuple
+from typing import Dict
 
 
 def _normalise(obj):
@@ -56,40 +54,3 @@ def load_artifact(path: str) -> Dict:
             raise ValueError(f"{path} is not an experiment artifact "
                              f"(missing {key!r})")
     return document
-
-
-def _flatten(prefix: str, obj, out: Dict[str, float]) -> None:
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            _flatten(f"{prefix}/{key}" if prefix else str(key), value, out)
-    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        out[prefix] = float(obj)
-
-
-def diff_artifacts(old: Dict, new: Dict,
-                   tolerance: float = 0.02) -> List[Tuple[str, float, float]]:
-    """Numeric leaves that moved by more than ``tolerance`` (relative).
-
-    Returns ``(path, old_value, new_value)`` tuples; missing/extra paths
-    are reported with ``float('nan')`` on the absent side.
-    """
-    if old["experiment"] != new["experiment"]:
-        raise ValueError(
-            f"comparing different experiments: {old['experiment']} "
-            f"vs {new['experiment']}")
-    old_leaves: Dict[str, float] = {}
-    new_leaves: Dict[str, float] = {}
-    _flatten("", old["data"], old_leaves)
-    _flatten("", new["data"], new_leaves)
-    moved = []
-    for path in sorted(set(old_leaves) | set(new_leaves)):
-        before = old_leaves.get(path)
-        after = new_leaves.get(path)
-        if before is None or after is None:
-            moved.append((path, float("nan") if before is None else before,
-                          float("nan") if after is None else after))
-            continue
-        scale = max(abs(before), abs(after), 1e-12)
-        if abs(after - before) / scale > tolerance:
-            moved.append((path, before, after))
-    return moved

@@ -13,12 +13,12 @@ stays in the parent:
 * a worker that drains its own deque *steals from the tail* of the
   longest remaining deque (tail = the coldest chunks, so affinity is
   sacrificed last), narrated as a ``steal`` event;
-* an execution fails when its task raises, overruns the optional
-  ``task_timeout_s`` (the worker is killed), or its worker process
-  dies; the task re-dispatches per :class:`repro.harness.RetryPolicy`
-  (one ``task_retry`` event each, back onto its own deque), and a task
-  that exhausts the policy is **quarantined** (``task_quarantine``) as
-  an ``error`` outcome instead of stopping the pool;
+* an execution fails when its task raises or its worker process dies;
+  the task goes straight back to the head of its own deque (one
+  ``task_retry`` event), and a task that fails all
+  :data:`MAX_ATTEMPTS` executions is **quarantined**
+  (``task_quarantine``) as an ``error`` outcome instead of stopping
+  the pool;
 * a worker exits when its parent dies: it closes the parent's ends of
   the worker pipes it inherited, so its ``recv`` sees end-of-file.
 
@@ -51,12 +51,16 @@ from ..obsv.bus import (
     set_bus,
 )
 from ..telemetry import current_context, get_logger, seed_context
-from .retry import DEFAULT_POLICY, RetryPolicy
 
 log = get_logger("harness.pool")
 
 #: Longest the parent blocks between merges of worker events.
 _TICK_S = 0.5
+
+#: Executions per task: a failed task runs once more, at once; a second
+#: failure quarantines it.  Retries never touch RNG state, so results
+#: stay bit-identical whether or not a task was retried.
+MAX_ATTEMPTS = 2
 
 
 # ------------------------------------------------------------------ tasks
@@ -237,11 +241,9 @@ class _Run:
     """One :meth:`WorkStealingPool.run`: outcomes so far and the one
     retry-or-quarantine rule both execution modes apply."""
 
-    def __init__(self, tasks: List[Task], bus: Bus, retry: RetryPolicy,
-                 on_result):
+    def __init__(self, tasks: List[Task], bus: Bus, on_result):
         self.tasks = tasks
         self.bus = bus
-        self.retry = retry
         self.on_result = on_result
         self.outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
         self.attempts = [0] * len(tasks)
@@ -260,18 +262,17 @@ class _Run:
             elapsed_s=elapsed, stolen=stolen, index=seq))
 
     def fail(self, seq: int, error: str, elapsed: float,
-             worker: int = -1) -> Optional[float]:
-        """Count one failed execution of task ``seq``.  Returns the
-        backoff before its retry, or ``None`` once the policy is spent
-        and the task is quarantined (settled as an error)."""
+             worker: int = -1) -> bool:
+        """Count one failed execution of task ``seq``.  Returns whether
+        it runs again; after :data:`MAX_ATTEMPTS` it is quarantined
+        (settled as an error) instead."""
         self.attempts[seq] += 1
         attempts = self.attempts[seq]
         label = self.tasks[seq].describe()
-        if self.retry.should_retry(attempts):
-            delay = self.retry.delay_s(attempts)
+        if attempts < MAX_ATTEMPTS:
             self.bus.emit("task_retry", label=label, attempt=attempts + 1,
-                          delay_s=round(delay, 3), error=error_tail(error))
-            return delay
+                          delay_s=0.0, error=error_tail(error))
+            return True
         self.bus.emit("task_quarantine", label=label, attempts=attempts,
                       error=error_tail(error))
         log.warning("task %s quarantined after %d attempt(s): %s",
@@ -280,7 +281,7 @@ class _Run:
             key=self.tasks[seq].key, status="error", error=error,
             attempts=attempts, worker=worker, elapsed_s=elapsed,
             index=seq))
-        return None
+        return False
 
     def _settle(self, outcome: TaskOutcome) -> None:
         self.outcomes[outcome.index] = outcome
@@ -295,22 +296,13 @@ class _Run:
 class WorkStealingPool:
     """Run a batch of :class:`Task` with stealing, retry, quarantine.
 
-    ``workers`` is the process count (``<= 1`` runs inline);
-    ``task_timeout_s`` bounds any single execution (``None`` = no
-    limit); ``retry`` governs re-dispatch after failures (default
-    :data:`repro.harness.DEFAULT_POLICY`: 2 attempts, no backoff, the
-    same policy :class:`repro.harness.ParallelExecutor` passes).
-    ``bus`` pins the event bus (default: the ambient
+    ``workers`` is the process count (``<= 1`` runs inline); ``bus``
+    pins the event bus (default: the ambient
     :func:`repro.obsv.get_bus` at each :meth:`run`).
     """
 
-    def __init__(self, workers: int = 1,
-                 retry: Optional[RetryPolicy] = None,
-                 task_timeout_s: Optional[float] = None,
-                 bus: Optional[Bus] = None):
+    def __init__(self, workers: int = 1, bus: Optional[Bus] = None):
         self.workers = max(1, workers)
-        self.retry = retry if retry is not None else DEFAULT_POLICY
-        self.task_timeout_s = task_timeout_s
         self.bus = bus
 
     def _resolve_bus(self) -> Bus:
@@ -360,7 +352,7 @@ class WorkStealingPool:
         outcomes; the caller decides whether that fails the run.
         """
         tasks = list(tasks)
-        run = _Run(tasks, self._resolve_bus(), self.retry, on_result)
+        run = _Run(tasks, self._resolve_bus(), on_result)
         if self.workers > 1 and len(tasks) > 1:
             started = self._start(min(self.workers, len(tasks)), run.bus)
             if started is not None:
@@ -379,10 +371,8 @@ class WorkStealingPool:
                     try:
                         value = task.fn(task.arg)
                     except Exception:
-                        delay = run.fail(seq, traceback.format_exc(),
-                                         time.perf_counter() - start)
-                        if delay:
-                            time.sleep(delay)
+                        run.fail(seq, traceback.format_exc(),
+                                 time.perf_counter() - start)
                     else:
                         run.succeed(seq, value,
                                     time.perf_counter() - start)
@@ -413,31 +403,16 @@ class WorkStealingPool:
         # no inline (``jobs=1``) run needs at startup.
         from multiprocessing.connection import wait
         deques = self.plan_deques(run.tasks, len(workers))
-        home = {seq: slot for slot, queue in enumerate(deques)
-                for seq in queue}
-        #: (ready_at, seq) for tasks sitting out a retry backoff.
-        delayed: List[Tuple[float, int]] = []
+        home = {seq: queue for queue in deques for seq in queue}
         try:
             while not run.done:
-                now = time.monotonic()
-                for entry in [e for e in delayed if e[0] <= now]:
-                    delayed.remove(entry)
-                    deques[home[entry[1]]].appendleft(entry[1])
                 self._dispatch_idle(workers, deques, run)
                 busy = [worker for worker in workers if not worker.idle]
-                ready = wait([worker.conn for worker in busy],
-                             self._tick_s(busy, delayed, now))
+                ready = wait([worker.conn for worker in busy], _TICK_S)
                 drain_queue(event_queue, run.bus)
                 for worker in busy:
                     if worker.conn in ready:
-                        self._collect(worker, workers, run, delayed)
-                    elif (self.task_timeout_s is not None
-                          and time.monotonic() - worker.started_at
-                          > self.task_timeout_s):
-                        self._replace(
-                            worker, workers, run, delayed,
-                            f"task timeout after {self.task_timeout_s:.1f}s"
-                            f" (worker {worker.worker_id} killed)")
+                        self._collect(worker, workers, run, home)
         finally:
             self._shutdown(workers, event_queue, run.bus)
 
@@ -456,59 +431,33 @@ class WorkStealingPool:
                              victim=victim, label=run.tasks[seq].describe())
             worker.dispatch(seq, run.tasks[seq], stolen=victim is not None)
 
-    def _tick_s(self, busy: List[_Worker], delayed, now: float) -> float:
-        """How long to block: until the nearest task deadline or
-        retry-backoff expiry, at most :data:`_TICK_S`."""
-        timeout = _TICK_S
-        if self.task_timeout_s is not None:
-            for worker in busy:
-                deadline = worker.started_at + self.task_timeout_s
-                timeout = min(timeout, max(0.05, deadline - now))
-        for ready_at, _seq in delayed:
-            timeout = min(timeout, max(0.05, ready_at - now))
-        return timeout
-
-    def _collect(self, worker: _Worker, workers: List[_Worker], run: _Run,
-                 delayed) -> None:
+    @staticmethod
+    def _collect(worker: _Worker, workers: List[_Worker], run: _Run,
+                 home: Dict[int, collections.deque]) -> None:
         """Settle the reply ``worker`` sent, or fail its task when the
         pipe ended without one: only the worker holds the other end, so
-        end-of-file means the process died."""
+        end-of-file means the process died (a fresh one starts in its
+        slot).  A failed task that runs again goes back to the head of
+        its ``home`` deque."""
+        seq = worker.running
         try:
             _seq, status, payload, elapsed = worker.conn.recv()
         except (EOFError, OSError):
             worker.process.join(1.0)
-            self._replace(worker, workers, run, delayed,
-                          f"worker {worker.worker_id} exited with code "
-                          f"{worker.process.exitcode}")
-            return
-        seq = worker.running
+            status = "died"
+            payload = (f"worker {worker.worker_id} exited with code "
+                       f"{worker.process.exitcode}")
+            elapsed = time.monotonic() - worker.started_at
+            log.warning("%s while running %s; respawning", payload,
+                        run.tasks[seq].describe())
+            worker.stop()
+            worker.spawn([w.conn for w in workers if w is not worker])
         worker.running = None
         if status == "ok":
             run.succeed(seq, payload, elapsed, worker.worker_id,
                         worker.stolen)
-        else:
-            self._retry_later(run, seq, payload, elapsed,
-                              worker.worker_id, delayed)
-
-    def _replace(self, worker: _Worker, workers: List[_Worker], run: _Run,
-                 delayed, error: str) -> None:
-        """Kill ``worker``, start a fresh one in its slot, and count the
-        task it was running as a failed execution."""
-        seq = worker.running
-        elapsed = time.monotonic() - worker.started_at
-        log.warning("%s while running %s; respawning", error,
-                    run.tasks[seq].describe())
-        worker.stop()
-        worker.spawn([w.conn for w in workers if w is not worker])
-        self._retry_later(run, seq, error, elapsed, worker.worker_id,
-                          delayed)
-
-    @staticmethod
-    def _retry_later(run: _Run, seq: int, error: str, elapsed: float,
-                     worker_id: int, delayed) -> None:
-        delay = run.fail(seq, error, elapsed, worker_id)
-        if delay is not None:
-            delayed.append((time.monotonic() + delay, seq))
+        elif run.fail(seq, payload, elapsed, worker.worker_id):
+            home[seq].appendleft(seq)
 
     @staticmethod
     def _shutdown(workers: List[_Worker], event_queue, bus: Bus) -> None:

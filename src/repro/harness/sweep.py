@@ -13,8 +13,8 @@ into a :class:`SweepResult`:
 * each spec's result is cached on disk (one artifact JSON per spec,
   keyed by a content hash of the resolved spec), so re-running an
   unchanged sweep is free;
-* a failed spec -- it raised, or its worker process died -- re-runs as
-  the executor's :class:`RetryPolicy` allows; one that exhausts it
+* a failed spec -- it raised, or its worker process died -- runs once
+  more (:data:`repro.harness.pool.MAX_ATTEMPTS`); one that fails again
   raises :class:`SweepError` with its last traceback attached.
 
 Per-spec wall-clock timing and cache provenance land in
@@ -71,7 +71,6 @@ from ..workloads import (
 from .artifacts import load_artifact, save_artifact
 from .configs import default_config
 from .pool import Task, TaskOutcome, WorkStealingPool, error_tail
-from .retry import DEFAULT_POLICY, RetryPolicy
 
 # Synthetic §8.4 probes are runnable through the sweep API even though
 # they are not Table 4 benchmarks.
@@ -343,7 +342,7 @@ class SweepResult:
 
 
 class SweepError(RuntimeError):
-    """A spec exhausted the executor's retry policy."""
+    """A spec failed on every attempt the pool allows."""
 
     def __init__(self, spec: RunSpec, message: str,
                  worker_traceback: str = ""):
@@ -356,8 +355,8 @@ class SweepError(RuntimeError):
 
 
 class WorkerTaskError(RuntimeError):
-    """A map item or chunk exhausted the retry policy, or a chunk
-    returned the wrong number of results."""
+    """A map item or chunk failed on every attempt the pool allows, or
+    a chunk returned the wrong number of results."""
 
 
 def plan_batches(items: Sequence, key: Optional[Callable] = None,
@@ -434,95 +433,6 @@ def execute_spec(spec: RunSpec, tracer=None, metrics=None) -> SimResult:
     return build_spec_system(spec, tracer=tracer, metrics=metrics).run()
 
 
-# ------------------------------------------------------ warm-start forks
-
-
-#: Config fields that shape captured state (counts, capacities,
-#: geometries).  A snapshot only restores into a system whose config
-#: agrees on all of these; the remaining (timing) fields are free to
-#: vary, which is what makes warm-start forking across latency sweeps
-#: possible.
-STRUCTURAL_FIELDS = (
-    "n_cores", "store_queue_entries", "issue_width", "mlp_misses",
-    "l1_size_bytes", "l1_ways", "l2_size_bytes", "l2_ways",
-    "pmc_read_queue", "pmc_write_queue", "pmc_banks", "pmc_write_banks",
-    "spec_buffer_entries", "n_pm_controllers", "ordered_noc",
-    "persist_path_lanes", "hops_bloom_bits", "hops_bloom_hashes",
-    "hops_persist_buffer_entries", "dpo_persist_buffer_entries",
-)
-
-
-def structural_mismatches(base: SystemConfig,
-                          variant: SystemConfig) -> List[str]:
-    """Structural fields on which the two configs disagree."""
-    return [name for name in STRUCTURAL_FIELDS
-            if getattr(base, name) != getattr(variant, name)]
-
-
-def fork_warm_starts(base: RunSpec, variants: Sequence[RunSpec],
-                     snapshot_every: int, rung_index: int = 0
-                     ) -> Tuple[SimResult, List[SimResult]]:
-    """Run ``base`` once with an in-memory snapshot ladder, then fork
-    each variant from the chosen rung and simulate only the tail.
-
-    Every variant must share the base's program identity (benchmark,
-    design, threads, FASE count, seed, log mode) and structural config
-    fields; timing fields (latencies, frequencies) are free to differ --
-    the restored state is purely dynamic, so the variant's tail runs
-    under the variant's latencies.  The result is a *warm-start
-    approximation*: the prefix up to the fork rung ran under the base
-    config.  Use it for sweep exploration (ranking, trend-spotting), and
-    re-run the interesting cells cold for publishable numbers.
-
-    Returns ``(base_result, variant_results)`` in variant order.
-    """
-    from ..snapshot import SnapshotError, SnapshotLadder
-    if snapshot_every < 1:
-        raise ValueError("snapshot_every must be >= 1 for warm forks")
-    base_config = base.resolved_config()
-    for variant in variants:
-        for field_name in ("benchmark", "design", "n_threads", "seed",
-                           "log_mode", "recovery_mode"):
-            if getattr(variant, field_name) != getattr(base, field_name):
-                raise SnapshotError(
-                    f"warm fork {variant.describe()} changes "
-                    f"{field_name}; forks may only vary timing fields")
-        if variant.resolved_fases() != base.resolved_fases():
-            raise SnapshotError(
-                f"warm fork {variant.describe()} changes fases_per_thread")
-        mismatches = structural_mismatches(base_config,
-                                           variant.resolved_config())
-        if mismatches:
-            raise SnapshotError(
-                f"warm fork {variant.describe()} changes structural "
-                f"config fields {mismatches}; snapshots only restore "
-                f"across timing changes")
-
-    base_system = build_spec_system(base)
-    # Store-less, so every captured rung keeps its payload.
-    ladder = SnapshotLadder(base_system, snapshot_every).install()
-    base_result = base_system.run()
-    if not ladder.rungs:
-        raise SnapshotError(
-            f"base run {base.describe()} captured no rungs (interval "
-            f"{snapshot_every} longer than the run?); nothing to fork")
-    rung = ladder.rungs[rung_index]
-
-    results: List[SimResult] = []
-    for variant in variants:
-        system = build_spec_system(variant)
-        SnapshotLadder(system, snapshot_every, capture=False).install()
-        system.restore_state(rung["payload"])
-        done = system.launch()
-        system.advance(stop_event=done)
-        system.advance()
-        result = system.result()
-        result.stats["warm_fork"] = {"rung_cycle": rung["cycle"],
-                                     "rung": rung["rung"]}
-        results.append(result)
-    return base_result, results
-
-
 # Worker-side alias (kept for pickling stability and old imports).
 _execute_spec = execute_spec
 
@@ -591,8 +501,7 @@ class ParallelExecutor:
     elapsed time or ``error``.  ``bus`` pins the event bus this
     executor publishes to; the default resolves
     :func:`repro.obsv.bus.get_bus` at each ``run()``/``map()`` so the
-    CLI's ``--events-out`` scope is picked up automatically.  ``retry``
-    is the pool's re-dispatch policy for failed tasks.
+    CLI's ``--events-out`` scope is picked up automatically.
 
     :meth:`run`, :meth:`map` and :meth:`map_batched` each build a list
     of :class:`~repro.harness.pool.Task` for one fan-out step,
@@ -603,14 +512,12 @@ class ParallelExecutor:
     def __init__(self, jobs: Optional[int] = 1,
                  cache_dir: Optional[str] = None,
                  progress: Optional[Callable[[str], None]] = None,
-                 bus: Optional[Bus] = None,
-                 retry: Optional[RetryPolicy] = None):
+                 bus: Optional[Bus] = None):
         self.jobs = max(1, jobs if jobs is not None
                         else (os.cpu_count() or 1))
         self.cache_dir = cache_dir
         self.progress = progress
         self.bus = bus
-        self.retry = retry if retry is not None else DEFAULT_POLICY
 
     def _resolve_bus(self) -> Bus:
         """The pinned bus, else the process-current one (``NULL_BUS``
@@ -639,10 +546,8 @@ class ParallelExecutor:
         ``settle(position, outcome)`` runs in the parent as each task
         settles, and an exception it raises stops the fan-out.  ``bus``
         is the pool's: task events and the pool's own reach it."""
-        WorkStealingPool(workers=self.jobs, retry=self.retry,
-                         bus=bus).run(
-            tasks, on_result=lambda outcome: settle(outcome.index,
-                                                    outcome))
+        WorkStealingPool(workers=self.jobs, bus=bus).run(
+            tasks, on_result=lambda outcome: settle(outcome.index, outcome))
 
     # ------------------------------------------------------------ cache
 

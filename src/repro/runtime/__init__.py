@@ -10,21 +10,15 @@ from .heap import (
     log_region_base,
     thread_of_log_address,
 )
-from .crash import (
-    CrashOutcome,
-    build_crash_system,
-    crash_sweep,
-    measure_run_cycles,
-    run_with_crash,
-)
+from .crash import build_crash_system
 from .recovery import RecoveryReport, run_recovery
 from .redo_log import commit_word_addr, recover_redo, recover_redo_all
 from .transaction import EAGER, LAZY, FailureAtomicRuntime, ThreadState
 from .undo_log import UndoLog, UndoLogLayout, recover, recover_all
 
 __all__ = [
-    "AllocationError", "CrashOutcome", "build_crash_system", "crash_sweep",
-    "measure_run_cycles", "run_with_crash", "DATA_BASE", "EAGER", "FailureAtomicRuntime",
+    "AllocationError", "build_crash_system", "DATA_BASE", "EAGER",
+    "FailureAtomicRuntime",
     "LAZY", "LOG_BASE", "LOG_REGION_BYTES", "PersistentHeap",
     "RecoveryReport", "ThreadState", "UndoLog", "UndoLogLayout",
     "commit_word_addr", "recover_redo", "recover_redo_all",

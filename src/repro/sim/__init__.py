@@ -3,7 +3,6 @@ stats, tracing, metrics)."""
 
 from .engine import (
     AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupted,
@@ -34,7 +33,6 @@ from .trace import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "CapacityQueue",
     "Counter",
     "Environment",

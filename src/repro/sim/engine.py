@@ -146,35 +146,6 @@ class AllOf(Event):
             self.succeed([child.value for child in self._children])
 
 
-class AnyOf(Event):
-    """Fires when the first child event fires; value is that child's value.
-
-    The child list is retained (mirroring :class:`AllOf`) and the
-    winning event is exposed as :attr:`first_fired`, so a process that
-    raced several events can tell which one actually woke it.
-    """
-
-    __slots__ = ("_children", "first_fired")
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env)
-        self._children = list(events)
-        self.first_fired: Optional[Event] = None
-        if not self._children:
-            raise SimulationError("AnyOf needs at least one event")
-        for child in self._children:
-            child.add_callback(self._on_child)
-
-    @property
-    def children(self) -> List[Event]:
-        return list(self._children)
-
-    def _on_child(self, event: Event) -> None:
-        if not (self._triggered or self._scheduled):
-            self.first_fired = event
-            self.succeed(event.value)
-
-
 ProcessGenerator = Generator[Event, Any, Any]
 
 
@@ -304,9 +275,6 @@ class Environment:
         else:
             bucket.append(callback)
 
-    #: Established alias; identical fast-path semantics.
-    call_at = schedule_at
-
     # ------------------------------------------------------- event factories
 
     def event(self) -> Event:
@@ -317,9 +285,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         return Process(self, generator, name=name)

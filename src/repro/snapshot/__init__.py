@@ -12,7 +12,7 @@ Three pieces:
   captured state, the standing determinism check (restore-then-replay
   must land on the same end-of-run fingerprint as straight execution);
 * :mod:`repro.snapshot.store` -- a content-addressed on-disk store with
-  atomic writes and an LRU byte cap, plus JSON rung indexes;
+  atomic writes, plus JSON rung indexes;
 * :mod:`repro.snapshot.manager` -- the snapshot *ladder*: a capture
   policy (every K persist events at the PM device) that parks cores at
   their FASE-loop boundary, quiesces the machine, captures, and resumes.
@@ -22,8 +22,7 @@ Every stateful component implements the :class:`Snapshottable` protocol
 states are plain data (ints, strings, lists, dicts) so they pickle and
 hash deterministically.  Configuration-derived values (latencies,
 capacities, geometries) are *not* captured -- they come from rebuilding
-the system from its spec -- which is also what lets warm-start sweeps
-restore a base-config snapshot into a variant-latency system.
+the system from its spec.
 """
 
 from .fingerprint import canonical_bytes, fingerprint_state

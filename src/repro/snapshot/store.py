@@ -10,10 +10,8 @@ Layout under the store root::
 Writes are atomic (temp file + ``os.replace``) so a crashed or killed
 run can never leave a torn object behind -- a truncated or otherwise
 unreadable object raises :class:`SnapshotError`, which callers treat as
-"snapshot unavailable, fall back to cold start".  ``max_bytes`` imposes
-an LRU cap: objects are evicted oldest-access-first whenever the store
-grows past it (reads refresh an object's mtime so ladder rungs in
-active use survive).
+"snapshot unavailable, fall back to cold start".  The store never
+evicts: deleting its directory is the way to reclaim the space.
 
 The store sits beside the PR 1 artifact cache on purpose: artifacts are
 *results* keyed by spec, snapshots are *machine states* keyed by
@@ -39,7 +37,7 @@ import json
 import os
 import pickle
 import tempfile
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 INDEX_SCHEMA_VERSION = 1
 
@@ -66,11 +64,10 @@ def decode_payload(blob: bytes, key: str) -> dict:
 
 
 class SnapshotStore:
-    """Content-addressed byte store with atomic writes and an LRU cap."""
+    """Content-addressed byte store with atomic writes."""
 
-    def __init__(self, root: str, max_bytes: Optional[int] = None):
+    def __init__(self, root: str):
         self.root = root
-        self.max_bytes = max_bytes
         self._objects = os.path.join(root, "objects")
         self._index_dir = os.path.join(root, "index")
         os.makedirs(self._objects, exist_ok=True)
@@ -97,7 +94,6 @@ class SnapshotStore:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
                 raise
-            self._enforce_cap()
         return key
 
     def get(self, key: str) -> bytes:
@@ -113,39 +109,17 @@ class SnapshotStore:
         if hashlib.sha256(blob).hexdigest() != key:
             raise SnapshotError(
                 f"snapshot {key[:12]} corrupt: content hash mismatch")
-        # LRU refresh: a rung in active use should outlive idle ones.
-        try:
-            os.utime(path)
-        except OSError:
-            pass
         return blob
 
     def has(self, key: str) -> bool:
         return os.path.exists(self._object_path(key))
 
-    def _objects_by_age(self) -> List[str]:
-        paths = []
-        for dirpath, _dirnames, filenames in os.walk(self._objects):
-            for filename in filenames:
-                if filename.endswith(".snap"):
-                    paths.append(os.path.join(dirpath, filename))
-        return sorted(paths, key=lambda p: (os.path.getmtime(p), p))
-
-    def _enforce_cap(self) -> None:
-        if self.max_bytes is None:
-            return
-        paths = self._objects_by_age()
-        total = sum(os.path.getsize(p) for p in paths)
-        while paths and total > self.max_bytes:
-            victim = paths.pop(0)
-            try:
-                total -= os.path.getsize(victim)
-                os.unlink(victim)
-            except OSError:
-                break
-
     def total_bytes(self) -> int:
-        return sum(os.path.getsize(p) for p in self._objects_by_age())
+        total = 0
+        for dirpath, _dirnames, filenames in os.walk(self._objects):
+            total += sum(os.path.getsize(os.path.join(dirpath, name))
+                         for name in filenames if name.endswith(".snap"))
+        return total
 
     # -------------------------------------------------------------- indexes
 

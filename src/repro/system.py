@@ -368,8 +368,7 @@ class System:
         Only legal at a quiesce point (empty event heap; enforced by the
         environment).  Deliberately captures *no* configuration-derived
         values -- latencies, capacities, geometries come from rebuilding
-        a system from its spec -- which is what lets a snapshot restore
-        into a variant-latency system for warm-start sweeps.
+        a system from its spec.
 
         The payload is made of fresh containers: no list, dict or set in
         it is shared with the live machine, so clearing or overwriting

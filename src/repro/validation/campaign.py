@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, replace
@@ -147,7 +148,10 @@ def _build(spec: TrialSpec, capture: Union[bool, Iterable[int]] = False,
     ``index_name`` is the cell's :func:`_cell_index_name`, for callers
     that already hold it."""
     fault = fault_by_name(spec.fault)
-    recorder = TraceRecorder()
+    # No event bound: the oracle judges the whole history, and a bounded
+    # recorder would drop its tail silently (no list reaches sys.maxsize
+    # items).  The bound protects only the trace and profile exports.
+    recorder = TraceRecorder(max_events=sys.maxsize)
     config = table3_config(n_cores=spec.n_threads,
                            **fault.config_overrides())
     workload, system = build_crash_system(

@@ -1,14 +1,8 @@
-"""Unit tests for experiment artifact save/load/diff."""
-
-import math
+"""Unit tests for experiment artifact save/load."""
 
 import pytest
 
-from repro.harness import diff_artifacts, load_artifact, save_artifact
-
-
-def doc(data, name="fig9"):
-    return {"experiment": name, "meta": {}, "data": data}
+from repro.harness import load_artifact, save_artifact
 
 
 class TestSaveLoad:
@@ -37,31 +31,6 @@ class TestSaveLoad:
         with pytest.raises(TypeError):
             save_artifact(str(tmp_path), "x", {"a": {1, 2}})
         assert list(tmp_path.iterdir()) == []
-
-
-class TestDiff:
-    def test_unchanged_within_tolerance(self):
-        old = doc({"a": {"x": 1.00}})
-        new = doc({"a": {"x": 1.01}})
-        assert diff_artifacts(old, new, tolerance=0.02) == []
-
-    def test_moved_leaf_reported(self):
-        old = doc({"a": {"x": 1.0}})
-        new = doc({"a": {"x": 1.2}})
-        moved = diff_artifacts(old, new, tolerance=0.02)
-        assert moved == [("a/x", 1.0, 1.2)]
-
-    def test_missing_leaf_reported_as_nan(self):
-        old = doc({"a": {"x": 1.0, "y": 2.0}})
-        new = doc({"a": {"x": 1.0}})
-        moved = diff_artifacts(old, new)
-        assert len(moved) == 1
-        path, before, after = moved[0]
-        assert path == "a/y" and before == 2.0 and math.isnan(after)
-
-    def test_different_experiments_rejected(self):
-        with pytest.raises(ValueError):
-            diff_artifacts(doc({}, "fig9"), doc({}, "fig10"))
 
 
 class TestCLISave:

@@ -1,13 +1,13 @@
 """Tier-1 smoke test: the CLI end-to-end with --jobs and the cache.
 
 Drives ``python -m repro.harness fig9`` at a tiny scale through the
-parallel executor, saves the artifact, and checks it loads and diffs
-clean against itself; a second run must be served from the result cache
-and produce an identical artifact.  Both runs write ``--events-out``
-logs, which must validate and tell the same cache story.
+parallel executor, saves the artifact, and checks it loads; a second
+run must be served from the result cache and produce identical data.
+Both runs write ``--events-out`` logs, which must validate and tell the
+same cache story.
 """
 
-from repro.harness import BENCHMARK_ORDER, diff_artifacts, load_artifact
+from repro.harness import BENCHMARK_ORDER, load_artifact
 from repro.harness.__main__ import main
 from repro.obsv import read_event_log, validate_event_log
 
@@ -34,7 +34,6 @@ def test_cli_fig9_parallel_save_and_cache(tmp_path, capsys):
     assert "Figure 9" in capsys.readouterr().out
     first = load_artifact(str(save_first / "fig9.json"))
     assert set(first["data"]) == set(BENCHMARK_ORDER)
-    assert diff_artifacts(first, first) == []
 
     # One cache entry per grid cell was written.
     assert len(list(cache.glob("*.json"))) == cells
@@ -48,7 +47,7 @@ def test_cli_fig9_parallel_save_and_cache(tmp_path, capsys):
     assert main(base + ["--save", str(save_second), "--events-out",
                         str(tmp_path / "events-2.jsonl")]) == 0
     second = load_artifact(str(save_second / "fig9.json"))
-    assert diff_artifacts(first, second, tolerance=0.0) == []
+    assert second["data"] == first["data"]
     finish, sources = _sweep_story(tmp_path / "events-2.jsonl")
     assert (finish["cache_hits"], finish["cache_misses"]) == (cells, 0)
     assert sources == {"cache"}

@@ -20,7 +20,7 @@ import time
 import pytest
 
 import repro
-from repro.harness import RetryPolicy, WorkerTaskError
+from repro.harness import WorkerTaskError
 from repro.harness.__main__ import main
 from repro.harness.resume import (
     JOURNAL_NAME,
@@ -32,8 +32,6 @@ from repro.harness.resume import (
 from repro.validation.campaign import report_fingerprint
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-
-FAST_RETRY = RetryPolicy(max_attempts=1)
 
 
 def _double(x):
@@ -53,7 +51,7 @@ def _always_fails(x):
 
 
 def _executor(tmp_path):
-    return JournaledExecutor(str(tmp_path), jobs=1, retry=FAST_RETRY)
+    return JournaledExecutor(str(tmp_path), jobs=1)
 
 
 class TestTaskKey:

@@ -1,16 +1,12 @@
-"""WorkStealingPool: ordering, affinity, stealing, retry, quarantine,
-hung-task reaping.  Task functions live at module level so the
-process-pool path can pickle them."""
+"""WorkStealingPool: ordering, affinity, stealing, retry, quarantine.
+Task functions live at module level so the process-pool path can
+pickle them."""
 
 import os
 import time
 
-from repro.harness import RetryPolicy
-from repro.harness.pool import Task, WorkStealingPool
+from repro.harness.pool import MAX_ATTEMPTS, Task, WorkStealingPool
 from repro.obsv import EventBus
-
-FAST_RETRY = RetryPolicy(max_attempts=3, base_delay_s=0.0)
-ONE_SHOT = RetryPolicy(max_attempts=1)
 
 
 def _square(x):
@@ -83,22 +79,24 @@ class TestInline:
 
     def test_retry_then_success(self, tmp_path):
         bus, events = _collecting_bus()
-        pool = WorkStealingPool(workers=1, retry=FAST_RETRY, bus=bus)
+        pool = WorkStealingPool(workers=1, bus=bus)
         marker = str(tmp_path / "marker")
         [outcome] = pool.run(_tasks(_flaky_once, [(marker, 7)]))
         assert outcome.ok and outcome.value == 7
         assert outcome.attempts == 2
-        assert [e["kind"] for e in events].count("task_retry") == 1
+        # The retry runs at once: there is no backoff to wait out.
+        assert [e["delay_s"] for e in events
+                if e["kind"] == "task_retry"] == [0.0]
 
     def test_quarantine_does_not_sink_the_run(self):
         bus, events = _collecting_bus()
-        pool = WorkStealingPool(workers=1, retry=FAST_RETRY, bus=bus)
+        pool = WorkStealingPool(workers=1, bus=bus)
         outcomes = pool.run(_tasks(_square, [2]) + [
             Task(key="bad", fn=_always_fails, arg=0, affinity=9)]
             + _tasks(_square, [3]))
         assert outcomes[0].ok and outcomes[2].ok
         assert not outcomes[1].ok
-        assert outcomes[1].attempts == FAST_RETRY.max_attempts
+        assert outcomes[1].attempts == MAX_ATTEMPTS
         kinds = [e["kind"] for e in events]
         assert "task_quarantine" in kinds
         assert "poison task" in outcomes[1].error
@@ -153,7 +151,7 @@ class TestPool:
 
     def test_retry_in_pool_mode(self, tmp_path):
         bus, events = _collecting_bus()
-        pool = WorkStealingPool(workers=2, retry=FAST_RETRY, bus=bus)
+        pool = WorkStealingPool(workers=2, bus=bus)
         marker = str(tmp_path / "marker")
         tasks = _tasks(_flaky_once, [(marker, 11)])
         tasks += _tasks(_square, [2, 3])
@@ -164,23 +162,9 @@ class TestPool:
         assert "task_retry" in [e["kind"] for e in events]
 
     def test_quarantine_in_pool_mode(self):
-        pool = WorkStealingPool(workers=2, retry=FAST_RETRY)
+        pool = WorkStealingPool(workers=2)
         outcomes = pool.run(
             _tasks(_square, [5, 6])
             + [Task(key="bad", fn=_always_fails, arg=1, affinity=9)])
         assert [o.ok for o in outcomes] == [True, True, False]
-        assert outcomes[2].attempts == FAST_RETRY.max_attempts
-
-    def test_hung_task_is_reaped_and_pool_survives(self):
-        bus, events = _collecting_bus()
-        pool = WorkStealingPool(workers=2, retry=ONE_SHOT,
-                                task_timeout_s=0.5, bus=bus)
-        tasks = [Task(key="hang", fn=_sleep_then, arg=(30.0, "never"),
-                      affinity="a")]
-        tasks += _tasks(_square, [2, 3, 4])
-        start = time.monotonic()
-        outcomes = pool.run(tasks)
-        assert time.monotonic() - start < 15.0
-        assert not outcomes[0].ok
-        assert "timeout" in outcomes[0].error
-        assert [o.value for o in outcomes[1:]] == [4, 9, 16]
+        assert outcomes[2].attempts == MAX_ATTEMPTS

@@ -19,7 +19,7 @@ import weakref
 import pytest
 
 from repro.config import table3_config
-from repro.harness import ParallelExecutor, RunSpec, Sweep, fork_warm_starts
+from repro.harness import ParallelExecutor, RunSpec, Sweep
 from repro.persistency import design_by_name, design_classes
 from repro.sim import MetricsCollector, TraceRecorder
 from repro.snapshot import SnapshotLadder
@@ -81,19 +81,6 @@ def run_one(design, setup):
 def test_a_finished_system_is_freed_at_once(built, design, setup):
     run_one(design, setup)
     assert_freed(built, 1)
-
-
-@pytest.mark.parametrize("design", DESIGNS)
-def test_warm_forks_free_every_system(built, design):
-    base = RunSpec("hashmap", design, n_threads=2, fases_per_thread=12,
-                   seed=3)
-    variant = RunSpec("hashmap", design, n_threads=2, fases_per_thread=12,
-                      seed=3, config_overrides={"pm_write_ns": 150.0})
-    base_result, [forked] = fork_warm_starts(base, [variant],
-                                             snapshot_every=6)
-    assert forked.stats["warm_fork"]["rung_cycle"] > 0
-    del base_result, forked
-    assert_freed(built, 2)
 
 
 def test_a_serial_sweep_frees_every_system(built):

@@ -1,10 +1,14 @@
 """Crash-injection tests: power failure at arbitrary points must always
 recover to a structurally consistent state (§2.1's failure atomicity),
-for every design, on every workload's invariants."""
+for every design, on every workload's invariants.  Each crash is one
+:func:`run_trial` with the power-cut fault, so the persist-order oracle
+judges it too."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.runtime import crash_sweep, run_with_crash
+from repro.validation import TrialSpec, profile_cell, run_trial
 from repro.workloads import (
     ArraySwaps,
     ConcurrentQueue,
@@ -35,57 +39,66 @@ FAST_MATRIX = [
 ]
 
 
+def crash_at(spec, crash_cycles):
+    """One power-cut trial of ``spec``'s cell per crash cycle."""
+    return [run_trial(replace(spec, crash_cycle=cycle))
+            for cycle in crash_cycles]
+
+
+def spread(spec, n_points):
+    """``n_points`` crash cycles evenly spread across the cell's run."""
+    step = max(1, profile_cell(spec).total_cycles // (n_points + 1))
+    return [step * (index + 1) for index in range(n_points)]
+
+
 @pytest.mark.parametrize(
     "workload_cls,design", FAST_MATRIX,
     ids=[f"{w.__name__}-{d}" for w, d in FAST_MATRIX])
 def test_crash_anywhere_recovers_consistently(workload_cls, design):
-    outcomes = crash_sweep(workload_cls, design, n_points=5,
-                           n_threads=2, fases_per_thread=10, seed=17)
-    for outcome in outcomes:
-        assert outcome.consistent, (
-            f"{workload_cls.__name__}/{design} @ {outcome.crash_cycle}: "
-            f"{outcome.violations[:3]}")
+    spec = TrialSpec(workload_cls.name, design, n_threads=2,
+                     fases_per_thread=10, seed=17)
+    for outcome in crash_at(spec, spread(spec, 5)):
+        assert outcome["consistent"], (
+            f"{workload_cls.__name__}/{design} @ "
+            f"{outcome['crash_cycle']}: {outcome['violations'][:3]}")
 
 
 def test_crash_at_cycle_one_is_initial_state():
-    outcome = run_with_crash(ArraySwaps, "PMEM-Spec", crash_cycle=1,
-                             n_threads=2, fases_per_thread=5, seed=17)
-    assert outcome.consistent
-    assert outcome.commits_before_crash == 0
+    outcome = run_trial(TrialSpec("array_swaps", "PMEM-Spec",
+                                  crash_cycle=1, n_threads=2,
+                                  fases_per_thread=5, seed=17))
+    assert outcome["consistent"]
+    assert outcome["commits_before_crash"] == 0
 
 
 def test_mid_fase_crash_rolls_back_partial_writes():
     """Find a crash point that lands mid-FASE (commits < total) and show
-    recovery actually applied undo writes at least once somewhere."""
-    from repro.runtime import measure_run_cycles
-    total = measure_run_cycles(TPCC, "PMEM-Spec", 2, 10, 17)
-    rolled_back = 0
-    for fraction in (0.1, 0.2, 0.375, 0.5, 0.675):
-        outcome = run_with_crash(TPCC, "PMEM-Spec",
-                                 crash_cycle=int(total * fraction),
-                                 n_threads=2, fases_per_thread=10, seed=17)
-        assert outcome.consistent
-        rolled_back += outcome.report.total_undo_writes
-    assert rolled_back > 0, "no crash point ever landed mid-FASE"
+    recovery actually rolled a thread back at least once somewhere."""
+    spec = TrialSpec("tpcc", "PMEM-Spec", n_threads=2,
+                     fases_per_thread=10, seed=17)
+    total = profile_cell(spec).total_cycles
+    rolled_back = []
+    for outcome in crash_at(spec, [int(total * fraction) for fraction
+                                   in (0.1, 0.2, 0.375, 0.5, 0.675)]):
+        assert outcome["consistent"]
+        rolled_back += outcome["rolled_back_threads"]
+    assert rolled_back, "no crash point ever landed mid-FASE"
 
 
 def test_recovery_counts_match_rolled_back_threads():
-    from repro.runtime import measure_run_cycles
-    total = measure_run_cycles(Hashmap, "IntelX86", 2, 10, 17)
-    outcome = run_with_crash(Hashmap, "IntelX86",
-                             crash_cycle=total // 2,
-                             n_threads=2, fases_per_thread=10, seed=17)
-    assert outcome.consistent
-    assert set(outcome.report.rolled_back_threads) <= {0, 1}
+    spec = TrialSpec("hashmap", "IntelX86", n_threads=2,
+                     fases_per_thread=10, seed=17)
+    [outcome] = crash_at(spec, [profile_cell(spec).total_cycles // 2])
+    assert outcome["consistent"]
+    assert set(outcome["rolled_back_threads"]) <= {0, 1}
 
 
 def test_dense_crash_points_on_one_fase_window():
     """Carpet-bomb a narrow window with crash points: every single cycle
     offset must recover (the strongest atomicity check)."""
-    from repro.runtime import measure_run_cycles
-    total = measure_run_cycles(ArraySwaps, "PMEM-Spec", 2, 8, 23)
-    center = total // 2
-    points = [center + delta for delta in range(-400, 401, 100)]
-    outcomes = crash_sweep(ArraySwaps, "PMEM-Spec", crash_points=points,
-                           n_threads=2, fases_per_thread=8, seed=23)
-    assert all(outcome.consistent for outcome in outcomes)
+    spec = TrialSpec("array_swaps", "PMEM-Spec", n_threads=2,
+                     fases_per_thread=8, seed=23)
+    center = profile_cell(spec).total_cycles // 2
+    outcomes = crash_at(spec, [center + delta
+                               for delta in range(-400, 401, 100)])
+    assert all(outcome["consistent"] for outcome in outcomes)

@@ -48,7 +48,6 @@ def queued(monkeypatch):
 
     monkeypatch.setattr(Environment, "_schedule", recording_schedule)
     monkeypatch.setattr(Environment, "schedule_at", recording_schedule_at)
-    monkeypatch.setattr(Environment, "call_at", recording_schedule_at)
     return items
 
 

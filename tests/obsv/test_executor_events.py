@@ -4,8 +4,7 @@ import re
 
 import pytest
 
-from repro.harness import (ParallelExecutor, RetryPolicy, RunSpec,
-                           WorkerTaskError)
+from repro.harness import ParallelExecutor, RunSpec, WorkerTaskError
 from repro.obsv.bus import EventBus, bus_scope, set_bus, validate_events
 
 
@@ -142,8 +141,7 @@ class TestProgressAdapter:
 
     def test_quarantined_item_reports_an_error_line(self):
         lines = []
-        executor = ParallelExecutor(jobs=1, progress=lines.append,
-                                    retry=RetryPolicy(max_attempts=1))
+        executor = ParallelExecutor(jobs=1, progress=lines.append)
         with pytest.raises(WorkerTaskError, match="item 1 quarantined"):
             executor.map(positive, [1, -1, 2])
         assert lines[0].startswith("[1/3] item 0 (")

@@ -1,5 +1,7 @@
 """Unit tests for the three baseline designs and the design registry."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import table3_config
@@ -221,11 +223,12 @@ class TestStrandWeaver:
         assert strand.cycles <= hops.cycles * 1.02
 
     def test_crash_consistent(self):
-        from repro.runtime import crash_sweep
-        from repro.workloads import TPCC
-        outcomes = crash_sweep(TPCC, "StrandWeaver", n_points=4,
-                               n_threads=2, fases_per_thread=8, seed=5)
-        assert all(outcome.consistent for outcome in outcomes)
+        from repro.validation import TrialSpec, profile_cell, run_trial
+        spec = TrialSpec("tpcc", "StrandWeaver", n_threads=2,
+                         fases_per_thread=8, seed=5)
+        step = profile_cell(spec).total_cycles // 5
+        assert all(run_trial(replace(spec, crash_cycle=step * point))
+                   ["consistent"] for point in range(1, 5))
 
     def test_baseline_designs_reject_strand_ops(self):
         with pytest.raises(UnsupportedOp):

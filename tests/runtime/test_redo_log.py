@@ -1,5 +1,7 @@
 """Unit and integration tests for the redo-logging variant."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -180,9 +182,9 @@ class TestRedoEndToEnd:
         assert probe.validate_recovered(system.image.snapshot()) == []
 
     def test_crash_sweep_under_redo(self):
-        from repro.runtime import crash_sweep
-        from repro.workloads import RBTree
-        outcomes = crash_sweep(RBTree, "PMEM-Spec", n_points=5,
-                               n_threads=2, fases_per_thread=8, seed=11,
-                               log_mode="redo")
-        assert all(outcome.consistent for outcome in outcomes)
+        from repro.validation import TrialSpec, profile_cell, run_trial
+        spec = TrialSpec("rbtree", "PMEM-Spec", n_threads=2,
+                         fases_per_thread=8, seed=11, log_mode="redo")
+        step = profile_cell(spec).total_cycles // 6
+        assert all(run_trial(replace(spec, crash_cycle=step * point))
+                   ["consistent"] for point in range(1, 6))

@@ -116,19 +116,6 @@ def test_all_of_empty_fires_immediately():
     assert joined.triggered and joined.value == []
 
 
-def test_any_of_fires_on_first():
-    env = Environment()
-    done = []
-
-    def parent():
-        yield env.any_of([env.timeout(5), env.timeout(2)])
-        done.append(env.now)
-
-    env.process(parent())
-    env.run()
-    assert done == [2]
-
-
 def test_run_until_stops_clock_at_bound():
     env = Environment()
 
@@ -161,7 +148,7 @@ def test_run_with_stop_event():
 def test_call_at_runs_callback():
     env = Environment()
     fired = []
-    env.call_at(17, lambda: fired.append(env.now))
+    env.schedule_at(17, lambda: fired.append(env.now))
 
     def proc():
         yield env.timeout(50)
@@ -180,7 +167,7 @@ def test_call_at_past_rejected():
     env.process(proc())
     env.run()
     with pytest.raises(SimulationError):
-        env.call_at(5, lambda: None)
+        env.schedule_at(5, lambda: None)
 
 
 def test_fifo_order_for_simultaneous_events():
@@ -254,48 +241,6 @@ def test_many_processes_independent_clocks():
         env.process(proc(pid, pid * 3))
     env.run()
     assert finish == {pid: pid * 3 for pid in range(50)}
-
-
-def test_any_of_retains_children():
-    env = Environment()
-    first, second = env.timeout(5), env.timeout(2)
-    race = env.any_of([first, second])
-    assert race.children == [first, second]
-    env.run()
-    # Children survive the trigger (mirrors AllOf).
-    assert race.children == [first, second]
-
-
-def test_any_of_exposes_first_fired():
-    env = Environment()
-    slow, fast = env.timeout(5), env.timeout(2)
-    race = env.any_of([slow, fast])
-    assert race.first_fired is None
-    env.run()
-    assert race.first_fired is fast
-    assert race.triggered
-
-
-def test_any_of_first_fired_value_matches():
-    env = Environment()
-    manual = env.event()
-    timeout = env.timeout(50)
-    race = env.any_of([manual, timeout])
-
-    def trigger():
-        yield env.timeout(1)
-        manual.succeed("winner")
-
-    env.process(trigger())
-    env.run()
-    assert race.first_fired is manual
-    assert race.value == "winner"
-
-
-def test_any_of_empty_rejected():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.any_of([])
 
 
 def test_all_of_retains_children():

@@ -2,7 +2,7 @@
 
 The environment's queue promises a total order: ascending cycle, then
 push order within a cycle.  These tests generate random event programs
-(timeouts, manual events, interrupts, same-cycle ties, ``call_at``
+(timeouts, manual events, interrupts, same-cycle ties, ``schedule_at``
 callbacks), number every push the environment receives, record every
 item it fires, and assert the firing order is exactly a test-local
 reference: every pushed item sorted by (cycle, push order).  Plus the
@@ -46,7 +46,7 @@ class PushLog:
             self.pushed.append(key)
 
         env._schedule = numbered_schedule
-        env.schedule_at = env.call_at = numbered_schedule_at
+        env.schedule_at = numbered_schedule_at
 
     def reference(self):
         """The order the queue must fire in: (cycle, push order)."""
@@ -77,7 +77,7 @@ def random_program(env, rng, log):
                     yield env.timeout(1)
                 elif choice < 0.75:
                     when = env.now + rng.randint(0, 7)
-                    env.call_at(
+                    env.schedule_at(
                         when,
                         lambda pid=pid, step=step:
                             log.append((env.now, f"w{pid}.c{step}")))
@@ -142,7 +142,7 @@ def test_same_cycle_fifo_is_insertion_order():
 
     for tag in "abcdef":
         env.process(proc(tag))
-    env.call_at(5, lambda: order.append("cb"))
+    env.schedule_at(5, lambda: order.append("cb"))
     env.run()
     # The callback is queued for cycle 5 immediately; the processes
     # only schedule their timeouts when their start markers fire at
@@ -158,12 +158,12 @@ def test_push_into_the_draining_cycle_lands_behind_the_cursor():
 
     def first():
         order.append("first")
-        env.call_at(env.now, lambda: order.append("late"))
+        env.schedule_at(env.now, lambda: order.append("late"))
         env.timeout(0).add_callback(lambda _event: order.append("zero"))
 
-    env.call_at(4, first)
-    env.call_at(4, lambda: order.append("second"))
-    env.call_at(5, lambda: order.append("next"))
+    env.schedule_at(4, first)
+    env.schedule_at(4, lambda: order.append("second"))
+    env.schedule_at(5, lambda: order.append("next"))
     env.run()
     # Both pushes made while cycle 4 drains fire in cycle 4, after the
     # item that was already queued behind ``first``.
@@ -193,7 +193,7 @@ def test_call_at_rearms_after_restore():
     ``restore_state``."""
     env = Environment()
     fired = []
-    env.call_at(5, lambda: fired.append(env.now))
+    env.schedule_at(5, lambda: fired.append(env.now))
     env.run()
     assert fired == [5]
     state = env.capture_state()
@@ -201,15 +201,15 @@ def test_call_at_rearms_after_restore():
     # Restore into an environment whose queue has already drained much
     # later cycles: a stale drain cursor would corrupt ordering.
     target = Environment()
-    target.call_at(50, lambda: None)
+    target.schedule_at(50, lambda: None)
     target.run()
     assert target.now == 50
     target.restore_state(state)
     assert target.now == 5
     assert target.peek() is None
     refired = []
-    target.call_at(12, lambda: refired.append(target.now))
-    target.call_at(7, lambda: refired.append(target.now))
+    target.schedule_at(12, lambda: refired.append(target.now))
+    target.schedule_at(7, lambda: refired.append(target.now))
     target.run()
     assert refired == [7, 12]
     assert target.now == 12
@@ -219,7 +219,7 @@ def test_restored_env_keeps_sequence_continuity():
     """Restore carries the scheduling sequence number, so a restored
     run numbers subsequent events exactly as the original would."""
     env = Environment()
-    env.call_at(3, lambda: None)
+    env.schedule_at(3, lambda: None)
     env.run()
     state = env.capture_state()
 

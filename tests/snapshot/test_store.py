@@ -1,4 +1,4 @@
-"""SnapshotStore: content addressing, atomicity, corruption, LRU cap.
+"""SnapshotStore: content addressing, atomicity, corruption, no eviction.
 
 The store deals in bytes.  These tests store payloads through
 :class:`PayloadStore`, which encodes and decodes with the codec the
@@ -7,7 +7,6 @@ ladder uses, so each property is checked on the bytes a ladder writes.
 
 import os
 import pickle
-import time
 
 import pytest
 
@@ -92,17 +91,7 @@ class TestCorruption:
 
 
 class TestLRUCap:
-    def test_cap_evicts_oldest(self, tmp_path):
-        store = PayloadStore(str(tmp_path))
-        first = store.put({"n": 1, "pad": list(range(100))})
-        # Cap fits one object but not two; age the first so mtime
-        # ordering is unambiguous even on coarse filesystems.
-        store.max_bytes = store.total_bytes() + 10
-        os.utime(store._object_path(first),
-                 (time.time() - 10, time.time() - 10))
-        second = store.put({"n": 2, "pad": list(range(100))})
-        assert not store.has(first)
-        assert store.has(second)
+    """The store has no size cap: it keeps every object it wrote."""
 
     def test_no_cap_keeps_everything(self, store):
         keys = [store.put({"n": n, "pad": list(range(50))})
@@ -143,10 +132,7 @@ class TestEveryReadChecksTheHash:
         store = PayloadStore(str(tmp_path))
         first = store.put({"n": 1, "pad": list(range(100))})
         store.get(first)
-        store.max_bytes = store.total_bytes() + 10
-        os.utime(store._object_path(first),
-                 (time.time() - 10, time.time() - 10))
-        store.put({"n": 2, "pad": list(range(100))})
+        os.unlink(store._object_path(first))
         assert not store.has(first)
         with pytest.raises(SnapshotError, match="unavailable"):
             store.get(first)

@@ -3,6 +3,7 @@ the report artifact -- including the deliberate-bug acceptance fixture
 (a torn undo log must be caught, shrunk, and named in the report)."""
 
 import json
+import sys
 
 import pytest
 
@@ -15,7 +16,7 @@ from repro.validation import (
     run_campaign,
     run_trial,
 )
-from repro.validation.campaign import report_fingerprint
+from repro.validation.campaign import _build, report_fingerprint
 
 CELL = dict(workload="array_swaps", design="PMEM-Spec")
 
@@ -57,6 +58,16 @@ def test_profile_cell_exposes_run_structure():
     assert profile.issue_end <= profile.total_cycles
     assert profile.persist_cycles == sorted(set(profile.persist_cycles))
     assert profile.persist_cycles[-1] <= profile.total_cycles
+
+
+def test_oracle_recorder_keeps_every_event():
+    """Trials and the crash-state checker judge the history this
+    recorder keeps.  A bounded one drops the tail of a long run
+    silently, so the oracle would never see it: it has no bound."""
+    _workload, system, _fault, recorder, _ladder = _build(TrialSpec(**CELL))
+    system.run()
+    assert recorder.max_events >= sys.maxsize
+    assert recorder.dropped == 0 and len(recorder) > 0
 
 
 def test_fault_registry_round_trips():
