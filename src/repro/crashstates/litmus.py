@@ -32,7 +32,7 @@ from ..runtime.heap import log_region_base  # noqa: F401  (docs anchor)
 from ..runtime.recovery import run_recovery
 from ..runtime.undo_log import UndoLogLayout, stamp_target
 from .models import (OrderContext, PersistRecord, enumerate_durable_states,
-                     materialize_image, parse_origin)
+                     parse_origin)
 
 LITMUS_SCHEMA_VERSION = 1
 

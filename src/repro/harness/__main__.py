@@ -3,13 +3,15 @@
 Usage::
 
     python -m repro.harness table3
-    python -m repro.harness fig9  [--scale 1.0] [--threads 8] [--jobs 4]
-    python -m repro.harness fig10 [--scale 0.5] [--cores 16,32,64]
-    python -m repro.harness fig11 [--scale 1.0]
-    python -m repro.harness fig12 [--scale 1.0]
-    python -m repro.harness misspec
-    python -m repro.harness ablations
-    python -m repro.harness all   [--scale 0.5] [--jobs 0]
+    python -m repro.harness fig2
+    python -m repro.harness fig9 --scale 1.0 --threads 8 --jobs 4
+    python -m repro.harness fig10 --scale 0.5 --cores 16,32,64
+    python -m repro.harness fig11 --scale 1.0 --save results/
+    python -m repro.harness fig12 --scale 1.0 --seed 42
+    python -m repro.harness misspec --no-cache
+    python -m repro.harness ablations --scale 0.5
+    python -m repro.harness all --scale 0.5 --jobs 0
+    python -m repro.harness run --benchmark tatp --design HOPS --json
     python -m repro.harness trace array_swaps --design PMEMSpec \
         --trace-out trace.json
     python -m repro.harness metrics tpcc --design PMEM-Spec --summary
@@ -19,8 +21,8 @@ Usage::
     python -m repro.harness fig9 --events-out events.jsonl
     python -m repro.harness validate --planner stratified --budget 200 \
         --jobs 4 --report-out campaign.json
-    python -m repro.harness validate --snapshot-every 50 \
-        --snapshot-dir snaps/   # warm-start trials from rung snapshots
+    python -m repro.harness validate --snapshot-rungs 16 \
+        --snapshot-dir snaps/   # trials restore from rung snapshots
     python -m repro.harness snapshot capture --benchmark hashmap \
         --design PMEM-Spec --snapshot-every 50 --snapshot-dir snaps/
     python -m repro.harness snapshot inspect --snapshot-dir snaps/
@@ -29,11 +31,15 @@ Usage::
     python -m repro.harness validate --resume runs/c1 --jobs 4 \
         --budget 40   # journal task outcomes; rerun after a kill resumes
 
+Each command accepts only the flags its handler reads (:data:`COMMANDS`,
+``COMMAND --help``); any other flag is a usage error, exit status 2.
+
 ``--jobs N`` fans the experiment grid out over N worker processes
 (``0`` = all cores).  Results are cached per grid cell (keyed by a
 content hash of the resolved run spec) so re-running an unchanged
 figure is free; ``--no-cache`` disables the cache and ``--cache-dir``
-relocates it.
+relocates it.  ``validate`` takes ``--jobs`` but no cache flags: its
+trials never go through the result cache.
 
 Output channels: experiment *data* (tables, figures, JSON, traces) goes
 to stdout; diagnostics (timings, cache provenance, progress) go to the
@@ -125,8 +131,25 @@ def _restore_signal_handlers(previous) -> None:
             pass
 
 
+def _pool(args) -> dict:
+    """The executor keywords of ``--jobs`` and ``--progress``."""
+    progress = get_logger("harness.progress").info if args.progress else None
+    return {"jobs": args.jobs if args.jobs > 0 else None,
+            "progress": progress}
+
+
+def _executor(args):
+    """The sweep executor: the pool flags plus the result cache."""
+    from .sweep import ParallelExecutor
+    cache_dir = None
+    if not args.no_cache:
+        cache_dir = args.cache_dir or os.path.join(
+            tempfile.gettempdir(), "repro-harness-cache")
+    return ParallelExecutor(cache_dir=cache_dir, **_pool(args))
+
+
 def _maybe_save(args, name, payload):
-    if getattr(args, "save", None):
+    if args.save:
         from .artifacts import save_artifact
         path = save_artifact(args.save, name, payload,
                              meta={"scale": args.scale, "seed": args.seed})
@@ -142,13 +165,15 @@ def _timed(label, fn):
 
 
 def cmd_table3(args) -> None:
+    """Table 3: the simulated machine's configuration."""
     console(format_table3())
 
 
 def cmd_fig9(args) -> None:
+    """Figure 9: throughput of every design at 8 cores."""
     rows = _timed("fig9", lambda: figure9(n_threads=args.threads,
                                           scale=args.scale, seed=args.seed,
-                                          executor=args.executor))
+                                          executor=_executor(args)))
     _maybe_save(args, "fig9", rows)
     console(format_normalized_table(
         rows, DESIGNS,
@@ -163,11 +188,12 @@ def cmd_fig9(args) -> None:
 
 
 def cmd_fig10(args) -> None:
+    """Figure 10: the same comparison at larger core counts."""
     cores = [int(c) for c in args.cores.split(",")]
     results = _timed("fig10", lambda: figure10(core_counts=cores,
                                                scale=args.scale,
                                                seed=args.seed,
-                                               executor=args.executor))
+                                               executor=_executor(args)))
     _maybe_save(args, "fig10", results)
     for count, rows in results.items():
         console(format_normalized_table(
@@ -180,9 +206,10 @@ def cmd_fig10(args) -> None:
 
 
 def cmd_fig11(args) -> None:
+    """Figure 11: speculation-buffer size sensitivity."""
     series = _timed("fig11", lambda: figure11(scale=args.scale,
                                               seed=args.seed,
-                                              executor=args.executor))
+                                              executor=_executor(args)))
     _maybe_save(args, "fig11", series)
     console(format_series(
         series, "buffer entries", "throughput vs 16-entry",
@@ -190,9 +217,10 @@ def cmd_fig11(args) -> None:
 
 
 def cmd_fig12(args) -> None:
+    """Figure 12: persist-path latency sensitivity."""
     series = _timed("fig12", lambda: figure12(scale=args.scale,
                                               seed=args.seed,
-                                              executor=args.executor))
+                                              executor=_executor(args)))
     _maybe_save(args, "fig12", series)
     console(format_series(
         series, "persist-path ns", "geomean vs IntelX86",
@@ -200,14 +228,16 @@ def cmd_fig12(args) -> None:
 
 
 def cmd_misspec(args) -> None:
+    """Section 8.4: misspeculation rates, with the probe rows."""
     rows = _timed("misspec", lambda: misspeculation_rates(
-        scale=args.scale, seed=args.seed, executor=args.executor))
+        scale=args.scale, seed=args.seed, executor=_executor(args)))
     _maybe_save(args, "misspec", {"rows": rows})
     console(format_misspec_table(
         rows, "Section 8.4: misspeculation rates under PMEM-Spec"))
 
 
 def cmd_fig2(args) -> None:
+    """Figure 2 quantified: ordering annotations per FASE."""
     rows = _timed("fig2", figure2_annotation_burden)
     console(format_series(
         rows, "benchmark", "annotations/FASE per flavor",
@@ -215,15 +245,17 @@ def cmd_fig2(args) -> None:
 
 
 def cmd_ablations(args) -> None:
+    """Ablations: lazy vs eager recovery, naive tagging, undo vs redo."""
+    executor = _executor(args)
     recovery = _timed("lazy-vs-eager",
                       lambda: lazy_vs_eager_recovery(scale=args.scale,
                                                      seed=args.seed,
-                                                     executor=args.executor))
+                                                     executor=executor))
     console(format_series(recovery, "recovery mode", "outcome",
                           "Ablation: lazy vs eager recovery (§6.2)"))
     console()
     tagging = _timed("tagging", lambda: naive_tagging_ablation(
-        scale=args.scale, seed=args.seed, executor=args.executor))
+        scale=args.scale, seed=args.seed, executor=executor))
     console(format_series(
         {name: {"slowdown_naive": row["slowdown"],
                 "naive_overflows": row["naive_overflows"]}
@@ -232,7 +264,7 @@ def cmd_ablations(args) -> None:
         "Ablation: spec-tagging without escape analysis (§5.2.2)"))
     console()
     redo = _timed("undo-vs-redo", lambda: undo_vs_redo_ablation(
-        scale=args.scale, seed=args.seed, executor=args.executor))
+        scale=args.scale, seed=args.seed, executor=executor))
     console(format_series(
         {name: {key: value for key, value in row.items()
                 if key.endswith("speedup")}
@@ -257,24 +289,21 @@ def _print_run_summary(result) -> None:
 
 
 def cmd_run(args) -> None:
-    from .sweep import RunSpec
-    spec = RunSpec(benchmark=args.benchmark, design=args.design,
-                   n_threads=args.threads, seed=args.seed)
+    """One benchmark on one design, through the result cache."""
+    spec = _cell_spec(args)
     result = _timed(
         f"{args.benchmark}/{args.design}",
-        lambda: args.executor.run(spec)[0])
+        lambda: _executor(args).run(spec)[0])
     if args.json:
         console(result.to_json())
         return
     _print_run_summary(result)
 
 
-def _observed_spec(args):
-    """The RunSpec the trace/metrics commands simulate (benchmark from
-    the positional target, falling back to --benchmark)."""
+def _cell_spec(args):
+    """The RunSpec of the single-cell commands' flags."""
     from .sweep import RunSpec
-    benchmark = args.target or args.benchmark
-    return RunSpec(benchmark=benchmark, design=args.design,
+    return RunSpec(benchmark=args.benchmark, design=args.design,
                    n_threads=args.threads, seed=args.seed)
 
 
@@ -286,7 +315,7 @@ def cmd_trace(args) -> None:
         validate_trace_document,
     )
     from .sweep import execute_spec
-    spec = _observed_spec(args)
+    spec = _cell_spec(args)
     config = spec.resolved_config()
     tracer = TraceRecorder(cycle_ns=config.cycle_ns)
     metrics = MetricsCollector(window_cycles=args.metrics_window)
@@ -324,7 +353,7 @@ def cmd_profile(args) -> None:
     from ..obsv import get_bus, profile_run
     from ..sim import TraceRecorder
     from .sweep import execute_spec
-    spec = _observed_spec(args)
+    spec = _cell_spec(args)
     config = spec.resolved_config()
     tracer = TraceRecorder(cycle_ns=config.cycle_ns)
     start = time.time()
@@ -354,8 +383,7 @@ def cmd_bench_history(args) -> None:
     """Trend report over a directory of BENCH_*.json payloads and
     *events*.jsonl event logs (CI artifact collections)."""
     from ..obsv import HistoryReport, collect_records
-    root = args.target or "."
-    report = HistoryReport(collect_records(root))
+    report = HistoryReport(collect_records(args.directory))
     console(report.render_terminal())
     if args.html:
         report.save_html(args.html)
@@ -366,7 +394,7 @@ def cmd_metrics(args) -> None:
     """Run one spec with windowed metrics; print series or sparklines."""
     from ..sim import MetricsCollector
     from .sweep import execute_spec
-    spec = _observed_spec(args)
+    spec = _cell_spec(args)
     metrics = MetricsCollector(window_cycles=args.metrics_window)
     start = time.time()
     with run_context(run_id=f"metrics/{spec.benchmark}",
@@ -382,6 +410,11 @@ def cmd_metrics(args) -> None:
         console(json.dumps(result.timeseries or {}, indent=2))
 
 
+def _names(text: str) -> list:
+    """The names in a comma-separated flag value."""
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def cmd_validate(args) -> int:
     """Crash-consistency campaign over benchmarks x designs (exits 1 on
     any violation, so CI can gate on it).  ``--resume DIR`` runs it
@@ -389,8 +422,7 @@ def cmd_validate(args) -> int:
     simulates only the tasks it never finished."""
     from ..validation import run_campaign
     from .report import format_campaign_table
-    benchmarks = [b.strip() for b in args.benchmarks.split(",") if b.strip()]
-    designs = [d.strip() for d in args.designs.split(",") if d.strip()]
+    designs = _names(args.designs) if args.designs else None
     if args.litmus:
         if args.resume:
             raise ValueError("--resume journals campaign tasks; "
@@ -398,32 +430,29 @@ def cmd_validate(args) -> int:
         from ..crashstates.litmus import format_litmus_table, run_litmus
         # The litmus tier covers every design (incl. StrandWeaver, which
         # the campaign default leaves out) unless --designs narrows it.
-        explicit = args.designs != ",".join(DESIGNS)
-        litmus = run_litmus(designs=designs if explicit else None)
+        litmus = run_litmus(designs=designs)
         console(format_litmus_table(litmus))
         if args.report_out:
             with open(args.report_out, "w") as fh:
                 json.dump(litmus, fh, indent=2, sort_keys=True)
             console(f"litmus report written to {args.report_out}")
         return 0 if litmus["ok"] else 1
-    executor = args.executor
     if args.resume:
         from .resume import JournaledExecutor
-        executor = JournaledExecutor(args.resume, jobs=executor.jobs,
-                                     progress=executor.progress)
+        executor = JournaledExecutor(args.resume, **_pool(args))
+    else:
+        from .sweep import ParallelExecutor
+        executor = ParallelExecutor(**_pool(args))
     progress_log = get_logger("validation.progress")
     with run_context(run_id="validate"):
         report = run_campaign(
-            benchmarks, designs,
+            _names(args.benchmarks), designs or DESIGNS,
             planner=args.planner, fault=args.fault, budget=args.budget,
             seed=args.seed, n_threads=args.val_threads,
             fases_per_thread=args.val_fases, log_mode=args.log_mode,
             shrink=args.shrink, executor=executor,
             progress=progress_log.info if args.progress else None,
-            snapshot_dir=(args.snapshot_dir
-                          if args.snapshot_every or args.snapshot_rungs
-                          else None),
-            snapshot_every=args.snapshot_every,
+            snapshot_dir=args.snapshot_dir if args.snapshot_rungs else None,
             snapshot_rungs=args.snapshot_rungs,
             batch=args.batch,
             crash_states=args.crash_states,
@@ -471,10 +500,7 @@ def cmd_snapshot(args) -> int:
     from ..snapshot import SnapshotStore
     from ..validation.campaign import (TrialSpec, _cell_index_name,
                                        snapshot_cell, verify_cell)
-    action = args.target or "inspect"
-    if action not in ("capture", "inspect", "verify"):
-        raise ValueError(f"unknown snapshot action {action!r}; choose "
-                         f"capture, inspect, or verify")
+    action = args.action
     if not args.snapshot_dir:
         raise ValueError("snapshot command needs --snapshot-dir")
 
@@ -524,6 +550,7 @@ def cmd_snapshot(args) -> int:
 
 
 def cmd_all(args) -> None:
+    """Table 3, Figures 9-12, Section 8.4 and the ablations, in order."""
     cmd_table3(args)
     console()
     cmd_fig9(args)
@@ -539,172 +566,168 @@ def cmd_all(args) -> None:
     cmd_ablations(args)
 
 
+#: Flag groups shared by several commands; every command takes COMMON.
+COMMON = ("--log-level", "--events-out")
+POOL = ("--jobs", "--progress")                 # work fans out
+SWEEP = POOL + ("--no-cache", "--cache-dir")    # ... as cached RunSpecs
+GRID = SWEEP + ("--scale", "--seed")            # an experiment grid
+FIGURE = GRID + ("--save",)                     # ... that saves its data
+CELL = ("--design", "--threads", "--seed")      # one simulated run
+TRIAL = ("--seed", "--fault", "--val-threads", "--val-fases",
+         "--log-mode", "--snapshot-dir")        # one crash-trial cell
+
+#: Each command's handler and the arguments it reads beyond COMMON
+#: (a name without dashes is positional).
 COMMANDS = {
-    "table3": cmd_table3,
-    "fig2": cmd_fig2,
-    "fig9": cmd_fig9,
-    "fig10": cmd_fig10,
-    "fig11": cmd_fig11,
-    "fig12": cmd_fig12,
-    "misspec": cmd_misspec,
-    "ablations": cmd_ablations,
-    "run": cmd_run,
-    "trace": cmd_trace,
-    "metrics": cmd_metrics,
-    "profile": cmd_profile,
-    "bench-history": cmd_bench_history,
-    "snapshot": cmd_snapshot,
-    "validate": cmd_validate,
-    "all": cmd_all,
+    "table3": (cmd_table3, ()),
+    "fig2": (cmd_fig2, ()),
+    "fig9": (cmd_fig9, FIGURE + ("--threads",)),
+    "fig10": (cmd_fig10, FIGURE + ("--cores",)),
+    "fig11": (cmd_fig11, FIGURE),
+    "fig12": (cmd_fig12, FIGURE),
+    "misspec": (cmd_misspec, FIGURE),
+    "ablations": (cmd_ablations, GRID),
+    "run": (cmd_run, SWEEP + CELL + ("--benchmark", "--json")),
+    "trace": (cmd_trace, ("benchmark",) + CELL
+              + ("--trace-out", "--metrics-window")),
+    "metrics": (cmd_metrics, ("benchmark",) + CELL
+                + ("--metrics-window", "--summary")),
+    "profile": (cmd_profile, ("benchmark",) + CELL + ("--profile-out",)),
+    "bench-history": (cmd_bench_history, ("directory", "--html")),
+    "snapshot": (cmd_snapshot, ("action", "--benchmark", "--design",
+                                "--snapshot-every") + TRIAL),
+    "validate": (cmd_validate, POOL + TRIAL + (
+        "--planner", "--budget", "--shrink", "--benchmarks", "--designs",
+        "--report-out", "--snapshot-rungs", "--crash-states", "--litmus",
+        "--image-budget", "--batch", "--resume")),
+    "all": (cmd_all, FIGURE + ("--threads", "--cores")),
 }
 
 
-def main(argv=None) -> int:
+def _arguments() -> dict:
+    """``add_argument`` keywords for every name in :data:`COMMANDS`."""
+    from ..validation.faults import FAULT_NAMES
+    from ..validation.planners import PLANNER_NAMES
+    return {
+        "--log-level": dict(default="info",
+                            choices=("debug", "info", "warning", "error"),
+                            help="diagnostic verbosity on stderr"),
+        "--events-out": dict(metavar="FILE", help="write the run's "
+                             "lifecycle events as JSON-Lines"),
+        "--jobs": dict(type=int, default=1, help="worker processes "
+                       "(0 = all cores; default 1 = serial)"),
+        "--progress": dict(action="store_true",
+                           help="log one line per completed task"),
+        "--no-cache": dict(action="store_true",
+                           help="disable the per-spec result cache"),
+        "--cache-dir": dict(metavar="DIR", help="result-cache directory "
+                            "(default: <tmpdir>/repro-harness-cache)"),
+        "--scale": dict(type=float, default=1.0,
+                        help="FASE-count multiplier (default 1.0)"),
+        "--seed": dict(type=int, default=42),
+        "--save": dict(metavar="DIR",
+                       help="also write the experiment's data as JSON"),
+        "--threads": dict(type=int, default=8),
+        "--cores": dict(default="16,32,64", help="Figure 10's core counts"),
+        "benchmark": dict(nargs="?", default="tpcc",
+                          help="benchmark to simulate (default tpcc)"),
+        "--benchmark": dict(default="tpcc"),
+        "--design": dict(default="PMEM-Spec"),
+        "--json": dict(action="store_true", help="emit JSON"),
+        "--trace-out": dict(metavar="FILE", help="Chrome trace JSON path "
+                            "(default <benchmark>-<design>.trace.json)"),
+        "--metrics-window": dict(type=int, default=10_000,
+                                 metavar="CYCLES",
+                                 help="aggregation window for time-series "
+                                      "metrics (default 10000 cycles)"),
+        "--summary": dict(action="store_true",
+                          help="sparkline summary instead of JSON"),
+        "--profile-out": dict(metavar="FILE", help="collapsed-stack path "
+                              "(default <benchmark>-<design>.folded)"),
+        "directory": dict(nargs="?", default=".",
+                          help="artifact directory (default .)"),
+        "--html": dict(metavar="FILE",
+                       help="also write an HTML trend report"),
+        "action": dict(nargs="?", default="inspect",
+                       choices=("capture", "inspect", "verify")),
+        "--fault": dict(default="power-cut", choices=FAULT_NAMES,
+                        help="fault model to inject"),
+        "--val-threads": dict(type=int, default=2,
+                              help="threads per trial (default 2)"),
+        "--val-fases": dict(type=int, default=10,
+                            help="FASEs per thread per trial (default 10)"),
+        "--log-mode": dict(default="undo", choices=("undo", "redo"),
+                           help="logging flavor under test"),
+        "--snapshot-dir": dict(metavar="DIR",
+                               help="rung-snapshot store directory"),
+        "--snapshot-every": dict(type=int, default=0, metavar="K",
+                                 help="ladder interval in persist events"),
+        "--planner": dict(default="stratified", choices=PLANNER_NAMES,
+                          help="crash-cycle planner"),
+        "--budget": dict(type=int, default=200,
+                         help="trial budget per workload x design cell "
+                              "(default 200)"),
+        "--shrink": dict(action=argparse.BooleanOptionalAction,
+                         default=True,
+                         help="shrink failing crash cycles to a minimal "
+                              "reproducer"),
+        "--benchmarks": dict(default="array_swaps,queue,hashmap,rbtree",
+                             help="comma-separated benchmark list"),
+        "--designs": dict(help="comma-separated design list (default: "
+                          "the four campaign designs; --litmus also "
+                          "checks StrandWeaver)"),
+        "--report-out": dict(metavar="FILE",
+                             help="write the report JSON artifact here"),
+        "--snapshot-rungs": dict(type=int, default=0, metavar="N",
+                                 help="size each cell's ladder to ~N rungs "
+                                      "from a probe run (0 = no ladder); "
+                                      "rungs are stored in --snapshot-dir"),
+        "--crash-states": dict(action="store_true", help="then enumerate "
+                               "every durable state each design's model "
+                               "allows at sampled crash cycles and prove "
+                               "recovery converges from all of them"),
+        "--litmus": dict(action="store_true",
+                         help="run only the hand-written crash-state "
+                              "litmus tier (seconds, no campaign) and "
+                              "exit 1 on any mismatch"),
+        "--image-budget": dict(type=int, default=64, metavar="N",
+                               help="durable-state images enumerated per "
+                                    "crash cycle before falling back to "
+                                    "seeded stratified sampling "
+                                    "(default 64)"),
+        "--batch": dict(type=int, default=0, metavar="N",
+                        help="cap each (cell, chunk) task at N trials "
+                             "(0 = one chunk per cell), spreading a cell "
+                             "over more workers; outcomes are identical "
+                             "for any N"),
+        "--resume": dict(metavar="DIR", help="journal each campaign "
+                         "task's outcome in DIR/tasks.jsonl and replay "
+                         "the journaled ones, so rerunning a killed "
+                         "campaign simulates only what it never finished"),
+    }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, accepting exactly its :data:`COMMANDS`
+    entry plus :data:`COMMON` (unabbreviated: a prefix of a flag the
+    command does not read must not reach one it does)."""
+    arguments = _arguments()
     parser = argparse.ArgumentParser(
         prog="python -m repro.harness",
         description="Regenerate the PMEM-Spec paper's tables and figures.")
-    parser.add_argument("experiment", choices=sorted(COMMANDS))
-    parser.add_argument("target", nargs="?", default=None,
-                        help="benchmark name (trace/metrics/profile "
-                             "commands) or artifact directory "
-                             "(bench-history)")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="FASE-count multiplier (default 1.0)")
-    parser.add_argument("--threads", type=int, default=8)
-    parser.add_argument("--cores", default="16,32,64",
-                        help="core counts for fig10")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--benchmark", default="tpcc",
-                        help="benchmark for the `run` command")
-    parser.add_argument("--design", default="PMEM-Spec",
-                        help="design for the `run`/`trace`/`metrics` "
-                             "commands")
-    parser.add_argument("--json", action="store_true",
-                        help="emit JSON (run command)")
-    parser.add_argument("--save", default=None, metavar="DIR",
-                        help="also write the experiment's data as JSON")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the experiment grid "
-                             "(0 = all cores; default 1 = serial)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the per-spec result cache")
-    parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                        help="result-cache directory (default: "
-                             "<tmpdir>/repro-harness-cache)")
-    parser.add_argument("--progress", action="store_true",
-                        help="log one line per completed grid cell")
-    parser.add_argument("--trace-out", default=None, metavar="FILE",
-                        help="trace command: output path for the Chrome "
-                             "trace-event JSON")
-    parser.add_argument("--events-out", default=None, metavar="FILE",
-                        help="write the run's lifecycle events as "
-                             "JSON-Lines (any command)")
-    parser.add_argument("--profile-out", default=None, metavar="FILE",
-                        help="profile command: collapsed-stack output "
-                             "path (default <benchmark>-<design>.folded)")
-    parser.add_argument("--html", default=None, metavar="FILE",
-                        help="bench-history command: also write an HTML "
-                             "trend report")
-    parser.add_argument("--metrics-window", type=int, default=10_000,
-                        metavar="CYCLES",
-                        help="trace and metrics commands: aggregation "
-                             "window for time-series metrics (default "
-                             "10000 cycles)")
-    parser.add_argument("--summary", action="store_true",
-                        help="metrics command: sparkline summary instead "
-                             "of JSON")
-    from ..validation.faults import FAULT_NAMES
-    from ..validation.planners import PLANNER_NAMES
-    parser.add_argument("--planner", default="stratified",
-                        choices=PLANNER_NAMES,
-                        help="validate command: crash-cycle planner")
-    parser.add_argument("--fault", default="power-cut",
-                        choices=FAULT_NAMES,
-                        help="validate command: fault model to inject")
-    parser.add_argument("--budget", type=int, default=200,
-                        help="validate command: trial budget per "
-                             "workload x design cell (default 200)")
-    parser.add_argument("--shrink", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="validate command: shrink failing crash "
-                             "cycles to a minimal reproducer")
-    parser.add_argument("--benchmarks",
-                        default="array_swaps,queue,hashmap,rbtree",
-                        help="validate command: comma-separated benchmark "
-                             "list")
-    parser.add_argument("--designs", default=",".join(DESIGNS),
-                        help="validate command: comma-separated design "
-                             "list (default: all)")
-    parser.add_argument("--val-threads", type=int, default=2,
-                        help="validate command: threads per trial "
-                             "(default 2)")
-    parser.add_argument("--val-fases", type=int, default=10,
-                        help="validate command: FASEs per thread per "
-                             "trial (default 10)")
-    parser.add_argument("--log-mode", default="undo",
-                        choices=("undo", "redo"),
-                        help="validate command: logging flavor under test")
-    parser.add_argument("--report-out", default=None, metavar="FILE",
-                        help="validate command: write the CampaignReport "
-                             "JSON artifact here")
-    parser.add_argument("--snapshot-dir", default=None, metavar="DIR",
-                        help="snapshot/validate commands: rung-snapshot "
-                             "store directory")
-    parser.add_argument("--snapshot-every", type=int, default=0,
-                        metavar="K",
-                        help="snapshot ladder interval in persist events "
-                             "(0 = off; validate restores trials from "
-                             "the nearest rung when on)")
-    parser.add_argument("--snapshot-rungs", type=int, default=0,
-                        metavar="N",
-                        help="validate command: size each cell's ladder "
-                             "to ~N rungs from a probe run instead of a "
-                             "fixed --snapshot-every interval")
-    parser.add_argument("--crash-states", action="store_true",
-                        help="validate command: after the trial campaign, "
-                             "enumerate every durable state each design's "
-                             "persistency model allows at sampled crash "
-                             "cycles and prove recovery converges from "
-                             "all of them")
-    parser.add_argument("--litmus", action="store_true",
-                        help="validate command: run only the hand-written "
-                             "crash-state litmus tier (seconds, no "
-                             "campaign) and exit 1 on any mismatch")
-    parser.add_argument("--image-budget", type=int, default=64,
-                        metavar="N",
-                        help="validate command: durable-state images "
-                             "enumerated per crash cycle before falling "
-                             "back to seeded stratified sampling "
-                             "(default 64)")
-    parser.add_argument("--batch", type=int, default=0, metavar="N",
-                        help="validate command: cap each (cell, chunk) "
-                             "task at N trials (0 = one chunk per "
-                             "cell); smaller chunks spread a cell over "
-                             "more workers.  Every chunk is served from "
-                             "a resident per-cell run, and outcomes are "
-                             "identical for any N")
-    parser.add_argument("--resume", default=None, metavar="DIR",
-                        help="validate command: journal each campaign "
-                             "task's outcome in DIR/tasks.jsonl and "
-                             "replay the journaled ones, so rerunning "
-                             "a killed campaign simulates only what it "
-                             "never finished")
-    parser.add_argument("--log-level", default="info",
-                        choices=("debug", "info", "warning", "error"),
-                        help="diagnostic verbosity on stderr")
-    args = parser.parse_args(argv)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, names) in COMMANDS.items():
+        summary = " ".join(handler.__doc__.split()).partition(". ")[0]
+        command = commands.add_parser(name, help=summary.rstrip("."),
+                                      allow_abbrev=False)
+        for argument in COMMON + names:
+            command.add_argument(argument, **arguments[argument])
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     configure_logging(getattr(logging, args.log_level.upper()))
-    from .sweep import ParallelExecutor
-    if args.no_cache:
-        cache_dir = None
-    else:
-        cache_dir = args.cache_dir or os.path.join(
-            tempfile.gettempdir(), "repro-harness-cache")
-    progress_log = get_logger("harness.progress")
-    args.executor = ParallelExecutor(
-        jobs=args.jobs if args.jobs > 0 else None,
-        cache_dir=cache_dir,
-        progress=progress_log.info if args.progress else None)
 
     # Observability: --events-out installs an event bus as the
     # process-current bus for the duration of the command, so the
@@ -721,7 +744,7 @@ def main(argv=None) -> int:
     previous_handlers = _install_signal_handlers()
     try:
         with scope:
-            status = COMMANDS[args.experiment](args)
+            status = COMMANDS[args.command][0](args)
     except ValueError as exc:
         # Bad spec inputs (unknown design/benchmark, config mismatch)
         # are user errors, not crashes.
@@ -734,7 +757,7 @@ def main(argv=None) -> int:
                     "and event log", exc)
         if bus is not None:
             bus.emit("interrupted", signal_name=str(exc),
-                     command=args.experiment)
+                     command=args.command)
         return 128 + exc.signum
     finally:
         _restore_signal_handlers(previous_handlers)

@@ -26,7 +26,7 @@ from ..workloads import (
     LoadMisspecProbe,
     StoreMisspecProbe,
 )
-from .configs import BASELINE, BENCHMARK_ORDER, DESIGNS, default_config
+from .configs import BENCHMARK_ORDER, DESIGNS
 from .runner import normalized_throughput
 from .sweep import ParallelExecutor, RunSpec, Sweep
 

@@ -56,6 +56,8 @@ log = get_logger("harness.pool")
 
 #: Longest the parent blocks between merges of worker events.
 _TICK_S = 0.5
+#: The signals the CLI turns into a graceful stop.
+_STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
 #: Executions per task: a failed task runs once more, at once; a second
 #: failure quarantines it.  Retries never touch RNG state, so results
@@ -124,12 +126,14 @@ def reset_worker_signals() -> None:
     inheriting them would turn the pool's ``terminate()`` into an
     exception its task might catch, and outlive it.  Workers therefore
     go back to ``SIG_DFL`` for SIGTERM and ignore SIGINT (a Ctrl-C is
-    the parent's to handle; it tears the pool down explicitly)."""
+    the parent's to handle; it tears the pool down explicitly), then
+    unblock both, which :meth:`_Worker.spawn` held over the fork."""
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # non-main thread / platform quirks
         pass
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
 
 
 def _worker_main(conn, inherited, event_queue,
@@ -197,12 +201,17 @@ class _Worker:
             args=(child_end, [*inherited, parent_end] if forked else [],
                   self.event_queue, current_context()),
             daemon=True)
+        # Python drops an exception that a signal handler raises inside
+        # an at-fork hook (logging registers some), so a stop signal
+        # landing mid-fork would be lost: hold it until the fork is done.
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
         try:
             process.start()
         except BaseException:
             parent_end.close()
             raise
         finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
             child_end.close()
         self.process = process
         self.conn = parent_end

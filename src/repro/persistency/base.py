@@ -116,10 +116,6 @@ class Design:
 
     # ------------------------------------------------------------ queries
 
-    def durable_value(self, addr: int) -> int:
-        """Persisted value (crash-test hook)."""
-        return self.system.device.read(addr)
-
     def quiesce_time(self, now: int) -> int:
         """Time by which all in-flight persistence work has landed; used
         at end-of-run before crash snapshots and validation."""

@@ -112,9 +112,6 @@ class TimelineResource:
         self.total_requests = 0
         self.total_wait = 0
 
-    def earliest_start(self, now: int) -> int:
-        return max(now, min(self._lanes))
-
     def reserve(self, now: int, service: int) -> Tuple[int, int]:
         if service < 0:
             raise ValueError("negative service time")

@@ -58,11 +58,6 @@ class Tracer:
                  args: Optional[Dict] = None, cat: str = "sim") -> None:
         """A span covering cycles ``[ts, ts + dur]``."""
 
-    def counter(self, track: str, name: str, ts: int,
-                value: float) -> None:
-        """A sampled counter value at cycle ``ts`` (rendered as a
-        stacked area chart by Perfetto)."""
-
 
 class NullTracer(Tracer):
     """The zero-overhead default: drops everything."""
@@ -129,11 +124,6 @@ class TraceRecorder(Tracer):
     def complete(self, track: str, name: str, ts: int, dur: int,
                  args: Optional[Dict] = None, cat: str = "sim") -> None:
         self._push((PHASE_COMPLETE, track, name, cat, ts, dur, args))
-
-    def counter(self, track: str, name: str, ts: int,
-                value: float) -> None:
-        self._push((PHASE_COUNTER, track, name, "counter", ts, 0,
-                    {name: value}))
 
     def __len__(self) -> int:
         return len(self._events)

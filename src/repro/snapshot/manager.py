@@ -49,8 +49,7 @@ import weakref
 from typing import Dict, Iterable, List, Optional, Union
 
 from ..obsv.bus import get_bus
-from .store import (SnapshotError, SnapshotStore, decode_payload,
-                    encode_payload)
+from .store import SnapshotStore, decode_payload, encode_payload
 
 SNAPSHOT_SCHEMA_VERSION = 1
 

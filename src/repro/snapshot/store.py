@@ -111,9 +111,6 @@ class SnapshotStore:
                 f"snapshot {key[:12]} corrupt: content hash mismatch")
         return blob
 
-    def has(self, key: str) -> bool:
-        return os.path.exists(self._object_path(key))
-
     def total_bytes(self) -> int:
         total = 0
         for dirpath, _dirnames, filenames in os.walk(self._objects):

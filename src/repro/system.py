@@ -184,7 +184,6 @@ class System:
     def __init__(self, config: SystemConfig, design: Design,
                  lowered: LoweredProgram,
                  recovery_mode: str = "lazy",
-                 record_history: bool = False,
                  tracer=None, metrics=None):
         if design.flavor != lowered.flavor:
             raise ValueError(
@@ -216,8 +215,7 @@ class System:
             register_track("persist-path")
             register_track("pmc")
             register_track("spec-buffer")
-        self.device = PMDevice(program.initial_heap,
-                               record_history=record_history)
+        self.device = PMDevice(program.initial_heap)
         self.image = MemoryImage(program.initial_heap)
         self.stall = StallController()
         self.interrupts = InterruptController()
@@ -472,7 +470,6 @@ class System:
 def build_system(program: Program, design: Design,
                  config: Optional[SystemConfig] = None,
                  recovery_mode: str = "lazy",
-                 record_history: bool = False,
                  log_mode: str = "undo",
                  tracer=None, metrics=None) -> System:
     """Convenience: lower ``program`` for ``design`` and assemble."""
@@ -481,5 +478,4 @@ def build_system(program: Program, design: Design,
         config = table3_config(n_cores=program.n_threads)
     lowered = lower_program(program, design.flavor, log_mode=log_mode)
     return System(config, design, lowered, recovery_mode=recovery_mode,
-                  record_history=record_history,
                   tracer=tracer, metrics=metrics)

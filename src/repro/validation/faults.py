@@ -41,7 +41,7 @@ Models:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Type
 
 from ..core.events import MisspeculationEvent
 from ..runtime.undo_log import UndoLogLayout, unpack_stamp

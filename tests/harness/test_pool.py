@@ -1,6 +1,7 @@
 """The worker pool under process failure: a worker killed mid-task is a
-failed attempt that retries to the serial answer, and workers exit when
-the process running the pool dies.
+failed attempt that retries to the serial answer, workers exit when
+the process running the pool dies, and a stop signal is not lost to a
+worker's fork.
 
 Each scenario runs in a subprocess under a deadline, so a pool that
 hangs fails the test instead of the suite."""
@@ -70,6 +71,31 @@ WorkStealingPool(workers=2, bus=EventBus()).run(
     [Task(key=str(i), fn=nap, arg=(sys.argv[1], 0.2)) for i in range(500)])
 """
 
+HELD = """\
+import json, multiprocessing.process
+from repro.harness import ParallelExecutor
+from tests.harness.test_pool import stop_signals_blocked
+held, start = [], multiprocessing.process.BaseProcess.start
+
+
+def recording_start(process):
+    held.append(stop_signals_blocked(None))
+    start(process)
+
+
+multiprocessing.process.BaseProcess.start = recording_start
+before = stop_signals_blocked(None)
+workers = ParallelExecutor(jobs=2).map(stop_signals_blocked, [0, 1, 2])
+print(json.dumps({"held": held, "before": before, "workers": workers,
+                  "after": stop_signals_blocked(None)}))
+"""
+
+
+def stop_signals_blocked(_arg):
+    """Which of SIGINT and SIGTERM the calling thread blocks."""
+    blocked = signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    return [int(s) for s in (signal.SIGINT, signal.SIGTERM) if s in blocked]
+
 
 def die_once(marker, fn, arg):
     """``fn(arg)``, except that the first call anywhere SIGKILLs its own
@@ -133,6 +159,19 @@ def test_campaign_with_a_killed_worker_matches_the_serial_report(
     pooled = _run(CAMPAIGN_RUN, str(marker))
     assert marker.exists(), "no trial chunk ever ran in a worker"
     assert pooled["fingerprint"] == serial
+
+
+def test_stop_signals_are_held_only_while_a_worker_forks():
+    """Python drops an exception that a signal handler raises inside an
+    at-fork hook, so a SIGTERM landing while a worker forked let a
+    campaign run on to exit 0.  Each fork blocks SIGINT and SIGTERM;
+    the parent's mask is restored after it, and workers run with both
+    unblocked, so the pool can still terminate them."""
+    result = _run(HELD)
+    both = [int(signal.SIGINT), int(signal.SIGTERM)]
+    assert result["held"] and all(h == both for h in result["held"])
+    assert result["before"] == result["after"] == []
+    assert result["workers"] == [[], [], []]
 
 
 def _alive(pid: int) -> bool:

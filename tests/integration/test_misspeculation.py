@@ -1,8 +1,6 @@
 """End-to-end misspeculation tests (§8.4): detection fires exactly when
 it should, the OS relays it, and recovery converges to a correct state."""
 
-import pytest
-
 from repro.persistency import design_by_name
 from repro.system import build_system
 from repro.workloads import LoadMisspecProbe, StoreMisspecProbe

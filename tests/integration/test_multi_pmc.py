@@ -3,8 +3,6 @@ strict intra-thread persist order silently breaks -- a crash between the
 out-of-order acceptances leaves an unrecoverable tear -- and the paper's
 proposed ordered-NoC extension repairs it."""
 
-import pytest
-
 from repro.config import table3_config
 from repro.isa import Fase, PRead, Program, PWrite, ThreadProgram
 from repro.persistency import design_by_name

@@ -1,5 +1,5 @@
 """System-level persist-order properties, checked against the PM
-device's persist history (``record_history=True``).
+device's persist history (``system.device.record_history = True``).
 
 These are the invariants the crash-consistency protocols rest on, so
 they get their own direct checks in addition to the crash sweeps:
@@ -26,7 +26,8 @@ def run_with_history(design_name, program, **config_overrides):
     config = table3_config(n_cores=program.n_threads, **config_overrides)
     design = design_by_name(design_name)
     lowered = lower_program(program, design.flavor)
-    system = System(config, design, lowered, record_history=True)
+    system = System(config, design, lowered)
+    system.device.record_history = True
     system.run()
     return system
 

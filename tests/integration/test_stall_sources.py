@@ -3,7 +3,7 @@ store-queue pressure, MLP exhaustion, WPQ backpressure, ring
 contention, and DPO's serial flush channel."""
 
 from repro.config import table3_config
-from repro.isa import Compute, Fase, PRead, Program, PWrite, ThreadProgram
+from repro.isa import Fase, PRead, Program, PWrite, ThreadProgram
 from repro.persistency import design_by_name
 from repro.runtime import DATA_BASE
 from repro.system import build_system

@@ -1,7 +1,5 @@
 """Unit tests for the cache hierarchy: hits, misses, coherence, evictions."""
 
-import pytest
-
 from repro.config import table3_config
 from repro.mem import (CacheHierarchy, MemoryImage, PMController, PMDevice,
                        PMLoad)

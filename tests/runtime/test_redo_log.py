@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import LoweringError, lower_fase, lower_program
+from repro.compiler import LoweringError, lower_fase
 from repro.config import table3_config
 from repro.isa import Dfence, Fase, Ofence, PRead, PWrite, Sfence, St
 from repro.persistency import design_by_name

@@ -1,9 +1,6 @@
-"""Tracer unit tests: recording, export schema, overhead, determinism."""
+"""Tracer unit tests: recording, export schema, passivity, determinism."""
 
-import gc
 import json
-import statistics
-import time
 
 import pytest
 
@@ -26,7 +23,6 @@ class TestNullTracer:
     def test_methods_are_noops(self):
         NULL_TRACER.instant("t", "x", 1)
         NULL_TRACER.complete("t", "x", 1, 2)
-        NULL_TRACER.counter("t", "x", 1, 3.0)
 
 
 class TestTraceRecorder:
@@ -37,7 +33,7 @@ class TestTraceRecorder:
         t = TraceRecorder()
         t.instant("a", "tick", 10)
         t.complete("a", "span", 20, 5)
-        t.counter("b", "depth", 30, 7)
+        t.instant("b", "depth", 30)
         assert len(t) == 3
         assert t.tracks == ["a", "b"]
 
@@ -68,13 +64,18 @@ class TestTraceRecorder:
                   args={"block": 3})
         t.complete("persist-path", "persist", 1, 9,
                    args={"core": 0})
-        t.counter("pmc", "wpq", 4, 2)
+        t.instant("pmc", "wpq", 4)
         document = t.to_dict()
         assert validate_trace_document(document) == []
         # Metadata rows label every track.
         names = {e["args"]["name"] for e in document["traceEvents"]
                  if e["ph"] == "M" and e["name"] == "thread_name"}
         assert names == {"spec-buffer", "persist-path", "pmc"}
+        # Counter events (phase "C") stay valid; the recorder emits none.
+        document["traceEvents"].append({"name": "wpq", "ph": "C", "pid": 1,
+                                        "tid": 2, "ts": 2.0,
+                                        "args": {"wpq": 2}})
+        assert validate_trace_document(document) == []
 
     def test_instant_has_scope(self):
         t = TraceRecorder()
@@ -167,26 +168,26 @@ class TestTracingIsPassive:
         assert traced.cycles == plain.cycles
         assert traced.fases_committed == plain.fases_committed
 
-    def test_disabled_path_overhead_within_noise(self):
-        """The NullTracer run must not be meaningfully slower than ...
-        itself; compared against a *recording* run it must be faster or
-        within 5%.  Disabled and recording runs alternate, pair by pair,
-        so host drift during the test lands on both sides; medians over
-        the pairs keep the check stable.  Each run starts from a
-        collected heap, so one run's garbage is never collected on the
-        next run's clock."""
-        spec = RunSpec(**self.SPEC)
+    def test_disabled_tracer_is_never_called(self):
+        """The disabled path costs one ``enabled`` test per site: a run
+        with a disabled tracer looks up none of its methods, and returns
+        the same result as an untraced run."""
+        class SpyTracer(Tracer):
+            enabled = False
 
-        def timed(tracer):
-            gc.collect()
-            start = time.perf_counter()
-            execute_spec(spec, tracer=tracer)
-            return time.perf_counter() - start
+            def __init__(self):
+                self.calls = []
 
-        timed(None)  # warm caches/JIT-free but warms allocator paths
-        pairs = [(timed(None), timed(TraceRecorder())) for _ in range(7)]
-        disabled = statistics.median(off for off, _on in pairs)
-        enabled = statistics.median(on for _off, on in pairs)
-        # Recording strictly does more work, so the disabled path must
-        # come in at most 5% above it (i.e. the guard itself is noise).
-        assert disabled <= enabled * 1.05
+            def __getattribute__(self, name):
+                value = object.__getattribute__(self, name)
+                if callable(value) and not name.startswith("__"):
+                    object.__getattribute__(self, "calls").append(name)
+                return value
+
+        spy = SpyTracer()
+        spy.instant("t", "x", 1)        # the spy does see calls
+        assert spy.calls == ["instant"]
+        spy.calls.clear()
+        traced = execute_spec(RunSpec(**self.SPEC), tracer=spy)
+        assert spy.calls == []
+        assert traced == execute_spec(RunSpec(**self.SPEC))

@@ -42,10 +42,11 @@ class TestContentAddressing:
     def test_different_content_different_key(self, store):
         assert store.put({"a": 1}) != store.put({"a": 2})
 
-    def test_has(self, store):
+    def test_get_finds_only_what_was_put(self, store):
         key = store.put({"x": 1})
-        assert store.has(key)
-        assert not store.has("0" * 64)
+        assert store.get(key) == {"x": 1}
+        with pytest.raises(SnapshotError, match="unavailable"):
+            store.get("0" * 64)
 
     def test_missing_key_raises(self, store):
         with pytest.raises(SnapshotError, match="unavailable"):
@@ -96,7 +97,7 @@ class TestLRUCap:
     def test_no_cap_keeps_everything(self, store):
         keys = [store.put({"n": n, "pad": list(range(50))})
                 for n in range(5)]
-        assert all(store.has(key) for key in keys)
+        assert [store.get(key)["n"] for key in keys] == list(range(5))
         assert store.total_bytes() > 0
 
 
@@ -133,7 +134,6 @@ class TestEveryReadChecksTheHash:
         first = store.put({"n": 1, "pad": list(range(100))})
         store.get(first)
         os.unlink(store._object_path(first))
-        assert not store.has(first)
         with pytest.raises(SnapshotError, match="unavailable"):
             store.get(first)
 

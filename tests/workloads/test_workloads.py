@@ -3,7 +3,7 @@
 import pytest
 
 from repro.compiler import fase_profile
-from repro.isa import PRead, PWrite, sequential_reference_heap
+from repro.isa import PWrite, sequential_reference_heap
 from repro.workloads import (
     BENCHMARKS,
     ArraySwaps,
