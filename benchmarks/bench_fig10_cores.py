@@ -6,9 +6,7 @@ every core count (paper margins: 18.8%/8.2% at 16, 18.2%/8.0% at 32,
 (§8.3.1).
 
 Kept small so the bench suite stays minutes-scale; 64 cores runs via
-`python -m repro.harness fig10 --cores 64`.  The whole
-`fig10 --scale 0.15` sweep (16, 32 and 64 cores) takes 31-34 s wall and
-peaks at 127 MB RSS on one core of a 2-vCPU VM with Python 3.11.
+`python -m repro.harness fig10 --cores 64`.
 """
 
 from repro.harness import (
@@ -24,7 +22,7 @@ SEED = 42
 CORES = (16, 32)
 
 
-def test_figure10(benchmark, run_once, executor):
+def test_figure10(benchmark, run_once, executor, golden):
     results = run_once(benchmark,
                        lambda: figure10(core_counts=CORES, scale=SCALE,
                                         seed=SEED, executor=executor))
@@ -38,3 +36,5 @@ def test_figure10(benchmark, run_once, executor):
         assert summary[count]["PMEM-Spec"] > 1.0, count
         assert summary[count]["PMEM-Spec"] > summary[count]["HOPS"], count
         assert summary[count]["DPO"] < 1.0, count
+    # The exact tables this scale and seed compute, per core count.
+    golden("fig10_scale0.1", results)

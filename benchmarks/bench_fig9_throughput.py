@@ -18,7 +18,7 @@ SCALE = 0.5
 SEED = 42
 
 
-def test_figure9(benchmark, run_once, executor):
+def test_figure9(benchmark, run_once, executor, golden):
     rows = run_once(benchmark,
                     lambda: figure9(n_threads=8, scale=SCALE, seed=SEED,
                                     executor=executor))
@@ -40,3 +40,5 @@ def test_figure9(benchmark, run_once, executor):
     # Long-transaction benchmarks carry the win.
     assert rows["tpcc"]["PMEM-Spec"] > 1.1
     assert rows["rbtree"]["PMEM-Spec"] > 1.0
+    # The exact table this scale and seed compute.
+    golden("fig9_scale0.5", rows)

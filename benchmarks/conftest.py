@@ -11,9 +11,17 @@ Figure-level benches share one :class:`repro.harness.ParallelExecutor`
 via the ``executor`` fixture: ``REPRO_BENCH_JOBS`` picks the worker
 count (default: all cores) and ``REPRO_BENCH_CACHE_DIR`` opts into the
 per-spec result cache (off by default, so timings stay honest).
+
+Simulation is deterministic, so a figure's normalised table is pinned
+too: the ``golden`` fixture compares it, rounded to 9 decimals, with
+``goldens/<name>.json``.  A golden file is that table as the figure's
+bench computes it (``json.dump(rounded, indent=1, sort_keys=True)``);
+any change to one must be justified in CHANGES.md.
 """
 
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +36,28 @@ def once(benchmark, fn):
 @pytest.fixture
 def run_once():
     return once
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
+
+
+def rounded(table):
+    """``table`` (ratios nested in dicts) with every ratio rounded to 9
+    decimals and every key a string, as its JSON golden holds it."""
+    if isinstance(table, dict):
+        return {str(key): rounded(value) for key, value in table.items()}
+    return round(table, 9)
+
+
+@pytest.fixture
+def golden():
+    """``golden(name, table)`` asserts ``rounded(table)`` equals the
+    pinned ``goldens/<name>.json``."""
+    def check(name, table):
+        with open(GOLDEN_DIR / f"{name}.json") as handle:
+            expected = json.load(handle)
+        assert rounded(table) == expected, f"{name} moved off its golden"
+    return check
 
 
 @pytest.fixture

@@ -65,7 +65,7 @@ from ..isa import (
     block_base,
 )
 from ..runtime.redo_log import commit_word_addr
-from ..runtime.undo_log import UndoLogLayout, stamp_target
+from ..runtime.undo_log import TARGET_OFFSET, UndoLogLayout, stamp_target
 
 LOG_MODES = ("undo", "redo")
 
@@ -177,6 +177,14 @@ def lower_fase(fase: Fase, thread_id: int, flavor: str,
     at commit; it is only sound on designs that drop LLC dirty
     writebacks (uncommitted cache lines must never persist), so the
     ``x86`` flavor -- whose writebacks go to PM -- rejects it."""
+    return _lower_fase(fase, fase.writes, thread_id, flavor, epoch,
+                       log_mode)
+
+
+def _lower_fase(fase: Fase, writes: List[int], thread_id: int, flavor: str,
+                epoch: int, log_mode: str) -> LoweredFase:
+    """:func:`lower_fase`, handed ``fase.writes``: :func:`lower_program`
+    needs them too, to count epochs, and makes them once per FASE."""
     if flavor not in FLAVORS:
         raise LoweringError(f"unknown flavor {flavor!r}")
     if log_mode not in LOG_MODES:
@@ -186,7 +194,6 @@ def lower_fase(fase: Fase, thread_id: int, flavor: str,
             "redo logging needs writeback-dropping hardware; the x86 "
             "flavor persists LLC writebacks, leaking uncommitted data")
     layout = UndoLogLayout(thread_id)
-    writes = fase.writes
     leading, body, trailing = _split_fase(fase)
     tagged = flavor == "pmemspec" and bool(leading)
 
@@ -207,11 +214,11 @@ def lower_fase(fase: Fase, thread_id: int, flavor: str,
     def emit_redo_group(run: List[PWrite]) -> None:
         nonlocal log_index
         for write in run:
+            old_addr = layout.entry_old_addr(log_index)
             ops.append(Ld(write.addr))
             ops.append(MirrorOld(write.addr))
-            ops.append(St(layout.entry_old_addr(log_index), write.value,
-                          kind="log"))
-            ops.append(St(layout.entry_target_addr(log_index),
+            ops.append(St(old_addr, write.value, kind="log"))
+            ops.append(St(old_addr + TARGET_OFFSET,
                           stamp_target(epoch, write.addr), kind="log"))
             log_index += 1
         # No ordering point at all: the FIFO persistence channel already
@@ -231,15 +238,15 @@ def lower_fase(fase: Fase, thread_id: int, flavor: str,
             # Each log group is its own strand: groups drain in parallel.
             ops.append(NewStrand())
         for write in run:
+            old_addr = layout.entry_old_addr(log_index)
             ops.append(Ld(write.addr))
             # Old value first, stamped target last: the stamp is the
             # entry's validity marker (self-validating entries need no
             # separate count word -- see repro.runtime.undo_log).
-            ops.append(St(layout.entry_old_addr(log_index), kind="log",
-                          log_of=write.addr))
-            ops.append(St(layout.entry_target_addr(log_index),
+            ops.append(St(old_addr, kind="log", log_of=write.addr))
+            ops.append(St(old_addr + TARGET_OFFSET,
                           stamp_target(epoch, write.addr), kind="log"))
-            entry_addrs.append(layout.entry_old_addr(log_index))
+            entry_addrs.append(old_addr)
             log_index += 1
         if flavor == "x86":
             for base in _clwb_blocks(entry_addrs):
@@ -396,9 +403,10 @@ def lower_program(program: Program, flavor: str,
         fases = []
         epoch = 0
         for fase in thread.fases:
-            fases.append(lower_fase(fase, thread.thread_id, flavor,
-                                    epoch=epoch, log_mode=log_mode))
-            if fase.writes:
+            writes = fase.writes
+            fases.append(_lower_fase(fase, writes, thread.thread_id,
+                                     flavor, epoch, log_mode))
+            if writes:
                 epoch += 1
         threads.append(LoweredThread(thread.thread_id, fases,
                                      thread.think_cycles))

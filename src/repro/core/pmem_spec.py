@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..isa import block_of
 from ..mem import PMCPolicy, PersistMessage
 from ..persistency.base import Design
 from .spec_buffer import SpeculationBuffer
@@ -45,10 +44,14 @@ class PMEMSpecPMCPolicy(PMCPolicy):
         self.spec_buffer.on_read(block, now)
 
     def on_persist(self, msg: PersistMessage, now: int) -> None:
-        self.device.persist_store(
+        device = self.device
+        # Only the device history reads the origin label: make it only
+        # for a device that keeps one.
+        device.persist_store(
             msg.addr, msg.value, now,
-            origin=f"persist:c{msg.core_id}:s{msg.spec_id}")
-        self.spec_buffer.on_persist(block_of(msg.addr), msg.spec_id,
+            f"persist:c{msg.core_id}:s{msg.spec_id}"
+            if device.record_history else None)
+        self.spec_buffer.on_persist(msg.addr >> 6, msg.spec_id,
                                     msg.core_id, now)
 
 
@@ -80,7 +83,8 @@ class PMEMSpec(Design):
               shared: bool = True) -> int:
         """Dual-issue: caches via the regular path, PM via the persist
         path, simultaneously at store-queue departure (§4.2)."""
-        done = self.system.hierarchy.store(core_id, addr, value, now)
+        system = self.system
+        done = system.hierarchy.store(core_id, addr, value, now)
         if to_pm:
             spec_id = 0
             if kind == "data" and (shared or self._tag_private):
@@ -88,17 +92,17 @@ class PMEMSpec(Design):
                 # IDs; undo-log records, commit records, and stores the
                 # compiler proves thread-private need no inter-thread
                 # persist order (§5.2.2).
-                spec_id = self.system.spec_ids.current(core_id)
-            msg = PersistMessage(core_id, addr, value,
-                                 spec_id=spec_id, kind=kind)
-            arrival = self.system.persist_path.send(core_id, now)
-            accept = self.system.pmc.accept_persist(msg, arrival)
+                spec_id = system.spec_ids.current(core_id)
+            msg = PersistMessage(core_id, addr, value, spec_id, kind)
+            arrival = system.persist_path.send(core_id, now)
+            accept = system.pmc.accept_persist(msg, arrival)
             if accept > self._last_accept[core_id]:
                 self._last_accept[core_id] = accept
-            self.stats.add("persist_path_stores")
+            stats = self.stats
+            stats["persist_path_stores"] += 1
             if spec_id:
-                self.stats.add("tagged_stores")
-            trace = self.system.env.trace
+                stats["tagged_stores"] += 1
+            trace = system.env.trace
             if trace.enabled:
                 # One span per store covering issue -> ring traversal ->
                 # PMC acceptance (the full persist-path journey, §4.2).
@@ -119,18 +123,19 @@ class PMEMSpec(Design):
         core = self.system.cores[core_id]
         done = max(now, self._last_accept[core_id],
                    core.store_queue.drain_complete_time(now))
-        self.stats.add("spec_barriers")
-        self.stats.add("spec_barrier_stall_cycles", done - now)
+        stats = self.stats
+        stats["spec_barriers"] += 1
+        stats["spec_barrier_stall_cycles"] += done - now
         return done
 
     def spec_assign(self, core_id: int, now: int) -> int:
         self.system.spec_ids.assign(core_id)
-        self.stats.add("spec_assigns")
+        self.stats["spec_assigns"] += 1
         return now + 1
 
     def spec_revoke(self, core_id: int, now: int) -> int:
         self.system.spec_ids.revoke(core_id)
-        self.stats.add("spec_revokes")
+        self.stats["spec_revokes"] += 1
         return now + 1
 
     def quiesce_time(self, now: int) -> int:

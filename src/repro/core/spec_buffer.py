@@ -130,12 +130,18 @@ class SpeculationBuffer:
     # ------------------------------------------------------------ plumbing
 
     def _expire(self, now: int) -> None:
-        survivors = []
-        for entry in self._entries:
-            if entry.expired(now, self.window):
-                self.stats.add("expirations")
-            else:
-                survivors.append(entry)
+        # Every input calls this, and most find no window ended: the
+        # list is rebuilt only when some entry expired (an entry expires
+        # when ``now - inserted >= window``, as in ``expired``).
+        cutoff = now - self.window
+        entries = self._entries
+        for entry in entries:
+            if entry.inserted <= cutoff:
+                break
+        else:
+            return
+        survivors = [entry for entry in entries if entry.inserted > cutoff]
+        self.stats["expirations"] += len(entries) - len(survivors)
         self._entries = survivors
 
     def _find(self, block: int) -> Optional[SpecBufferEntry]:
@@ -148,17 +154,18 @@ class SpeculationBuffer:
                   spec_id: int = 0) -> SpecBufferEntry:
         """Allocate an entry, pausing all cores on overflow (§5.3)."""
         self._expire(now)
+        stats = self.stats
         if len(self._entries) >= self.capacity:
             oldest = min(self._entries, key=lambda e: e.inserted)
             resume = oldest.inserted + self.window
-            self.stats.add("overflows")
+            stats["overflows"] += 1
             self.stall.stall_all_until(now, resume)
             self._entries.remove(oldest)
-            self.stats.add("expirations")
+            stats["expirations"] += 1
             now = resume
         entry = SpecBufferEntry(block, state, now, spec_id)
         self._entries.append(entry)
-        self.stats.add("allocations")
+        stats["allocations"] += 1
         if self.trace.enabled and state != automata.INITIAL:
             self._trace_transition(block, automata.INITIAL, state, now,
                                    spec_id=spec_id)
@@ -186,19 +193,20 @@ class SpeculationBuffer:
         """LLC writeback arrived (regular path).  Starts/refreshes
         load-misspeculation monitoring for the block."""
         self._expire(now)
-        self.stats.add("in_writeback")
+        self.stats["in_writeback"] += 1
         entry = self._find(block)
         if entry is None:
             self._allocate(block, automata.EVICT, now)
         else:
             self._apply(entry, automata.WRITEBACK, now)
-        self._observe_occupancy(now)
+        if self.metrics.enabled:
+            self._observe_occupancy(now)
 
     def on_read(self, block: int, now: int) -> None:
         """PM read arrived (regular path).  Only monitored blocks react --
         this is the eviction-based scheme's false-positive immunity."""
         self._expire(now)
-        self.stats.add("in_read")
+        self.stats["in_read"] += 1
         entry = self._find(block)
         if entry is not None:
             self._apply(entry, automata.READ, now)
@@ -207,12 +215,13 @@ class SpeculationBuffer:
                    now: int) -> None:
         """Persist-path store arrived.  Checks both misspeculation kinds."""
         self._expire(now)
-        self.stats.add("in_persist")
+        stats = self.stats
+        stats["in_persist"] += 1
         entry = self._find(block)
         if entry is not None:
             if entry.state == automata.SPECULATED:
                 # WriteBack - Read - Persist: the read was stale (§5.1.4).
-                self.stats.add("load_misspeculations")
+                stats["load_misspeculations"] += 1
                 if self.trace.enabled:
                     self._trace_transition(block, entry.state,
                                            automata.MISSPECULATION, now,
@@ -221,13 +230,14 @@ class SpeculationBuffer:
                     kind="load", block=block, core_id=core_id, time=now,
                     spec_id=spec_id, persist_time=now))
                 self._deallocate(entry)
-                self._observe_occupancy(now)
+                if self.metrics.enabled:
+                    self._observe_occupancy(now)
                 return
             if (spec_id and entry.spec_id
                     and spec_id < entry.spec_id):
                 # A lower spec-ID after a higher one: the happens-before
                 # (lock) order was violated in PM (§5.2.2).
-                self.stats.add("store_misspeculations")
+                stats["store_misspeculations"] += 1
                 if self.trace.enabled:
                     self._trace_transition(block, entry.state,
                                            automata.MISSPECULATION, now,
@@ -236,18 +246,21 @@ class SpeculationBuffer:
                     kind="store", block=block, core_id=core_id, time=now,
                     spec_id=spec_id, persist_time=now))
                 self._deallocate(entry)
-                self._observe_occupancy(now)
+                if self.metrics.enabled:
+                    self._observe_occupancy(now)
                 return
             if spec_id:
                 entry.spec_id = max(entry.spec_id, spec_id)
                 entry.inserted = now
             else:
                 self._apply(entry, automata.PERSIST, now)
-            self._observe_occupancy(now)
+            if self.metrics.enabled:
+                self._observe_occupancy(now)
             return
         if spec_id:
             self._allocate(block, automata.INITIAL, now, spec_id=spec_id)
-        self._observe_occupancy(now)
+        if self.metrics.enabled:
+            self._observe_occupancy(now)
 
     # ------------------------------------------------------------- queries
 

@@ -143,7 +143,7 @@ class Core:
                                     "attempt": attempt}, cat="fase")
             outcome = yield from self._execute(fase.ops)
             if outcome == COMMIT:
-                self.stats.add("fases_committed")
+                self.stats["fases_committed"] += 1
                 if trace.enabled:
                     trace.complete(
                         track, f"FASE {fase.fase_id}", started,
@@ -160,7 +160,7 @@ class Core:
                 trace.instant(track, "fase-abort", self.env.now,
                               args={"fase": fase.fase_id}, cat="fase")
             yield from self._abort_and_rollback(fase)
-            self.stats.add("fase_retries")
+            self.stats["fase_retries"] += 1
 
     def _abort_and_rollback(self, fase: LoweredFase):
         """The abort handler (§6.2.1): undo writes, truncate, release."""
@@ -186,40 +186,41 @@ class Core:
         This loop runs once per *instruction* -- by far the hottest
         Python in the simulator -- so it binds its collaborators to
         locals and dispatches on exact op class identity (all machine
-        ops are final classes) rather than isinstance chains.  Timing
-        behaviour is identical to the straightforward version.
+        ops are final classes) rather than isinstance chains.  Its calls
+        are positional, and the per-access kinds (stores, loads, CLWBs)
+        clamp a wait to one cycle with a conditional, not ``max(1,
+        ...)``.  Timing behaviour is identical to the straightforward
+        version.
         """
         env = self.env
         system = self.system
         design = system.design
         runtime = system.runtime
         stall = system.stall
-        image = system.image
+        image_get = system.image.get
         hierarchy = system.hierarchy
         locks = system.locks
         lock_network = system.lock_network
-        # Counters are bumped in the dict itself (``Counter.add``
-        # inlined): this loop runs once per instruction.
+        # Counters are bumped in the dict itself (``stats[name] += n``,
+        # no ``Counter.add`` call): this loop runs once per instruction.
         stats = self.stats
-        stats_get = stats.get
         store_queue = self.store_queue
+        misses = self._misses
         core_id = self.core_id
         eager = runtime.recovery_mode == "eager"
         delay = 0
         for op in ops:
-            stats["instructions"] = stats_get("instructions", 0) + 1
+            stats["instructions"] += 1
             t = env.now + delay
             # Speculation-buffer overflow pauses every core (§5.3).
             release = stall.resume_at
             if release > t:
-                stats["spec_stall_cycles"] = (
-                    stats_get("spec_stall_cycles", 0) + (release - t))
+                stats["spec_stall_cycles"] += release - t
                 delay += release - t
                 t = release
-            if abortable and eager and runtime.must_abort(
-                    core_id, at_boundary=False):
+            if abortable and eager and runtime.must_abort(core_id, False):
                 yield env.timeout(delay)
-                stats["eager_aborts"] = stats_get("eager_aborts", 0) + 1
+                stats["eager_aborts"] += 1
                 return ABORT
 
             kind = op.__class__
@@ -228,13 +229,12 @@ class Core:
             elif kind is St:
                 value = op.value
                 if op.log_of is not None:
-                    value = image.read(op.log_of)
+                    value = image_get(op.log_of, 0)
                     runtime.log_write(core_id, op.log_of, value)
-                done = design.store(core_id, op.addr, value, t,
-                                    to_pm=op.to_pm, kind=op.kind,
-                                    shared=op.shared)
-                accept = store_queue.push(t, done - t)
-                delay += max(1, accept - t)
+                done = design.store(core_id, op.addr, value, t, op.to_pm,
+                                    op.kind, op.shared)
+                wait = store_queue.push(t, done - t) - t
+                delay += wait if wait > 1 else 1
             elif kind is Ld:
                 result = hierarchy.load(core_id, op.addr, t, stats)
                 if result.level != "pm":
@@ -243,20 +243,17 @@ class Core:
                     # PM miss: overlap it (MLP) instead of blocking; the
                     # fill lands at `done` and counts a stale load in
                     # this core's stats.
-                    stats["pm_loads"] = stats_get("pm_loads", 0) + 1
-                    accept = self._misses.push(t, result.done)
-                    if accept > t:
-                        stats["mlp_stall_cycles"] = (
-                            stats_get("mlp_stall_cycles", 0)
-                            + (accept - t))
-                    delay += max(1, accept - t)
+                    stats["pm_loads"] += 1
+                    wait = misses.push(t, result.done) - t
+                    if wait > 0:
+                        stats["mlp_stall_cycles"] += wait
+                    delay += wait if wait > 1 else 1
             elif kind is MirrorOld:
-                runtime.log_write(core_id, op.addr,
-                                  image.read(op.addr))
+                runtime.log_write(core_id, op.addr, image_get(op.addr, 0))
             elif kind is Clwb:
                 done = design.clwb(core_id, op.addr, t)
-                accept = store_queue.push(t, done - t)
-                delay += max(1, accept - t)
+                wait = store_queue.push(t, done - t) - t
+                delay += wait if wait > 1 else 1
             elif kind is Sfence:
                 store_queue.push(t, 1)
                 delay += max(1, design.sfence(core_id, t) - t)
@@ -287,15 +284,14 @@ class Core:
                     op.lock_id, core_id)
                 after = design.on_lock_op(core_id, env.now + handoff)
                 delay = after - env.now
-                stats["lock_acquires"] = stats_get("lock_acquires", 0) + 1
+                stats["lock_acquires"] += 1
             elif kind is Unlock:
                 # Lazy recovery's check site: just before releasing the
                 # outermost lock (§6.2.1).
                 if (abortable and len(self.held_locks) == 1
-                        and runtime.must_abort(core_id,
-                                               at_boundary=True)):
+                        and runtime.must_abort(core_id, True)):
                     yield env.timeout(delay)
-                    stats["lazy_aborts"] = stats_get("lazy_aborts", 0) + 1
+                    stats["lazy_aborts"] += 1
                     return ABORT
                 release_at = max(design.on_lock_op(core_id, t),
                                  self._loads_settled(t))
@@ -311,9 +307,8 @@ class Core:
                 delay = max(delay, self._loads_settled(t) - env.now)
                 yield env.timeout(delay)
                 delay = 0
-                if abortable and runtime.must_abort(core_id,
-                                                    at_boundary=True):
-                    stats["lazy_aborts"] = stats_get("lazy_aborts", 0) + 1
+                if abortable and runtime.must_abort(core_id, True):
+                    stats["lazy_aborts"] += 1
                     return ABORT
                 runtime.fase_commit(core_id, env.now)
             else:  # pragma: no cover - lowering emits nothing else

@@ -78,6 +78,10 @@ class _Cell:
     Any other cycle (a shrinking probe) restores the nearest *captured*
     rung or cold-boots: a longer tail to replay, the same machine state
     at the cut.
+
+    Every run the cell drives is cut mid-run, so the cell abandons the
+    launch it last cut (``_launch``) before each restore and in
+    :meth:`close`: reference counting then frees every cut run.
     """
 
     def __init__(self, spec: TrialSpec, crash_cycles: Sequence[int],
@@ -109,9 +113,11 @@ class _Cell:
         self.initial_payload = self.system.capture_state()
         # Every acquire restores before it replays, so nothing past the
         # last wanted rung is ever read: stop there.
+        self._launch = None
         if wanted:
+            self._launch = self.system.launch()
             self.system.advance(until=max(wanted.values()),
-                                stop_event=self.system.launch())
+                                stop_event=self._launch)
         self.rungs: List[Dict] = ladder.rungs if ladder is not None else []
         self.canonical_s = time.perf_counter() - started
         # The verdict memo: kept record indices -> (violations, the
@@ -147,6 +153,7 @@ class _Cell:
         """Restore the nearest rung and replay to the crash; returns
         ``(fault, restored_from, horizon)`` with the system positioned
         exactly as a campaign trial's cut point."""
+        self.close()
         fault = fault_by_name(self.spec.fault)
         fault.arm(self.system)
         rung = nearest_rung(self.rungs, crash_cycle)
@@ -156,12 +163,18 @@ class _Cell:
         else:
             self.system.restore_state(self.initial_payload)
             restored_from = None
-        done = self.system.launch()
+        self._launch = done = self.system.launch()
         self.system.advance(until=crash_cycle, stop_event=done)
         if self.system.env.now < crash_cycle:
             self.system.advance(until=crash_cycle)
         fault.at_crash(self.system, crash_cycle)
         return fault, restored_from, self.system.env.now
+
+    def close(self) -> None:
+        """Abandon the launch the cell last cut, if any."""
+        if self._launch is not None:
+            self.system.env.abandon(self._launch)
+            self._launch = None
 
 
 def _check_cycle(cell: _Cell, crash_cycle: int, image_budget: int,
@@ -328,6 +341,7 @@ def check_cell(spec: TrialSpec, crash_cycles: Sequence[int],
             "floor_matches": minimal["floor_matches"],
         }
 
+    cell.close()
     images_enumerated = sum(p["n_states"] for p in cycle_payloads)
     return {
         "schema_version": CRASH_STATES_SCHEMA_VERSION,

@@ -33,6 +33,10 @@ Usage::
 
 Each command accepts only the flags its handler reads (:data:`COMMANDS`,
 ``COMMAND --help``); any other flag is a usage error, exit status 2.
+A flag the command's mode would ignore exits 2 too, before anything
+runs (:func:`check_modes`): ``validate --litmus`` runs no campaign and
+takes no campaign flag, and ``validate --snapshot-dir`` needs
+``--snapshot-rungs``.
 
 ``--jobs N`` fans the experiment grid out over N worker processes
 (``0`` = all cores).  Results are cached per grid cell (keyed by a
@@ -424,9 +428,6 @@ def cmd_validate(args) -> int:
     from .report import format_campaign_table
     designs = _names(args.designs) if args.designs else None
     if args.litmus:
-        if args.resume:
-            raise ValueError("--resume journals campaign tasks; "
-                             "--litmus runs none")
         from ..crashstates.litmus import format_litmus_table, run_litmus
         # The litmus tier covers every design (incl. StrandWeaver, which
         # the campaign default leaves out) unless --designs narrows it.
@@ -604,6 +605,33 @@ COMMANDS = {
 }
 
 
+#: The validate flags a ``--litmus`` run reads; it runs no campaign.
+LITMUS_FLAGS = ("--litmus", "--designs", "--report-out") + COMMON
+
+
+def check_modes(args, argv) -> None:
+    """Refuse a flag that the command's mode would ignore.
+
+    A command's parser takes every flag the command reads, but a mode
+    inside the command may read fewer: ``validate --litmus`` runs no
+    campaign, and ``validate --snapshot-dir`` stores rungs only with
+    ``--snapshot-rungs``.  ``argv`` is the parsed command line; flags
+    are never abbreviated, so its flags are its words that start with
+    ``--``.  Raises ValueError, a usage error (exit 2)."""
+    if args.command != "validate":
+        return
+    if args.litmus:
+        typed = {word.partition("=")[0] for word in argv
+                 if word.startswith("--")}
+        ignored = sorted(typed.difference(LITMUS_FLAGS))
+        if ignored:
+            raise ValueError(f"validate --litmus runs no campaign, so it "
+                             f"takes none of {', '.join(ignored)}")
+    elif args.snapshot_dir is not None and not args.snapshot_rungs:
+        raise ValueError("validate --snapshot-dir stores ladder rungs: "
+                         "it needs --snapshot-rungs N with N > 0")
+
+
 def _arguments() -> dict:
     """``add_argument`` keywords for every name in :data:`COMMANDS`."""
     from ..validation.faults import FAULT_NAMES
@@ -726,6 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
     configure_logging(getattr(logging, args.log_level.upper()))
 
@@ -744,6 +773,7 @@ def main(argv=None) -> int:
     previous_handlers = _install_signal_handlers()
     try:
         with scope:
+            check_modes(args, argv)
             status = COMMANDS[args.command][0](args)
     except ValueError as exc:
         # Bad spec inputs (unknown design/benchmark, config mismatch)

@@ -18,7 +18,7 @@ maps an address to its block number.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 CACHE_BLOCK_BYTES = 64
 
@@ -31,6 +31,19 @@ def block_of(addr: int) -> int:
 def block_base(addr: int) -> int:
     """First byte address of the block containing ``addr``."""
     return addr & ~(CACHE_BLOCK_BYTES - 1)
+
+
+def index_by_block(image: Dict[int, int]) -> Dict[int, Dict[int, int]]:
+    """``image`` grouped by cache block: block number -> ``{addr:
+    value}``, each block's words in ``image``'s order."""
+    blocks: Dict[int, Dict[int, int]] = {}
+    for addr, value in image.items():
+        bucket = blocks.get(addr >> 6)
+        if bucket is None:
+            blocks[addr >> 6] = {addr: value}
+        else:
+            bucket[addr] = value
+    return blocks
 
 
 # --------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .instructions import (
     LockRelease,
     PRead,
     PWrite,
+    index_by_block,
 )
 
 
@@ -137,6 +138,7 @@ class Program:
         self.threads = list(threads)
         self.n_locks = n_locks
         self.initial_heap = dict(initial_heap or {})
+        self._heap_blocks: Optional[Dict[int, Dict[int, int]]] = None
         self._validate()
 
     def _validate(self) -> None:
@@ -154,6 +156,16 @@ class Program:
         if max_lock >= self.n_locks:
             raise ProgramError(
                 f"lock id {max_lock} used but n_locks={self.n_locks}")
+
+    def heap_blocks(self) -> Dict[int, Dict[int, int]]:
+        """``initial_heap`` grouped by cache block
+        (:func:`~repro.isa.instructions.index_by_block`), built on first
+        use and kept as long as the program, like its lowerings.  Every
+        PM device built for the program reads the blocks it has not
+        written from this one index, and never writes into it."""
+        if self._heap_blocks is None:
+            self._heap_blocks = index_by_block(self.initial_heap)
+        return self._heap_blocks
 
     @property
     def n_threads(self) -> int:

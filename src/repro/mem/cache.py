@@ -12,6 +12,8 @@ inter-cache protocol, this class only stores per-line state.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional
 
 from ..sim import Counter
@@ -22,6 +24,8 @@ EXCLUSIVE = "E"
 MODIFIED = "M"
 
 _VALID_STATES = (SHARED, EXCLUSIVE, MODIFIED)
+
+_lru_tick = attrgetter("lru_tick")
 
 
 class CacheLine:
@@ -68,18 +72,19 @@ class Cache:
         self.name = name
         self.n_sets = n_sets
         self.n_ways = n_ways
-        self._sets: Dict[int, List[CacheLine]] = {}
+        self._sets: Dict[int, List[CacheLine]] = defaultdict(list)
         self._tick = 0
         self.stats = Counter()
 
-    # The per-access methods probe ``_sets`` with ``setdefault``: a probe
-    # creates the set's (empty) list, and the captured state lists every
-    # set in first-probe order, so a probe that skipped it would change
-    # snapshot payloads.  Ticks and counters are bumped inline.
+    # A probe creates the set's (empty) list on its first visit: the
+    # captured state lists every set in first-probe order, so a probe
+    # that skipped it would change snapshot payloads.  ``_sets`` is a
+    # ``defaultdict(list)``, so only that first visit makes a list.
+    # Ticks and counters are bumped inline.
 
     def lookup(self, block: int, touch: bool = True) -> Optional[CacheLine]:
         """Find the line holding ``block``; optionally refresh its LRU age."""
-        for line in self._sets.setdefault(block % self.n_sets, []):
+        for line in self._sets[block % self.n_sets]:
             if line.block == block:
                 if touch:
                     self._tick += 1
@@ -96,7 +101,7 @@ class Cache:
         """
         if state not in _VALID_STATES:
             raise ValueError(f"cannot insert line in state {state!r}")
-        cache_set = self._sets.setdefault(block % self.n_sets, [])
+        cache_set = self._sets[block % self.n_sets]
         for existing in cache_set:
             if existing.block == block:
                 self._tick += 1
@@ -107,15 +112,15 @@ class Cache:
         stats = self.stats
         victim: Optional[EvictedLine] = None
         if len(cache_set) >= self.n_ways:
-            loser = min(cache_set, key=lambda line: line.lru_tick)
+            loser = min(cache_set, key=_lru_tick)
             cache_set.remove(loser)
             victim = EvictedLine(loser)
-            stats["evictions"] = stats.get("evictions", 0) + 1
+            stats["evictions"] += 1
             if victim.dirty:
-                stats["dirty_evictions"] = stats.get("dirty_evictions", 0) + 1
+                stats["dirty_evictions"] += 1
         self._tick += 1
         cache_set.append(CacheLine(block, state, data, self._tick))
-        stats["fills"] = stats.get("fills", 0) + 1
+        stats["fills"] += 1
         return victim
 
     def write(self, block: int, addr: int, value: int) -> None:
@@ -142,11 +147,11 @@ class Cache:
 
     def invalidate(self, block: int) -> Optional[EvictedLine]:
         """Drop ``block`` if resident; returns its final contents."""
-        cache_set = self._sets.setdefault(block % self.n_sets, [])
+        cache_set = self._sets[block % self.n_sets]
         for line in cache_set:
             if line.block == block:
                 cache_set.remove(line)
-                self.stats.add("invalidations")
+                self.stats["invalidations"] += 1
                 return EvictedLine(line)
         return None
 
@@ -177,7 +182,7 @@ class Cache:
                 "stats": self.stats.capture_state()}
 
     def restore_state(self, state: dict) -> None:
-        self._sets = {}
+        self._sets = defaultdict(list)
         for set_index, lines in state["sets"]:
             self._sets[set_index] = [
                 CacheLine(line["block"], line["state"],

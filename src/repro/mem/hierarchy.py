@@ -23,35 +23,43 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from ..config import SystemConfig
-from ..isa import block_of
 from ..sim import Counter, Environment
 from .cache import EXCLUSIVE, MODIFIED, SHARED, Cache, EvictedLine
 from .interconnect import FlushPath
 from .pm_controller import PMController
 
 
-class MemoryImage:
+class MemoryImage(dict):
     """Architectural (volatile-visible) values: what a race-free reader
     should observe.  Diffed against the PM device image by stale-read
-    accounting and crash tests."""
+    accounting and crash tests.
+
+    A ``dict`` of address -> value (as :class:`~repro.sim.Counter` is a
+    dict of counters), so the per-access paths read it with the C-level
+    ``get(addr, 0)`` and write it by item assignment, where
+    :meth:`read` and :meth:`write` would cost a Python call each.
+    """
+
+    __slots__ = ()
 
     def __init__(self, initial: Optional[Dict[int, int]] = None):
-        self._values: Dict[int, int] = dict(initial or {})
+        super().__init__(initial or ())
 
     def read(self, addr: int) -> int:
-        return self._values.get(addr, 0)
+        return self.get(addr, 0)
 
     def write(self, addr: int, value: int) -> None:
-        self._values[addr] = value
+        self[addr] = value
 
     def snapshot(self) -> Dict[int, int]:
-        return dict(self._values)
+        return dict(self)
 
     def capture_state(self) -> dict:
-        return {"values": list(self._values.items())}
+        return {"values": list(self.items())}
 
     def restore_state(self, state: dict) -> None:
-        self._values = {addr: value for addr, value in state["values"]}
+        self.clear()
+        self.update(state["values"])
 
 
 class LoadResult:
@@ -104,30 +112,31 @@ class PMLoad(LoadResult):
             # The result hop, queued by the fill below.
             sink = self.sink
             if self.stale and sink is not None:
-                sink["stale_loads"] = sink.get("stale_loads", 0) + 1
+                sink["stale_loads"] += 1
             return
         hierarchy = self.hierarchy
         core_id = self.core_id
         addr = self.addr
-        block = block_of(addr)
+        block = addr >> 6
         value = content.get(addr, 0)
         # Stale means the PM returned an *old* value: different from
         # what a race-free reader expected at issue AND not simply the
         # fresh value of a store whose persist landed before this
         # read's (queue-delayed) arrival at the controller.
         stale = (value != self.arch_at_issue
-                 and value != hierarchy.image.read(addr))
+                 and value != hierarchy.image.get(addr, 0))
         if stale:
             stats = hierarchy.stats
-            stats["stale_reads"] = stats.get("stale_reads", 0) + 1
+            stats["stale_reads"] += 1
         # A store may have write-allocated this block while the fetch
         # was in flight, or an earlier miss filled it; never clobber
         # newer cached data -- only add words the caches do not have
         # yet (usually none: the key-view test skips the word loop).
+        # ``content`` is the read's own fresh dict: a new LLC line keeps
+        # it, and only the L1 fill below takes a copy.
         existing = hierarchy.llc.lookup(block, touch=False)
         if existing is None:
-            llc_victim = hierarchy.llc.insert(block, dict(content),
-                                              EXCLUSIVE)
+            llc_victim = hierarchy.llc.insert(block, content, EXCLUSIVE)
             if llc_victim is not None:
                 hierarchy._retire_llc_victim(llc_victim, done)
         elif not content.keys() <= existing.data.keys():
@@ -146,8 +155,7 @@ class PMLoad(LoadResult):
                 peer = l1s[owner].lookup(block, touch=False)
                 data = dict(peer.data)
                 l1s[owner].downgrade(block, SHARED)
-                hierarchy._merge_into_llc(block, data, dirty=True,
-                                          now=done)
+                hierarchy._merge_into_llc(block, data, True, done)
                 hierarchy._fill_l1(core_id, block, data, SHARED, done)
             else:
                 shared = hierarchy._snoop_downgrade_peers(core_id, block)
@@ -183,8 +191,8 @@ class CacheHierarchy:
         # coherence lookups O(sharers) instead of O(n_cores), which is
         # what makes 64-core runs tractable.
         self._sharers: Dict[int, set] = {}
-        # Bumped in place on the load/store/clwb paths (``Counter.add``
-        # inlined: they run once per memory access).
+        # Bumped in place, ``stats[name] += 1``, on the load, store and
+        # clwb paths: they run once per memory access.
         self.stats = Counter()
 
     # ---------------------------------------------------------- snapshotting
@@ -257,7 +265,7 @@ class CacheHierarchy:
             victim = self.l1s[owner].invalidate(block)
             self._sharer_drop(owner, block)
             if victim is not None:
-                self.stats.add("coherence_invalidations")
+                self.stats["coherence_invalidations"] += 1
                 if victim.dirty:
                     merged.update(victim.data)
         return merged
@@ -281,20 +289,21 @@ class CacheHierarchy:
         back any L1 copies, then notify the PMC if the result is dirty."""
         data = dict(victim.data)
         dirty = victim.dirty
+        stats = self.stats
         for owner in list(self._sharers.get(victim.block, ())):
             pulled = self.l1s[owner].invalidate(victim.block)
             self._sharer_drop(owner, victim.block)
             if pulled is not None:
-                self.stats.add("inclusive_back_invalidations")
+                stats["inclusive_back_invalidations"] += 1
                 if pulled.dirty:
                     data.update(pulled.data)
                     dirty = True
         if dirty:
-            self.stats.add("llc_dirty_writebacks")
+            stats["llc_dirty_writebacks"] += 1
             arrival = self.flush_path.send(now)
             self.pmc.accept_writeback(victim.block * 64, data, arrival)
         else:
-            self.stats.add("llc_clean_evictions")
+            stats["llc_clean_evictions"] += 1
 
     def _fill_l1(self, core_id: int, block: int, data: Dict[int, int],
                  state: str, now: int) -> None:
@@ -303,9 +312,8 @@ class CacheHierarchy:
         if victim is not None:
             self._sharer_drop(core_id, victim.block)
             if victim.dirty:
-                self.stats.add("l1_dirty_evictions")
-                self._merge_into_llc(victim.block, victim.data,
-                                     dirty=True, now=now)
+                self.stats["l1_dirty_evictions"] += 1
+                self._merge_into_llc(victim.block, victim.data, True, now)
 
     # ----------------------------------------------------------------- load
 
@@ -314,40 +322,38 @@ class CacheHierarchy:
         """Load ``addr`` for ``core_id``; a PM miss returns a
         :class:`PMLoad` that completes at its ``done`` and, if the value
         it returns is stale, bumps ``sink["stale_loads"]``."""
-        block = block_of(addr)
+        block = addr >> 6
         stats = self.stats
         l1 = self.l1s[core_id]
         t = now + self.l1_lat
         line = l1.lookup(block)
         if line is not None:
-            stats["l1_hits"] = stats.get("l1_hits", 0) + 1
-            return LoadResult(value=line.data.get(addr, 0), done=t,
-                              level="l1")
+            stats["l1_hits"] += 1
+            return LoadResult(line.data.get(addr, 0), t, "l1")
         t += self.l2_lat
         # Dirty copy in a peer L1: cache-to-cache transfer, both -> SHARED.
         owner = self._other_modified_owner(core_id, block)
         if owner is not None:
-            stats["c2c_transfers"] = stats.get("c2c_transfers", 0) + 1
+            stats["c2c_transfers"] += 1
             peer = self.l1s[owner].lookup(block, touch=False)
             data = dict(peer.data)
             self.l1s[owner].downgrade(block, SHARED)
-            self._merge_into_llc(block, data, dirty=True, now=t)
+            self._merge_into_llc(block, data, True, t)
             self._fill_l1(core_id, block, dict(data), SHARED, t)
-            return LoadResult(value=data.get(addr, 0), done=t, level="c2c")
+            return LoadResult(data.get(addr, 0), t, "c2c")
         llc_line = self.llc.lookup(block)
         if llc_line is not None:
-            stats["llc_hits"] = stats.get("llc_hits", 0) + 1
+            stats["llc_hits"] += 1
             shared = self._snoop_downgrade_peers(core_id, block)
             self._fill_l1(core_id, block, dict(llc_line.data),
                           SHARED if shared else EXCLUSIVE, t)
-            return LoadResult(value=llc_line.data.get(addr, 0), done=t,
-                              level="llc")
+            return LoadResult(llc_line.data.get(addr, 0), t, "llc")
         # PM access (regular path read).
-        stats["pm_reads"] = stats.get("pm_reads", 0) + 1
+        stats["pm_reads"] += 1
         # Stale-read accounting compares against the architectural value
         # a race-free reader should observe *when the load issues*; later
         # same-thread stores must not be mistaken for staleness.
-        load = PMLoad(self, core_id, addr, self.image.read(addr), sink)
+        load = PMLoad(self, core_id, addr, self.image.get(addr, 0), sink)
         load.done = self.pmc.read_block(block, t, load)
         return load
 
@@ -356,18 +362,18 @@ class CacheHierarchy:
     def store(self, core_id: int, addr: int, value: int, now: int) -> int:
         """Apply a committed store through the caches; returns the time the
         store is globally performed (exclusive ownership + data written)."""
-        block = block_of(addr)
+        block = addr >> 6
         stats = self.stats
         l1 = self.l1s[core_id]
-        self.image.write(addr, value)
+        self.image[addr] = value
         line = l1.lookup(block)
         if line is not None and line.state in (MODIFIED, EXCLUSIVE):
-            stats["store_l1_hits"] = stats.get("store_l1_hits", 0) + 1
+            stats["store_l1_hits"] += 1
             l1.write_line(line, addr, value)
             return now + self.l1_lat
         t = now + self.l1_lat + self.l2_lat
         if line is not None:  # SHARED: upgrade
-            stats["store_upgrades"] = stats.get("store_upgrades", 0) + 1
+            stats["store_upgrades"] += 1
             self._invalidate_other_l1s(core_id, block)
             l1.write_line(line, addr, value)
             return t
@@ -375,23 +381,22 @@ class CacheHierarchy:
         owner = self._other_modified_owner(core_id, block)
         merged = self._invalidate_other_l1s(core_id, block)
         if owner is not None:
-            stats["store_c2c"] = stats.get("store_c2c", 0) + 1
+            stats["store_c2c"] += 1
             data = merged
-            self._merge_into_llc(block, data, dirty=True, now=t)
+            self._merge_into_llc(block, data, True, t)
         else:
             llc_line = self.llc.lookup(block)
             if llc_line is not None:
-                stats["store_llc_hits"] = stats.get("store_llc_hits", 0) + 1
+                stats["store_llc_hits"] += 1
                 data = dict(llc_line.data)
             else:
                 # Write-on-allocation fetch from PM (Figure 4): a regular-
                 # path Read the PMC observes, though the store itself does
                 # not wait for full fetch latency in an OoO core; charge
                 # the LLC round trip and book the PM read.
-                stats["store_pm_fetches"] = (
-                    stats.get("store_pm_fetches", 0) + 1)
+                stats["store_pm_fetches"] += 1
                 self.pmc.read_block(block, t)
-                data = dict(self.pmc.device.block_content(block))
+                data = self.pmc.device.block_content(block)
                 llc_victim = self.llc.insert(block, dict(data), EXCLUSIVE)
                 if llc_victim is not None:
                     self._retire_llc_victim(llc_victim, t)
@@ -405,23 +410,24 @@ class CacheHierarchy:
         """Write the line containing ``addr`` back toward the PMC without
         invalidating it.  Returns the durability (WPQ-acceptance) time a
         following SFENCE must wait for."""
-        block = block_of(addr)
+        block = addr >> 6
         stats = self.stats
         t = now + self.l1_lat
         line = self.l1s[core_id].lookup(block, touch=False)
         if line is not None and line.state == MODIFIED:
-            stats["clwb_flushes"] = stats.get("clwb_flushes", 0) + 1
+            stats["clwb_flushes"] += 1
             line.state = EXCLUSIVE
-            self._merge_into_llc(block, dict(line.data), dirty=False, now=t)
+            # Neither the merge nor the controller keeps the dict it is
+            # handed (each copies what it keeps): no copy here.
+            self._merge_into_llc(block, line.data, False, t)
             arrival = self.flush_path.send(t)
-            return self.pmc.accept_writeback(block * 64, dict(line.data),
-                                             arrival)
+            return self.pmc.accept_writeback(block * 64, line.data, arrival)
         llc_line = self.llc.lookup(block, touch=False)
         if llc_line is not None and llc_line.state == MODIFIED:
-            stats["clwb_flushes"] = stats.get("clwb_flushes", 0) + 1
+            stats["clwb_flushes"] += 1
             llc_line.state = EXCLUSIVE
             arrival = self.flush_path.send(t + self.l2_lat)
-            return self.pmc.accept_writeback(block * 64,
-                                             dict(llc_line.data), arrival)
-        stats["clwb_clean"] = stats.get("clwb_clean", 0) + 1
+            return self.pmc.accept_writeback(block * 64, llc_line.data,
+                                             arrival)
+        stats["clwb_clean"] += 1
         return t

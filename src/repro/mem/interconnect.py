@@ -67,12 +67,14 @@ class PersistPath:
         if self.global_fifo and arrival <= self._global_last:
             arrival = self._global_last + 1
         self._last_arrival[core_id] = arrival
-        self._global_last = max(self._global_last, arrival)
-        # Counter.add, inlined: one message per persist.
+        if arrival > self._global_last:
+            self._global_last = arrival
+        # Counters bumped in place and conditionals for max(): one
+        # message per persist.
         stats = self.stats
-        stats["messages"] = stats.get("messages", 0) + 1
-        stats["cycles_waited"] = (stats.get("cycles_waited", 0)
-                                  + max(0, slot_done - now - self.slot_cycles))
+        stats["messages"] += 1
+        waited = slot_done - now - self.slot_cycles
+        stats["cycles_waited"] += waited if waited > 0 else 0
         if self.metrics.enabled:
             in_flight = self._in_flight
             while in_flight and in_flight[0] <= now:
@@ -124,8 +126,7 @@ class FlushPath:
     def send(self, now: int) -> int:
         """Returns arrival time at the PMC."""
         _start, slot_done = self._bus.reserve(now, self.slot_cycles)
-        stats = self.stats
-        stats["messages"] = stats.get("messages", 0) + 1
+        self.stats["messages"] += 1
         return slot_done + self.traversal
 
     def capture_state(self) -> dict:

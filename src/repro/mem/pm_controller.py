@@ -177,9 +177,8 @@ class PMController:
         if entry is not None:
             booked_at, accept, drain = entry
             if booked_at <= arrival < drain:
-                stats = self.stats
-                stats["wpq_coalesced"] = stats.get("wpq_coalesced", 0) + 1
-                return max(arrival, accept)
+                self.stats["wpq_coalesced"] += 1
+                return accept if accept > arrival else arrival
         accept, drain = self.write_queue.push(arrival)
         self._wpq_open[block] = (arrival, accept, drain)
         if len(self._wpq_open) > 4096:
@@ -202,11 +201,10 @@ class PMController:
         parallelism without waiting on the read.
         """
         stats = self.stats
-        stats["reads"] = stats.get("reads", 0) + 1
+        stats["reads"] += 1
         delay = self.policy.read_delay(block, now)
         if delay:
-            stats["read_delay_cycles"] = (
-                stats.get("read_delay_cycles", 0) + delay)
+            stats["read_delay_cycles"] += delay
         accept, done = self.read_queue.push(now + delay)
         if self.env.trace.enabled:
             # Reads participate in the WriteBack-Read-Persist pattern
@@ -225,8 +223,7 @@ class PMController:
                          arrival: int) -> int:
         """An LLC dirty eviction or CLWB flush arriving from the regular
         path.  Returns the write-queue acceptance (durability) time."""
-        stats = self.stats
-        stats["writebacks"] = stats.get("writebacks", 0) + 1
+        self.stats["writebacks"] += 1
         accept = self._wpq_admit(block_addr >> 6, arrival)
         if self.env.trace.enabled:
             self.env.trace.instant(
@@ -247,8 +244,7 @@ class PMController:
         path delivers a core's stores in commit order, and WPQ admission
         must not reorder them (strict intra-thread persist order is the
         property the undo-log protocol rests on)."""
-        stats = self.stats
-        stats["persists"] = stats.get("persists", 0) + 1
+        self.stats["persists"] += 1
         accept = self._wpq_admit(msg.addr >> 6, arrival)
         previous = self._core_fifo.get(msg.core_id, 0)
         if accept < previous:

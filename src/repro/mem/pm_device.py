@@ -16,17 +16,19 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..isa import CACHE_BLOCK_BYTES, block_base
+from ..isa import CACHE_BLOCK_BYTES, block_base, index_by_block
 
 
 class PMDevice:
     """Byte-addressable persistent memory with a persisted-value image."""
 
-    __slots__ = ("_image", "_blocks", "record_history", "history",
-                 "stores_persisted", "blocks_persisted", "on_persist")
+    __slots__ = ("_image", "_blocks", "_initial_blocks", "record_history",
+                 "history", "stores_persisted", "blocks_persisted",
+                 "on_persist")
 
     def __init__(self, initial_image: Optional[Dict[int, int]] = None,
-                 record_history: bool = False):
+                 record_history: bool = False,
+                 initial_blocks: Optional[Dict[int, Dict[int, int]]] = None):
         self._image: Dict[int, int] = dict(initial_image or {})
         # Per-block view of the same image, so block_content is O(words
         # in block) instead of an O(image) scan per PM read.  Both maps
@@ -34,14 +36,17 @@ class PMDevice:
         # order here matches a block-filtered scan of ``_image`` exactly
         # (the image only ever grows) -- keeping replay and snapshot
         # encodings byte-identical with the single-map implementation.
+        #
+        # The view is two-level.  ``_initial_blocks`` indexes the initial
+        # image and is never written: a system passes its program's
+        # memoised index (``Program.heap_blocks``), which every device
+        # built for that program shares.  ``_blocks`` holds the blocks
+        # this device has written, each copied from its initial block on
+        # its first write.
+        self._initial_blocks = (index_by_block(self._image)
+                                if initial_blocks is None
+                                else initial_blocks)
         self._blocks: Dict[int, Dict[int, int]] = {}
-        for addr, value in self._image.items():
-            block = addr // CACHE_BLOCK_BYTES
-            bucket = self._blocks.get(block)
-            if bucket is None:
-                self._blocks[block] = {addr: value}
-            else:
-                bucket[addr] = value
         self.record_history = record_history
         # (time, addr, value, origin) tuples, origin in
         # {"persist-path", "writeback", "recovery"}.
@@ -62,17 +67,26 @@ class PMDevice:
         """All persisted values inside cache block number ``block``
         (a fresh dict -- callers may mutate it)."""
         bucket = self._blocks.get(block)
+        if bucket is None:
+            bucket = self._initial_blocks.get(block)
         return dict(bucket) if bucket else {}
+
+    def _written_block(self, block: int) -> Dict[int, int]:
+        """This device's own copy of ``block``, made on its first write."""
+        initial = self._initial_blocks.get(block)
+        bucket = self._blocks[block] = (
+            {} if initial is None else dict(initial))
+        return bucket
 
     def persist_store(self, addr: int, value: int, now: int,
                       origin: str = "persist-path") -> None:
-        """Persist one store (persist-path message accepted at the PMC)."""
+        """Persist one store (persist-path message accepted at the PMC).
+        ``origin`` is read only when ``record_history`` is on."""
         self._image[addr] = value
-        bucket = self._blocks.get(addr // CACHE_BLOCK_BYTES)
+        bucket = self._blocks.get(addr >> 6)
         if bucket is None:
-            self._blocks[addr // CACHE_BLOCK_BYTES] = {addr: value}
-        else:
-            bucket[addr] = value
+            bucket = self._written_block(addr >> 6)
+        bucket[addr] = value
         self.stores_persisted += 1
         if self.record_history:
             self.history.append((now, addr, value, origin))
@@ -86,7 +100,7 @@ class PMDevice:
         block = base // CACHE_BLOCK_BYTES
         bucket = self._blocks.get(block)
         if bucket is None:
-            bucket = self._blocks[block] = {}
+            bucket = self._written_block(block)
         image = self._image
         for byte_addr, value in data.items():
             if not base <= byte_addr < base + CACHE_BLOCK_BYTES:
@@ -119,14 +133,9 @@ class PMDevice:
 
     def restore_state(self, state: dict) -> None:
         self._image = {addr: value for addr, value in state["image"]}
-        self._blocks = {}
-        for addr, value in self._image.items():
-            block = addr // CACHE_BLOCK_BYTES
-            bucket = self._blocks.get(block)
-            if bucket is None:
-                self._blocks[block] = {addr: value}
-            else:
-                bucket[addr] = value
+        # The restored image is all this device's own: index it whole.
+        self._initial_blocks = {}
+        self._blocks = index_by_block(self._image)
         self.history = [tuple(entry) for entry in state["history"]]
         self.stores_persisted = state["stores_persisted"]
         self.blocks_persisted = state["blocks_persisted"]

@@ -19,7 +19,7 @@ machine through :meth:`bind`.
 from __future__ import annotations
 
 import weakref
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, List
 
 from ..mem import PMCPolicy
 from ..sim import Counter
@@ -134,6 +134,12 @@ class Design:
         return f"<{type(self).__name__} design>"
 
 
+def drain_origins(n_cores: int) -> List[str]:
+    """The device-history origin of each core's buffered drains, made
+    once per design rather than once per persist."""
+    return [f"drain:c{core_id}" for core_id in range(n_cores)]
+
+
 class PersistLog:
     """Shared helper: schedule device persists for buffered designs.
 
@@ -154,7 +160,7 @@ class PersistLog:
         env = self.env
         device = self.device
         if when <= env.now:
-            device.persist_store(addr, value, env.now, origin=origin)
+            device.persist_store(addr, value, env.now, origin)
         else:
             env.schedule_at(when, _StoreLanding(device, addr, value, when,
                                                 origin))
@@ -165,8 +171,7 @@ class PersistLog:
         device = self.device
         snapshot = dict(data)
         if when <= env.now:
-            device.persist_block(block_addr, snapshot, env.now,
-                                 origin=origin)
+            device.persist_block(block_addr, snapshot, env.now, origin)
         else:
             env.schedule_at(when, _BlockLanding(device, block_addr,
                                                 snapshot, when, origin))
@@ -187,7 +192,7 @@ class _StoreLanding:
 
     def __call__(self) -> None:
         self.device.persist_store(self.addr, self.value, self.when,
-                                  origin=self.origin)
+                                  self.origin)
 
 
 class _BlockLanding(_StoreLanding):
@@ -198,4 +203,4 @@ class _BlockLanding(_StoreLanding):
 
     def __call__(self) -> None:
         self.device.persist_block(self.addr, self.value, self.when,
-                                  origin=self.origin)
+                                  self.origin)

@@ -22,7 +22,7 @@ from typing import Deque, Dict, List
 
 from ..mem import PMCPolicy
 from ..sim import TimelineResource
-from .base import Design, PersistLog
+from .base import Design, PersistLog, drain_origins
 
 
 class DropWritebacksPolicy(PMCPolicy):
@@ -51,6 +51,7 @@ class DPO(Design):
         self._pending: List[Deque[int]] = [
             deque() for _ in range(config.n_cores)]
         self._log = PersistLog(system.env, system.device)
+        self._origins = drain_origins(config.n_cores)
 
     def build_pmc_policy(self, index: int = 0) -> PMCPolicy:
         return DropWritebacksPolicy()
@@ -67,22 +68,25 @@ class DPO(Design):
         CLWB retires from the core's perspective (buffer admission)."""
         hierarchy = self.system.hierarchy
         block = addr >> 6
+        # The log snapshots the line's words as it takes them: no copy
+        # here.
         line = hierarchy.l1s[core_id].lookup(block, touch=False)
         if line is None:
             llc_line = hierarchy.llc.lookup(block, touch=False)
-            data = dict(llc_line.data) if llc_line is not None else {}
+            data = llc_line.data if llc_line is not None else {}
         else:
-            data = dict(line.data)
+            data = line.data
         self._evict_completed(core_id, now)
+        stats = self.stats
         accept = now + hierarchy.l1_lat
         if len(self._pending[core_id]) >= self._capacity:
             accept = max(accept, self._pending[core_id][0])
-            self.stats.add("buffer_full_stalls")
+            stats["buffer_full_stalls"] += 1
         _start, finish = self._channel.reserve(accept, self._flush_cycles)
         self._pending[core_id].append(finish)
         self._log.persist_block_at(block * 64, data, finish,
-                                   origin=f"drain:c{core_id}")
-        self.stats.add("clwbs")
+                                   self._origins[core_id])
+        stats["clwbs"] += 1
         return accept
 
     def _drained(self, core_id: int, now: int) -> int:
@@ -95,14 +99,15 @@ class DPO(Design):
         core = self.system.cores[core_id]
         done = max(now, self._drained(core_id, now),
                    core.store_queue.drain_complete_time(now))
-        self.stats.add("sfences")
-        self.stats.add("sfence_stall_cycles", done - now)
+        stats = self.stats
+        stats["sfences"] += 1
+        stats["sfence_stall_cycles"] += done - now
         return done
 
     def on_lock_op(self, core_id: int, now: int) -> int:
         """§8.2.2: DPO orders persists at volatile barriers too."""
         done = max(now, self._drained(core_id, now))
-        self.stats.add("volatile_barrier_stalls", done - now)
+        self.stats["volatile_barrier_stalls"] += done - now
         return done
 
     def quiesce_time(self, now: int) -> int:

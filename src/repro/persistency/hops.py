@@ -21,11 +21,16 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..isa import block_of
 from ..mem import PMCPolicy
 from ..sim import CapacityQueue
-from .base import Design, PersistLog
+from .base import Design, PersistLog, drain_origins
 from .dpo import DropWritebacksPolicy
+
+
+#: Hash ``i`` of a key is its 64-bit multiplicative hash shifted right
+#: by ``16 * i``, modulo the filter's bits.
+_HASH = 0x9E3779B97F4A7C15
+_MASK64 = 2 ** 64 - 1
 
 
 class CountingBloom:
@@ -38,24 +43,29 @@ class CountingBloom:
         self.hashes = hashes
         self._counters = [0] * bits
         self.inserts = 0
-
-    def _slots(self, key: int):
-        h = key * 0x9E3779B97F4A7C15 & (2 ** 64 - 1)
-        for i in range(self.hashes):
-            yield (h >> (i * 16)) % self.bits
+        # The shifts are made once, so a lookup walks a tuple: no
+        # generator per insert, remove or query.
+        self._shifts = tuple(i * 16 for i in range(hashes))
 
     def insert(self, key: int) -> None:
         self.inserts += 1
-        for slot in self._slots(key):
-            self._counters[slot] += 1
+        h = key * _HASH & _MASK64
+        for shift in self._shifts:
+            self._counters[(h >> shift) % self.bits] += 1
 
     def remove(self, key: int) -> None:
-        for slot in self._slots(key):
+        h = key * _HASH & _MASK64
+        for shift in self._shifts:
+            slot = (h >> shift) % self.bits
             if self._counters[slot] > 0:
                 self._counters[slot] -= 1
 
     def query(self, key: int) -> bool:
-        return all(self._counters[slot] > 0 for slot in self._slots(key))
+        h = key * _HASH & _MASK64
+        for shift in self._shifts:
+            if not self._counters[(h >> shift) % self.bits]:
+                return False
+        return True
 
     def capture_state(self) -> dict:
         return {"counters": list(self._counters),
@@ -144,6 +154,7 @@ class HOPS(Design):
         self._conflict_delay = config.ns(
             config.extra.get("hops_conflict_delay_ns", 30.0))
         self._log = PersistLog(system.env, system.device)
+        self._origins = drain_origins(config.n_cores)
         self._sticky_extra = config.ns(config.hops_sticky_bus_extra_ns)
 
     def build_pmc_policy(self, index: int = 0) -> PMCPolicy:
@@ -161,43 +172,44 @@ class HOPS(Design):
     def store(self, core_id: int, addr: int, value: int, now: int,
               to_pm: bool = True, kind: str = "data",
               shared: bool = True) -> int:
-        done = self.system.hierarchy.store(core_id, addr, value, now)
+        system = self.system
+        done = system.hierarchy.store(core_id, addr, value, now)
         if to_pm:
-            block = block_of(addr)
+            block = addr >> 6
+            stats = self.stats
             open_blocks = self._open_blocks[core_id]
             pending = open_blocks.get(block)
             if pending is not None and now < pending:
                 # Coalesce into the line already sitting in the buffer.
-                self.stats.add("pb_coalesced")
+                stats["pb_coalesced"] += 1
                 drained = pending
             else:
                 buffer = self._buffers[core_id]
                 accept, drained = buffer.push(now)
                 if accept > now:
-                    self.stats.add("pb_full_stalls")
+                    stats["pb_full_stalls"] += 1
                     done = max(done, accept)
                 open_blocks[block] = drained
                 if len(open_blocks) > 1024:
                     self._open_blocks[core_id] = {
                         b: d for b, d in open_blocks.items() if d > now}
                 self.bloom.insert(block)
-                env = self.system.env
-                remove_at = max(drained, env.now)
-                env.schedule_at(remove_at,
+                env = system.env
+                env.schedule_at(drained if drained > env.now else env.now,
                                 _BloomClear(self.bloom, block))
             if drained < self._fifo_drain[core_id]:
                 drained = self._fifo_drain[core_id]
             self._fifo_drain[core_id] = drained
             self._log.persist_at(addr, value, drained,
-                                 origin=f"drain:c{core_id}")
-            self.stats.add("pm_stores")
+                                 self._origins[core_id])
+            stats["pm_stores"] += 1
         return done
 
     # -------------------------------------------------------------- fences
 
     def ofence(self, core_id: int, now: int) -> int:
         """Epoch boundary: asynchronous, one cycle to issue (§8.1)."""
-        self.stats.add("ofences")
+        self.stats["ofences"] += 1
         return now + 1
 
     def dfence(self, core_id: int, now: int) -> int:
@@ -206,8 +218,9 @@ class HOPS(Design):
         done = max(now, self._buffers[core_id].drain_complete_time(now),
                    self._fifo_drain[core_id],
                    core.store_queue.drain_complete_time(now))
-        self.stats.add("dfences")
-        self.stats.add("dfence_stall_cycles", done - now)
+        stats = self.stats
+        stats["dfences"] += 1
+        stats["dfence_stall_cycles"] += done - now
         trace = self.system.env.trace
         if trace.enabled:
             # Durability fence retirement instant: the per-core chain

@@ -34,7 +34,7 @@ class IntelX86Epoch(Design):
         accept = self.system.hierarchy.clwb(core_id, addr, now)
         if accept > self._clwb_horizon[core_id]:
             self._clwb_horizon[core_id] = accept
-        self.stats.add("clwbs")
+        self.stats["clwbs"] += 1
         trace = self.system.env.trace
         if trace.enabled:
             # Flush-attribution instant: lets the epoch durable-state
@@ -52,8 +52,9 @@ class IntelX86Epoch(Design):
         core = self.system.cores[core_id]
         done = max(now, self._clwb_horizon[core_id],
                    core.store_queue.drain_complete_time(now))
-        self.stats.add("sfences")
-        self.stats.add("sfence_stall_cycles", done - now)
+        stats = self.stats
+        stats["sfences"] += 1
+        stats["sfence_stall_cycles"] += done - now
         trace = self.system.env.trace
         if trace.enabled:
             # Epoch-closing instant: flushes accepted at or before this

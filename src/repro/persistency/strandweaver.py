@@ -29,10 +29,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..isa import block_of
 from ..mem import PMCPolicy
 from ..sim import TimelineResource
-from .base import Design, PersistLog
+from .base import Design, PersistLog, drain_origins
 from .dpo import DropWritebacksPolicy
 
 
@@ -67,6 +66,7 @@ class StrandWeaver(Design):
         self._cores: List[_CoreStrands] = [
             _CoreStrands() for _ in range(config.n_cores)]
         self._log = PersistLog(system.env, system.device)
+        self._origins = drain_origins(config.n_cores)
         self._sticky_extra = config.ns(config.hops_sticky_bus_extra_ns)
 
     def build_pmc_policy(self, index: int = 0) -> PMCPolicy:
@@ -84,10 +84,11 @@ class StrandWeaver(Design):
         done = self.system.hierarchy.store(core_id, addr, value, now)
         if to_pm:
             state = self._cores[core_id]
-            block = block_of(addr)
+            block = addr >> 6
             pending = state.open_blocks.get(block)
+            stats = self.stats
             if pending is not None and now < pending:
-                self.stats.add("sb_coalesced")
+                stats["sb_coalesced"] += 1
                 drained = pending
             else:
                 # Chain behind the current strand, compete for a lane.
@@ -103,8 +104,8 @@ class StrandWeaver(Design):
             if drained > state.outstanding:
                 state.outstanding = drained
             self._log.persist_at(addr, value, drained,
-                                 origin=f"drain:c{core_id}")
-            self.stats.add("pm_stores")
+                                 self._origins[core_id])
+            stats["pm_stores"] += 1
         return done
 
     # -------------------------------------------------------------- strands

@@ -71,7 +71,7 @@ class FailureAtomicRuntime:
         # §6.2.1: a thread clears its own flag when it begins a new FASE.
         state.misspec_flag = False
         state.undo.open_scope()
-        self.stats.add("fases_started")
+        self.stats["fases_started"] += 1
 
     def log_write(self, thread_id: int, target: int, old_value: int) -> int:
         """Record an undo pair; returns the log entry index whose machine
@@ -102,7 +102,7 @@ class FailureAtomicRuntime:
         state.commits += 1
         self.commit_log.append((thread_id, state.fase_id, now))
         state.fase_id = None
-        self.stats.add("commits")
+        self.stats["commits"] += 1
 
     def fase_abort(self, thread_id: int, now: int) -> List[Tuple[int, int]]:
         """Abort handler: returns the (addr, old_value) rollback writes,

@@ -46,6 +46,7 @@ from .heap import LOG_REGION_BYTES, log_region_base
 
 ENTRY_STRIDE = 16      # two 8-byte words per entry
 ENTRIES_OFFSET = 64    # keep the epoch word in its own cache block
+TARGET_OFFSET = 8      # an entry's stamped target follows its old value
 STAMP_SHIFT = 40       # target addresses fit comfortably below 2^40
 ADDRESS_MASK = (1 << STAMP_SHIFT) - 1
 
@@ -81,7 +82,7 @@ class UndoLogLayout:
         return self.base + ENTRIES_OFFSET + index * ENTRY_STRIDE
 
     def entry_target_addr(self, index: int) -> int:
-        return self.entry_old_addr(index) + 8
+        return self.entry_old_addr(index) + TARGET_OFFSET
 
     def _check(self, index: int) -> None:
         if not 0 <= index < self.max_entries:

@@ -25,7 +25,8 @@ environment: :meth:`Environment._schedule` and
 :meth:`Environment.schedule_at` push, :meth:`Environment.run` pops.  A
 dict maps each pending cycle to its bucket (a list of :class:`Event` or
 bare callables, in push order), and a binary heap holds the *distinct*
-cycles not yet opened.  Pushing into a populated cycle is a list
+cycles not yet opened.  The loop calls each item it pops; calling an
+:class:`Event` fires it.  Pushing into a populated cycle is a list
 append; the heap is touched once per populated cycle, not once per
 event (the machine's wakeups cluster on shared cycles: ~2.1 events per
 populated cycle on the Figure 9 grid).
@@ -98,6 +99,10 @@ class Event:
         callbacks, self.callbacks = self.callbacks, ()
         for callback in callbacks:
             callback(self)
+
+    # A queued event fires when the loop calls it, like the bare
+    # callables beside it in the queue: no type test per item.
+    __call__ = _fire
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Run ``callback(event)`` when the event fires (immediately if fired)."""
@@ -360,10 +365,7 @@ class Environment:
         item = drain[self._cursor]
         drain[self._cursor] = None
         self._cursor += 1
-        if isinstance(item, Event):
-            item._fire()
-        else:
-            item()
+        item()
 
     def run(self, until: Optional[int] = None,
             stop_event: Optional[Event] = None) -> int:
@@ -398,10 +400,7 @@ class Environment:
                 drain[cursor] = None
                 cursor += 1
                 self._cursor = cursor
-                if isinstance(item, Event):
-                    item._fire()
-                else:
-                    item()
+                item()
                 continue
             if not cycles:
                 break

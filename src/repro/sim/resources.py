@@ -273,14 +273,11 @@ class CapacityQueue:
             self.total_stall += accept - now
         _start, finish = self._drain.reserve(accept, service)
         # Keep completions sorted: drains are FIFO per lane but lanes can
-        # interleave; insert in order.
-        if self._completions and finish < self._completions[-1]:
-            items = list(self._completions)
-            items.append(finish)
-            items.sort()
-            self._completions = deque(items)
+        # interleave; insert in order, in place.
+        if completions and finish < completions[-1]:
+            insort(completions, finish)
         else:
-            self._completions.append(finish)
+            completions.append(finish)
         self.pushes += 1
         return accept, finish
 

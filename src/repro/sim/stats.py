@@ -9,18 +9,20 @@ from typing import Dict, Iterable
 class Counter(dict):
     """A named bag of integer counters with dict-like access.
 
-    A ``dict`` subclass (rather than a wrapper) so the per-event hot
-    paths pay a single C-level ``get``/``__setitem__`` per bump; missing
-    names still read as 0.
+    A ``dict`` subclass (rather than a wrapper) whose missing names
+    read as 0 through ``__missing__``, as in ``collections.Counter``:
+    reading one does not insert it.  So the per-event hot paths bump a
+    counter with ``stats[name] += 1``, a C-level item get and set; only
+    a name's first bump makes a Python call.
     """
 
     __slots__ = ()
 
     def add(self, name: str, amount: int = 1) -> None:
-        self[name] = self.get(name, 0) + amount
+        self[name] += amount
 
-    def __getitem__(self, name: str) -> int:
-        return self.get(name, 0)
+    def __missing__(self, name: str) -> int:
+        return 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(self)

@@ -37,7 +37,7 @@ from .runtime import (
     DATA_BASE,
     FailureAtomicRuntime,
 )
-from .sim import Environment
+from .sim import Counter, Environment, Mutex
 
 
 # Version of the SimResult.to_dict() payload.  Bump when fields are
@@ -215,7 +215,8 @@ class System:
             register_track("persist-path")
             register_track("pmc")
             register_track("spec-buffer")
-        self.device = PMDevice(program.initial_heap)
+        self.device = PMDevice(program.initial_heap,
+                               initial_blocks=program.heap_blocks())
         self.image = MemoryImage(program.initial_heap)
         self.stall = StallController()
         self.interrupts = InterruptController()
@@ -235,7 +236,6 @@ class System:
         self.persist_path = PersistPath(config, config.n_cores,
                                         metrics=self.env.metrics)
         self.lock_network = LockNetwork(config)
-        from .sim import Mutex
         self.locks = [Mutex(self.env, name=f"lock{i}")
                       for i in range(program.n_locks)]
         self.runtime = FailureAtomicRuntime(config.n_cores,
@@ -312,12 +312,13 @@ class System:
 
     def result(self) -> SimResult:
         committed = self.runtime.total_commits
+        spec_buffer_stats = self._spec_buffer_stats()
         stats = {
             "design": self.design.stats.as_dict(),
             "runtime": self.runtime.stats.as_dict(),
             "pmc": self.pmc.stats.as_dict(),
             "hierarchy": self.hierarchy.stats.as_dict(),
-            "spec_buffer": self._spec_buffer_stats().as_dict(),
+            "spec_buffer": spec_buffer_stats.as_dict(),
             "interrupts": self.interrupts.stats.as_dict(),
         }
         core_stats = {}
@@ -336,19 +337,16 @@ class System:
             cycles=self.env.now,
             fases_committed=committed,
             fases_aborted=self.runtime.total_aborts,
-            load_misspeculations=self._spec_buffer_stats()[
-                "load_misspeculations"],
-            store_misspeculations=self._spec_buffer_stats()[
-                "store_misspeculations"],
+            load_misspeculations=spec_buffer_stats["load_misspeculations"],
+            store_misspeculations=spec_buffer_stats["store_misspeculations"],
             stale_loads=self.hierarchy.stats["stale_reads"],
-            spec_buffer_overflows=self._spec_buffer_stats()["overflows"],
+            spec_buffer_overflows=spec_buffer_stats["overflows"],
             freq_ghz=self.config.freq_ghz,
             stats=stats,
             timeseries=timeseries,
         )
 
-    def _spec_buffer_stats(self):
-        from .sim import Counter
+    def _spec_buffer_stats(self) -> Counter:
         merged = Counter()
         for buffer in self.spec_buffers:
             merged.merge(buffer.stats)

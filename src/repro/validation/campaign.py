@@ -275,9 +275,14 @@ def run_trial(spec: TrialSpec) -> Dict:
             rung = None
         if rung is not None:
             restored_from = rung["cycle"]
-    horizon = _cut(system, fault, spec, system.launch())
-    return _judge(spec, workload, system, fault,
-                  history_from_recorder(recorder), horizon, restored_from)
+    launch = system.launch()
+    horizon = _cut(system, fault, spec, launch)
+    outcome = _judge(spec, workload, system, fault,
+                     history_from_recorder(recorder), horizon, restored_from)
+    # The cut run is dropped with the system: abandoning its launch lets
+    # reference counting free it (docs/ENGINE.md).
+    system.env.abandon(launch)
+    return outcome
 
 
 # ------------------------------------------------- resident batch path

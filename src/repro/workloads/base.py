@@ -21,7 +21,17 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from ..isa import Compute, Fase, IROp, Program, ThreadProgram
+from ..isa import (
+    Compute,
+    Fase,
+    IROp,
+    LockAcquire,
+    LockRelease,
+    PRead,
+    Program,
+    PWrite,
+    ThreadProgram,
+)
 from ..runtime.heap import PersistentHeap, WORD_BYTES
 
 
@@ -33,14 +43,12 @@ class TraceRecorder:
         self.ops: List[IROp] = []
 
     def read(self, addr: int) -> int:
-        from ..isa import PRead
         self.ops.append(PRead(addr))
         return self.image.get(addr, 0)
 
     def write(self, addr: int, value: int, shared: bool = True) -> None:
         if not isinstance(value, int) or value < 0:
             raise ValueError(f"PM values must be non-negative ints: {value}")
-        from ..isa import PWrite
         self.ops.append(PWrite(addr, value, shared=shared))
         self.image[addr] = value
 
@@ -48,11 +56,9 @@ class TraceRecorder:
         self.ops.append(Compute(cycles))
 
     def lock(self, lock_id: int) -> None:
-        from ..isa import LockAcquire
         self.ops.append(LockAcquire(lock_id))
 
     def unlock(self, lock_id: int) -> None:
-        from ..isa import LockRelease
         self.ops.append(LockRelease(lock_id))
 
 

@@ -125,13 +125,37 @@ def test_unread_flag_exits_2_at_parse_time(argv, handlers_never_run):
     assert stopped.value.code == 2
 
 
+@pytest.mark.parametrize("argv, named", [
+    ("validate --litmus --budget 5 --jobs 4 --fault torn-log "
+     "--crash-states", "--budget, --crash-states, --fault, --jobs"),
+    ("validate --litmus --no-shrink --seed=7", "--no-shrink, --seed"),
+    ("validate --litmus --snapshot-rungs 16 --snapshot-dir d",
+     "--snapshot-dir, --snapshot-rungs"),
+    ("validate --snapshot-dir snaps/", "--snapshot-rungs"),
+    ("validate --snapshot-rungs 0 --snapshot-dir=snaps/",
+     "--snapshot-rungs"),
+])
+def test_flag_the_mode_ignores_is_a_usage_error(argv, named,
+                                                handlers_never_run,
+                                                capsys):
+    """A validate flag that its mode would ignore exits 2 before the
+    handler runs, naming the flags."""
+    assert main(argv.split()) == 2
+    assert named in capsys.readouterr().err
+
+
+def _parses(line):
+    args = build_parser().parse_args(line)
+    cli.check_modes(args, line)
+
+
 def test_ci_lines_parse():
     lines = _ci_lines()
     commands = {line[0] for line in lines}
     assert {"validate", "snapshot", "fig9", "fig10", "profile",
             "bench-history"} <= commands
     for line in lines:
-        build_parser().parse_args(line)
+        _parses(line)
 
 
 def test_documented_lines_parse():
@@ -140,7 +164,7 @@ def test_documented_lines_parse():
     usage = _usage_lines(cli.__doc__)
     assert {line[0] for line in usage} == set(COMMANDS)
     for line in usage + _doc_lines() + _e2e_lines():
-        build_parser().parse_args(line)
+        _parses(line)
 
 
 def test_every_command_takes_the_common_flags():

@@ -140,3 +140,43 @@ def test_a_resident_restart_frees_the_abandoned_launch(monkeypatch,
     finally:
         gc.enable()
     assert report.fingerprint()[:16] == "9a27880ffcfc1e10"
+
+
+def test_crash_states_frees_every_cut_run(monkeypatch):
+    """The crash-state checker cuts runs three ways: it stops its
+    canonical run at the last rung it needs, restores every acquisition
+    into that one system, and (like a shrink probe or the cold
+    fallback's ``run_trial``) leaves the last cut run behind when the
+    cell is done.  Each must abandon the launch it cut: with the
+    collector off, once the campaign's resident cells are closed, no
+    core generator of the crash-states benchmark's inputs is alive."""
+    from collections import OrderedDict
+
+    from repro.harness import DESIGNS as FIGURE9_DESIGNS
+    from repro.validation import campaign
+
+    generators = []
+    launch = System.launch
+
+    def recording_launch(self):
+        done = launch(self)
+        generators.extend(weakref.ref(process._generator)
+                          for process in done.children)
+        return done
+
+    monkeypatch.setattr(System, "launch", recording_launch)
+    monkeypatch.setattr(campaign, "_RESIDENT_CELLS", OrderedDict())
+    gc.collect()
+    gc.disable()
+    try:
+        report = campaign.run_campaign(
+            workloads=["hashmap", "queue"], designs=list(FIGURE9_DESIGNS),
+            budget=8, seed=42, fases_per_thread=40, crash_states=True)
+        for cell in campaign._RESIDENT_CELLS.values():
+            cell.close()
+        campaign._RESIDENT_CELLS.clear()
+        assert generators, "no run was launched"
+        assert [ref for ref in generators if ref() is not None] == []
+    finally:
+        gc.enable()
+    assert report.fingerprint()[:16] == "eccba8de58932aae"

@@ -104,3 +104,36 @@ def test_strandweaver_and_two_controller_cells(monkeypatch):
             records.append(record)
     assert len(records) == len(BENCHMARK_ORDER) * len(EXTRA_CELLS)
     assert _digest(records) == PINNED_EXTRA_DIGEST
+
+
+# Figure 10's 32- and 64-core systems, where sharer sets and the
+# speculation buffer's overflow pause are busiest: the four Figure 9
+# designs on four benchmarks at scale 0.02 (32 cells), each with a
+# fresh build.
+PINNED_CORES_DIGEST = (
+    "d987b90b317a7c33ec2aee633d3703bafcb03dc8585327aaaf0c1844aa71b3f6")
+
+CORES_BENCHMARKS = ("array_swaps", "queue", "hashmap", "tatp")
+CORE_COUNTS = (32, 64)
+CORES_SCALE = 0.02
+
+
+def test_figure10_core_counts(monkeypatch):
+    from repro.harness.experiments import _fases
+    records = []
+    for cores in CORE_COUNTS:
+        for benchmark in CORES_BENCHMARKS:
+            for design in DESIGNS:
+                monkeypatch.setattr(sweep_module, "_LAST_BUILT", None,
+                                    raising=False)
+                spec = RunSpec(benchmark=benchmark, design=design,
+                               n_threads=cores, seed=SEED,
+                               fases_per_thread=_fases(benchmark,
+                                                       CORES_SCALE))
+                system = build_spec_system(spec)
+                record = _cell_record(spec, system, system.run())
+                record[1] += f"/cores={cores}"
+                records.append(record)
+    assert len(records) == (len(CORE_COUNTS) * len(CORES_BENCHMARKS)
+                            * len(DESIGNS))
+    assert _digest(records) == PINNED_CORES_DIGEST
