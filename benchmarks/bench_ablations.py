@@ -25,7 +25,7 @@ SCALE = 0.5
 SEED = 42
 
 
-def test_lazy_vs_eager(benchmark, run_once, executor):
+def test_lazy_vs_eager(benchmark, run_once, executor, golden):
     out = run_once(benchmark,
                    lambda: lazy_vs_eager_recovery(scale=SCALE, seed=SEED,
                                                   executor=executor))
@@ -34,9 +34,10 @@ def test_lazy_vs_eager(benchmark, run_once, executor):
     assert out["lazy"]["commits"] == out["eager"]["commits"]
     assert out["lazy"]["store_misspec"] > 0
     assert out["eager"]["store_misspec"] > 0
+    golden("ablation_lazy_eager_scale0.5", out)
 
 
-def test_naive_tagging_cost(benchmark, run_once, executor):
+def test_naive_tagging_cost(benchmark, run_once, executor, golden):
     out = run_once(benchmark,
                    lambda: naive_tagging_ablation(scale=SCALE, seed=SEED,
                                                   executor=executor))
@@ -53,6 +54,7 @@ def test_naive_tagging_cost(benchmark, run_once, executor):
     # Escape analysis never loses.
     for row in out.values():
         assert row["slowdown"] >= 0.98
+    golden("ablation_naive_tagging_scale0.5", out)
 
 
 def test_write_allocate_fetches_never_monitored():
@@ -72,7 +74,7 @@ def test_write_allocate_fetches_never_monitored():
         + spec_stats.get("in_persist", 0))
 
 
-def test_undo_vs_redo(benchmark, run_once, executor):
+def test_undo_vs_redo(benchmark, run_once, executor, golden):
     """Redo logging removes every intra-FASE ordering point on the
     FIFO-channel designs; on HOPS (whose undo lowering pays an ofence
     per log group) it should never lose, and commit-time replay costs
@@ -89,3 +91,4 @@ def test_undo_vs_redo(benchmark, run_once, executor):
     for row in out.values():
         assert 0.6 < row["PMEM-Spec_redo_speedup"] < 1.8
         assert 0.6 < row["HOPS_redo_speedup"] < 1.8
+    golden("ablation_undo_redo_scale0.5", out)

@@ -17,7 +17,7 @@ SCALE = 0.6
 SEED = 42
 
 
-def test_figure11(benchmark, run_once, executor):
+def test_figure11(benchmark, run_once, executor, golden):
     series = run_once(benchmark,
                       lambda: figure11(buffer_sizes=SIZES, scale=SCALE,
                                        seed=SEED, executor=executor))
@@ -29,6 +29,8 @@ def test_figure11(benchmark, run_once, executor):
     assert series[2] <= series[16] + 1e-9
     # Near-saturation by 4 entries, as the paper's default suggests.
     assert series[4] > 0.85
+    # The exact series this scale and seed compute.
+    golden("fig11_scale0.6", series)
 
 
 def test_sixteen_entries_never_overflow():

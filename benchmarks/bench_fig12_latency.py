@@ -18,7 +18,7 @@ SCALE = 0.3
 SEED = 42
 
 
-def test_figure12(benchmark, run_once, executor):
+def test_figure12(benchmark, run_once, executor, golden):
     series = run_once(benchmark,
                       lambda: figure12(latencies_ns=LATENCIES,
                                        scale=SCALE, seed=SEED,
@@ -38,3 +38,5 @@ def test_figure12(benchmark, run_once, executor):
     # More latency never helps either design.
     assert series[100]["PMEM-Spec"] <= series[20]["PMEM-Spec"] + 0.02
     assert series[100]["HOPS"] <= series[20]["HOPS"] + 0.02
+    # The exact series this scale and seed compute.
+    golden("fig12_scale0.3", series)

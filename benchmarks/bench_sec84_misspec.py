@@ -15,7 +15,7 @@ SCALE = 0.5
 SEED = 42
 
 
-def test_misspeculation_rates(benchmark, run_once, executor):
+def test_misspeculation_rates(benchmark, run_once, executor, golden):
     rows = run_once(benchmark,
                     lambda: misspeculation_rates(scale=SCALE, seed=SEED,
                                                  executor=executor))
@@ -46,3 +46,5 @@ def test_misspeculation_rates(benchmark, run_once, executor):
     fast = by_key[("load_misspec_probe", "20ns path")]
     assert fast["load_misspec"] == 0
     assert fast["stale_loads"] == 0
+    # The exact rows this scale and seed compute.
+    golden("sec84_scale0.5", rows)

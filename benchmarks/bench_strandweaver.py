@@ -15,7 +15,7 @@ SCALE = 0.4
 SEED = 42
 
 
-def test_five_design_comparison(benchmark, run_once, executor):
+def test_five_design_comparison(benchmark, run_once, executor, golden):
     rows = run_once(benchmark,
                     lambda: figure9(n_threads=4, scale=SCALE, seed=SEED,
                                     designs=DESIGNS, benchmarks=BENCHES,
@@ -33,3 +33,5 @@ def test_five_design_comparison(benchmark, run_once, executor):
     assert gm("DPO") < 1.0
     # On the multi-group FASE benchmark strands visibly parallelise.
     assert rows["tpcc"]["StrandWeaver"] >= rows["tpcc"]["HOPS"] * 0.97
+    # The exact table this scale and seed compute.
+    golden("strandweaver_scale0.4", rows)

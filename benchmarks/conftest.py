@@ -12,11 +12,11 @@ via the ``executor`` fixture: ``REPRO_BENCH_JOBS`` picks the worker
 count (default: all cores) and ``REPRO_BENCH_CACHE_DIR`` opts into the
 per-spec result cache (off by default, so timings stay honest).
 
-Simulation is deterministic, so a figure's normalised table is pinned
-too: the ``golden`` fixture compares it, rounded to 9 decimals, with
-``goldens/<name>.json``.  A golden file is that table as the figure's
-bench computes it (``json.dump(rounded, indent=1, sort_keys=True)``);
-any change to one must be justified in CHANGES.md.
+Simulation is deterministic, so the table each bench asserts shapes on
+is pinned too: the ``golden`` fixture compares it, rounded to 9
+decimals, with ``goldens/<name>.json``.  A golden file is that table as
+the bench computes it (``json.dump(rounded, indent=1,
+sort_keys=True)``); any change to one must be justified in CHANGES.md.
 """
 
 import json
@@ -42,11 +42,16 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
 
 
 def rounded(table):
-    """``table`` (ratios nested in dicts) with every ratio rounded to 9
-    decimals and every key a string, as its JSON golden holds it."""
+    """``table`` (ratios and counts nested in dicts and lists) with every
+    float rounded to 9 decimals, every key a string and every tuple a
+    list, as its JSON golden holds it."""
     if isinstance(table, dict):
         return {str(key): rounded(value) for key, value in table.items()}
-    return round(table, 9)
+    if isinstance(table, (list, tuple)):
+        return [rounded(item) for item in table]
+    if isinstance(table, float):
+        return round(table, 9)
+    return table
 
 
 @pytest.fixture

@@ -219,8 +219,7 @@ def _check_cycle(cell: _Cell, crash_cycle: int, image_budget: int,
             fault.mutate_snapshot(image, spec.n_threads)
             report = run_recovery(image, spec.n_threads,
                                   log_mode=spec.log_mode)
-            problems = cell.workload.validate_recovered(
-                report.data_image())
+            problems = cell.workload.validate_recovered(report.image)
             verdict = (problems,
                        _image_fingerprint(image) if problems else None)
             cell.verdicts[kept] = verdict

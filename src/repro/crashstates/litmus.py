@@ -160,6 +160,9 @@ _Y = 0x2000
 
 
 def _pair_validator(image: Dict[int, int]) -> List[str]:
+    """A message unless ``(X, Y)`` holds one FASE's pair whole.  Like a
+    workload's validator, it reads only its own two words of the full
+    recovered image."""
     pair = (image.get(_X), image.get(_Y))
     if pair in ((5, 6), (7, 8)):
         return []
@@ -442,7 +445,7 @@ def _check_pair(program: Program, design: str, budget: int) -> Dict:
         for state, image in stateset.images(program.base_image):
             report = run_recovery(image, program.n_threads,
                                   log_mode=program.log_mode)
-            problems = program.validator(report.data_image())
+            problems = program.validator(report.image)
             checked += 1
             if problems:
                 failed += 1

@@ -27,12 +27,14 @@ class RecoveryReport:
         return sum(len(writes) for writes in self.applied.values())
 
     def data_image(self) -> Dict[int, int]:
-        """The recovered image with log-region addresses stripped, data
-        words kept in their original order."""
-        # This runs once per judged image.  The log words are a handful
-        # among thousands of data words, so copying the dict and
-        # deleting them beats rebuilding it pair by pair;
-        # ``addr >= LOG_BASE`` is ``is_log_address(addr)`` inlined.
+        """A copy of the recovered image with log-region addresses
+        stripped, data words kept in their original order.  Judges do
+        not need it: a workload's validator reads only its own data
+        words, so it is handed ``image`` itself; this copy is for
+        callers that compare or print whole data images."""
+        # The log words are a handful among thousands of data words, so
+        # copying the dict and deleting them beats rebuilding it pair by
+        # pair; ``addr >= LOG_BASE`` is ``is_log_address(addr)`` inlined.
         image = dict(self.image)
         for addr in [addr for addr in image if addr >= LOG_BASE]:
             del image[addr]

@@ -3,8 +3,8 @@
 One *trial* = run a workload under a design with a fault model armed,
 cut (or virtually cut) at a planned crash cycle, recover, and judge the
 outcome twice: the workload's own ``validate_recovered`` structural
-check on the recovered data image, and the :class:`PersistOrderOracle`
-on the run's trace-event history truncated at the crash horizon.  A
+check on the recovered image, and the :class:`PersistOrderOracle` on
+the run's trace-event history truncated at the crash horizon.  A
 *campaign* is a planned set of trials per ``workload x design`` cell,
 fanned out as cell-affine chunks through
 :meth:`ParallelExecutor.map_batched`, with every failing cell shrunk to
@@ -27,7 +27,7 @@ import random
 import sys
 import time
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -221,33 +221,53 @@ def _cut(system, fault, spec: TrialSpec, all_done) -> int:
     return env.now
 
 
-def _judge(spec: TrialSpec, workload, system, fault, history: list,
-           horizon: int, restored_from: Optional[int]) -> Dict:
-    """The judge half of a trial: recover the persisted image, check
-    it structurally, and replay ``history`` (the run's oracle history
-    from cycle 0) through the persist-order oracle.  Reads the system,
-    never advances or mutates it."""
-    commits = system.runtime.total_commits
+#: A structural verdict on one persisted image: the fault's notes on
+#: its mutation, the threads recovery rolled back, and the workload's
+#: messages on the recovered image.
+Verdict = Tuple[List[str], List[int], List[str]]
+
+#: TrialSpec's fields, in order: every one is a scalar, so an outcome's
+#: ``spec`` is a flat copy (what ``asdict`` returns, without its
+#: recursive deep copy).
+_SPEC_FIELDS = tuple(field.name for field in fields(TrialSpec))
+
+
+def _judge_image(spec: TrialSpec, workload, system, fault) -> Verdict:
+    """The structural half of the judge: mutate a copy of the persisted
+    image as the fault says, recover it, and hand the recovered image to
+    the workload's validator.  Reads the system, never mutates it."""
     snapshot = system.persisted_snapshot()
     fault_notes = fault.mutate_snapshot(snapshot, spec.n_threads)
     report = run_recovery(snapshot, spec.n_threads,
                           log_mode=spec.log_mode)
+    return (fault_notes, report.rolled_back_threads,
+            workload.validate_recovered(report.image))
+
+
+def _judge(spec: TrialSpec, workload, system, verdict: Verdict,
+           history: list, horizon: int,
+           restored_from: Optional[int]) -> Dict:
+    """The outcome of a trial: ``verdict`` (:func:`_judge_image` of the
+    cut's persisted image) plus ``history`` (the run's oracle history
+    from cycle 0) replayed through the persist-order oracle.  Reads the
+    system, never advances or mutates it."""
+    fault_notes, rolled_back, messages = verdict
     violations = [
         {"kind": "structural", "cycle": spec.crash_cycle,
          "subject": workload.name, "detail": message}
-        for message in workload.validate_recovered(report.data_image())]
+        for message in messages]
 
     history = truncate_history(history, horizon)
     violations.extend(v.to_dict() for v in _oracle_for(system).check(history))
 
     return {
-        "spec": asdict(spec),
+        "spec": {name: getattr(spec, name) for name in _SPEC_FIELDS},
         "crash_cycle": spec.crash_cycle,
         "horizon": horizon,
-        "commits_before_crash": commits,
-        "rolled_back_threads": report.rolled_back_threads,
+        "commits_before_crash": system.runtime.total_commits,
+        "rolled_back_threads": list(rolled_back),
         "history_events": len(history),
-        "fault_notes": fault_notes,
+        "fault_notes": list(fault_notes),
         "violations": violations,
         "consistent": not violations,
         "restored_from_cycle": restored_from,
@@ -277,7 +297,8 @@ def run_trial(spec: TrialSpec) -> Dict:
             restored_from = rung["cycle"]
     launch = system.launch()
     horizon = _cut(system, fault, spec, launch)
-    outcome = _judge(spec, workload, system, fault,
+    outcome = _judge(spec, workload, system,
+                     _judge_image(spec, workload, system, fault),
                      history_from_recorder(recorder), horizon, restored_from)
     # The cut run is dropped with the system: abandoning its launch lets
     # reference counting free it (docs/ENGINE.md).
@@ -351,6 +372,15 @@ class _ResidentCell:
     payload from the cached bytes, and ``restored_from_cycle`` always
     names the nearest usable rung, not the start taken.  A cell without
     a rung store never captures or restores.
+
+    The cell also keeps the structural verdict of the image its live
+    run's previous cut persisted, with the device's persist counts at
+    that cut.  Every change to the persisted image goes through
+    ``persist_store`` or ``persist_block``, and both bump a count, so a
+    ``forward`` trial whose cut leaves both counts unchanged judges the
+    same image: it reuses the verdict, and computes only its own oracle
+    result, commits, horizon and history.  Any restart of the live run
+    drops the verdict.
     """
 
     def __init__(self, spec: TrialSpec):
@@ -366,6 +396,9 @@ class _ResidentCell:
         self._canonical = False
         # (events converted, oracle history) of the live run's prefix.
         self._history: Tuple[int, list] = (0, [])
+        # ((stores, blocks) persisted, verdict) at the live run's
+        # previous cut.
+        self._verdict: Optional[Tuple[Tuple[int, int], Verdict]] = None
         self._rungs: Optional[List[Dict]] = None
         self._index_error: Optional[str] = None
         # Why the latest rung lookup fell back cold (damaged store).
@@ -420,6 +453,7 @@ class _ResidentCell:
         # trajectory (every trial converts it up to its cut).
         live = self._history if self._canonical else None
         self.close()
+        self._verdict = None
         if rung is None or self.system is None:
             self.workload, self.system, self.fault, self.recorder, _ = \
                 _build(spec, index_name=self.index_name)
@@ -488,7 +522,12 @@ class _ResidentCell:
         horizon = _cut(self.system, self.fault, spec, self._launch)
         if not _keeps_running(self.fault):
             self._canonical = False
-        return _judge(spec, self.workload, self.system, self.fault,
+        device = self.system.device
+        persisted = (device.stores_persisted, device.blocks_persisted)
+        if self._verdict is None or self._verdict[0] != persisted:
+            self._verdict = (persisted, _judge_image(
+                spec, self.workload, self.system, self.fault))
+        return _judge(spec, self.workload, self.system, self._verdict[1],
                       self._live_history(), horizon, restored_from)
 
 

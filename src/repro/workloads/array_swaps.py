@@ -10,7 +10,8 @@ value and loses another, which recovery must have rolled back).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from itertools import repeat
+from typing import Dict, List, Tuple
 
 from .base import TraceRecorder, Workload
 
@@ -26,14 +27,23 @@ class ArraySwaps(Workload):
 
     def setup(self, n_threads: int) -> None:
         self.partitions: List[int] = []
+        # (word addresses, initial values) per partition, computed once:
+        # validate_recovered reads every word of every partition on every
+        # recovered image.  The values ascend, so they already are the
+        # sorted multiset a recovered partition must hold.
+        self._partition_words: List[Tuple[List[int], List[int]]] = []
         for tid in range(n_threads):
             base = self.alloc_words(self.elements_per_thread,
                                     label=f"partition{tid}")
             self.partitions.append(base)
-            for index in range(self.elements_per_thread):
-                # Distinct initial values so multiset checks are sharp.
-                self.init_word(self.word(base, index),
-                               tid * self.elements_per_thread + index + 1)
+            addrs = [self.word(base, index)
+                     for index in range(self.elements_per_thread)]
+            # Distinct initial values so multiset checks are sharp.
+            values = [tid * self.elements_per_thread + index + 1
+                      for index in range(self.elements_per_thread)]
+            for addr, value in zip(addrs, values):
+                self.init_word(addr, value)
+            self._partition_words.append((addrs, values))
 
     def generate_fase(self, recorder: TraceRecorder, thread_id: int) -> str:
         base = self.partitions[thread_id]
@@ -61,13 +71,8 @@ class ArraySwaps(Workload):
 
     def validate_recovered(self, image: Dict[int, int]) -> List[str]:
         violations = []
-        for tid, base in enumerate(self.partitions):
-            expected = sorted(
-                tid * self.elements_per_thread + index + 1
-                for index in range(self.elements_per_thread))
-            actual = sorted(
-                image.get(self.word(base, index), 0)
-                for index in range(self.elements_per_thread))
+        for tid, (addrs, expected) in enumerate(self._partition_words):
+            actual = sorted(map(image.get, addrs, repeat(0)))
             if actual != expected:
                 missing = set(expected) - set(actual)
                 violations.append(

@@ -123,8 +123,14 @@ class Workload:
         return 40
 
     def validate_recovered(self, image: Dict[int, int]) -> List[str]:
-        """Check structural invariants on a crash-recovered data image;
-        returns human-readable violations (empty == consistent)."""
+        """Check structural invariants on a crash-recovered image;
+        returns human-readable violations (empty == consistent).
+
+        ``image`` is the full recovered image, undo-log region included,
+        and must not be mutated.  Read only this workload's own words:
+        they sit in the data heap, far below the log region, so the
+        verdict is the same as on
+        :meth:`~repro.runtime.RecoveryReport.data_image`."""
         raise NotImplementedError
 
     # -------------------------------------------------------------- helpers

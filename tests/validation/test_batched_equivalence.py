@@ -18,6 +18,7 @@ import pytest
 from repro.harness import ParallelExecutor
 from repro.obsv.bus import EventBus, set_bus, validate_events
 from repro.snapshot import SnapshotStore
+from repro.validation import campaign
 from repro.validation.campaign import (TrialSpec, _RESIDENT_CELLS,
                                        _RUNG_CACHE,
                                        _cell_index_name, profile_cell,
@@ -79,6 +80,36 @@ class TestTrialDictEquivalence:
                  replace(spec_b, crash_cycle=2000),
                  replace(spec_a, crash_cycle=crash + 1)]
         assert run_trial_batch(specs) == [run_trial(s) for s in specs]
+
+    def test_forward_trials_on_one_image_share_its_verdict(
+            self, monkeypatch):
+        """Cuts between two persists leave one persisted image: the
+        cell recovers and validates it once, and every outcome -- each
+        structural violation's cycle included -- still equals
+        run_trial's."""
+        spec = TrialSpec(workload="hashmap", design="IntelX86",
+                         fault="torn-log", n_threads=2,
+                         fases_per_thread=6, seed=11)
+        specs = [replace(spec, crash_cycle=cycle)
+                 for cycle in range(850, 931, 3)]
+        judged = []
+        judge_image = campaign._judge_image
+
+        def recording(trial, *args):
+            judged.append(trial.crash_cycle)
+            return judge_image(trial, *args)
+
+        monkeypatch.setattr(campaign, "_judge_image", recording)
+        outcomes = run_trial_batch(specs)
+        reused = [outcome for outcome in outcomes
+                  if outcome["crash_cycle"] not in judged]
+        assert any(outcome["violations"] for outcome in reused)
+        assert outcomes == [run_trial(s) for s in specs]
+        for outcome in outcomes:
+            assert {violation["cycle"]
+                    for violation in outcome["violations"]
+                    if violation["kind"] == "structural"} <= \
+                {outcome["crash_cycle"]}
 
     def test_no_snapshot_cell_is_served_cold(self):
         spec = TrialSpec(workload="queue", design="PMEM-Spec",

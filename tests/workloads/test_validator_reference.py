@@ -1,13 +1,28 @@
-"""The hashmap and queue structural validators read words in bulk; on
-any corrupted recovered image they must report exactly what the
-word-by-word loops below report, message for message, in order."""
+"""The array-swaps, hashmap and queue structural validators read words
+in bulk; on any corrupted recovered image they must report exactly what
+the word-by-word loops below report, message for message, in order."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workloads import ConcurrentQueue, Hashmap
+from repro.workloads import ArraySwaps, ConcurrentQueue, Hashmap
 from repro.workloads.hashmap import GEN_SPACE
 from repro.workloads.queue import MAGIC
+
+
+def reference_array_swaps(workload, image):
+    violations = []
+    per = workload.elements_per_thread
+    for tid, base in enumerate(workload.partitions):
+        expected = sorted(tid * per + index + 1 for index in range(per))
+        actual = sorted(image.get(workload.word(base, index), 0)
+                        for index in range(per))
+        if actual != expected:
+            missing = set(expected) - set(actual)
+            violations.append(
+                f"partition {tid}: multiset changed "
+                f"(missing {sorted(missing)[:4]}...)")
+    return violations
 
 
 def reference_hashmap(workload, image):
@@ -43,6 +58,9 @@ def reference_queue(workload, image):
     return violations
 
 
+# Small partitions, so one edit often lands on a word another moved.
+ARRAY_SWAPS = ArraySwaps(seed=5, elements_per_thread=32)
+ARRAY_SWAPS.build(2, 40)
 HASHMAP = Hashmap(seed=5, n_keys=96)
 HASHMAP.build(2, 40)
 # A small ring, so enqueues wrap and moved counters span several laps.
@@ -50,6 +68,11 @@ QUEUE = ConcurrentQueue(seed=5, capacity=16)
 QUEUE.build(2, 40)
 
 values = st.integers(min_value=0, max_value=200 * GEN_SPACE)
+
+array_swaps_edits = st.lists(st.tuples(
+    st.sampled_from(("swap", "foreign", "drop")),
+    st.integers(min_value=0, max_value=2 * 32 - 1),
+    st.integers(min_value=0, max_value=2 * 32 - 1)), max_size=6)
 
 hashmap_edits = st.lists(st.tuples(
     st.sampled_from(("torn", "foreign", "drop_value", "drop_gen",
@@ -62,6 +85,27 @@ queue_edits = st.lists(st.tuples(
                      "drop_slot")),
     st.integers(min_value=0, max_value=QUEUE.n_threads - 1),
     st.integers(min_value=0, max_value=5 * QUEUE.capacity)), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(array_swaps_edits)
+def test_array_swaps_messages_match_the_word_loop(edits):
+    """Swaps within and across partitions, values from elsewhere in the
+    array (a torn swap duplicates one) and dropped words."""
+    per = ARRAY_SWAPS.elements_per_thread
+    words = [ARRAY_SWAPS.word(base, index)
+             for base in ARRAY_SWAPS.partitions for index in range(per)]
+    image = dict(ARRAY_SWAPS.image)
+    for kind, i, j in edits:
+        if kind == "swap":
+            image[words[i]], image[words[j]] = (image.get(words[j], 0),
+                                                image.get(words[i], 0))
+        elif kind == "foreign":
+            image[words[i]] = image.get(words[j], 0)
+        else:
+            image.pop(words[i], None)
+    assert ARRAY_SWAPS.validate_recovered(image) == \
+        reference_array_swaps(ARRAY_SWAPS, image)
 
 
 @settings(max_examples=150, deadline=None)
@@ -109,5 +153,5 @@ def test_queue_messages_match_the_word_loop(edits):
 
 
 def test_uncorrupted_images_are_consistent():
-    for workload in (HASHMAP, QUEUE):
+    for workload in (ARRAY_SWAPS, HASHMAP, QUEUE):
         assert workload.validate_recovered(dict(workload.image)) == []
