@@ -218,10 +218,17 @@ class Core:
                 stats["spec_stall_cycles"] += release - t
                 delay += release - t
                 t = release
-            if abortable and eager and runtime.must_abort(core_id, False):
-                yield env.timeout(delay)
-                stats["eager_aborts"] += 1
-                return ABORT
+            if eager and abortable:
+                # The loop has not reached this op's issue time yet, so
+                # catch it up first: eager recovery must see every
+                # interrupt delivered by then, not only those that landed
+                # before the core last yielded.
+                if delay:
+                    yield env.timeout(delay)
+                    delay = 0
+                if runtime.must_abort(core_id, False):
+                    stats["eager_aborts"] += 1
+                    return ABORT
 
             kind = op.__class__
             if kind is Comp:

@@ -263,7 +263,6 @@ def _check_cycle(cell: _Cell, crash_cycle: int, image_budget: int,
 def check_cell(spec: TrialSpec, crash_cycles: Sequence[int],
                image_budget: int = DEFAULT_BUDGET,
                shrink: bool = True,
-               progress=None,
                restore: bool = True) -> Dict:
     """Enumerate and judge every durable state of one campaign cell.
 
@@ -301,10 +300,6 @@ def check_cell(spec: TrialSpec, crash_cycles: Sequence[int],
         payload = _check_cycle(cell, crash_cycle, image_budget, timings)
         outcomes[crash_cycle] = payload
         cycle_payloads.append(payload)
-        if progress is not None:
-            progress(f"{spec.workload}/{spec.design}@{crash_cycle}: "
-                     f"{payload['n_states']} images, "
-                     f"{payload['images_failed']} failed")
 
     failing_cycles = [p["crash_cycle"] for p in cycle_payloads
                       if not p["consistent"]]

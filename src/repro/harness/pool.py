@@ -26,9 +26,11 @@ Scheduling never changes results: tasks are pure functions of their
 argument, and outcomes come back in submission order.  ``workers <= 1``
 (or a single task, or a platform without process pools) runs everything
 inline under the same retry and quarantine rule.  Events a task emits
-reach the pool's bus either way: inline through the current bus, from a
-worker over an event queue the parent merges (``fork`` start method
-only, as the queue is inherited).
+reach the pool's bus either way, in the order the task emitted them:
+inline through the current bus, from a worker in the task's reply,
+which the parent merges into its bus just before it settles the task
+(under any start method).  A worker that dies loses its task's events
+with its result; the retry emits its own.
 """
 
 from __future__ import annotations
@@ -41,21 +43,11 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..obsv.bus import (
-    NULL_BUS,
-    Bus,
-    QueueEmitter,
-    bus_scope,
-    drain_queue,
-    get_bus,
-    set_bus,
-)
+from ..obsv.bus import NULL_BUS, Bus, EventBus, bus_scope, get_bus, set_bus
 from ..telemetry import current_context, get_logger, seed_context
 
 log = get_logger("harness.pool")
 
-#: Longest the parent blocks between merges of worker events.
-_TICK_S = 0.5
 #: The signals the CLI turns into a graceful stop.
 _STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
@@ -136,7 +128,7 @@ def reset_worker_signals() -> None:
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
 
 
-def _worker_main(conn, inherited, event_queue,
+def _worker_main(conn, inherited, collect: bool,
                  context_fields: Dict[str, str]) -> None:
     """Worker process body: receive one task, run it, send the reply.
 
@@ -146,20 +138,28 @@ def _worker_main(conn, inherited, event_queue,
     ``inherited`` are the parent's ends of the worker pipes forked into
     this process, this worker's own included: once they are closed the
     parent holds the only copies, so its death ends ``recv`` with
-    end-of-file (and ``send`` with a broken pipe) and the worker exits
-    -- without waiting to flush events nobody will read.
+    end-of-file (and ``send`` with a broken pipe) and the worker exits.
+
+    With ``collect`` set (the pool's bus is enabled) the worker's bus
+    is an :class:`EventBus` that stamps each event here -- context,
+    pid, wall time, and a ``seq`` counting this worker's events -- and
+    the events a task emits ride in its reply, in emission order.
     """
     for parent_end in inherited:
         parent_end.close()
     reset_worker_signals()
-    set_bus(QueueEmitter(event_queue) if event_queue is not None
-            else NULL_BUS)
+    events: List[Dict] = []
+    bus = NULL_BUS
+    if collect:
+        bus = EventBus()
+        bus.subscribe(events.append)
+    set_bus(bus)
     seed_context(context_fields)
     while True:
         try:
             message = conn.recv()
         except (EOFError, OSError):
-            break
+            return
         if message is None:
             return
         seq, fn, arg = message
@@ -168,24 +168,23 @@ def _worker_main(conn, inherited, event_queue,
             reply = (seq, "ok", fn(arg))
         except Exception:
             reply = (seq, "err", traceback.format_exc())
-        reply += (time.perf_counter() - start,)
+        reply += (time.perf_counter() - start, events)
         try:
             conn.send(reply)
         except OSError:
-            break
+            return
         except Exception:               # the value does not pickle
-            conn.send((seq, "err", traceback.format_exc(), reply[-1]))
-    if event_queue is not None:
-        event_queue.cancel_join_thread()
+            conn.send((seq, "err", traceback.format_exc(), *reply[-2:]))
+        events.clear()
 
 
 class _Worker:
     """Parent-side handle: process + duplex pipe + the task in flight."""
 
-    def __init__(self, worker_id: int, context, event_queue, inherited):
+    def __init__(self, worker_id: int, context, collect: bool, inherited):
         self.worker_id = worker_id
         self.context = context
-        self.event_queue = event_queue
+        self.collect = collect
         self.running: Optional[int] = None      # task seq in flight
         self.started_at = 0.0
         self.stolen = False
@@ -199,7 +198,7 @@ class _Worker:
         process = self.context.Process(
             target=_worker_main,
             args=(child_end, [*inherited, parent_end] if forked else [],
-                  self.event_queue, current_context()),
+                  self.collect, current_context()),
             daemon=True)
         # Python drops an exception that a signal handler raises inside
         # an at-fork hook (logging registers some), so a stop signal
@@ -228,7 +227,7 @@ class _Worker:
         try:
             self.conn.send((seq, task.fn, task.arg))
         except OSError:
-            pass    # the worker died; its pipe reports EOF next tick
+            pass    # the worker died: ``wait`` reports its pipe's EOF
 
     def stop(self) -> None:
         """Terminate the process if it still runs, reap it, close the
@@ -363,9 +362,10 @@ class WorkStealingPool:
         tasks = list(tasks)
         run = _Run(tasks, self._resolve_bus(), on_result)
         if self.workers > 1 and len(tasks) > 1:
-            started = self._start(min(self.workers, len(tasks)), run.bus)
-            if started is not None:
-                self._run_workers(run, *started)
+            workers = self._start(min(self.workers, len(tasks)),
+                                  run.bus.enabled)
+            if workers is not None:
+                self._run_workers(run, workers)
                 return run.outcomes
         self._run_inline(run)
         return run.outcomes
@@ -388,26 +388,24 @@ class WorkStealingPool:
 
     # -------------------------------------------------------- pool mode
 
-    def _start(self, count: int, bus: Bus):
-        """``(workers, event_queue)``, or ``None`` where the platform
-        cannot start processes (the run then goes inline)."""
+    def _start(self, count: int, collect: bool
+               ) -> Optional[List[_Worker]]:
+        """``count`` started workers, collecting task events when
+        ``collect``; ``None`` where the platform cannot start processes
+        (the run then goes inline)."""
         context = multiprocessing.get_context()
         workers: List[_Worker] = []
-        event_queue = None
         try:
-            if bus.enabled and context.get_start_method() == "fork":
-                event_queue = context.Queue()
             for worker_id in range(count):
-                workers.append(_Worker(worker_id, context, event_queue,
+                workers.append(_Worker(worker_id, context, collect,
                                        [w.conn for w in workers]))
         except OSError:
             log.warning("no process pool available; running inline")
-            self._shutdown(workers, event_queue, bus)
+            self._shutdown(workers)
             return None
-        return workers, event_queue
+        return workers
 
-    def _run_workers(self, run: _Run, workers: List[_Worker],
-                     event_queue) -> None:
+    def _run_workers(self, run: _Run, workers: List[_Worker]) -> None:
         # Imported here: it pulls in ``subprocess`` and friends, which
         # no inline (``jobs=1``) run needs at startup.
         from multiprocessing.connection import wait
@@ -417,13 +415,12 @@ class WorkStealingPool:
             while not run.done:
                 self._dispatch_idle(workers, deques, run)
                 busy = [worker for worker in workers if not worker.idle]
-                ready = wait([worker.conn for worker in busy], _TICK_S)
-                drain_queue(event_queue, run.bus)
+                ready = wait([worker.conn for worker in busy])
                 for worker in busy:
                     if worker.conn in ready:
                         self._collect(worker, workers, run, home)
         finally:
-            self._shutdown(workers, event_queue, run.bus)
+            self._shutdown(workers)
 
     def _dispatch_idle(self, workers: List[_Worker], deques,
                        run: _Run) -> None:
@@ -446,11 +443,13 @@ class WorkStealingPool:
         """Settle the reply ``worker`` sent, or fail its task when the
         pipe ended without one: only the worker holds the other end, so
         end-of-file means the process died (a fresh one starts in its
-        slot).  A failed task that runs again goes back to the head of
-        its ``home`` deque."""
+        slot, and the events of the task it ran are lost).  The events
+        a reply carries are merged into the run's bus first, so they
+        precede the task's settlement as they do inline.  A failed task
+        that runs again goes back to the head of its ``home`` deque."""
         seq = worker.running
         try:
-            _seq, status, payload, elapsed = worker.conn.recv()
+            _seq, status, payload, elapsed, events = worker.conn.recv()
         except (EOFError, OSError):
             worker.process.join(1.0)
             status = "died"
@@ -461,7 +460,10 @@ class WorkStealingPool:
                         run.tasks[seq].describe())
             worker.stop()
             worker.spawn([w.conn for w in workers if w is not worker])
+            events = ()
         worker.running = None
+        for event in events:
+            run.bus.merge(event)
         if status == "ok":
             run.succeed(seq, payload, elapsed, worker.worker_id,
                         worker.stolen)
@@ -469,10 +471,9 @@ class WorkStealingPool:
             home[seq].appendleft(seq)
 
     @staticmethod
-    def _shutdown(workers: List[_Worker], event_queue, bus: Bus) -> None:
-        """Stop every worker: idle ones exit on a ``None`` message (their
-        queued events are merged while they flush), busy ones -- only
-        left when the run is abandoned -- are terminated."""
+    def _shutdown(workers: List[_Worker]) -> None:
+        """Stop every worker: idle ones exit on a ``None`` message, busy
+        ones -- only left when the run is abandoned -- are terminated."""
         for worker in workers:
             if worker.idle:
                 try:
@@ -481,11 +482,6 @@ class WorkStealingPool:
                     pass
         deadline = time.monotonic() + 5.0
         for worker in workers:
-            while (worker.idle and worker.process.is_alive()
-                   and time.monotonic() < deadline):
-                drain_queue(event_queue, bus)
-                worker.process.join(0.05)
+            if worker.idle:
+                worker.process.join(max(0.0, deadline - time.monotonic()))
             worker.stop()
-        drain_queue(event_queue, bus)
-        if event_queue is not None:
-            event_queue.close()

@@ -27,11 +27,13 @@ Observability: every sweep narrates itself onto the current
 ``spec_start`` (where the spec runs), ``spec_finish``/``spec_error``
 (authoritative, parent-side), ``sweep_finish``.
 :meth:`ParallelExecutor.map` and ``map_batched`` narrate
-``task_*``/``batch_*`` the same way.  Worker-side events reach the
-parent's bus through the pool's event queue; the parent merges them,
-so the log stays a single ordered stream.  The ``progress`` lines and
-the end-of-sweep statistics are counted where those events are
-emitted, so they read the same whether or not a bus is enabled.
+``task_*``/``batch_*`` the same way.  Worker-side events ride each
+task's reply back to the parent, which merges them into its bus just
+before it settles the task, so the log stays a single ordered stream
+and holds each task's events in the order ``jobs=1`` emits them.  The
+``progress`` lines and the end-of-sweep statistics are counted where
+those events are emitted, so they read the same whether or not a bus
+is enabled.
 Events are wall-clock-side bookkeeping: an enabled bus leaves every
 ``SimResult`` payload bit-identical.
 """

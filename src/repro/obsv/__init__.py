@@ -22,9 +22,7 @@ from .bus import (  # noqa: F401
     EventBus,
     JsonlSink,
     NullBus,
-    QueueEmitter,
     bus_scope,
-    drain_queue,
     get_bus,
     read_event_log,
     set_bus,
@@ -51,9 +49,7 @@ __all__ = [
     "EventBus",
     "JsonlSink",
     "NullBus",
-    "QueueEmitter",
     "bus_scope",
-    "drain_queue",
     "get_bus",
     "read_event_log",
     "set_bus",

@@ -8,7 +8,7 @@ active :mod:`repro.telemetry` run context (``run_id``/``spec_hash``)
 as correlation IDs plus a bus-assigned monotonic ``seq`` so a merged
 log is totally ordered.
 
-Three implementations share one interface (the same null-object
+Two implementations share one interface (the same null-object
 pattern as :class:`repro.sim.trace.Tracer`):
 
 * :class:`NullBus` -- the default everywhere; ``enabled`` is ``False``
@@ -16,12 +16,10 @@ pattern as :class:`repro.sim.trace.Tracer`):
   load when observability is off.
 * :class:`EventBus` -- the in-process hub: stamps events, fans them
   out to subscribers (a :class:`JsonlSink`, or any callable taking
-  the event dict).
-* :class:`QueueEmitter` -- the worker side of a multiprocessing pool:
-  events go onto a ``multiprocessing`` queue with a per-worker
-  sequence number and origin pid; the parent drains the queue with
-  :func:`drain_queue` and merges them into its bus (which re-stamps
-  the global ``seq``, preserving per-worker order).
+  the event dict).  A pool worker runs one too, collecting its task's
+  events into the task's reply; the parent adopts them with
+  :meth:`EventBus.merge`, which re-stamps the global ``seq`` and keeps
+  the worker's own as ``worker_seq`` (see :mod:`repro.harness.pool`).
 
 Emission never touches the simulator: events are wall-clock-side
 bookkeeping, so an enabled bus cannot perturb ``SimResult`` payloads
@@ -201,12 +199,12 @@ class EventBus(Bus):
         return self._deliver(event)
 
     def merge(self, event: Dict) -> Dict:
-        """Adopt a worker-emitted event: keep its payload, context and
-        origin pid, re-stamp the *global* ``seq`` (per-worker order is
-        preserved because workers emit in order and the queue is FIFO
-        per process; the worker's own counter rides along as
-        ``worker_seq``)."""
-        return self._deliver(dict(event))
+        """Adopt an event a pool worker's bus stamped: keep its payload,
+        context, origin pid and ``ts``, keep the worker's ``seq`` as
+        ``worker_seq``, and stamp the next *global* ``seq``.  Merging a
+        worker's events in the order it emitted them keeps that order
+        in the merged log."""
+        return self._deliver(dict(event, worker_seq=event["seq"]))
 
     def _deliver(self, event: Dict) -> Dict:
         with self._lock:
@@ -225,66 +223,6 @@ class EventBus(Bus):
         for callback in dead:
             self.unsubscribe(callback)
         return event
-
-
-class QueueEmitter(Bus):
-    """Worker-side bus: events go onto a multiprocessing queue.
-
-    Installed as the process-global bus in each pool worker (see
-    :mod:`repro.harness.pool`); the parent merges with
-    :func:`drain_queue`.  The envelope is stamped worker-side
-    (context, pid, wall time, per-worker ``worker_seq``); the global
-    ``seq`` is assigned at merge time.
-    """
-
-    enabled = True
-
-    def __init__(self, queue):
-        self._queue = queue
-        self._worker_seq = 0
-
-    def emit(self, kind: str, **fields) -> Dict:
-        context = current_context()
-        event = {
-            "schema": EVENT_SCHEMA_VERSION,
-            "kind": kind,
-            "run_id": context["run_id"],
-            "spec_hash": context["spec_hash"],
-            "origin": os.getpid(),
-            "ts": round(time.time(), 6),
-            "worker_seq": self._worker_seq,
-        }
-        event.update(fields)
-        self._worker_seq += 1
-        try:
-            self._queue.put(event)
-        except (OSError, ValueError):
-            # A torn-down queue (parent exited mid-drain) must not
-            # kill the worker's real work.
-            pass
-        return event
-
-
-def drain_queue(queue, bus: Bus) -> int:
-    """Merge every queued worker event into ``bus``; returns the count.
-
-    Non-blocking: drains whatever has arrived so far.  Call it
-    opportunistically while results stream in and once after the pool
-    closes (worker queues are flushed by process exit).
-    """
-    merged = 0
-    if queue is None or not bus.enabled:
-        return merged
-    while True:
-        try:
-            if queue.empty():
-                break
-            event = queue.get()
-        except (OSError, ValueError, EOFError):
-            break
-        bus.merge(event)
-        merged += 1
-    return merged
 
 
 # ----------------------------------------------------------- current bus

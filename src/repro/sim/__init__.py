@@ -5,7 +5,6 @@ from .engine import (
     AllOf,
     Environment,
     Event,
-    Interrupted,
     Process,
     SimulationError,
     Timeout,
@@ -37,7 +36,6 @@ __all__ = [
     "Counter",
     "Environment",
     "Event",
-    "Interrupted",
     "Metrics",
     "MetricsCollector",
     "Mutex",

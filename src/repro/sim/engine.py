@@ -188,28 +188,6 @@ class Process(Event):
         else:
             target.callbacks.append(self._resume)
 
-    def interrupt(self, reason: Any = None) -> None:
-        """Throw :class:`Interrupted` into the generator at the current time."""
-        def deliver(_event: Event) -> None:
-            try:
-                target = self._generator.throw(Interrupted(reason))
-            except StopIteration as stop:
-                if not (self._triggered or self._scheduled):
-                    self.succeed(stop.value)
-                return
-            target.add_callback(self._resume)
-        kick = Event(self.env)
-        kick.add_callback(deliver)
-        kick.succeed()
-
-
-class Interrupted(Exception):
-    """Delivered into a process generator by :meth:`Process.interrupt`."""
-
-    def __init__(self, reason: Any = None):
-        super().__init__(reason)
-        self.reason = reason
-
 
 # --------------------------------------------------------------- environment
 

@@ -1,12 +1,14 @@
-"""The worker pool under process failure: a worker killed mid-task is a
-failed attempt that retries to the serial answer, workers exit when
-the process running the pool dies, and a stop signal is not lost to a
-worker's fork.
+"""The worker pool under process failure and start methods: a worker
+killed mid-task is a failed attempt that retries to the serial answer,
+workers exit when the process running the pool dies, a stop signal is
+not lost to a worker's fork, and worker events reach the parent's bus
+under every start method.
 
 Each scenario runs in a subprocess under a deadline, so a pool that
 hangs fails the test instead of the suite."""
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -71,6 +73,27 @@ WorkStealingPool(workers=2, bus=EventBus()).run(
     [Task(key=str(i), fn=nap, arg=(sys.argv[1], 0.2)) for i in range(500)])
 """
 
+STARTS = """\
+import collections, json, multiprocessing, os, sys
+multiprocessing.set_start_method(sys.argv[1])
+from repro.harness import ParallelExecutor, RunSpec
+from repro.obsv.bus import EventBus
+from tests.harness.test_pool import double_chunk, parity
+bus = EventBus()
+starts = collections.defaultdict(list)
+bus.subscribe(lambda e: starts[e["kind"]].append(e["index"])
+              if e["kind"].endswith("_start") and e["origin"] != os.getpid()
+              else None)
+executor = ParallelExecutor(jobs=2, bus=bus)
+executor.run([RunSpec(benchmark="queue", design="PMEM-Spec", n_threads=2,
+                      fases_per_thread=2, seed=seed) for seed in range(2)])
+executor.map(abs, [-1, -2, -3])
+executor.map_batched(double_chunk, list(range(8)), key=parity,
+                     chunk_size=2)
+print(json.dumps({kind: sorted(indices)
+                  for kind, indices in starts.items()}))
+"""
+
 HELD = """\
 import json, multiprocessing.process
 from repro.harness import ParallelExecutor
@@ -117,8 +140,8 @@ def parity(item):
 
 def nap(arg):
     """Record this process's pid in ``directory``, sleep, then emit more
-    events than the event queue's pipe holds (an orphan must not wait
-    to flush them)."""
+    events than a pipe holds, so the reply that carries them cannot be
+    written in one go (an orphan must not block on it)."""
     directory, seconds = arg
     with open(os.path.join(directory, str(os.getpid())), "w"):
         pass
@@ -159,6 +182,18 @@ def test_campaign_with_a_killed_worker_matches_the_serial_report(
     pooled = _run(CAMPAIGN_RUN, str(marker))
     assert marker.exists(), "no trial chunk ever ran in a worker"
     assert pooled["fingerprint"] == serial
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+def test_every_worker_start_event_reaches_the_parent(method):
+    """Each task of a pooled sweep, ``map`` and ``map_batched`` emits its
+    ``*_start`` event in the worker that runs it; the event must reach
+    the parent's bus whatever the start method."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    assert _run(STARTS, method) == {"spec_start": [0, 1],
+                                    "task_start": [0, 1, 2],
+                                    "batch_start": [0, 1, 2, 3]}
 
 
 def test_stop_signals_are_held_only_while_a_worker_forks():

@@ -100,6 +100,9 @@ class TestEagerRecovery:
         lazy = sum(stats.get("lazy_aborts", 0)
                    for stats in core_stats.values())
         assert eager + lazy == result.fases_aborted
+        # Every abort is taken mid-FASE, where the interrupt lands: none
+        # waits for the commit-point check lazy mode would use.
+        assert eager > 0 and lazy == 0
 
 
 class TestVirtualPowerFailureEquivalence:

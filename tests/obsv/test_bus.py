@@ -1,7 +1,6 @@
 """Event bus: envelope stamping, ordering, merging, validation."""
 
 import json
-import queue
 
 import pytest
 
@@ -12,9 +11,7 @@ from repro.obsv.bus import (
     EventBus,
     JsonlSink,
     NullBus,
-    QueueEmitter,
     bus_scope,
-    drain_queue,
     get_bus,
     set_bus,
     validate_event_log,
@@ -109,40 +106,42 @@ class TestNullBus:
         assert get_bus() is NULL_BUS
 
 
-class TestQueueEmitterAndMerge:
+def worker_events(*texts):
+    """Events as a pool worker's bus stamps them: its own ``seq``,
+    a fixed wall clock."""
+    events = []
+    worker = EventBus(clock=lambda: 50.0)
+    worker.subscribe(events.append)
+    for text in texts:
+        worker.emit("note", text=text)
+    return events
+
+
+class TestMerge:
     def test_worker_events_merge_with_global_seq(self):
-        channel = queue.Queue()
-        worker = QueueEmitter(channel)
-        worker.emit("note", text="w0")
-        worker.emit("note", text="w1")
         bus = EventBus()
         bus.emit("note", text="p0")
-        merged = drain_queue(channel, bus)
-        assert merged == 2
-        seen = []
-        bus.subscribe(seen.append)
-        bus.emit("note", text="p1")
-        # Global seq keeps increasing across parent + merged events.
-        assert seen[0]["seq"] == 3
+        merged = [bus.merge(event) for event in worker_events("w0", "w1")]
+        later = bus.emit("note", text="p1")
+        # The global seq keeps rising across parent and merged events.
+        assert [event["seq"] for event in merged] == [1, 2]
+        assert later["seq"] == 3
+        assert [event["text"] for event in merged] == ["w0", "w1"]
 
-    def test_worker_seq_preserved(self):
-        channel = queue.Queue()
-        worker = QueueEmitter(channel)
-        worker.emit("note", text="a")
-        worker.emit("note", text="b")
-        bus = EventBus()
+    def test_worker_seq_origin_and_ts_kept(self):
+        bus = EventBus(clock=lambda: 99.0)
+        bus.emit("note", text="p0")
+        events = worker_events("a", "b")
+        for event in events:
+            event["origin"] = 4242
         seen = []
         bus.subscribe(seen.append)
-        drain_queue(channel, bus)
+        for event in events:
+            bus.merge(event)
         assert [e["worker_seq"] for e in seen] == [0, 1]
-
-    def test_drain_into_null_bus_is_noop(self):
-        channel = queue.Queue()
-        QueueEmitter(channel).emit("note", text="x")
-        assert drain_queue(channel, NULL_BUS) == 0
-
-    def test_drain_none_queue(self):
-        assert drain_queue(None, EventBus()) == 0
+        assert [e["seq"] for e in seen] == [1, 2]
+        assert all(e["origin"] == 4242 and e["ts"] == 50.0 for e in seen)
+        assert validate_events(seen) == []
 
 
 class TestJsonlSink:

@@ -1,11 +1,24 @@
 """Executor-to-bus integration: the sweep's event stream."""
 
+import functools
+import os
 import re
 
 import pytest
 
 from repro.harness import ParallelExecutor, RunSpec, WorkerTaskError
-from repro.obsv.bus import EventBus, bus_scope, set_bus, validate_events
+from repro.obsv.bus import (
+    EventBus,
+    bus_scope,
+    get_bus,
+    set_bus,
+    validate_events,
+)
+
+#: The fields that differ between an inline and a pooled run of the
+#: same tasks: where and when each event was stamped, and how long and
+#: where each task ran.
+HOST_FIELDS = ("seq", "ts", "origin", "worker_seq", "elapsed_s", "source")
 
 
 def tiny_specs(count=2):
@@ -18,6 +31,37 @@ def positive(value):
     if value < 0:
         raise ValueError(f"negative item {value}")
     return value
+
+
+def noted_chunk(marker, chunk):
+    """A batch function that narrates every item on the current bus.
+    The chunk holding item 4 raises after its notes the first time it
+    runs (creating ``marker`` records that it did)."""
+    for item in chunk:
+        get_bus().emit("note", text=f"item {item}")
+    if 4 in chunk and not os.path.exists(marker):
+        open(marker, "w").close()
+        raise RuntimeError("first run of the chunk holding item 4")
+    return [2 * item for item in chunk]
+
+
+def per_task(events):
+    """Each task's events, from its first ``batch_start`` to its
+    ``batch_finish``, stripped of :data:`HOST_FIELDS` and keyed by the
+    task's index; ``steal`` events, which fall between tasks at times
+    the host decides, are left out."""
+    tasks, current = {}, None
+    for event in events:
+        if event["kind"] == "steal":
+            continue
+        if event["kind"] == "batch_start":
+            current = tasks.setdefault(event["index"], [])
+        if current is not None:
+            current.append({key: value for key, value in event.items()
+                            if key not in HOST_FIELDS})
+        if event["kind"] == "batch_finish":
+            current = None
+    return tasks
 
 
 def observed_bus():
@@ -174,3 +218,32 @@ class TestMapEvents:
         executor.map(abs, [-5], describe=lambda item: f"abs({item})")
         finish = [e for e in seen if e["kind"] == "task_finish"][0]
         assert finish["label"] == "abs(-5)"
+
+
+class TestPooledEventOrder:
+    def test_pooled_map_batched_events_match_inline_per_task(
+            self, tmp_path):
+        """A worker's task events ride its reply, an error reply's too,
+        and are merged just before the task settles, so each task's
+        events read as on the inline path: its start, its own events in
+        order, then the retry or the finish."""
+        logs, outs = {}, {}
+        for jobs in (1, 2):
+            bus, seen = observed_bus()
+            batch = functools.partial(noted_chunk,
+                                      str(tmp_path / f"marker{jobs}"))
+            outs[jobs] = ParallelExecutor(jobs=jobs, bus=bus).map_batched(
+                batch, list(range(10)), key=lambda item: item % 2,
+                chunk_size=2)
+            assert validate_events(seen) == []
+            logs[jobs] = seen
+        assert outs[2] == outs[1] == [2 * item for item in range(10)]
+        inline = per_task(logs[1])
+        assert sorted(inline) == [0, 1, 2, 3, 4, 5]
+        assert [e["kind"] for e in inline[1]] == [
+            "batch_start", "note", "note", "task_retry",
+            "batch_start", "note", "note", "batch_finish"]
+        assert per_task(logs[2]) == inline
+        worker_kinds = {e["kind"] for e in logs[2]
+                        if e["origin"] != os.getpid()}
+        assert worker_kinds == {"batch_start", "note"}

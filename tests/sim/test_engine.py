@@ -5,7 +5,6 @@ import pytest
 from repro.sim import (
     AllOf,
     Environment,
-    Interrupted,
     SimulationError,
 )
 
@@ -181,27 +180,6 @@ def test_fifo_order_for_simultaneous_events():
         env.process(proc(tag))
     env.run()
     assert order == ["a", "b", "c"]
-
-
-def test_interrupt_delivers_exception():
-    env = Environment()
-    caught = []
-
-    def victim():
-        try:
-            yield env.timeout(100)
-        except Interrupted as exc:
-            caught.append((env.now, exc.reason))
-            yield env.timeout(1)
-
-    def attacker(proc):
-        yield env.timeout(4)
-        proc.interrupt("abort")
-
-    victim_proc = env.process(victim())
-    env.process(attacker(victim_proc))
-    env.run()
-    assert caught == [(4, "abort")]
 
 
 def test_yielding_non_event_is_error():

@@ -2,10 +2,10 @@
 
 The environment's queue promises a total order: ascending cycle, then
 push order within a cycle.  These tests generate random event programs
-(timeouts, manual events, interrupts, same-cycle ties, ``schedule_at``
-callbacks), number every push the environment receives, record every
-item it fires, and assert the firing order is exactly a test-local
-reference: every pushed item sorted by (cycle, push order).  Plus the
+(timeouts, manual events, same-cycle ties, ``schedule_at`` callbacks),
+number every push the environment receives, record every item it
+fires, and assert the firing order is exactly a test-local reference:
+every pushed item sorted by (cycle, push order).  Plus the
 snapshot-facing invariants the ladder relies on.
 """
 
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.sim import Environment, Interrupted
+from repro.sim import Environment
 from repro.snapshot.store import SnapshotError
 
 SEEDS = [0, 1, 2, 3, 17, 99, 1234, 777777]
@@ -59,34 +59,30 @@ def random_program(env, rng, log):
     Every observable step appends ``(now, tag)`` to ``log``.
     """
     gates = [env.event() for _ in range(rng.randint(1, 4))]
-    interruptibles = []
 
     def worker(pid):
-        try:
-            for step in range(rng.randint(1, 6)):
-                choice = rng.random()
-                if choice < 0.45:
-                    delay = rng.randint(0, 5)   # 0 => same-cycle tie
-                    yield env.timeout(delay)
-                    log.append((env.now, f"w{pid}.t{step}"))
-                elif choice < 0.60:
-                    gate = rng.choice(gates)
-                    if not gate.triggered:
-                        gate.succeed((pid, step))
-                    log.append((env.now, f"w{pid}.g{step}"))
-                    yield env.timeout(1)
-                elif choice < 0.75:
-                    when = env.now + rng.randint(0, 7)
-                    env.schedule_at(
-                        when,
-                        lambda pid=pid, step=step:
-                            log.append((env.now, f"w{pid}.c{step}")))
-                    yield env.timeout(rng.randint(1, 3))
-                else:
-                    yield env.timeout(rng.randint(2, 9))
-                    log.append((env.now, f"w{pid}.s{step}"))
-        except Interrupted as exc:
-            log.append((env.now, f"w{pid}.i{exc.reason}"))
+        for step in range(rng.randint(1, 6)):
+            choice = rng.random()
+            if choice < 0.45:
+                delay = rng.randint(0, 5)   # 0 => same-cycle tie
+                yield env.timeout(delay)
+                log.append((env.now, f"w{pid}.t{step}"))
+            elif choice < 0.60:
+                gate = rng.choice(gates)
+                if not gate.triggered:
+                    gate.succeed((pid, step))
+                log.append((env.now, f"w{pid}.g{step}"))
+                yield env.timeout(1)
+            elif choice < 0.75:
+                when = env.now + rng.randint(0, 7)
+                env.schedule_at(
+                    when,
+                    lambda pid=pid, step=step:
+                        log.append((env.now, f"w{pid}.c{step}")))
+                yield env.timeout(rng.randint(1, 3))
+            else:
+                yield env.timeout(rng.randint(2, 9))
+                log.append((env.now, f"w{pid}.s{step}"))
         log.append((env.now, f"w{pid}.done"))
         return pid
 
@@ -94,19 +90,10 @@ def random_program(env, rng, log):
         value = yield gate
         log.append((env.now, f"g{wid}={value}"))
 
-    def attacker(victims):
-        yield env.timeout(rng.randint(1, 4))
-        target = rng.choice(victims)
-        if not target.triggered:
-            target.interrupt(reason="x")
-        log.append((env.now, "attack"))
-
-    procs = [env.process(worker(pid))
-             for pid in range(rng.randint(2, 6))]
-    interruptibles.extend(procs)
+    for pid in range(rng.randint(2, 6)):
+        env.process(worker(pid))
     for wid, gate in enumerate(gates):
         env.process(waiter(wid, gate))
-    env.process(attacker(interruptibles))
     # Unblock any waiter whose gate no worker happened to fire.
     def sweeper():
         yield env.timeout(100)
