@@ -5,9 +5,9 @@ first on the ``bench_campaign`` 160-trial grid (hashmap + queue x
 PMEM-Spec + IntelX86, 40 stratified trials per cell, ~16 rungs):
 
 ``resume``
-    The same campaign run twice over one task journal
-    (:class:`repro.harness.resume.JournaledExecutor`, what ``validate
-    --resume DIR`` runs): a cold pass that simulates and journals all
+    The same campaign run twice over one outcome store
+    (``ParallelExecutor(cache_dir=DIR)``, what ``validate --resume
+    DIR`` runs): a cold pass that simulates and journals all
     24 tasks, then a replay that must settle every outcome from the
     journal (``tasks_executed == 0``) and produce a byte-identical
     report (:func:`report_fingerprint`).  That replay-to-cold ratio is
@@ -38,8 +38,8 @@ import tempfile
 import time
 import traceback
 
+from repro.harness import ParallelExecutor
 from repro.harness.pool import Task, WorkStealingPool
-from repro.harness.resume import JournaledExecutor
 from repro.obsv.bus import EventBus
 from repro.validation import run_campaign
 from repro.validation.campaign import report_fingerprint
@@ -75,7 +75,7 @@ def _campaign_pass(scratch: str):
     report (None if the campaign raised), the executor's counters and
     the wall time, which includes reading the journal."""
     started = time.perf_counter()
-    executor = JournaledExecutor(f"{scratch}/journal", jobs=JOBS)
+    executor = ParallelExecutor(jobs=JOBS, cache_dir=f"{scratch}/journal")
     try:
         report = run_campaign(
             WORKLOADS, DESIGNS, budget=BUDGET, seed=SEED,

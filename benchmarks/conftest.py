@@ -9,8 +9,8 @@ the figure's qualitative *shape* against the paper.
 
 Figure-level benches share one :class:`repro.harness.ParallelExecutor`
 via the ``executor`` fixture: ``REPRO_BENCH_JOBS`` picks the worker
-count (default: all cores) and ``REPRO_BENCH_CACHE_DIR`` opts into the
-per-spec result cache (off by default, so timings stay honest).
+count (default: all cores).  It keeps no outcome store, so every bench
+simulates what it times.
 
 Simulation is deterministic, so the table each bench asserts shapes on
 is pinned too: the ``golden`` fixture compares it, rounded to 9
@@ -68,5 +68,4 @@ def golden():
 @pytest.fixture
 def executor():
     jobs = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or None
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE_DIR") or None
-    return ParallelExecutor(jobs=jobs, cache_dir=cache_dir)
+    return ParallelExecutor(jobs=jobs)

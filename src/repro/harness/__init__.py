@@ -1,6 +1,6 @@
 """Experiment harness: per-figure drivers, sweeps, and reporting."""
 
-from .artifacts import load_artifact, save_artifact
+from .artifacts import save_artifact
 from .configs import (
     BASELINE,
     BENCHMARK_ORDER,
@@ -43,7 +43,7 @@ from .sweep import (
 )
 
 __all__ = [
-    "BASELINE", "load_artifact", "save_artifact",
+    "BASELINE", "save_artifact",
     "BENCHMARK_ORDER", "DESIGNS",
     "default_config", "figure9", "figure10", "figure10_summary",
     "figure11", "figure12", "format_bar_chart", "format_misspec_table",

@@ -35,15 +35,21 @@ Each command accepts only the flags its handler reads (:data:`COMMANDS`,
 ``COMMAND --help``); any other flag is a usage error, exit status 2.
 A flag the command's mode would ignore exits 2 too, before anything
 runs (:func:`check_modes`): ``validate --litmus`` runs no campaign and
-takes no campaign flag, and ``validate --snapshot-dir`` needs
-``--snapshot-rungs``.
+takes no campaign flag, ``validate --snapshot-dir`` needs
+``--snapshot-rungs``, and ``--cache-dir`` names the store that
+``--no-cache`` turns off.
 
 ``--jobs N`` fans the experiment grid out over N worker processes
-(``0`` = all cores).  Results are cached per grid cell (keyed by a
-content hash of the resolved run spec) so re-running an unchanged
-figure is free; ``--no-cache`` disables the cache and ``--cache-dir``
-relocates it.  ``validate`` takes ``--jobs`` but no cache flags: its
-trials never go through the result cache.
+(``0`` = all cores).  Every command that fans work out can keep one
+outcome store, a task journal (:mod:`repro.harness.resume`) keyed by
+the code, the function and the argument of each task: a figure's
+grid cells go to ``--cache-dir`` (default
+``<tmpdir>/repro-harness-cache``) unless ``--no-cache`` is given, so
+re-running an unchanged figure on an unchanged tree is free and any
+code change recomputes; ``validate`` keeps no store unless ``--resume
+DIR`` names one, so rerunning a killed campaign simulates only the
+tasks it never finished.  Journal lines written by older code are
+skipped, not pruned.
 
 Output channels: experiment *data* (tables, figures, JSON, traces) goes
 to stdout; diagnostics (timings, cache provenance, progress) go to the
@@ -143,7 +149,7 @@ def _pool(args) -> dict:
 
 
 def _executor(args):
-    """The sweep executor: the pool flags plus the result cache."""
+    """The sweep executor: the pool flags plus the outcome store."""
     from .sweep import ParallelExecutor
     cache_dir = None
     if not args.no_cache:
@@ -293,7 +299,7 @@ def _print_run_summary(result) -> None:
 
 
 def cmd_run(args) -> None:
-    """One benchmark on one design, through the result cache."""
+    """One benchmark on one design, through the outcome store."""
     spec = _cell_spec(args)
     result = _timed(
         f"{args.benchmark}/{args.design}",
@@ -318,7 +324,7 @@ def cmd_trace(args) -> None:
         TraceRecorder,
         validate_trace_document,
     )
-    from .sweep import execute_spec
+    from .sweep import execute_spec, spec_hash
     spec = _cell_spec(args)
     config = spec.resolved_config()
     tracer = TraceRecorder(cycle_ns=config.cycle_ns)
@@ -326,7 +332,7 @@ def cmd_trace(args) -> None:
     out = args.trace_out or f"{spec.benchmark}-{spec.design}.trace.json"
     start = time.time()
     with run_context(run_id=f"trace/{spec.benchmark}",
-                     spec_hash=spec.cache_key()[:12]):
+                     spec_hash=spec_hash(spec)):
         result = execute_spec(spec, tracer=tracer, metrics=metrics)
         log.info("%s done in %.1fs (%d trace events, %d dropped)",
                  spec.describe(), time.time() - start, len(tracer),
@@ -356,13 +362,13 @@ def cmd_profile(args) -> None:
     component, and write collapsed stacks for flamegraph tools."""
     from ..obsv import get_bus, profile_run
     from ..sim import TraceRecorder
-    from .sweep import execute_spec
+    from .sweep import execute_spec, spec_hash
     spec = _cell_spec(args)
     config = spec.resolved_config()
     tracer = TraceRecorder(cycle_ns=config.cycle_ns)
     start = time.time()
     with run_context(run_id=f"profile/{spec.benchmark}",
-                     spec_hash=spec.cache_key()[:12]):
+                     spec_hash=spec_hash(spec)):
         result = execute_spec(spec, tracer=tracer)
         elapsed = time.time() - start
         log.info("%s done in %.1fs (%d trace events)", spec.describe(),
@@ -397,12 +403,12 @@ def cmd_bench_history(args) -> None:
 def cmd_metrics(args) -> None:
     """Run one spec with windowed metrics; print series or sparklines."""
     from ..sim import MetricsCollector
-    from .sweep import execute_spec
+    from .sweep import execute_spec, spec_hash
     spec = _cell_spec(args)
     metrics = MetricsCollector(window_cycles=args.metrics_window)
     start = time.time()
     with run_context(run_id=f"metrics/{spec.benchmark}",
-                     spec_hash=spec.cache_key()[:12]):
+                     spec_hash=spec_hash(spec)):
         result = execute_spec(spec, metrics=metrics)
         log.info("%s done in %.1fs", spec.describe(), time.time() - start)
     if args.summary:
@@ -422,7 +428,7 @@ def _names(text: str) -> list:
 def cmd_validate(args) -> int:
     """Crash-consistency campaign over benchmarks x designs (exits 1 on
     any violation, so CI can gate on it).  ``--resume DIR`` runs it
-    over a task journal in DIR, so rerunning a killed campaign
+    over the outcome store in DIR, so rerunning a killed campaign
     simulates only the tasks it never finished."""
     from ..validation import run_campaign
     from .report import format_campaign_table
@@ -438,12 +444,8 @@ def cmd_validate(args) -> int:
                 json.dump(litmus, fh, indent=2, sort_keys=True)
             console(f"litmus report written to {args.report_out}")
         return 0 if litmus["ok"] else 1
-    if args.resume:
-        from .resume import JournaledExecutor
-        executor = JournaledExecutor(args.resume, **_pool(args))
-    else:
-        from .sweep import ParallelExecutor
-        executor = ParallelExecutor(**_pool(args))
+    from .sweep import ParallelExecutor
+    executor = ParallelExecutor(cache_dir=args.resume, **_pool(args))
     progress_log = get_logger("validation.progress")
     with run_context(run_id="validate"):
         report = run_campaign(
@@ -570,7 +572,7 @@ def cmd_all(args) -> None:
 #: Flag groups shared by several commands; every command takes COMMON.
 COMMON = ("--log-level", "--events-out")
 POOL = ("--jobs", "--progress")                 # work fans out
-SWEEP = POOL + ("--no-cache", "--cache-dir")    # ... as cached RunSpecs
+SWEEP = POOL + ("--no-cache", "--cache-dir")    # ... over a stored grid
 GRID = SWEEP + ("--scale", "--seed")            # an experiment grid
 FIGURE = GRID + ("--save",)                     # ... that saves its data
 CELL = ("--design", "--threads", "--seed")      # one simulated run
@@ -614,10 +616,15 @@ def check_modes(args, argv) -> None:
 
     A command's parser takes every flag the command reads, but a mode
     inside the command may read fewer: ``validate --litmus`` runs no
-    campaign, and ``validate --snapshot-dir`` stores rungs only with
-    ``--snapshot-rungs``.  ``argv`` is the parsed command line; flags
-    are never abbreviated, so its flags are its words that start with
-    ``--``.  Raises ValueError, a usage error (exit 2)."""
+    campaign, ``validate --snapshot-dir`` stores rungs only with
+    ``--snapshot-rungs``, and ``--no-cache`` keeps no store for
+    ``--cache-dir`` to name.  ``argv`` is the parsed command line;
+    flags are never abbreviated, so its flags are its words that start
+    with ``--``.  Raises ValueError, a usage error (exit 2)."""
+    if getattr(args, "no_cache", False) and args.cache_dir is not None:
+        raise ValueError(f"{args.command} takes one of --cache-dir, "
+                         f"--no-cache: --no-cache keeps no outcome store "
+                         f"for --cache-dir to name")
     if args.command != "validate":
         return
     if args.litmus:
@@ -647,8 +654,11 @@ def _arguments() -> dict:
         "--progress": dict(action="store_true",
                            help="log one line per completed task"),
         "--no-cache": dict(action="store_true",
-                           help="disable the per-spec result cache"),
-        "--cache-dir": dict(metavar="DIR", help="result-cache directory "
+                           help="keep no outcome store: simulate every "
+                                "grid cell"),
+        "--cache-dir": dict(metavar="DIR", help="outcome-store directory: "
+                            "each grid cell is journaled in "
+                            "DIR/tasks.jsonl, keyed by the code "
                             "(default: <tmpdir>/repro-harness-cache)"),
         "--scale": dict(type=float, default=1.0,
                         help="FASE-count multiplier (default 1.0)"),
@@ -731,7 +741,8 @@ def _arguments() -> dict:
         "--resume": dict(metavar="DIR", help="journal each campaign "
                          "task's outcome in DIR/tasks.jsonl and replay "
                          "the journaled ones, so rerunning a killed "
-                         "campaign simulates only what it never finished"),
+                         "campaign simulates only what it never finished "
+                         "(the store --cache-dir keeps for figures)"),
     }
 
 

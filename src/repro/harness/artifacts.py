@@ -2,7 +2,7 @@
 
 ``python -m repro.harness fig9 --save results/`` drops one
 timestamp-free, diff-friendly JSON file per experiment so runs can be
-compared across commits; :func:`load_artifact` reads them back.
+compared across commits.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ def save_artifact(directory: str, name: str, payload,
                   meta: Dict = None) -> str:
     """Write ``<directory>/<name>.json``; returns the path.
 
-    The write is atomic (temp file + rename) so concurrent executors
-    sharing a result-cache directory never observe a torn artifact; a
-    failed write removes its staging file.
+    The write is atomic (temp file + rename), so a reader never
+    observes a torn artifact; a failed write removes its staging
+    file.
     """
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{name}.json")
@@ -44,13 +44,3 @@ def save_artifact(directory: str, name: str, payload,
             os.unlink(staging)
         raise
     return path
-
-
-def load_artifact(path: str) -> Dict:
-    with open(path) as handle:
-        document = json.load(handle)
-    for key in ("experiment", "data"):
-        if key not in document:
-            raise ValueError(f"{path} is not an experiment artifact "
-                             f"(missing {key!r})")
-    return document

@@ -3,9 +3,12 @@
 Every function builds a declarative :class:`~repro.harness.sweep.Sweep`
 and hands it to a :class:`~repro.harness.sweep.ParallelExecutor`; each
 accepts an optional ``executor`` argument (default: in-process serial,
-no cache) so the CLI's ``--jobs``/``--no-cache`` flags and the
-benchmark drivers can share one pool and one result cache across
-figures.  Results are plain data (dictionaries of normalised
+no store) so the CLI's ``--jobs``/``--cache-dir`` flags and the
+benchmark drivers can share one pool and one outcome store across
+figures: the store journals each spec's result keyed by the code, the
+function and the spec (:mod:`repro.harness.resume`), so a figure rerun
+on an unchanged tree simulates nothing and any code change
+recomputes.  Results are plain data (dictionaries of normalised
 throughput or event counts); rendering lives in
 :mod:`repro.harness.report`.
 

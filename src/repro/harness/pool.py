@@ -2,9 +2,8 @@
 
 Every parallel run goes through :class:`WorkStealingPool` -- the sweeps
 and campaign fan-out of :class:`repro.harness.ParallelExecutor`, the
-journaled ``validate --resume`` runs of
-:class:`repro.harness.resume.JournaledExecutor` included.  Scheduling
-stays in the parent:
+journaled ``validate --resume`` runs included.  Scheduling stays in the
+parent:
 
 * each worker owns a deque of tasks, seeded **cell-affine** -- tasks
   sharing an affinity key land on the same worker in submission order,

@@ -1,48 +1,67 @@
-"""Journaled resume: a killed campaign reruns only what it never finished.
+"""The durable outcome store: one task journal keyed by code, function
+and argument.
 
-``validate --resume DIR`` runs its campaign over
-:class:`JournaledExecutor`, a :class:`ParallelExecutor` whose one
-fan-out step first gives every task a **durable identity**
-(:func:`task_key`: a content hash of the function's qualified name and
-the canonical JSON of its argument) and looks it up in the journal,
-``DIR/tasks.jsonl``.  Journaled outcomes settle at once (counted as
-``tasks_from_journal``); only the rest go to the worker pool, and each
-is journaled the moment it settles (``tasks_executed``).  Chunking is
-the executor's own :func:`repro.harness.plan_batches`, so a rerun
-builds the same tasks, and the rebuilt report equals an uninterrupted
-run's (:func:`repro.validation.campaign.report_fingerprint`).
+``ParallelExecutor(cache_dir=DIR)`` -- what ``fig9 --cache-dir DIR``
+and ``validate --resume DIR`` build -- journals every task that
+``run``, ``map`` and ``map_batched`` fan out in ``DIR/tasks.jsonl``.
+Each task has a **durable identity**, :func:`task_key`: a content hash
+of the function's qualified name, the canonical JSON of its argument
+and :func:`source_digest`, a digest of the ``repro`` package's ``.py``
+sources.  A task whose key the journal holds settles at once from it;
+the rest go to the worker pool and are journaled as each settles.  So
+rerunning a killed campaign simulates only what it never finished, a
+figure rerun on an unchanged tree simulates nothing, and any edit to
+the code misses every outcome journaled before it.  Lines written by
+older code are skipped, never pruned: the journal only grows.
 
 The journal is append-only JSON Lines: one ``{"key", "value"}`` record
 per settled task, the last record per key winning.  Each record is one
 ``write``, so a kill tears at most the line being written.  The reader
-skips a line it cannot decode, and a resumed journal first ends a torn
+skips a line it cannot decode, and a reopened journal first ends a torn
 last line, so a tear costs one task a rerun and hides nothing after it.
+
+This module imports nothing from :mod:`repro.validation`, so a figure
+sweep that journals its specs does not load the campaign engine.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
-from typing import Callable, Dict, List
+from typing import Dict
 
-from ..obsv.bus import Bus
-from ..validation.planners import RunProfile
-from .pool import Task, TaskOutcome
-from .sweep import ParallelExecutor
-
-#: Part of every task key: a bump invalidates journaled outcomes,
-#: mirroring ``RunSpec.cache_key``.
-JOURNAL_SCHEMA_VERSION = 1
+from ..system import SimResult
 
 JOURNAL_NAME = "tasks.jsonl"
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """sha256 over every ``.py`` file of the ``repro`` package, by
+    relative path and content; computed once per process."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    digest = hashlib.sha256()
+    for directory, subdirectories, names in os.walk(root):
+        subdirectories.sort()
+        for name in sorted(names):
+            if name.endswith(".py"):
+                path = os.path.join(directory, name)
+                digest.update(os.path.relpath(path, root).encode() + b"\0")
+                with open(path, "rb") as handle:
+                    digest.update(handle.read() + b"\0")
+    return digest.hexdigest()
+
+
 def _jsonify(value):
-    """Canonical JSON-ready form of a task argument."""
+    """Canonical JSON-ready form of a task argument.  A dataclass field
+    declared ``compare=False`` (``RunSpec.label``) is left out: it does
+    not make two arguments different."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return dataclasses.asdict(value)
+        return {item.name: _jsonify(getattr(value, item.name))
+                for item in dataclasses.fields(value) if item.compare}
     if isinstance(value, (list, tuple)):
         return [_jsonify(item) for item in value]
     if isinstance(value, dict):
@@ -52,31 +71,39 @@ def _jsonify(value):
 
 def task_key(fn, arg) -> str:
     """Durable task identity: function qualname + canonical argument
-    JSON + :data:`JOURNAL_SCHEMA_VERSION`."""
+    JSON + :func:`source_digest`."""
     blob = json.dumps(
         {"fn": f"{fn.__module__}.{fn.__qualname__}",
-         "arg": _jsonify(arg), "schema": JOURNAL_SCHEMA_VERSION},
+         "arg": _jsonify(arg), "code": source_digest()},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _encode(value) -> Dict:
-    """Journal encoding for task outcomes.  Campaign trials are plain
-    dicts; profiling returns :class:`RunProfile` dataclasses, which are
-    tagged so :func:`_decode` can rebuild the real object on resume."""
-    if isinstance(value, RunProfile):
-        return {"type": "RunProfile",
-                "value": dataclasses.asdict(value)}
+def encode_outcome(value) -> Dict:
+    """Journal form of a task outcome.  Campaign trials are plain
+    dicts; sweep specs return :class:`SimResult` and campaign profiling
+    :class:`~repro.validation.planners.RunProfile`, which are tagged so
+    :func:`decode_outcome` rebuilds the real object."""
+    if isinstance(value, SimResult):
+        return {"type": "SimResult", "value": value.to_dict()}
+    if dataclasses.is_dataclass(value):
+        # Only a campaign returns one, so a sweep never imports it.
+        from ..validation.planners import RunProfile
+        if isinstance(value, RunProfile):
+            return {"type": "RunProfile",
+                    "value": dataclasses.asdict(value)}
     return {"type": "json", "value": value}
 
 
-def _decode(payload):
-    if payload["type"] == "RunProfile":
-        value = dict(payload["value"])
-        value["fase_intervals"] = [tuple(pair) for pair
-                                   in value["fase_intervals"]]
-        return RunProfile(**value)
-    return payload["value"]
+def decode_outcome(payload: Dict):
+    kind, value = payload["type"], payload["value"]
+    if kind == "SimResult":
+        return SimResult.from_dict(value)
+    if kind == "RunProfile":
+        from ..validation.planners import RunProfile
+        return RunProfile(**dict(value, fase_intervals=[
+            tuple(pair) for pair in value["fase_intervals"]]))
+    return value
 
 
 def _append(path: str, data: bytes) -> None:
@@ -118,49 +145,3 @@ def load_journal(path: str) -> Dict[str, object]:
     if lines[-1]:
         _append(path, b"\n")
     return outcomes
-
-
-class JournaledExecutor(ParallelExecutor):
-    """A :class:`ParallelExecutor` that journals every task outcome in
-    ``directory`` and replays the journaled ones.
-
-    Drop-in where :func:`repro.validation.run_campaign` expects an
-    executor; only the fan-out step differs.  ``stats`` counts
-    ``tasks_from_journal`` and ``tasks_executed`` over the executor's
-    life.  Outcomes must be JSON-ready or :class:`RunProfile`, which
-    is what campaigns fan out; sweeps resume through the per-spec
-    result cache instead.  Keyword arguments go to
-    :class:`ParallelExecutor`.
-    """
-
-    def __init__(self, directory: str, **kwargs):
-        super().__init__(**kwargs)
-        os.makedirs(directory, exist_ok=True)
-        self.path = os.path.join(directory, JOURNAL_NAME)
-        self.journaled = load_journal(self.path)
-        self.stats = {"tasks_from_journal": 0, "tasks_executed": 0}
-
-    def _fan_out(self, tasks: List[Task], bus: Bus,
-                 settle: Callable[[int, TaskOutcome], None]) -> None:
-        keys = [task_key(task.fn, task.arg) for task in tasks]
-        missing: List[int] = []
-        for position, key in enumerate(keys):
-            if key in self.journaled:
-                self.stats["tasks_from_journal"] += 1
-                settle(position, TaskOutcome(
-                    key=key, status="ok", attempts=0, index=position,
-                    value=_decode(self.journaled[key])))
-            else:
-                missing.append(position)
-
-        def journal(index: int, outcome: TaskOutcome) -> None:
-            if outcome.ok:
-                encoded = _encode(outcome.value)
-                append_journal(self.path, outcome.key, encoded)
-                self.journaled[outcome.key] = encoded
-            self.stats["tasks_executed"] += 1
-            settle(missing[index], outcome)
-
-        super()._fan_out([dataclasses.replace(tasks[position],
-                                              key=keys[position])
-                          for position in missing], bus, journal)

@@ -10,22 +10,25 @@ into a :class:`SweepResult`:
 * specs fan out over the worker pool (:mod:`repro.harness.pool`;
   ``jobs=1`` runs it inline) while results always come back in sweep
   order, so ``jobs=1`` and ``jobs=N`` produce bit-identical payloads;
-* each spec's result is cached on disk (one artifact JSON per spec,
-  keyed by a content hash of the resolved spec), so re-running an
-  unchanged sweep is free;
+* with a ``cache_dir``, every task the executor fans out -- a sweep's
+  specs, a ``map`` item, a ``map_batched`` chunk -- is journaled there
+  and replayed on a rerun, keyed by the code, the function and the
+  argument (:mod:`repro.harness.resume`), so re-running an unchanged
+  sweep on an unchanged tree is free and any code change recomputes;
 * a failed spec -- it raised, or its worker process died -- runs once
   more (:data:`repro.harness.pool.MAX_ATTEMPTS`); one that fails again
   raises :class:`SweepError` with its last traceback attached.
 
-Per-spec wall-clock timing and cache provenance land in
+Per-spec wall-clock timing and journal provenance land in
 ``SimResult.stats["executor"]``; that section is host-specific and is
 deliberately excluded from ``SimResult.to_dict()`` so serialised
 results stay deterministic.
 
 Observability: every sweep narrates itself onto the current
-:mod:`repro.obsv.bus` -- ``sweep_start``, ``cache_hit``/``cache_miss``,
-``spec_start`` (where the spec runs), ``spec_finish``/``spec_error``
-(authoritative, parent-side), ``sweep_finish``.
+:mod:`repro.obsv.bus` -- ``sweep_start``, ``spec_start`` (where the
+spec runs; a journaled spec does not run), ``spec_finish``/``spec_error``
+(authoritative, parent-side; ``source`` says where the result came
+from, ``journal`` for a stored one), ``sweep_finish``.
 :meth:`ParallelExecutor.map` and ``map_batched`` narrate
 ``task_*``/``batch_*`` the same way.  Worker-side events ride each
 task's reply back to the parent, which merges them into its bus just
@@ -40,10 +43,7 @@ Events are wall-clock-side bookkeeping: an enabled bus leaves every
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import hashlib
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -63,16 +63,23 @@ from typing import (
 from ..config import SystemConfig
 from ..obsv.bus import Bus, get_bus
 from ..persistency import design_by_name
-from ..system import RESULT_SCHEMA_VERSION, SimResult, build_system
+from ..system import SimResult, build_system
 from ..telemetry import get_logger, run_context
 from ..workloads import (
     BENCHMARKS,
     LoadMisspecProbe,
     StoreMisspecProbe,
 )
-from .artifacts import load_artifact, save_artifact
 from .configs import default_config
 from .pool import Task, TaskOutcome, WorkStealingPool, error_tail
+from .resume import (
+    JOURNAL_NAME,
+    append_journal,
+    decode_outcome,
+    encode_outcome,
+    load_journal,
+    task_key,
+)
 
 # Synthetic §8.4 probes are runnable through the sweep API even though
 # they are not Table 4 benchmarks.
@@ -111,8 +118,8 @@ class RunSpec:
     config, or override ``n_cores`` explicitly.
 
     ``label`` is a free-form tag carried through to results (used by
-    the misspeculation/ablation tables); it does not affect the cache
-    key.
+    the misspeculation/ablation tables); it takes no part in equality
+    or in the spec's journal key (:func:`spec_hash`).
     """
 
     benchmark: str
@@ -127,7 +134,7 @@ class RunSpec:
     # (core_id, extra_cycles) applied to the persist path after build --
     # the §8.4 congested-ring probe and the recovery ablation use this.
     core_extra_cycles: Optional[Tuple[int, int]] = None
-    label: str = ""
+    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -172,56 +179,6 @@ class RunSpec:
         if self.fases_per_thread is not None:
             return self.fases_per_thread
         return _workload_class(self.benchmark).default_fases
-
-    # ---------------------------------------------------- serialisation
-
-    def to_dict(self) -> Dict:
-        """Canonical JSON-ready form (fases and config fully resolved)."""
-        return {
-            "benchmark": self.benchmark,
-            "design": self.design,
-            "n_threads": self.n_threads,
-            "fases_per_thread": self.resolved_fases(),
-            "seed": self.seed,
-            "config": dataclasses.asdict(self.resolved_config()),
-            "recovery_mode": self.recovery_mode,
-            "log_mode": self.log_mode,
-            "core_extra_cycles": (list(self.core_extra_cycles)
-                                  if self.core_extra_cycles else None),
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "RunSpec":
-        config = payload.get("config")
-        extra = payload.get("core_extra_cycles")
-        return cls(
-            benchmark=payload["benchmark"],
-            design=payload["design"],
-            n_threads=payload.get("n_threads", 8),
-            fases_per_thread=payload.get("fases_per_thread"),
-            seed=payload.get("seed", 42),
-            config=SystemConfig(**config) if config else None,
-            recovery_mode=payload.get("recovery_mode", "lazy"),
-            log_mode=payload.get("log_mode", "undo"),
-            core_extra_cycles=tuple(extra) if extra else None,
-            label=payload.get("label", ""),
-        )
-
-    def cache_key(self) -> str:
-        """Content hash of everything that determines the result.
-
-        Covers the resolved spec (benchmark, design, threads, fases,
-        seed, full resolved config, recovery/log mode, persist-path
-        perturbations) plus the result schema version, so a schema bump
-        invalidates stale cache entries.  ``label`` is presentation-only
-        and excluded.
-        """
-        payload = self.to_dict()
-        del payload["label"]
-        payload["schema_version"] = RESULT_SCHEMA_VERSION
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
 
     def describe(self) -> str:
         tag = f" [{self.label}]" if self.label else ""
@@ -430,8 +387,9 @@ def execute_spec(spec: RunSpec, tracer=None, metrics=None) -> SimResult:
 
     ``tracer`` / ``metrics`` (a :class:`repro.sim.TraceRecorder` /
     :class:`repro.sim.MetricsCollector`) opt the run into observability;
-    both default to off, which is what the sweep cache assumes -- traced
-    runs bypass the executor entirely (see the CLI ``trace`` command)."""
+    both default to off, which is what the outcome store assumes --
+    traced runs bypass the executor entirely (see the CLI ``trace``
+    command)."""
     return build_spec_system(spec, tracer=tracer, metrics=metrics).run()
 
 
@@ -444,6 +402,11 @@ def _run_spec(spec: RunSpec) -> SimResult:
     return _execute_spec(spec)
 
 
+def spec_hash(spec: RunSpec) -> str:
+    """The spec's id in log records: a prefix of its journal key."""
+    return task_key(_run_spec, spec)[:12]
+
+
 def _announced(start: Tuple[str, Dict], context: Dict[str, str],
                fn: Callable, arg):
     """Task body: emit the task's ``*_start`` event where it runs
@@ -454,15 +417,13 @@ def _announced(start: Tuple[str, Dict], context: Dict[str, str],
         return fn(arg)
 
 
-def _task(index: int, fn: Callable, arg, start: Tuple[str, Dict],
+def _task(key: str, fn: Callable, arg, start: Tuple[str, Dict],
           label: str, affinity=None,
           context: Optional[Dict[str, str]] = None) -> Task:
-    """The pool task for one spec, item or chunk.  The body keeps
-    ``fn``'s name, which is what the resume journal keys tasks by."""
-    body = functools.update_wrapper(
-        functools.partial(_announced, start, context or {}, fn), fn)
-    return Task(key=str(index), fn=body, arg=arg, affinity=affinity,
-                label=label)
+    """The pool task for one spec, item or chunk, under its journal
+    key ``key``."""
+    return Task(key=key, arg=arg, affinity=affinity, label=label,
+                fn=functools.partial(_announced, start, context or {}, fn))
 
 
 def _source(outcome: TaskOutcome) -> str:
@@ -496,19 +457,19 @@ class ParallelExecutor:
     """Executes sweeps; the only way experiments run simulations.
 
     ``jobs`` is the worker-process count (``None`` = ``os.cpu_count()``,
-    ``1`` = in-process serial).  ``cache_dir`` enables the per-spec
-    result cache (``None`` disables it).  ``progress`` is an optional
-    ``callable(str)`` invoked once per settled spec, item or chunk with
-    a ``[done/total] label (how)`` line, ``how`` being ``cached``, the
-    elapsed time or ``error``.  ``bus`` pins the event bus this
-    executor publishes to; the default resolves
+    ``1`` = in-process serial).  ``cache_dir`` is the outcome store:
+    every task :meth:`run`, :meth:`map` and :meth:`map_batched` fan out
+    is journaled in ``cache_dir/tasks.jsonl`` under its
+    :func:`~repro.harness.resume.task_key`, and a task the journal
+    holds settles from it instead of running (``None`` keeps no store).
+    ``stats`` counts ``tasks_from_journal`` and ``tasks_executed`` over
+    the executor's life.  ``progress`` is an optional ``callable(str)``
+    invoked once per settled spec, item or chunk with a
+    ``[done/total] label (how)`` line, ``how`` being ``cached`` (a
+    journaled spec), the elapsed time or ``error``.  ``bus`` pins the
+    event bus this executor publishes to; the default resolves
     :func:`repro.obsv.bus.get_bus` at each ``run()``/``map()`` so the
     CLI's ``--events-out`` scope is picked up automatically.
-
-    :meth:`run`, :meth:`map` and :meth:`map_batched` each build a list
-    of :class:`~repro.harness.pool.Task` for one fan-out step,
-    :meth:`_fan_out`, which :class:`repro.harness.resume.JournaledExecutor`
-    overrides.
     """
 
     def __init__(self, jobs: Optional[int] = 1,
@@ -517,9 +478,15 @@ class ParallelExecutor:
                  bus: Optional[Bus] = None):
         self.jobs = max(1, jobs if jobs is not None
                         else (os.cpu_count() or 1))
-        self.cache_dir = cache_dir
         self.progress = progress
         self.bus = bus
+        self.journal: Optional[str] = None
+        self.journaled: Dict[str, object] = {}
+        if cache_dir is not None:
+            os.makedirs(cache_dir, exist_ok=True)
+            self.journal = os.path.join(cache_dir, JOURNAL_NAME)
+            self.journaled = load_journal(self.journal)
+        self.stats = {"tasks_from_journal": 0, "tasks_executed": 0}
 
     def _resolve_bus(self) -> Bus:
         """The pinned bus, else the process-current one (``NULL_BUS``
@@ -542,118 +509,95 @@ class ParallelExecutor:
 
     # -------------------------------------------------------- fan-out
 
+    def _key(self, fn: Callable, arg, index: int) -> str:
+        """A ``map``/``map_batched`` task's journal key; without a
+        store, its position, so an item needs no JSON form unless it is
+        journaled."""
+        return task_key(fn, arg) if self.journal is not None else str(index)
+
     def _fan_out(self, tasks: List[Task], bus: Bus,
                  settle: Callable[[int, TaskOutcome], None]) -> None:
-        """Run ``tasks`` on the worker pool (inline when ``jobs=1``);
-        ``settle(position, outcome)`` runs in the parent as each task
-        settles, and an exception it raises stops the fan-out.  ``bus``
-        is the pool's: task events and the pool's own reach it."""
+        """Settle each task the journal holds from it (``attempts=0``),
+        run the rest on the worker pool (inline when ``jobs=1``) and
+        journal each that settles ok.  ``settle(position, outcome)``
+        runs in the parent as each task settles, and an exception it
+        raises stops the fan-out.  ``bus`` is the pool's: task events
+        and the pool's own reach it."""
+        pending: List[int] = []
+        for position, task in enumerate(tasks):
+            if task.key in self.journaled:
+                self.stats["tasks_from_journal"] += 1
+                settle(position, TaskOutcome(
+                    key=task.key, status="ok", attempts=0, index=position,
+                    value=decode_outcome(self.journaled[task.key])))
+            else:
+                pending.append(position)
+
+        def ran(outcome: TaskOutcome) -> None:
+            if outcome.ok and self.journal is not None:
+                encoded = encode_outcome(outcome.value)
+                append_journal(self.journal, outcome.key, encoded)
+                self.journaled[outcome.key] = encoded
+            self.stats["tasks_executed"] += 1
+            settle(pending[outcome.index], outcome)
+
         WorkStealingPool(workers=self.jobs, bus=bus).run(
-            tasks, on_result=lambda outcome: settle(outcome.index, outcome))
-
-    # ------------------------------------------------------------ cache
-
-    def _cache_path(self, spec: RunSpec) -> str:
-        return os.path.join(self.cache_dir, f"{spec.cache_key()}.json")
-
-    def _cache_load(self, spec: RunSpec) -> Optional[SimResult]:
-        if self.cache_dir is None:
-            return None
-        path = self._cache_path(spec)
-        if not os.path.exists(path):
-            return None
-        try:
-            document = load_artifact(path)
-        except (ValueError, json.JSONDecodeError, OSError):
-            return None
-        payload = document["data"]
-        if payload.get("schema_version") != RESULT_SCHEMA_VERSION:
-            return None
-        return SimResult.from_dict(payload)
-
-    def _cache_store(self, spec: RunSpec, result: SimResult) -> None:
-        if self.cache_dir is None:
-            return
-        save_artifact(self.cache_dir, spec.cache_key(), result.to_dict(),
-                      meta={"spec": spec.to_dict()})
+            [tasks[position] for position in pending], on_result=ran)
 
     # -------------------------------------------------------------- run
 
     def run(self, sweep: Union[Sweep, RunSpec, Iterable[RunSpec]]
             ) -> SweepResult:
         """Execute every spec; results come back in sweep order."""
-        if isinstance(sweep, RunSpec):
-            specs = [sweep]
-        else:
-            specs = list(sweep)
+        specs = [sweep] if isinstance(sweep, RunSpec) else list(sweep)
         started = time.perf_counter()
         results: List[Optional[SimResult]] = [None] * len(specs)
-        timings: List[Dict] = [dict() for _ in specs]
         bus = self._resolve_bus()
         report = self._reporter(len(specs))
-        misses: List[int] = []
-        walls: List[float] = []     # wall time of each spec not cached
-        retries = 0
+        walls: List[float] = []     # wall time of each simulated spec
+        cache_hits = retries = 0
 
-        def finish(index: int, elapsed: float, retried: bool,
-                   source: str) -> None:
+        def settle(index: int, outcome: TaskOutcome) -> None:
             """One authoritative parent-side spec_finish per spec."""
-            nonlocal retries
-            cache_hit = source == "cache"
-            timings[index] = {"cache_hit": int(cache_hit),
-                              "elapsed_s": elapsed,
-                              "retried": int(retried)}
+            nonlocal cache_hits, retries
+            describe = specs[index].describe()
+            if not outcome.ok:
+                bus.emit("spec_error", index=index, describe=describe,
+                         error=error_tail(outcome.error))
+                report(describe, "error")
+                raise SweepError(specs[index], _quarantined(outcome),
+                                 worker_traceback=outcome.error)
+            result = results[index] = outcome.value
+            elapsed, source = outcome.elapsed_s, _source(outcome)
+            cache_hit, retried = source == "journal", outcome.attempts > 1
+            cache_hits += cache_hit
+            retries += retried
             if not cache_hit:
                 walls.append(elapsed)
-            retries += retried
-            describe = specs[index].describe()
+            result.stats["executor"] = {
+                "cache_hit": int(cache_hit), "elapsed_s": elapsed,
+                "retried": int(retried), "jobs": self.jobs}
             bus.emit(
                 "spec_finish", index=index, describe=describe,
                 elapsed_s=elapsed, cache_hit=cache_hit, retried=retried,
-                source=source,
-                cycles=(results[index].cycles
-                        if results[index] is not None else 0))
+                source=source, cycles=result.cycles)
             report(describe, "cached" if cache_hit else f"{elapsed:.1f}s")
             log.debug("%s done (%s, %.1fs)", describe, source, elapsed)
 
-        def settle(position: int, outcome: TaskOutcome) -> None:
-            index = misses[position]
-            spec = specs[index]
-            if not outcome.ok:
-                bus.emit("spec_error", index=index,
-                         describe=spec.describe(),
-                         error=error_tail(outcome.error))
-                report(spec.describe(), "error")
-                raise SweepError(spec, _quarantined(outcome),
-                                 worker_traceback=outcome.error)
-            results[index] = outcome.value
-            self._cache_store(spec, outcome.value)
-            finish(index, outcome.elapsed_s, outcome.attempts > 1,
-                   _source(outcome))
-
         bus.emit("sweep_start", n_specs=len(specs), jobs=self.jobs)
+        tasks = []
         for index, spec in enumerate(specs):
-            cached = self._cache_load(spec)
-            if cached is not None:
-                results[index] = cached
-                bus.emit("cache_hit", index=index, describe=spec.describe())
-                finish(index, 0.0, False, "cache")
-            else:
-                bus.emit("cache_miss", index=index,
-                         describe=spec.describe())
-                misses.append(index)
-
-        self._fan_out([
-            _task(index, _run_spec, specs[index],
-                  ("spec_start", {"index": index,
-                                  "describe": specs[index].describe()}),
-                  specs[index].describe(), affinity=index,
-                  context={"spec_hash": specs[index].cache_key()[:12]})
-            for index in misses], bus, settle)
+            key = task_key(_run_spec, spec)
+            tasks.append(_task(
+                key, _run_spec, spec,
+                ("spec_start", {"index": index,
+                                "describe": spec.describe()}),
+                spec.describe(), affinity=index,
+                context={"spec_hash": key[:12]}))
+        self._fan_out(tasks, bus, settle)
 
         elapsed = time.perf_counter() - started
-        cache_misses = len(misses)
-        cache_hits = len(specs) - cache_misses
+        cache_misses = len(specs) - cache_hits
         stats = {
             "jobs": self.jobs,
             "n_specs": len(specs),
@@ -671,10 +615,6 @@ class ParallelExecutor:
             len(specs), elapsed, cache_hits, cache_misses, retries,
             self.jobs, sum(walls) / len(walls) if walls else 0.0,
             max(walls, default=0.0))
-        for index, result in enumerate(results):
-            info = dict(timings[index])
-            info["jobs"] = self.jobs
-            result.stats["executor"] = info
         return SweepResult(specs, results, stats)
 
     # -------------------------------------------------------------- map
@@ -685,8 +625,8 @@ class ParallelExecutor:
 
         The generic sibling of :meth:`run` for non-``RunSpec`` work (the
         validation campaign's profiling runs fan out through this): the
-        same pool and retry rule, but no disk cache and plain return
-        values instead of :class:`SimResult`.  ``fn`` and each item must
+        same pool, retry rule and store, but plain return values
+        instead of :class:`SimResult`.  ``fn`` and each item must
         survive pickling when ``jobs > 1``.
         """
         items = list(items)
@@ -704,7 +644,7 @@ class ParallelExecutor:
             report(labels[index], f"{outcome.elapsed_s:.1f}s")
 
         self._fan_out([
-            _task(index, fn, item,
+            _task(self._key(fn, item, index), fn, item,
                   ("task_start", {"index": index, "label": labels[index]}),
                   labels[index], affinity=index)
             for index, item in enumerate(items)], bus, settle)
@@ -760,7 +700,7 @@ class ParallelExecutor:
             report(labels[index], f"{outcome.elapsed_s:.1f}s")
 
         self._fan_out([
-            _task(index, fn, chunk,
+            _task(self._key(fn, chunk, index), fn, chunk,
                   ("batch_start", {"index": index, "label": labels[index],
                                    "size": len(chunk)}),
                   labels[index],

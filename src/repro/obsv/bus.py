@@ -2,7 +2,7 @@
 
 Every sweep, campaign, and snapshot operation the harness performs can
 be narrated as a stream of small, schema-versioned JSON events --
-``sweep_start``, ``spec_finish``, ``trial_finish``, ``cache_hit``,
+``sweep_start``, ``spec_finish``, ``trial_finish``,
 ``snapshot_restore``, ``oracle_violation``, ... -- each carrying the
 active :mod:`repro.telemetry` run context (``run_id``/``spec_hash``)
 as correlation IDs plus a bus-assigned monotonic ``seq`` so a merged
@@ -62,8 +62,6 @@ EVENT_KINDS: Dict[str, tuple] = {
     "spec_finish": ("index", "describe", "elapsed_s", "cache_hit",
                     "retried", "source"),
     "spec_error": ("index", "describe", "error"),
-    "cache_hit": ("index", "describe"),
-    "cache_miss": ("index", "describe"),
     # -- generic fan-out (ParallelExecutor.map)
     "task_start": ("index", "label"),
     "task_finish": ("index", "label", "elapsed_s"),

@@ -40,9 +40,10 @@ from .runtime import (
 from .sim import Counter, Environment, Mutex
 
 
-# Version of the SimResult.to_dict() payload.  Bump when fields are
-# added/renamed/removed: the harness result cache keys on it, and
-# from_dict() uses it to stay readable across versions.
+# Version of the SimResult.to_dict() payload that saved artifacts
+# carry.  Bump when fields are added/renamed/removed.  The harness'
+# outcome store needs no bump: its keys digest the code itself, so a
+# journaled result is only ever read by the code that wrote it.
 # v3 added the optional ``timeseries`` section (cycle-windowed metrics).
 RESULT_SCHEMA_VERSION = 3
 
@@ -64,7 +65,7 @@ class SimResult:
     freq_ghz: float
     stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
     # Cycle-windowed time series (MetricsCollector.to_dict()); None when
-    # the run was not collected (schema v2 payloads load as None too).
+    # the run was not collected.
     timeseries: Optional[Dict] = None
 
     @property
@@ -85,7 +86,7 @@ class SimResult:
 
     def to_dict(self) -> Dict:
         """JSON-ready summary (used by the harness' artifact export and
-        the sweep result cache).
+        its outcome store).
 
         The payload is versioned (``schema_version``) and deterministic
         for a given run: the host-specific ``stats["executor"]`` section
@@ -116,34 +117,10 @@ class SimResult:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "SimResult":
-        """Rebuild a result from :meth:`to_dict` output.
-
-        Backwards-tolerant, forwards-strict: older payloads load with
-        defaults for fields their schema lacked (version-1 payloads have
-        no ``schema_version``/``freq_ghz``; version-2 payloads load with
-        ``timeseries=None``), and unknown keys (derived values such as
-        ``seconds``/``throughput``) are ignored.  A payload from a
-        *future* schema version raises :class:`ValueError` -- silently
-        defaulting fields whose semantics this code cannot know would
-        corrupt cached results rather than invalidate them.
-        """
-        version = payload.get("schema_version", 1)
-        if version > RESULT_SCHEMA_VERSION:
-            raise ValueError(
-                f"result payload has schema_version {version}, newer than "
-                f"the supported {RESULT_SCHEMA_VERSION}; refusing to "
-                f"guess at its semantics (upgrade this code or rebuild "
-                f"the artifact)")
-        defaults = {
-            "design": "?", "workload": "?", "n_cores": 0, "cycles": 0,
-            "fases_committed": 0, "fases_aborted": 0,
-            "load_misspeculations": 0, "store_misspeculations": 0,
-            "stale_loads": 0, "spec_buffer_overflows": 0,
-            "freq_ghz": 2.0, "stats": None, "timeseries": None,
-        }
-        kwargs = {name: payload.get(name, fallback)
-                  for name, fallback in defaults.items()}
-        kwargs["stats"] = dict(kwargs["stats"] or {})
+        """Rebuild a result from :meth:`to_dict` output of the same
+        code; the derived ``seconds``/``throughput`` keys are ignored."""
+        kwargs = {name: payload[name] for name in cls.__dataclass_fields__}
+        kwargs["stats"] = dict(kwargs["stats"])
         return cls(**kwargs)
 
     def to_json(self, indent: int = 2) -> str:

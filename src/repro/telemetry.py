@@ -15,9 +15,10 @@ Run context
 -----------
 Every log record passes through :class:`RunContextFilter`, which stamps
 it with the current ``run_id`` and ``spec_hash`` (both ``-`` outside a
-run).  :func:`run_context` scopes them::
+run).  :func:`run_context` scopes them (a spec's ``spec_hash`` is
+:func:`repro.harness.sweep.spec_hash`)::
 
-    with run_context(run_id="fig9", spec_hash=spec.cache_key()[:12]):
+    with run_context(run_id="fig9", spec_hash=spec_hash(spec)):
         log.info("starting")          # ... [fig9 1a2b3c4d5e6f] starting
 """
 

@@ -1,8 +1,15 @@
-"""Unit tests for experiment artifact save/load."""
+"""Unit tests for experiment artifact saving."""
+
+import json
 
 import pytest
 
-from repro.harness import load_artifact, save_artifact
+from repro.harness import save_artifact
+
+
+def read_json(path):
+    with open(path) as handle:
+        return json.load(handle)
 
 
 class TestSaveLoad:
@@ -10,21 +17,15 @@ class TestSaveLoad:
         payload = {"queue": {"PMEM-Spec": 1.4, "DPO": 0.9}}
         path = save_artifact(str(tmp_path), "fig9", payload,
                              meta={"scale": 0.5})
-        loaded = load_artifact(path)
+        loaded = read_json(path)
         assert loaded["experiment"] == "fig9"
         assert loaded["data"]["queue"]["PMEM-Spec"] == 1.4
         assert loaded["meta"]["scale"] == 0.5
 
     def test_non_string_keys_normalised(self, tmp_path):
         path = save_artifact(str(tmp_path), "fig11", {1: 0.9, 16: 1.0})
-        loaded = load_artifact(path)
+        loaded = read_json(path)
         assert loaded["data"] == {"1": 0.9, "16": 1.0}
-
-    def test_load_rejects_foreign_json(self, tmp_path):
-        path = tmp_path / "x.json"
-        path.write_text('{"hello": 1}')
-        with pytest.raises(ValueError):
-            load_artifact(str(path))
 
     def test_failed_dump_leaves_no_staging_file(self, tmp_path):
         # A set is not JSON-serialisable: the dump fails mid-write.
@@ -40,5 +41,5 @@ class TestCLISave:
                      "--seed", "3", "--save", str(tmp_path)]) == 0
         saved = list(tmp_path.glob("fig9.json"))
         assert len(saved) == 1
-        loaded = load_artifact(str(saved[0]))
+        loaded = read_json(str(saved[0]))
         assert "queue" in loaded["data"]

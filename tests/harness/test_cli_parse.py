@@ -144,6 +144,18 @@ def test_flag_the_mode_ignores_is_a_usage_error(argv, named,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "fig9 --no-cache --cache-dir d",
+    "run --cache-dir=d --no-cache",
+])
+def test_cache_dir_with_no_cache_is_a_usage_error(argv, handlers_never_run,
+                                                  capsys):
+    """``--no-cache`` keeps no store for ``--cache-dir`` to name: the
+    pair exits 2 before the handler runs, naming both flags."""
+    assert main(argv.split()) == 2
+    assert "--cache-dir, --no-cache" in capsys.readouterr().err
+
+
 def _parses(line):
     args = build_parser().parse_args(line)
     cli.check_modes(args, line)

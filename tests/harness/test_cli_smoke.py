@@ -1,15 +1,23 @@
-"""Tier-1 smoke test: the CLI end-to-end with --jobs and the cache.
+"""Tier-1 smoke test: the CLI end-to-end with --jobs and the store.
 
 Drives ``python -m repro.harness fig9`` at a tiny scale through the
 parallel executor, saves the artifact, and checks it loads; a second
-run must be served from the result cache and produce identical data.
-Both runs write ``--events-out`` logs, which must validate and tell the
-same cache story.
+run must be served from the outcome store's journal and produce
+identical data.  Both runs write ``--events-out`` logs, which must
+validate and tell the same story.
 """
 
-from repro.harness import BENCHMARK_ORDER, load_artifact
+import json
+
+from repro.harness import BENCHMARK_ORDER
 from repro.harness.__main__ import main
+from repro.harness.resume import JOURNAL_NAME, load_journal
 from repro.obsv import read_event_log, validate_event_log
+
+
+def read_json(path):
+    with open(path) as handle:
+        return json.load(handle)
 
 
 def _sweep_story(path):
@@ -32,25 +40,25 @@ def test_cli_fig9_parallel_save_and_cache(tmp_path, capsys):
     assert main(base + ["--save", str(save_first), "--events-out",
                         str(tmp_path / "events-1.jsonl")]) == 0
     assert "Figure 9" in capsys.readouterr().out
-    first = load_artifact(str(save_first / "fig9.json"))
+    first = read_json(str(save_first / "fig9.json"))
     assert set(first["data"]) == set(BENCHMARK_ORDER)
 
-    # One cache entry per grid cell was written.
-    assert len(list(cache.glob("*.json"))) == cells
+    # One journal record per grid cell was written.
+    assert len(load_journal(str(cache / JOURNAL_NAME))) == cells
 
     # Every cell was simulated, by the pool's workers.
     finish, sources = _sweep_story(tmp_path / "events-1.jsonl")
     assert (finish["cache_misses"], finish["cache_hits"]) == (cells, 0)
     assert sources <= {"pool", "steal"} and "pool" in sources
 
-    # Second run: all cells come from the cache, artifact identical.
+    # Second run: all cells come from the journal, artifact identical.
     assert main(base + ["--save", str(save_second), "--events-out",
                         str(tmp_path / "events-2.jsonl")]) == 0
-    second = load_artifact(str(save_second / "fig9.json"))
+    second = read_json(str(save_second / "fig9.json"))
     assert second["data"] == first["data"]
     finish, sources = _sweep_story(tmp_path / "events-2.jsonl")
     assert (finish["cache_hits"], finish["cache_misses"]) == (cells, 0)
-    assert sources == {"cache"}
+    assert sources == {"journal"}
 
 
 def test_cli_no_cache_flag(tmp_path):

@@ -1,8 +1,9 @@
-"""Journaled resume: ``validate --resume DIR`` and its executor.
+"""Journaled resume: ``validate --resume DIR`` and the outcome store.
 
-The executor is the resumability hinge: identical work must produce
+The store is the resumability hinge: identical work must produce
 identical task keys, journaled outcomes must replay instead of
-re-simulating, and a torn journal line must cost one task at most.
+re-simulating, a code change must miss every journaled outcome, and a
+torn journal line must cost one task at most.
 The CLI tests kill a real ``validate --resume`` subprocess mid-campaign
 (SIGKILL, and SIGTERM through the graceful handler) on the
 ``bench_campaign`` 160-trial fixture and rerun it: the rerun must
@@ -20,11 +21,11 @@ import time
 import pytest
 
 import repro
-from repro.harness import WorkerTaskError
+import repro.harness.resume as resume
+from repro.harness import ParallelExecutor, WorkerTaskError
 from repro.harness.__main__ import main
 from repro.harness.resume import (
     JOURNAL_NAME,
-    JournaledExecutor,
     append_journal,
     load_journal,
     task_key,
@@ -51,7 +52,7 @@ def _always_fails(x):
 
 
 def _executor(tmp_path):
-    return JournaledExecutor(str(tmp_path), jobs=1)
+    return ParallelExecutor(jobs=1, cache_dir=str(tmp_path))
 
 
 class TestTaskKey:
@@ -64,7 +65,7 @@ class TestTaskKey:
         assert task_key(_double, 1) != task_key(_double_chunk, 1)
 
 
-class TestJournaledExecutor:
+class TestOutcomeStore:
     def test_map_journals_then_short_circuits(self, tmp_path):
         executor = _executor(tmp_path)
         assert executor.map(_double, [1, 2, 3]) == [2, 4, 6]
@@ -121,6 +122,15 @@ class TestJournaledExecutor:
         with pytest.raises(WorkerTaskError, match="quarantined"):
             _executor(tmp_path).map(_always_fails, [1])
         assert load_journal(str(tmp_path / JOURNAL_NAME)) == {}
+
+    def test_code_change_misses_every_journaled_task(self, tmp_path,
+                                                     monkeypatch):
+        _executor(tmp_path).map(_double, [1, 2])
+        monkeypatch.setattr(resume, "source_digest", lambda: "edited")
+        edited = _executor(tmp_path)
+        assert edited.map(_double, [1, 2]) == [2, 4]
+        assert edited.stats == {"tasks_from_journal": 0,
+                                "tasks_executed": 2}
 
 
 class TestJournal:
@@ -260,6 +270,28 @@ def test_campaign_done_then_rerun_replays(tmp_path, capsys):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert "2 tasks from the journal, 0 executed" in second
+    printed = re.compile(r"report fingerprint (\w+)")
+    assert printed.search(first).group(1) == \
+        printed.search(second).group(1)
+
+
+def test_code_change_misses_journaled_campaign_tasks(tmp_path, capsys,
+                                                    monkeypatch):
+    """A campaign's journaled trial chunks are served only to the code
+    that wrote them: after an edit, the rerun simulates every task and
+    still prints the same report fingerprint."""
+    argv = ["validate", "--resume", str(tmp_path / "run"),
+            "--snapshot-dir", str(tmp_path / "snapshots"),
+            "--benchmarks", "hashmap", "--designs", "PMEM-Spec",
+            "--budget", "4", "--val-fases", "4", "--snapshot-rungs", "4",
+            "--batch", "2", "--no-shrink"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert "0 tasks from the journal, 2 executed" in first
+    monkeypatch.setattr(resume, "source_digest", lambda: "edited")
+    assert main(argv) == 0
+    second = capsys.readouterr().out
+    assert "0 tasks from the journal, 2 executed" in second
     printed = re.compile(r"report fingerprint (\w+)")
     assert printed.search(first).group(1) == \
         printed.search(second).group(1)

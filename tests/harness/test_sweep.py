@@ -1,10 +1,10 @@
 """Tests for the declarative sweep API and the parallel executor."""
 
 import json
-import os
 
 import pytest
 
+import repro.harness.resume as resume
 import repro.harness.sweep as sweep_mod
 from repro.config import table3_config
 from repro.harness import (
@@ -13,13 +13,28 @@ from repro.harness import (
     Sweep,
     SweepError,
 )
+from repro.harness.experiments import figure9
+from repro.harness.resume import JOURNAL_NAME, task_key
 from repro.harness.sweep import _execute_spec
+from repro.obsv.bus import EventBus
 from repro.system import RESULT_SCHEMA_VERSION, SimResult
 from repro.workloads import BENCHMARKS
 
 SMALL_GRID = Sweep.grid(benchmarks=("tatp", "queue"),
                         designs=("IntelX86", "PMEM-Spec"),
                         n_threads=2, seeds=7, fases_per_thread=5)
+
+
+def spec_key(spec):
+    return task_key(sweep_mod._run_spec, spec)
+
+
+class Keeping(ParallelExecutor):
+    """Keeps the sweep result a figure reduces to ratios."""
+
+    def run(self, sweep):
+        self.done = super().run(sweep)
+        return self.done
 
 
 @pytest.fixture(scope="module")
@@ -73,26 +88,21 @@ class TestRunSpecResolution:
                        config_overrides={"spec_buffer_entries": 16})
         assert spec.resolved_config().spec_buffer_entries == 16
 
-    def test_cache_key_ignores_label(self):
+    def test_task_key_ignores_label(self):
         a = RunSpec(benchmark="tatp", design="HOPS", n_threads=2,
                     label="x")
         b = RunSpec(benchmark="tatp", design="HOPS", n_threads=2,
                     label="y")
-        assert a.cache_key() == b.cache_key()
+        assert spec_key(a) == spec_key(b)
 
-    def test_cache_key_tracks_config(self):
+    def test_task_key_tracks_config(self):
         a = RunSpec(benchmark="tatp", design="HOPS", n_threads=2)
         b = RunSpec(benchmark="tatp", design="HOPS", n_threads=2,
                     config_overrides={"persist_path_ns": 40.0})
-        assert a.cache_key() != b.cache_key()
-
-    def test_spec_round_trips_through_dict(self):
-        spec = RunSpec(benchmark="tatp", design="HOPS", n_threads=2,
-                       config_overrides={"spec_buffer_entries": 8},
-                       core_extra_cycles=(0, 100), label="t")
-        again = RunSpec.from_dict(spec.to_dict())
-        assert again.cache_key() == spec.cache_key()
-        assert again.core_extra_cycles == (0, 100)
+        c = RunSpec(benchmark="tatp", design="HOPS", n_threads=2,
+                    config=table3_config(n_cores=2,
+                                         persist_path_ns=40.0))
+        assert spec_key(a) not in (spec_key(b), spec_key(c))
 
 
 class TestSweepGrid:
@@ -133,15 +143,6 @@ class TestResultSchema:
         again = SimResult.from_dict(payload)
         assert again.to_dict() == one_result.to_dict()
         assert again.throughput == one_result.throughput
-
-    def test_v1_payload_still_loads(self, one_result):
-        payload = one_result.to_dict()
-        for legacy_missing in ("schema_version", "freq_ghz", "seconds",
-                               "throughput"):
-            payload.pop(legacy_missing)
-        again = SimResult.from_dict(payload)
-        assert again.cycles == one_result.cycles
-        assert again.freq_ghz == 2.0
 
     def test_executor_stats_excluded_from_payload(self, one_result):
         one_result.stats["executor"] = {"elapsed_s": 1.23, "cache_hit": 0}
@@ -199,15 +200,49 @@ class TestCache:
         assert done.stats["cache_hits"] == len(SMALL_GRID)
 
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
-        executor = ParallelExecutor(jobs=1, cache_dir=str(tmp_path))
-        executor.run(SMALL_GRID)
-        victim = os.path.join(str(tmp_path),
-                              f"{SMALL_GRID[0].cache_key()}.json")
-        with open(victim, "w") as handle:
-            handle.write("{not json")
-        done = executor.run(SMALL_GRID)
+        ParallelExecutor(jobs=1, cache_dir=str(tmp_path)).run(SMALL_GRID)
+        journal = tmp_path / JOURNAL_NAME
+        records = journal.read_text().splitlines(keepends=True)
+        records[0] = records[0][:40] + "\n"    # the first spec's, torn
+        journal.write_text("".join(records))
+        done = ParallelExecutor(jobs=1,
+                                cache_dir=str(tmp_path)).run(SMALL_GRID)
         assert done.stats["cache_hits"] == len(SMALL_GRID) - 1
+        assert done[0].stats["executor"]["cache_hit"] == 0
         assert done[0].fases_committed > 0
+
+    def test_code_change_misses_the_journal(self, tmp_path, monkeypatch):
+        """A result journaled by other code is never served: the edited
+        code's result is, even though the spec is unchanged."""
+        spec = SMALL_GRID[0]
+        stale = ParallelExecutor(jobs=1,
+                                 cache_dir=str(tmp_path)).run(spec)[0]
+        monkeypatch.setattr(resume, "source_digest", lambda: "edited")
+        monkeypatch.setattr(sweep_mod, "_execute_spec", lambda spec: (
+            SimResult.from_dict(dict(stale.to_dict(),
+                                     cycles=stale.cycles + 1))))
+        done = ParallelExecutor(jobs=1, cache_dir=str(tmp_path)).run(spec)
+        assert done.stats["cache_misses"] == 1
+        assert done[0].cycles == stale.cycles + 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_figure_from_the_journal_equals_the_simulated_one(
+            self, tmp_path, jobs):
+        """Figure 9 served entirely from the journal: the same table
+        and every result's payload, with nothing simulated."""
+        def figure():
+            bus, seen = EventBus(), []
+            bus.subscribe(seen.append)
+            executor = Keeping(jobs=jobs, cache_dir=str(tmp_path), bus=bus)
+            table = figure9(scale=0.05, executor=executor)
+            return (table, [r.to_dict() for r in executor.done.results],
+                    seen)
+
+        simulated, replayed = figure(), figure()
+        assert replayed[:2] == simulated[:2]
+        [finish] = [e for e in replayed[2] if e["kind"] == "sweep_finish"]
+        assert (finish["cache_hits"], finish["cache_misses"]) == (32, 0)
+        assert not [e for e in replayed[2] if e["kind"] == "spec_start"]
 
 
 class TestFailureHandling:
@@ -219,7 +254,7 @@ class TestFailureHandling:
         real = _execute_spec
 
         def fails_once(spec):
-            marker = tmp_path / spec.cache_key()
+            marker = tmp_path / f"{spec.benchmark}-{spec.design}"
             if not marker.exists():
                 marker.write_text("failed")
                 raise RuntimeError("worker crashed")

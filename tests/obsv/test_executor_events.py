@@ -86,7 +86,7 @@ class TestSweepEvents:
         kinds = [e["kind"] for e in seen]
         assert kinds[0] == "sweep_start"
         assert kinds[-1] == "sweep_finish"
-        assert kinds.count("cache_miss") == 2
+        assert seen[-1]["cache_misses"] == 2
         assert kinds.count("spec_start") == 2
         assert kinds.count("spec_finish") == 2
 
@@ -113,12 +113,14 @@ class TestSweepEvents:
         ParallelExecutor(jobs=1, cache_dir=cache, bus=bus).run(specs)
         del seen[:]
         ParallelExecutor(jobs=1, cache_dir=cache, bus=bus).run(specs)
+        assert validate_events(seen) == []
         kinds = [e["kind"] for e in seen]
-        assert kinds.count("cache_hit") == 2
-        assert kinds.count("cache_miss") == 0
-        sources = [e["source"] for e in seen
-                   if e["kind"] == "spec_finish"]
-        assert sources == ["cache", "cache"]
+        assert kinds == ["sweep_start", "spec_finish", "spec_finish",
+                         "sweep_finish"]
+        assert (seen[-1]["cache_hits"], seen[-1]["cache_misses"]) == (2, 0)
+        finishes = [(e["source"], e["cache_hit"]) for e in seen
+                    if e["kind"] == "spec_finish"]
+        assert finishes == [("journal", True), ("journal", True)]
 
     def test_stats_derived_from_events(self, tmp_path):
         bus, _seen = observed_bus()

@@ -1,4 +1,4 @@
-"""SimResult schema versioning: v2 and v3 payloads must both load."""
+"""SimResult payloads: versioned, and lossless through from_dict."""
 
 import pytest
 
@@ -36,35 +36,6 @@ class TestSchemaV3:
         assert restored == original
         assert restored.timeseries is None
 
-
-class TestSchemaV2Compat:
-    """A v2 payload (no ``timeseries`` key) must still load."""
-
-    def test_v2_payload_loads(self):
-        payload = make_result().to_dict()
-        del payload["timeseries"]
-        payload["schema_version"] = 2
-        restored = SimResult.from_dict(payload)
-        assert restored.timeseries is None
-        assert restored.cycles == 1000
-        assert restored.fases_committed == 40
-
-    def test_v2_then_v3_round_trip(self):
-        payload = make_result().to_dict()
-        del payload["timeseries"]
-        payload["schema_version"] = 2
-        upgraded = SimResult.from_dict(payload).to_dict()
-        assert upgraded["schema_version"] == 3
-        assert upgraded["timeseries"] is None
-
-    def test_v1_payload_still_loads(self):
-        payload = {"design": "IntelX86", "workload": "queue",
-                   "n_cores": 4, "cycles": 10,
-                   "fases_committed": 1, "fases_aborted": 0}
-        restored = SimResult.from_dict(payload)
-        assert restored.freq_ghz == 2.0
-        assert restored.timeseries is None
-
     def test_throughput_survives_round_trip(self):
         original = make_result()
         restored = SimResult.from_dict(original.to_dict())
@@ -74,37 +45,3 @@ class TestSchemaV2Compat:
         result = make_result()
         result.stats["executor"] = {"elapsed_s": 1.23}
         assert "executor" not in result.to_dict()["stats"]
-
-
-class TestForwardVersions:
-    """Payloads from a *future* schema must be refused, not guessed at."""
-
-    def test_next_version_raises(self):
-        payload = make_result().to_dict()
-        payload["schema_version"] = RESULT_SCHEMA_VERSION + 1
-        with pytest.raises(ValueError, match="schema_version"):
-            SimResult.from_dict(payload)
-
-    def test_error_names_both_versions(self):
-        payload = make_result().to_dict()
-        payload["schema_version"] = RESULT_SCHEMA_VERSION + 5
-        with pytest.raises(ValueError) as excinfo:
-            SimResult.from_dict(payload)
-        message = str(excinfo.value)
-        assert str(RESULT_SCHEMA_VERSION + 5) in message
-        assert str(RESULT_SCHEMA_VERSION) in message
-
-    def test_every_supported_version_loads(self):
-        # v1: bare payload, no schema_version/freq_ghz/timeseries keys.
-        v1 = {"design": "DPO", "workload": "tatp", "n_cores": 2,
-              "cycles": 7, "fases_committed": 3, "fases_aborted": 1}
-        # v2: versioned but predates timeseries.
-        v2 = make_result().to_dict()
-        del v2["timeseries"]
-        v2["schema_version"] = 2
-        # v3: current.
-        v3 = make_result().to_dict()
-        for payload in (v1, v2, v3):
-            restored = SimResult.from_dict(payload)
-            assert restored.to_dict()["schema_version"] == \
-                RESULT_SCHEMA_VERSION

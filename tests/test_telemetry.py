@@ -153,6 +153,7 @@ class TestContextUnderMultiprocessing:
         # whose run_id is the parent's and whose spec_hash is the
         # worker's own (set per spec inside the worker).
         from repro.harness import ParallelExecutor, RunSpec
+        from repro.harness.sweep import spec_hash
         from repro.obsv.bus import EventBus, set_bus
         bus = EventBus()
         seen = []
@@ -171,4 +172,4 @@ class TestContextUnderMultiprocessing:
         assert all(e["run_id"] == "fig9-sweep" for e in shipped)
         hashes = {e["spec_hash"] for e in shipped
                   if e["kind"] == "spec_start"}
-        assert hashes == {spec.cache_key()[:12] for spec in specs}
+        assert hashes == {spec_hash(spec) for spec in specs}
