@@ -28,16 +28,15 @@ cell (~RUNGS rungs) from *untimed* probe runs before any measured pass
 -- interval choice is campaign configuration, not part of the work
 being compared -- and every pass, including cold, runs with the same
 per-cell ``snapshot_every`` so all four share one laddered timing
-universe.  Every pass starts with an empty rung cache (the process's
-one cache of decoded rungs): each campaign's profiling run seeds it
-with the rungs it captures, so in-process trials never read the store,
-and a pool worker reads a rung from the store at most once.
-Correctness is asserted, not assumed: every pass must produce the same
-stripped per-cell outcomes (trials, cycles, violations, failures), so
-the speedup is pure mechanics.  The batched
+universe.  No process keeps rung bytes between trials: each campaign's
+profiling run writes its rungs to the pass's store, and every trial,
+in-process or in a pool worker, reads and hash-checks its nearest rung
+from there.  Correctness is asserted, not assumed: every pass must
+produce the same stripped per-cell outcomes (trials, cycles,
+violations, failures), so the speedup is pure mechanics.  The batched
 pass runs under an event bus, and the JSON records where its trials
-started (``forward`` / ``resident`` / ``store`` / ``cold``) plus batch
-counts, tallied from the bus's events.
+started (``forward`` / ``store`` / ``cold``) plus batch counts,
+tallied from the bus's events.
 
 Standalone::
 
@@ -59,9 +58,8 @@ import time
 
 from repro.harness import ParallelExecutor
 from repro.obsv.bus import EventBus, bus_scope
-from repro.validation.campaign import (_RESIDENT_CELLS, _RUNG_CACHE,
-                                       TrialSpec, profile_cell,
-                                       run_campaign)
+from repro.validation.campaign import (_RESIDENT_CELLS, TrialSpec,
+                                       profile_cell, run_campaign)
 
 WORKLOADS = ["hashmap", "queue"]
 DESIGNS = ["PMEM-Spec", "IntelX86"]
@@ -100,10 +98,9 @@ def pick_intervals() -> dict:
 
 def _campaign(intervals, snapshot_dir, executor=None, batch=0):
     """One grid traversal (per-cell campaigns); returns (reports, wall)."""
-    # Start from a settled process: no resident systems, no decoded
-    # rungs, and no garbage from the previous pass inflating this one.
+    # Start from a settled process: no resident systems, and no
+    # garbage from the previous pass inflating this one.
     _RESIDENT_CELLS.clear()
-    _RUNG_CACHE.clear()
     gc.collect()
     started = time.perf_counter()
     reports = [
@@ -138,7 +135,7 @@ def _restore_sources(events) -> dict:
     """Trial-start counts by ``snapshot_restore`` source, plus cold
     fallbacks and ``batch_finish`` chunks.  A restore without a source
     read a rung from the store; a cold fallback counts only as one."""
-    sources = {"forward": 0, "resident": 0, "store": 0, "cold": 0,
+    sources = {"forward": 0, "store": 0, "cold": 0,
                "cold_fallbacks": 0, "batches": 0}
     for event in events:
         if event["kind"] == "batch_finish":
@@ -216,8 +213,8 @@ def main(argv) -> int:
         failures.append(
             f"batched speedup {payload['speedup_vs_pr4_warm']}x < "
             f"{MIN_SPEEDUP}x bar vs the PR 4 warm baseline")
-    if payload["batched_restore_sources"]["resident"] == 0:
-        failures.append("no trial was ever served from a resident rung")
+    if payload["batched_restore_sources"]["store"] == 0:
+        failures.append("no trial was ever served from a stored rung")
     if "--check" in argv:
         committed_path = argv[argv.index("--check") + 1]
         with open(committed_path) as handle:
@@ -252,7 +249,7 @@ def test_campaign_batched_speedup(benchmark, run_once, tmp_path):
     print("\n" + json.dumps(payload, indent=2))  # noqa: T201
     assert payload["outcomes_match"], \
         "batched campaign changed trial outcomes"
-    assert payload["batched_restore_sources"]["resident"] > 0
+    assert payload["batched_restore_sources"]["store"] > 0
     assert payload["speedup_vs_warm"] >= 1.5, \
         f"batched only {payload['speedup_vs_warm']}x vs in-run warm"
 

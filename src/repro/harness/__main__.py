@@ -446,7 +446,6 @@ def cmd_validate(args) -> int:
         return 0 if litmus["ok"] else 1
     from .sweep import ParallelExecutor
     executor = ParallelExecutor(cache_dir=args.resume, **_pool(args))
-    progress_log = get_logger("validation.progress")
     with run_context(run_id="validate"):
         report = run_campaign(
             _names(args.benchmarks), designs or DESIGNS,
@@ -454,7 +453,6 @@ def cmd_validate(args) -> int:
             seed=args.seed, n_threads=args.val_threads,
             fases_per_thread=args.val_fases, log_mode=args.log_mode,
             shrink=args.shrink, executor=executor,
-            progress=progress_log.info if args.progress else None,
             snapshot_dir=args.snapshot_dir if args.snapshot_rungs else None,
             snapshot_rungs=args.snapshot_rungs,
             batch=args.batch,

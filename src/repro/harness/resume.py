@@ -5,8 +5,9 @@ and argument.
 and ``validate --resume DIR`` build -- journals every task that
 ``run``, ``map`` and ``map_batched`` fan out in ``DIR/tasks.jsonl``.
 Each task has a **durable identity**, :func:`task_key`: a content hash
-of the function's qualified name, the canonical JSON of its argument
-and :func:`source_digest`, a digest of the ``repro`` package's ``.py``
+of the function's qualified name (a lambda or nested function has none
+and is refused), the canonical JSON of its argument and
+:func:`source_digest`, a digest of the ``repro`` package's ``.py``
 sources.  A task whose key the journal holds settles at once from it;
 the rest go to the worker pool and are journaled as each settles.  So
 rerunning a killed campaign simulates only what it never finished, a
@@ -69,12 +70,27 @@ def _jsonify(value):
     return value
 
 
+def _task_name(fn):
+    """The durable name of a task function: its qualified name, or for
+    a :func:`functools.partial` its function's name plus the bound
+    arguments.  A lambda or a nested function has none: two of them in
+    one scope would share a name, and a pool cannot pickle them."""
+    if isinstance(fn, functools.partial):
+        return {"fn": _task_name(fn.func), "args": _jsonify(fn.args),
+                "keywords": _jsonify(fn.keywords)}
+    name = f"{fn.__module__}.{fn.__qualname__}"
+    if "<locals>" in name or "<lambda>" in name:
+        raise ValueError(f"task function {name} has no durable name: "
+                         f"journal a module-level function instead")
+    return name
+
+
 def task_key(fn, arg) -> str:
-    """Durable task identity: function qualname + canonical argument
-    JSON + :func:`source_digest`."""
+    """Durable task identity: function name (:func:`_task_name`) +
+    canonical argument JSON + :func:`source_digest`."""
     blob = json.dumps(
-        {"fn": f"{fn.__module__}.{fn.__qualname__}",
-         "arg": _jsonify(arg), "code": source_digest()},
+        {"fn": _task_name(fn), "arg": _jsonify(arg),
+         "code": source_digest()},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -107,11 +107,12 @@ EVENT_KINDS: Dict[str, tuple] = {
     # -- snapshots (repro.snapshot.manager)
     "rung_capture": ("cycle", "rung"),
     # Optional fields: ``source`` says where the trial started --
-    # "forward" (the cell's live run, continued), "resident" or
-    # "store" (a rung payload from memory or disk), "cold" (a fresh
-    # build); ``outcome="cold_fallback"`` (+ ``error``) marks a trial
-    # whose rung lookup hit a damaged store.  ``rung_cycle`` is the
-    # nearest usable rung whichever start was taken.
+    # "forward" (the cell's live run, continued), "store" (a rung read
+    # from disk), "cold" (a fresh build); campaigns no longer emit
+    # "resident", as they keep no rung bytes in memory.
+    # ``outcome="cold_fallback"`` (+ ``error``) marks a trial whose
+    # rung lookup hit a damaged store.  ``rung_cycle`` is the nearest
+    # usable rung whichever start was taken.
     "snapshot_restore": ("crash_cycle", "rung_cycle", "rung"),
     # -- free-form marker (CLI open/close notes)
     "note": ("text",),

@@ -70,8 +70,8 @@ class SnapshotLadder:
     ``capture`` says which rungs to capture: True for every rung, False
     for none, or a collection of rung numbers.  Without a ``store``
     every captured payload stays on its rung, decoded; with one, each
-    is written as :func:`~repro.snapshot.store.encode_payload` bytes,
-    and ``keep_in_memory`` keeps those bytes on the rung as well.
+    is written as :func:`~repro.snapshot.store.encode_payload` bytes
+    and the rung keeps only their key.
 
     :meth:`install` makes the system own its ladder (``system.snapshots``
     and the device's persist hook), so the ladder keeps ``system`` as a
@@ -82,8 +82,7 @@ class SnapshotLadder:
     def __init__(self, system, every: int,
                  store: Optional[SnapshotStore] = None,
                  index_name: Optional[str] = None,
-                 capture: Union[bool, Iterable[int]] = True,
-                 keep_in_memory: bool = False):
+                 capture: Union[bool, Iterable[int]] = True):
         if every < 0:
             raise ValueError("snapshot interval must be >= 0")
         self.system = weakref.proxy(system)
@@ -92,15 +91,13 @@ class SnapshotLadder:
         self.index_name = index_name
         self.capture = (capture if isinstance(capture, bool)
                         else frozenset(capture))
-        self.keep_in_memory = keep_in_memory
         self._since_last = 0
         self._requested = False
         self._parked: Dict[int, object] = {}   # core_id -> park Event
         #: Every rung this run reached, captured or not: {"cycle", "rung"}.
         self.reached: List[Dict] = []
         #: Captured rungs: {"cycle", "rung", "fingerprint", and "key"
-        #: (with "blob" when kept in memory) for a stored ladder, else
-        #: "payload"}.
+        #: for a stored ladder, else "payload"}.
         self.rungs: List[Dict] = []
         #: Rungs reached so far, counting those before a restore point
         #: (it rides inside every snapshot), captured or not.
@@ -187,10 +184,7 @@ class SnapshotLadder:
         if self.store is None:
             rung["payload"] = payload
         else:
-            blob = encode_payload(payload)
-            rung["key"] = self.store.put(blob)
-            if self.keep_in_memory:
-                rung["blob"] = blob
+            rung["key"] = self.store.put(encode_payload(payload))
         self.rungs.append(rung)
         # Wall-side narration only: the capture itself (cycle, payload,
         # fingerprint) is already done, so an enabled bus cannot
@@ -244,7 +238,8 @@ def restore_nearest(system, store: SnapshotStore, index_name: str,
         # How deep a warm start got: the distance crash_cycle -
         # rung_cycle is the tail each trial still has to simulate.
         # ``source`` says where the payload came from: here always the
-        # store (the resident path emits "resident"/"cold" itself).
+        # store (a resident cell emits "forward"/"store"/"cold"
+        # itself).
         bus.emit("snapshot_restore", crash_cycle=crash_cycle,
                  rung_cycle=rung["cycle"], rung=rung["rung"],
                  source="store")

@@ -24,10 +24,10 @@ reads the object from disk and checks its sha256 against its key before
 returning the bytes, so a damaged object -- truncated, bit-flipped or
 overwritten at any time after it was written -- raises
 :class:`SnapshotError` instead of decoding (:func:`decode_payload`)
-into a different machine state.  The store keeps no read cache: the
-campaign (:mod:`repro.validation.campaign`) caches the verified bytes
-of the rungs it uses, keyed by the same object key, and decodes one
-only when it restores it.
+into a different machine state.  Nothing caches the verified bytes:
+every campaign trial (:mod:`repro.validation.campaign`) reads its
+nearest rung from the store, so every process sees the same rungs,
+damaged or not.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class SnapshotError(RuntimeError):
 
 
 def encode_payload(payload: dict) -> bytes:
-    """The bytes a captured state is stored and cached as."""
+    """The bytes a captured state is stored as."""
     try:
         return pickle.dumps(payload, protocol=4)
     except Exception as exc:

@@ -28,8 +28,8 @@ import sys
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, fields, replace
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..config import table3_config
 from ..obsv.bus import get_bus
@@ -138,15 +138,13 @@ def _built_program(spec: TrialSpec) -> Tuple[object, object]:
 
 
 def _build(spec: TrialSpec, capture: Union[bool, Iterable[int]] = False,
-           keep_rungs: bool = False, index_name: Optional[str] = None):
+           index_name: Optional[str] = None):
     """Build the traced system for one trial, fault armed.  With a
     non-zero ``snapshot_every`` a ladder is installed; ``capture`` is
     the ladder's: every rung for the canonical profile run, none
     (identical parking) for trials, or the rung numbers the crash-state
-    checker will restore.  ``keep_rungs`` keeps each stored rung's bytes
-    on its rung dict so the campaign can seed the in-process rung cache.
-    ``index_name`` is the cell's :func:`_cell_index_name`, for callers
-    that already hold it."""
+    checker will restore.  ``index_name`` is the cell's
+    :func:`_cell_index_name`, for callers that already hold it."""
     fault = fault_by_name(spec.fault)
     # No event bound: the oracle judges the whole history, and a bounded
     # recorder would drop its tail silently (no list reaches sys.maxsize
@@ -165,8 +163,7 @@ def _build(spec: TrialSpec, capture: Union[bool, Iterable[int]] = False,
         ladder = SnapshotLadder(
             system, spec.snapshot_every, store=store,
             index_name=index_name or _cell_index_name(spec),
-            capture=capture,
-            keep_in_memory=keep_rungs).install()
+            capture=capture).install()
     fault.arm(system)
     return workload, system, fault, recorder, ladder
 
@@ -313,44 +310,8 @@ def run_trial(spec: TrialSpec) -> Dict:
 #: cell-affine, so a worker rarely juggles more than a couple.  Also the
 #: program cache's size.
 _RESIDENT_CELL_CAP = 4
-#: Rungs held per process, 64 per resident cell.  Each is the stored
-#: bytes of one full machine state: 40-290 KB (median 165 KB) on the
-#: campaign-ladder inputs, 10 MB for all 62 of their rungs.
-_RUNG_CACHE_CAP = _RESIDENT_CELL_CAP * 64
 
 _RESIDENT_CELLS: "OrderedDict[TrialSpec, _ResidentCell]" = OrderedDict()
-
-
-class _CachedRung:
-    """One rung: its verified store bytes and, once a trial has restored
-    it, ``(event count, oracle history)`` of its trace prefix.
-    HistoryEvent is immutable, so every trial restoring the rung shares
-    one prefix list; extending it is exact because events_to_history is
-    a stateless per-event map."""
-
-    __slots__ = ("blob", "history")
-
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.history: Optional[Tuple[int, list]] = None
-
-
-#: The process-wide rung cache, keyed by store object key: the sha256 of
-#: the rung's bytes, so one key names one machine state (trace prefix
-#: included) wherever its store lives.  The profiling run admits the
-#: bytes it wrote and resident cells admit the bytes they read; every
-#: cell in the process restores from it.  Entries are immutable bytes,
-#: decoded afresh at each restore: seeding needs no copy, and the cache
-#: holds no payload containers for the collector to walk.
-_RUNG_CACHE: "OrderedDict[str, _CachedRung]" = OrderedDict()
-
-
-def _admit_rung(key: str, blob: bytes) -> _CachedRung:
-    """Cache a rung's bytes, evicting the least recently used."""
-    entry = _RUNG_CACHE[key] = _CachedRung(blob)
-    while len(_RUNG_CACHE) > _RUNG_CACHE_CAP:
-        _RUNG_CACHE.popitem(last=False)
-    return entry
 
 
 class _ResidentCell:
@@ -361,17 +322,19 @@ class _ResidentCell:
     the same deterministic execution, so a trial at cycle ``c`` starts
     from the latest of the live run (source ``forward``; only while it
     is on the canonical trajectory and at or before ``c``), the nearest
-    usable rung at or before ``c`` restored in place (``resident`` or
-    ``store``), or a fresh build (``cold``), ties going to the live
-    run.  Trials in ascending order -- the order planners emit -- thus
-    cost one run per cell instead of the sum of their crash cycles.
+    usable rung at or before ``c`` read from the rung store and
+    restored in place (``store``), or a fresh build (``cold``), ties
+    going to the live run.  Trials in ascending order -- the order
+    planners emit -- thus cost one run per cell instead of the sum of
+    their crash cycles.
 
     Outcomes equal :func:`run_trial`'s whichever start was taken:
     restore fully resets every component (the invariant the
-    restore-equivalence suite proves), every restore decodes a fresh
-    payload from the cached bytes, and ``restored_from_cycle`` always
-    names the nearest usable rung, not the start taken.  A cell without
-    a rung store never captures or restores.
+    restore-equivalence suite proves), and every trial reads and
+    hash-checks its nearest rung from the store, as :func:`run_trial`
+    does, so ``restored_from_cycle`` names the nearest usable rung, not
+    the start taken, and a damaged store gives every process the same
+    answer.  A cell without a rung store never captures or restores.
 
     The cell also keeps the structural verdict of the image its live
     run's previous cut persisted, with the device's persist counts at
@@ -400,51 +363,27 @@ class _ResidentCell:
         # previous cut.
         self._verdict: Optional[Tuple[Tuple[int, int], Verdict]] = None
         self._rungs: Optional[List[Dict]] = None
-        self._index_error: Optional[str] = None
         # Why the latest rung lookup fell back cold (damaged store).
         self._fallback_error: Optional[str] = None
-
-    def _rung_index(self) -> List[Dict]:
-        if self._rungs is None and self._index_error is None:
-            try:
-                self._rungs = self.store.load_index(self.index_name)
-            except SnapshotError as exc:
-                # Remember the failure: every trial of the batch falls
-                # back cold with the same warning the cold path logs.
-                self._index_error = str(exc)
-        return self._rungs or []
 
     def _restore_payload(self, spec: TrialSpec
                          ) -> Tuple[Optional[Dict], str]:
         """(rung, source) for the nearest usable rung at or before the
-        crash cycle, its rung-cache entry under ``cached``; (None,
+        crash cycle, its verified store bytes under ``blob``; (None,
         "cold") when there is none.  A damaged store also leaves its
         error in ``_fallback_error``."""
         self._fallback_error = None
-        rungs = self._rung_index()
-        if self._index_error is not None:
-            log.warning("snapshot restore failed (%s); starting cold",
-                        self._index_error)
-            self._fallback_error = self._index_error
-            return None, "cold"
-        rung = nearest_rung(rungs, spec.crash_cycle)
-        if rung is None:
-            return None, "cold"
-        key = rung["key"]
-        entry = _RUNG_CACHE.get(key)
-        if entry is not None:
-            _RUNG_CACHE.move_to_end(key)
-            source = "resident"
-        else:
-            try:
-                entry = _admit_rung(key, self.store.get(key))
-            except SnapshotError as exc:
-                log.warning("snapshot restore failed (%s); starting cold",
-                            exc)
-                self._fallback_error = str(exc)
+        try:
+            if self._rungs is None:
+                self._rungs = self.store.load_index(self.index_name)
+            rung = nearest_rung(self._rungs, spec.crash_cycle)
+            if rung is None:
                 return None, "cold"
-            source = "store"
-        return {**rung, "cached": entry}, source
+            return {**rung, "blob": self.store.get(rung["key"])}, "store"
+        except SnapshotError as exc:
+            log.warning("snapshot restore failed (%s); starting cold", exc)
+            self._fallback_error = str(exc)
+            return None, "cold"
 
     def _restart(self, spec: TrialSpec, rung: Optional[Dict]) -> None:
         """Start a new live run from ``rung``, or from a fresh build.
@@ -460,23 +399,14 @@ class _ResidentCell:
         else:
             self.fault = fault_by_name(spec.fault)
             self.fault.arm(self.system)
-        if rung is None:
-            self._history = (0, [])
-        else:
-            entry = rung["cached"]
-            self.system.restore_state(decode_payload(entry.blob,
+        if rung is not None:
+            self.system.restore_state(decode_payload(rung["blob"],
                                                      rung["key"]))
-            if entry.history is None:
-                # A canonical live run that has not reached the rung has
-                # recorded a prefix of the rung's trace: the rung's
-                # history extends the live one, sharing its events.
-                count, history = 0, []
-                if live is not None and live[0] <= len(self.recorder):
-                    count, history = live
-                entry.history = (len(self.recorder), history
-                                 + events_to_history(
-                                     self.recorder.events(count)))
-            self._history = entry.history
+        # A canonical live run that has not reached the new start has
+        # recorded a prefix of its trace, so its converted history is
+        # the new run's too: _live_history extends it from there.
+        self._history = (live if live is not None
+                         and live[0] <= len(self.recorder) else (0, []))
         self._launch = self.system.launch()
         self._canonical = True
 
@@ -609,28 +539,8 @@ def profile_cell(spec: TrialSpec) -> RunProfile:
     crash points land inside the *perturbed* run's duration).  With a
     snapshot store configured this is also the canonical run that fills
     the cell's rung ladder."""
-    return _profile_cell(spec)[0]
-
-
-def profile_cell_seeding(spec: TrialSpec) -> RunProfile:
-    """:func:`profile_cell`, additionally seeding this process's rung
-    cache with the bytes the canonical run just stored.  Campaigns
-    profile through this so trials that land in the profiling process
-    restore without ever re-reading the store."""
-    profile, ladder = _profile_cell(spec, keep_rungs=True)
-    # Rungs are captured only with a store, so every one has its key
-    # and bytes.
-    for rung in ladder.rungs if ladder is not None else ():
-        if rung["key"] not in _RUNG_CACHE:
-            _admit_rung(rung["key"], rung["blob"])
-    return profile
-
-
-def _profile_cell(spec: TrialSpec, keep_rungs: bool = False
-                  ) -> Tuple[RunProfile, Optional[SnapshotLadder]]:
     _workload, system, _fault, recorder, ladder = _build(
-        spec, capture=spec.snapshot_dir is not None,
-        keep_rungs=keep_rungs)
+        spec, capture=spec.snapshot_dir is not None)
     result = system.run()
     if ladder is not None:
         ladder.flush_index()
@@ -644,7 +554,12 @@ def _profile_cell(spec: TrialSpec, keep_rungs: bool = False
         issue_end=max((core.finish_time or 0) for core in system.cores),
         persist_cycles=sorted({event.cycle for event in history
                                if event.kind in (PERSIST, WRITEBACK)}),
-    ), ladder
+    )
+
+
+# A patch site of benchmarks/e2e/layers.py's ``validation.profile`` span,
+# which only a change to the benchmark may edit.
+profile_cell_seeding = profile_cell
 
 
 def snapshot_cell(spec: TrialSpec) -> List[Dict]:
@@ -848,7 +763,6 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
                  n_threads: int = 2, fases_per_thread: int = 10,
                  log_mode: str = "undo", shrink: bool = True,
                  executor=None,
-                 progress: Optional[Callable[[str], None]] = None,
                  snapshot_dir: Optional[str] = None,
                  snapshot_every: int = 0,
                  snapshot_rungs: int = 0,
@@ -905,11 +819,6 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
              designs=list(designs), planner=planner, fault=fault,
              budget=budget)
 
-    def say(message: str) -> None:
-        log.info("%s", message)
-        if progress is not None:
-            progress(message)
-
     cell_every: Dict[Tuple[str, str], int] = {}
 
     def base_spec(workload: str, design: str) -> TrialSpec:
@@ -922,20 +831,17 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
 
     def profile_cells(specs: List[TrialSpec]) -> List[RunProfile]:
         """Profiles are pure functions of their spec, so the per-cell
-        canonical runs fan out over the executor (rungs land in the
-        shared on-disk store either way).  Profiling seeds the
-        profiling process's rung cache so trials that stay in that
-        process never re-read what it just wrote; a pool worker that
-        gets the cell without the seed falls back to the store read,
-        nothing worse."""
+        canonical runs fan out over the executor; rungs land in the
+        shared on-disk store, the one place every trial reads them
+        from, whichever process it runs in."""
         if executor is not None and len(specs) > 1:
             return executor.map(
-                profile_cell_seeding, specs,
+                profile_cell, specs,
                 describe=lambda s: f"profile {s.workload}/{s.design}")
-        return [profile_cell_seeding(spec) for spec in specs]
+        return [profile_cell(spec) for spec in specs]
 
     if snapshot_rungs:
-        say(f"sizing ladders: ~{snapshot_rungs} rungs per cell")
+        log.info("sizing ladders: ~%d rungs per cell", snapshot_rungs)
         probes = profile_cells([
             replace(base_spec(workload, design), snapshot_every=0,
                     snapshot_dir=None)
@@ -953,8 +859,8 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
                 chunk_size=batch, describe=_describe_batch)
         return run_trial_batch(specs)
 
-    say(f"profiling {len(cells)} cells "
-        f"({len(workloads)} workloads x {len(designs)} designs)")
+    log.info("profiling %d cells (%d workloads x %d designs)",
+             len(cells), len(workloads), len(designs))
     profiles: Dict[Tuple[str, str], RunProfile] = {}
     for (workload, design), profile in zip(
             cells, profile_cells([base_spec(workload, design)
@@ -985,7 +891,8 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
             tried[cell].update(fresh)
             specs.extend(replace(base_spec(workload, design),
                                  crash_cycle=cycle) for cycle in fresh)
-        say(f"round {round_index + 1}/{rounds}: {len(specs)} trials")
+        log.info("round %d/%d: %d trials", round_index + 1, rounds,
+                 len(specs))
         bus.emit("round_start", round=round_index + 1, rounds=rounds,
                  n_trials=len(specs))
         for spec, outcome in zip(specs, fan_out(specs)):
@@ -1019,7 +926,7 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
         shrink_payload = None
         if shrink and cell_failures:
             shrink_payload = _shrink_cell(
-                base_spec(workload, design), cell_failures, say)
+                base_spec(workload, design), cell_failures)
             bus.emit("shrink_finish", workload=workload, design=design,
                      earliest_cycle=cell_failures[0]["crash_cycle"],
                      minimal_cycle=shrink_payload["minimal_cycle"],
@@ -1060,14 +967,14 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
                 // _CRASH_STATE_RUNGS)
             spec = replace(base_spec(workload, design),
                            snapshot_every=every, snapshot_dir=None)
-            say(f"crash-states {workload}/{design}: "
-                f"{len(cycles)} cycles, budget {image_budget}")
+            log.info("crash-states %s/%s: %d cycles, budget %d",
+                     workload, design, len(cycles), image_budget)
             payload = check_cell(spec, cycles, image_budget=image_budget,
                                  shrink=shrink)
             cs_cells.append(payload)
-            say(f"crash-states {workload}/{design}: "
-                f"{payload.get('images_checked', 0)} images, "
-                f"{payload.get('images_failed', 0)} failed")
+            log.info("crash-states %s/%s: %d images, %d failed",
+                     workload, design, payload.get("images_checked", 0),
+                     payload.get("images_failed", 0))
         crash_states_payload = {
             "schema_version": CRASH_STATES_SCHEMA_VERSION,
             "image_budget": image_budget,
@@ -1096,11 +1003,11 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
     bus.emit("campaign_finish", cells=len(cells),
              trials=report.total_trials, failures=report.total_failures,
              consistent=report.consistent, elapsed_s=report.elapsed_s)
-    say(f"campaign done: {report!r}")
+    log.info("campaign done: %r", report)
     return report
 
 
-def _shrink_cell(base: TrialSpec, cell_failures: List[Dict], say) -> Dict:
+def _shrink_cell(base: TrialSpec, cell_failures: List[Dict]) -> Dict:
     """Shrink a cell's earliest failing cycle to a minimal reproducer."""
     earliest = cell_failures[0]["crash_cycle"]
     outcomes: Dict[int, Dict] = {earliest: cell_failures[0]}
@@ -1114,9 +1021,9 @@ def _shrink_cell(base: TrialSpec, cell_failures: List[Dict], say) -> Dict:
     minimal = outcomes.get(shrunk.minimal_cycle)
     if minimal is None:  # minimal == earliest and it was never re-run
         minimal = outcomes[earliest]
-    say(f"shrunk {base.workload}/{base.design} failure: cycle "
-        f"{earliest} -> {shrunk.minimal_cycle} "
-        f"({shrunk.trials} bisection trials)")
+    log.info("shrunk %s/%s failure: cycle %d -> %d (%d bisection trials)",
+             base.workload, base.design, earliest, shrunk.minimal_cycle,
+             shrunk.trials)
     payload = shrunk.to_dict()
     payload["minimal_violations"] = minimal["violations"]
     return payload

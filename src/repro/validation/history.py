@@ -134,8 +134,8 @@ def events_to_history(events) -> List[HistoryEvent]:
     The mapping is stateless per event, so a history may be assembled
     piecewise: ``events_to_history(a) + events_to_history(b)`` equals
     ``events_to_history(a + b)``.  The resident campaign path relies on
-    this to reuse one converted prefix across every trial restored from
-    the same rung.
+    this to extend one converted prefix across the trials of a live
+    run, and to keep it when the run restarts from a later rung.
     """
     history: List[HistoryEvent] = []
     append = history.append

@@ -36,7 +36,7 @@ def test_checker_restores_what_a_capture_all_ladder_would(
     # The checker's canonical run before targeted capture: every rung,
     # device history on (history is captured state, so it is part of
     # every rung's fingerprint).
-    _, system, _, _, full = _build(spec, capture=True, keep_rungs=True)
+    _, system, _, _, full = _build(spec, capture=True)
     system.device.record_history = True
     system.run()
 

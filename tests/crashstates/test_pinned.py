@@ -26,6 +26,12 @@ PINNED = {
         119, 11),
 }
 
+#: One hashmap cell pair at 32 threads (power-cut, budget 8): the
+#: PMEM-Spec run overflows its speculation buffer, so the durable-state
+#: models judge images cut from runs under the Section 5.3 pause.
+PINNED_32_THREADS = (
+    "c1180e556c7036cf56a7a83c079d5f31c5396f821c76afc4d9eb67981ec0b36d", 522)
+
 
 @pytest.mark.parametrize("fault", sorted(PINNED))
 def test_crash_states_report_fingerprint_pinned(fault):
@@ -37,4 +43,15 @@ def test_crash_states_report_fingerprint_pinned(fault):
     assert len(cells) == len(WORKLOADS) * len(DESIGNS)
     assert sum(cell["images_failed"] for cell in cells) == images_failed
     assert sum(1 for cell in cells if cell["shrink"]) == shrunk
+    assert report.fingerprint() == fingerprint
+
+
+def test_32_thread_crash_states_report_fingerprint_pinned():
+    fingerprint, images = PINNED_32_THREADS
+    report = run_campaign(["hashmap"], ["PMEM-Spec", "IntelX86"],
+                          budget=8, seed=42, n_threads=32,
+                          crash_states=True)
+    cells = report.crash_states["cells"]
+    assert sum(cell["images_enumerated"] for cell in cells) == images
+    assert report.crash_states_ok
     assert report.fingerprint() == fingerprint

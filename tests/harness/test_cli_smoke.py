@@ -125,6 +125,18 @@ def test_cli_validate_clean_campaign(tmp_path, capsys):
     assert payload["total_trials"] > 0
 
 
+def test_cli_validate_progress_says_each_line_once(capsys):
+    """``--progress`` adds the executor's per-chunk lines; the
+    campaign's own messages are logged once, not once more through a
+    progress callback."""
+    assert main(["validate", "--budget", "3", "--benchmarks", "queue",
+                 "--designs", "IntelX86", "--progress"]) == 0
+    logged = capsys.readouterr().err.splitlines()
+    for message in ("profiling 1 cells", "round 1/1: 3 trials",
+                    "campaign done", "[1/1] queue/IntelX86 x3"):
+        assert sum(message in line for line in logged) == 1, message
+
+
 def test_cli_validate_exits_nonzero_on_violations(capsys):
     """The torn-log fault (the deliberate-bug fixture) must gate: the
     command exits 1 and the table names the violated invariant."""

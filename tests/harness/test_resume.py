@@ -10,6 +10,7 @@ The CLI tests kill a real ``validate --resume`` subprocess mid-campaign
 execute exactly the tasks the journal lacks and print the report
 fingerprint of an uninterrupted run."""
 
+import functools
 import json
 import os
 import re
@@ -51,6 +52,10 @@ def _always_fails(x):
     raise ValueError("poison")
 
 
+def _scale(factor, x):
+    return factor * x
+
+
 def _executor(tmp_path):
     return ParallelExecutor(jobs=1, cache_dir=str(tmp_path))
 
@@ -63,6 +68,22 @@ class TestTaskKey:
     def test_distinguishes_fn_and_arg(self):
         assert task_key(_double, 1) != task_key(_double, 2)
         assert task_key(_double, 1) != task_key(_double_chunk, 1)
+
+    def test_a_partial_is_keyed_by_its_function_and_bound_arguments(
+            self):
+        key = task_key(functools.partial(_scale, 5), 1)
+        assert key == task_key(functools.partial(_scale, 5), 1)
+        assert key != task_key(functools.partial(_scale, 6), 1)
+        assert key != task_key(functools.partial(_scale, factor=5), 1)
+        assert key != task_key(_scale, 1)
+
+    def test_a_lambda_or_nested_function_has_no_durable_key(self):
+        def nested(x):
+            return x
+
+        for fn in (lambda x: x, nested, functools.partial(nested, 1)):
+            with pytest.raises(ValueError, match="no durable name"):
+                task_key(fn, 1)
 
 
 class TestOutcomeStore:

@@ -81,8 +81,7 @@ class TestSnapshotNeutrality:
     def laddered(self, bus=None):
         _workload, system = build_crash_system(
             BENCHMARKS["queue"], "PMEM-Spec", 2, 5, seed=7)
-        ladder = SnapshotLadder(system, every=5,
-                                keep_in_memory=True).install()
+        ladder = SnapshotLadder(system, every=5).install()
         if bus is not None:
             with bus_scope(bus):
                 system.run()

@@ -17,8 +17,8 @@ WORKLOADS = ["array_swaps", "queue", "hashmap"]
 def laddered_run(design, workload, capture=True, every=5):
     _workload, system = build_crash_system(
         BENCHMARKS[workload], design, 2, 5, seed=7)
-    ladder = SnapshotLadder(system, every=every, capture=capture,
-                            keep_in_memory=True).install()
+    ladder = SnapshotLadder(system, every=every,
+                            capture=capture).install()
     result = system.run()
     return system, ladder, result
 

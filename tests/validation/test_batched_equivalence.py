@@ -20,7 +20,6 @@ from repro.obsv.bus import EventBus, set_bus, validate_events
 from repro.snapshot import SnapshotStore
 from repro.validation import campaign
 from repro.validation.campaign import (TrialSpec, _RESIDENT_CELLS,
-                                       _RUNG_CACHE,
                                        _cell_index_name, profile_cell,
                                        run_campaign, run_trial,
                                        run_trial_batch)
@@ -31,13 +30,11 @@ GRID = dict(planner="stratified", fault="torn-log", budget=5, seed=42,
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    """Resident systems and the rung cache persist per process;
-    equivalence tests must not inherit another test's warm state."""
+    """Resident systems persist per process; equivalence tests must not
+    inherit another test's live runs."""
     _RESIDENT_CELLS.clear()
-    _RUNG_CACHE.clear()
     yield
     _RESIDENT_CELLS.clear()
-    _RUNG_CACHE.clear()
     set_bus(None)
 
 
@@ -130,7 +127,6 @@ def run_modes(tmp_path, **overrides):
             "batched-serial": (ParallelExecutor(jobs=1), 3),
             "batched-pool": (ParallelExecutor(jobs=2), 3)}.items():
         _RESIDENT_CELLS.clear()
-        _RUNG_CACHE.clear()
         reports[mode] = run_campaign(
             ["hashmap"], ["PMEM-Spec", "IntelX86"],
             snapshot_dir=str(tmp_path / mode), executor=executor,
@@ -163,7 +159,6 @@ class TestDamagedStoreFallback:
             path = store._object_path(rung["key"])
             with open(path, "r+b") as handle:
                 handle.truncate(16)
-        _RUNG_CACHE.clear()
 
     def test_batched_damage_equals_serial_damage(self, warm_cell):
         spec, profile = warm_cell
@@ -219,21 +214,3 @@ class TestRestoreSourceEvents:
         sources = [e["source"] for e in seen
                    if e["kind"] == "snapshot_restore"]
         assert sources == ["store", "forward", "cold"]
-
-    def test_batched_campaign_never_rereads_its_own_rungs(self, tmp_path):
-        """The zero-re-read path: a batched campaign profiles, captures,
-        and then serves every warm trial from the seeded in-process
-        payloads -- no trial ever reads back a rung the profiling run
-        just wrote."""
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        set_bus(bus)
-        run_campaign(["hashmap"], ["PMEM-Spec"],
-                     snapshot_dir=str(tmp_path / "seeded"), batch=3,
-                     **GRID)
-        sources = [e["source"] for e in seen
-                   if e["kind"] == "snapshot_restore"
-                   and "source" in e]
-        assert "store" not in sources
-        assert "resident" in sources

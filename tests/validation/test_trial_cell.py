@@ -3,13 +3,14 @@
 A :class:`_ResidentCell` serves each trial of a cell from the latest of
 its live run, the nearest usable rung, or a fresh build.  This suite
 holds it to :func:`run_trial`, the fresh-build definition of a trial,
-for every fault model on three cells (unladdered, laddered, laddered
-with truncated store objects), with crash cycles served ascending,
-descending, and shuffled with repeats through one cell.  It also pins
-the mechanism: which starts are taken and what each one costs.
+for every fault model on four cells (unladdered, laddered, and
+laddered with truncated store objects, profiled through
+``profile_cell`` or through ``profile_cell_seeding`` in the serving
+process), with crash cycles served ascending, descending, and shuffled
+with repeats through one cell.  It also pins the mechanism: which
+starts are taken and what each one costs.
 """
 
-import hashlib
 import random
 from dataclasses import replace
 
@@ -20,34 +21,38 @@ from repro.snapshot import SnapshotStore
 from repro.system import System
 from repro.validation import campaign
 from repro.validation.campaign import (TrialSpec, _RESIDENT_CELLS,
-                                       _RUNG_CACHE, _ResidentCell,
-                                       _cell_index_name, profile_cell,
-                                       profile_cell_seeding, run_trial)
+                                       _ResidentCell, _cell_index_name,
+                                       profile_cell, profile_cell_seeding,
+                                       run_trial)
 from repro.validation.faults import FAULT_NAMES
 
 BASE = TrialSpec(workload="hashmap", design="PMEM-Spec", n_threads=2,
                  fases_per_thread=6, seed=11)
-KINDS = ("unladdered", "laddered", "truncated")
+#: ``seeded-truncated`` profiles through the name the benchmark's layer
+#: spans patch, in the process that then serves the trials, as a
+#: campaign run with ``--jobs 1`` does.
+KINDS = ("unladdered", "laddered", "truncated", "seeded-truncated")
 
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     _RESIDENT_CELLS.clear()
-    _RUNG_CACHE.clear()
     yield
     _RESIDENT_CELLS.clear()
-    _RUNG_CACHE.clear()
     set_bus(None)
 
 
-def make_cell(kind, fault, tmp_path, profile_with=profile_cell):
+def make_cell(kind, fault, tmp_path):
     """(spec, crash cycles) for one cell; laddered kinds fill a store."""
     spec = replace(BASE, fault=fault)
     if kind != "unladdered":
         spec = replace(spec, snapshot_every=6,
                        snapshot_dir=str(tmp_path / "snaps"))
-    profile = profile_with(spec)
-    if kind == "truncated":
+    if kind == "seeded-truncated":
+        profile = profile_cell_seeding(spec)
+    else:
+        profile = profile_cell(spec)
+    if kind.endswith("truncated"):
         store = SnapshotStore(spec.snapshot_dir)
         rungs = store.load_index(_cell_index_name(spec))
         assert rungs
@@ -144,144 +149,40 @@ def test_virtual_misspec_never_continues_a_live_run(monkeypatch, kind,
         assert counts["_build"] == len(cycles)
 
 
-def log_calls(monkeypatch, owner, name, log, entry):
-    original = getattr(owner, name)
-
-    def logged(*args):
-        log.append(entry(*args))
-        return original(*args)
-    monkeypatch.setattr(owner, name, logged)
-
-
-def record_lookups(monkeypatch):
-    """The source of every rung lookup a resident cell makes, in order
-    (``forward`` trials look their rung up too)."""
-    sources = []
-    original = _ResidentCell._restore_payload
-
-    def recorded(self, spec):
-        rung, source = original(self, spec)
-        sources.append(source)
-        return rung, source
-    monkeypatch.setattr(_ResidentCell, "_restore_payload", recorded)
-    return sources
-
-
-def serve(spec, order):
-    cell = _ResidentCell(spec)
-    return [cell.run_trial(replace(spec, crash_cycle=cycle))
-            for cycle in order]
-
-
-def test_a_second_cell_restores_what_the_first_read(monkeypatch,
-                                                    tmp_path):
+def test_every_rung_lookup_reads_the_store(monkeypatch, tmp_path):
+    # No rung bytes outlive a trial: each trial reads and hash-checks
+    # its nearest rung, ``forward`` trials included, and starts from the
+    # live run, a stored rung or a fresh build.
     spec, cycles = make_cell("laddered", "power-cut", tmp_path)
-    sources = record_lookups(monkeypatch)
-    serve(spec, cycles)
-    first = list(sources)
-    assert "store" in first
+    rungs = SnapshotStore(spec.snapshot_dir).load_index(
+        _cell_index_name(spec))
     counts = {}
     count_calls(monkeypatch, SnapshotStore, "get", counts)
-    sources.clear()
-    serve(spec, cycles)
-    assert counts == {}
-    assert sources == ["cold" if source == "cold" else "resident"
-                       for source in first]
-
-
-def test_a_seeded_cell_never_reads_the_store(monkeypatch, tmp_path):
-    spec, cycles = make_cell("laddered", "power-cut", tmp_path,
-                             profile_with=profile_cell_seeding)
-    counts = {}
-    count_calls(monkeypatch, SnapshotStore, "get", counts)
-    sources = record_lookups(monkeypatch)
+    seen = watch()
+    with_rung = 0
     for order in orders(cycles).values():
-        serve(spec, order)
-    assert counts == {}
-    assert "resident" in sources and "store" not in sources
-
-
-def test_each_rung_prefix_is_converted_once_per_process(monkeypatch,
-                                                        tmp_path):
-    spec, cycles = make_cell("laddered", "power-cut", tmp_path)
-    # A prefix conversion is one between a rung restore and the cut.
-    log = []
-    log_calls(monkeypatch, System, "restore_state", log,
-              lambda _system, payload: payload["cycle"])
-    log_calls(monkeypatch, campaign, "_cut", log, lambda *_args: "cut")
-    log_calls(monkeypatch, campaign, "events_to_history", log,
-              lambda _events: "convert")
-    descending = sorted(cycles, reverse=True)
-    serve(spec, descending)
-    serve(spec, descending)
-    conversions, restored = {}, None
-    for entry in log:
-        if entry == "cut":
-            restored = None
-        elif entry == "convert":
-            if restored is not None:
-                conversions[restored] += 1
-        else:
-            restored = entry
-            conversions.setdefault(restored, 0)
-    assert len(conversions) > 1
-    assert set(conversions.values()) == {1}, conversions
-
-
-def test_every_cached_rung_is_its_stored_bytes(tmp_path):
-    # Seeded entries hold the bytes the profiling run wrote, read
-    # entries the bytes the store returned: either way the entry is
-    # immutable bytes named by their own sha256, decoded per restore.
-    spec, cycles = make_cell("laddered", "power-cut", tmp_path,
-                             profile_with=profile_cell_seeding)
-    seeded = len(_RUNG_CACHE)
-    assert seeded > 2
-    evicted = list(_RUNG_CACHE)[::2]
-    for key in evicted:
-        del _RUNG_CACHE[key]
-    for order in orders(cycles).values():
-        serve(spec, order)
-    assert set(evicted) <= set(_RUNG_CACHE)
-    for key, entry in _RUNG_CACHE.items():
-        assert type(entry.blob) is bytes
-        assert hashlib.sha256(entry.blob).hexdigest() == key
+        cell = _ResidentCell(spec)
+        for cycle in order:
+            cell.run_trial(replace(spec, crash_cycle=cycle))
+            with_rung += any(rung["cycle"] <= cycle for rung in rungs)
+    assert set(restore_sources(seen)) == {"forward", "store", "cold"}
+    assert counts["get"] == with_rung
 
 
 def test_an_ascending_cell_shares_one_history(tmp_path):
-    # Each rung the ascending live run catches up with extends the live
-    # run's history: the cache holds one set of HistoryEvents, not one
-    # per rung.
-    spec, cycles = make_cell("laddered", "power-cut", tmp_path,
-                             profile_with=profile_cell_seeding)
-    serve(spec, sorted(cycles))
-    histories = [entry.history[1] for entry in _RUNG_CACHE.values()
-                 if entry.history is not None]
-    assert len(histories) > 2
+    # Each rung the ascending live run restarts from keeps the live
+    # run's converted history: its trials hold one set of
+    # HistoryEvents, not one per rung.
+    spec, cycles = make_cell("laddered", "power-cut", tmp_path)
+    seen = watch()
+    cell = _ResidentCell(spec)
+    histories = []
+    for cycle in sorted(cycles):
+        cell.run_trial(replace(spec, crash_cycle=cycle))
+        histories.append(cell._history[1])
+    assert restore_sources(seen).count("store") > 2
     distinct = {id(event) for history in histories for event in history}
     assert len(distinct) <= max(map(len, histories))
-
-
-def test_a_two_rung_cache_changes_no_outcome(monkeypatch, tmp_path):
-    monkeypatch.setattr(campaign, "_RUNG_CACHE_CAP", 2)
-    spec, cycles = make_cell("laddered", "torn-log", tmp_path,
-                             profile_with=profile_cell_seeding)
-    reference = {cycle: run_trial(replace(spec, crash_cycle=cycle))
-                 for cycle in cycles}
-    rungs = SnapshotStore(spec.snapshot_dir).load_index(
-        _cell_index_name(spec))
-    assert len(rungs) > 2
-    sizes = [len(_RUNG_CACHE)]
-    counts = {}
-    count_calls(monkeypatch, SnapshotStore, "get", counts)
-    for name, order in orders(cycles).items():
-        cell = _ResidentCell(spec)
-        for cycle in order:
-            assert cell.run_trial(replace(spec, crash_cycle=cycle)) == \
-                reference[cycle], (name, cycle)
-            sizes.append(len(_RUNG_CACHE))
-    assert max(sizes) <= 2
-    # Evicted seeded rungs were read back from the store.
-    assert counts.get("get", 0) > 0
 
 
 def test_cold_fallback_trial_emits_one_restore_event(tmp_path):
