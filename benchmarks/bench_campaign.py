@@ -29,11 +29,11 @@ cell (~RUNGS rungs) from *untimed* probe runs before any measured pass
 being compared -- and every pass, including cold, runs with the same
 per-cell ``snapshot_every`` so all four share one laddered timing
 universe.  No process keeps rung bytes between trials: each campaign's
-profiling run writes its rungs to the pass's store, and every trial,
-in-process or in a pool worker, reads and hash-checks its nearest rung
-from there.  Correctness is asserted, not assumed: every pass must
-produce the same stripped per-cell outcomes (trials, cycles,
-violations, failures), so the speedup is pure mechanics.  The batched
+profiling run writes its rungs to the pass's store, and every trial
+that restarts from a rung, in-process or in a pool worker, reads and
+hash-checks it from there.  Correctness is asserted, not assumed: every
+pass must produce the same per-cell outcomes, whole apart from store
+locations, so the speedup is pure mechanics.  The batched
 pass runs under an event bus, and the JSON records where its trials
 started (``forward`` / ``store`` / ``cold``) plus batch counts,
 tallied from the bus's events.
@@ -59,7 +59,8 @@ import time
 from repro.harness import ParallelExecutor
 from repro.obsv.bus import EventBus, bus_scope
 from repro.validation.campaign import (_RESIDENT_CELLS, TrialSpec,
-                                       profile_cell, run_campaign)
+                                       profile_cell, report_fingerprint,
+                                       run_campaign)
 
 WORKLOADS = ["hashmap", "queue"]
 DESIGNS = ["PMEM-Spec", "IntelX86"]
@@ -113,39 +114,27 @@ def _campaign(intervals, snapshot_dir, executor=None, batch=0):
     return reports, time.perf_counter() - started
 
 
-def _strip(reports) -> list:
-    """Cell outcomes without timing/provenance fields."""
-    cells = []
-    for report in reports:
-        for cell in report.cells:
-            cells.append({
-                "workload": cell["workload"], "design": cell["design"],
-                "trials": cell["trials"],
-                "total_cycles": cell["total_cycles"],
-                "violation_kinds": cell["violation_kinds"],
-                "failures": [
-                    {key: value for key, value in failure.items()
-                     if key not in ("restored_from_cycle", "spec")}
-                    for failure in cell["failures"]],
-            })
-    return cells
+def _outcomes(reports) -> list:
+    """Each cell whole, apart from its failures' ``spec.snapshot_dir``
+    (:func:`report_fingerprint` drops store locations and timings)."""
+    return [report_fingerprint(cell)
+            for report in reports for cell in report.cells]
 
 
 def _restore_sources(events) -> dict:
     """Trial-start counts by ``snapshot_restore`` source, plus cold
-    fallbacks and ``batch_finish`` chunks.  A restore without a source
-    read a rung from the store; a cold fallback counts only as one."""
+    fallbacks and ``batch_finish`` chunks; a cold fallback counts only
+    as one."""
     sources = {"forward": 0, "store": 0, "cold": 0,
                "cold_fallbacks": 0, "batches": 0}
     for event in events:
         if event["kind"] == "batch_finish":
             sources["batches"] += 1
         elif event["kind"] == "snapshot_restore":
-            source = event.get("source", "store")
             if event.get("outcome") == "cold_fallback":
                 sources["cold_fallbacks"] += 1
-            elif source in sources:
-                sources[source] += 1
+            elif event["source"] in sources:
+                sources[event["source"]] += 1
     return sources
 
 
@@ -169,8 +158,8 @@ def run_campaign_bench(scratch: str) -> dict:
             intervals, f"{scratch}/batched",
             executor=ParallelExecutor(jobs=JOBS, bus=bus), batch=CHUNK)
 
-    reference = _strip(reports["cold"])
-    outcomes_match = all(_strip(report) == reference
+    reference = _outcomes(reports["cold"])
+    outcomes_match = all(_outcomes(report) == reference
                          for report in reports.values())
     total_trials = sum(report.total_trials for report in reports["cold"])
 

@@ -27,8 +27,10 @@ import shutil
 import tempfile
 import time
 
+from repro.obsv.bus import EventBus, bus_scope
 from repro.validation.campaign import (TrialSpec, profile_cell,
-                                       run_campaign, verify_cell)
+                                       report_fingerprint, run_campaign,
+                                       verify_cell)
 
 WORKLOADS = ["hashmap", "queue"]
 DESIGNS = ["PMEM-Spec", "IntelX86"]
@@ -56,24 +58,32 @@ def run_snapshot_bench(snapshot_dir: str) -> dict:
     intervals = pick_intervals()
 
     def campaign(directory):
+        """The reports, the wall time and the trials that restarted
+        from a stored rung (their ``snapshot_restore`` events say so)."""
+        events = []
+        bus = EventBus()
+        bus.subscribe(events.append)
         started = time.perf_counter()
-        reports = [
-            run_campaign(
-                [workload], [design], planner="stratified", budget=BUDGET,
-                seed=SEED, n_threads=N_THREADS, fases_per_thread=FASES,
-                shrink=False, snapshot_every=intervals[(workload, design)],
-                snapshot_dir=directory)
-            for workload, design in CELLS]
-        return reports, time.perf_counter() - started
+        with bus_scope(bus):
+            reports = [
+                run_campaign(
+                    [workload], [design], planner="stratified",
+                    budget=BUDGET, seed=SEED, n_threads=N_THREADS,
+                    fases_per_thread=FASES, shrink=False,
+                    snapshot_every=intervals[(workload, design)],
+                    snapshot_dir=directory)
+                for workload, design in CELLS]
+        restored = sum(1 for event in events
+                       if event["kind"] == "snapshot_restore"
+                       and event["source"] == "store")
+        return reports, time.perf_counter() - started, restored
 
-    cold_reports, cold_s = campaign(None)
-    warm_reports, warm_s = campaign(snapshot_dir)
+    cold_reports, cold_s, _ = campaign(None)
+    warm_reports, warm_s, restored = campaign(snapshot_dir)
 
     # The acceleration must be invisible in the results.
-    outcomes_match = _strip(cold_reports) == _strip(warm_reports)
+    outcomes_match = _outcomes(cold_reports) == _outcomes(warm_reports)
 
-    restored = sum(cell["restored_trials"]
-                   for report in warm_reports for cell in report.cells)
     total_trials = sum(report.total_trials for report in cold_reports)
 
     determinism = verify_cell(TrialSpec(
@@ -104,22 +114,11 @@ def run_snapshot_bench(snapshot_dir: str) -> dict:
     }
 
 
-def _strip(reports) -> list:
-    """Cell outcomes without timing/provenance fields."""
-    cells = []
-    for report in reports:
-        for cell in report.cells:
-            cells.append({
-                "workload": cell["workload"], "design": cell["design"],
-                "trials": cell["trials"],
-                "total_cycles": cell["total_cycles"],
-                "violation_kinds": cell["violation_kinds"],
-                "failures": [
-                    {key: value for key, value in failure.items()
-                     if key not in ("restored_from_cycle", "spec")}
-                    for failure in cell["failures"]],
-            })
-    return cells
+def _outcomes(reports) -> list:
+    """Each cell whole, apart from its failures' ``spec.snapshot_dir``
+    (:func:`report_fingerprint` drops store locations and timings)."""
+    return [report_fingerprint(cell)
+            for report in reports for cell in report.cells]
 
 
 def main() -> int:

@@ -40,7 +40,8 @@ from ..obsv.bus import get_bus
 from ..runtime.recovery import run_recovery
 from ..snapshot import nearest_rung
 from ..telemetry import get_logger
-from ..validation.campaign import TrialSpec, _build, _oracle_for
+from ..validation.campaign import (TrialSpec, _build, _narrate_start,
+                                   _oracle_for)
 from ..validation.faults import fault_by_name
 from ..validation.history import events_to_history, truncate_history
 from ..validation.shrink import shrink_crash_cycle
@@ -152,23 +153,24 @@ class _Cell:
     def acquire(self, crash_cycle: int):
         """Restore the nearest rung and replay to the crash; returns
         ``(fault, restored_from, horizon)`` with the system positioned
-        exactly as a campaign trial's cut point."""
+        exactly as a campaign trial's cut point.  The start is
+        narrated as a ``snapshot_restore`` event (``resident`` or
+        ``cold``); the cycle's answer does not depend on it."""
         self.close()
         fault = fault_by_name(self.spec.fault)
         fault.arm(self.system)
         rung = nearest_rung(self.rungs, crash_cycle)
-        if rung is not None:
-            self.system.restore_state(rung["payload"])
-            restored_from: Optional[int] = rung["cycle"]
-        else:
-            self.system.restore_state(self.initial_payload)
-            restored_from = None
+        self.system.restore_state(self.initial_payload if rung is None
+                                  else rung["payload"])
+        _narrate_start(crash_cycle, "cold" if rung is None else "resident",
+                       rung)
         self._launch = done = self.system.launch()
         self.system.advance(until=crash_cycle, stop_event=done)
         if self.system.env.now < crash_cycle:
             self.system.advance(until=crash_cycle)
         fault.at_crash(self.system, crash_cycle)
-        return fault, restored_from, self.system.env.now
+        return (fault, None if rung is None else rung["cycle"],
+                self.system.env.now)
 
     def close(self) -> None:
         """Abandon the launch the cell last cut, if any."""
@@ -183,7 +185,7 @@ def _check_cycle(cell: _Cell, crash_cycle: int, image_budget: int,
     spec = cell.spec
     bus = get_bus()
     t0 = time.perf_counter()
-    fault, restored_from, horizon = cell.acquire(crash_cycle)
+    fault, _, horizon = cell.acquire(crash_cycle)
     snapshot = cell.system.persisted_snapshot()
     history = truncate_history(
         events_to_history(cell.recorder.events()), horizon)
@@ -250,7 +252,6 @@ def _check_cycle(cell: _Cell, crash_cycle: int, image_budget: int,
     payload.update({
         "crash_cycle": crash_cycle,
         "horizon": horizon,
-        "restored_from": restored_from,
         "floor_matches": floor_matches,
         "images_failed": images_failed,
         "failing_images": failing,
@@ -275,8 +276,9 @@ def check_cell(spec: TrialSpec, crash_cycles: Sequence[int],
     = 0`` also degrades to cold acquires, but in a *different* timing
     universe: parking is part of trial timing, so its record stream is
     not comparable).  The payload is a pure function of ``(spec,
-    crash_cycles, image_budget, restore)`` except for its ``timings``
-    entry and the provenance-only ``restored_from`` fields.
+    crash_cycles, image_budget)`` except for its ``timings`` entry:
+    ``restore`` changes only the starts, which acquisitions narrate as
+    ``snapshot_restore`` events.
     """
     fault_probe = fault_by_name(spec.fault)
     if fault_probe.run_to_completion:
@@ -354,8 +356,6 @@ def check_cell(spec: TrialSpec, crash_cycles: Sequence[int],
                                 if p["truncated"]),
         "floor_mismatches": sum(1 for p in cycle_payloads
                                 if not p["floor_matches"]),
-        "restored_cycles": sum(1 for p in cycle_payloads
-                               if p["restored_from"] is not None),
         "cycles": cycle_payloads,
         "consistent": not failing_cycles,
         "shrink": shrink_payload,

@@ -47,7 +47,7 @@ log = get_logger("obsv.bus")
 #: Version of the event payload written to JSON-Lines logs.  Bump when
 #: required fields are added/renamed/removed; ``validate_events`` checks
 #: it so consumers fail fast on a log they cannot interpret.
-EVENT_SCHEMA_VERSION = 1
+EVENT_SCHEMA_VERSION = 2
 
 #: Required per-kind payload fields (beyond the envelope).  This is the
 #: machine-readable half of the schema; docs/OBSERVABILITY.md is the
@@ -89,7 +89,7 @@ EVENT_KINDS: Dict[str, tuple] = {
     "cell_profile": ("workload", "design", "total_cycles"),
     "round_start": ("round", "rounds", "n_trials"),
     "trial_finish": ("workload", "design", "crash_cycle", "consistent",
-                     "violations", "restored_from_cycle"),
+                     "violations"),
     "oracle_violation": ("workload", "design", "crash_cycle",
                          "violation_kind", "cycle"),
     "shrink_finish": ("workload", "design", "earliest_cycle",
@@ -106,14 +106,15 @@ EVENT_KINDS: Dict[str, tuple] = {
                     "n_violations"),
     # -- snapshots (repro.snapshot.manager)
     "rung_capture": ("cycle", "rung"),
-    # Optional fields: ``source`` says where the trial started --
-    # "forward" (the cell's live run, continued), "store" (a rung read
-    # from disk), "cold" (a fresh build); campaigns no longer emit
-    # "resident", as they keep no rung bytes in memory.
-    # ``outcome="cold_fallback"`` (+ ``error``) marks a trial whose
-    # rung lookup hit a damaged store.  ``rung_cycle`` is the nearest
-    # usable rung whichever start was taken.
-    "snapshot_restore": ("crash_cycle", "rung_cycle", "rung"),
+    # One per campaign trial and per crash-state acquisition, the only
+    # record of where each started (no report names a rung).
+    # ``source`` is the start taken: "forward" (the cell's live run,
+    # continued), "store" (a rung read from disk), "resident" (a
+    # checker's in-memory rung), "cold" (a fresh build or the initial
+    # state); ``rung``/``rung_cycle`` name the rung restored (None when
+    # none was).  Optional ``outcome="cold_fallback"`` (+ ``error``)
+    # marks a start whose rung the store could not return.
+    "snapshot_restore": ("crash_cycle", "rung_cycle", "rung", "source"),
     # -- free-form marker (CLI open/close notes)
     "note": ("text",),
 }

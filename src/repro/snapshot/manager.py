@@ -223,9 +223,11 @@ def restore_nearest(system, store: SnapshotStore, index_name: str,
                     crash_cycle: int) -> Optional[Dict]:
     """Restore ``system`` from the nearest stored rung <= ``crash_cycle``.
 
-    Returns the rung dict on success, None when no usable rung exists.
-    Raises :class:`SnapshotError` on a corrupt/unreadable store -- the
-    caller decides whether that is fatal or a cold-start fallback.
+    Returns the rung dict on success, None when no rung precedes the
+    cycle.  Raises :class:`SnapshotError` on a corrupt/unreadable store
+    -- the caller decides whether that is fatal or a cold start.  A
+    restore is only ever for speed: the caller narrates the start it
+    took, and its answer must not depend on it.
     """
     rungs = store.load_index(index_name)
     rung = nearest_rung(rungs, crash_cycle)
@@ -233,14 +235,4 @@ def restore_nearest(system, store: SnapshotStore, index_name: str,
         return None
     system.restore_state(decode_payload(store.get(rung["key"]),
                                         rung["key"]))
-    bus = get_bus()
-    if bus.enabled:
-        # How deep a warm start got: the distance crash_cycle -
-        # rung_cycle is the tail each trial still has to simulate.
-        # ``source`` says where the payload came from: here always the
-        # store (a resident cell emits "forward"/"store"/"cold"
-        # itself).
-        bus.emit("snapshot_restore", crash_cycle=crash_cycle,
-                 rung_cycle=rung["cycle"], rung=rung["rung"],
-                 source="store")
     return rung

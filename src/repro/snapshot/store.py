@@ -25,9 +25,10 @@ returning the bytes, so a damaged object -- truncated, bit-flipped or
 overwritten at any time after it was written -- raises
 :class:`SnapshotError` instead of decoding (:func:`decode_payload`)
 into a different machine state.  Nothing caches the verified bytes:
-every campaign trial (:mod:`repro.validation.campaign`) reads its
-nearest rung from the store, so every process sees the same rungs,
-damaged or not.
+a campaign trial (:mod:`repro.validation.campaign`) reads a rung from
+the store only when it restarts from it, and no report records which
+rung that was, so a report is a function of its inputs whatever the
+store held.
 """
 
 from __future__ import annotations

@@ -186,16 +186,22 @@ def _oracle_for(system) -> PersistOrderOracle:
                            and overflows == 0))
 
 
-def _emit_cold_fallback(spec: TrialSpec, error: str) -> None:
-    """A restore that *should* have been warm degraded to a cold start:
-    surface it as a structured event, not just a log line, so campaigns
-    can see silent performance loss (a damaged store costs O(run) per
-    trial instead of O(segment))."""
+def _narrate_start(crash_cycle: int, source: str,
+                   rung: Optional[Dict] = None,
+                   error: Optional[str] = None) -> None:
+    """The one record of where a trial started (no report names a
+    rung): its ``snapshot_restore`` event, with the start taken, the
+    rung restored, if any, and why the store could not return the rung
+    the start wanted (a damaged store costs O(run) per trial instead of
+    O(segment), which only this event shows)."""
     bus = get_bus()
     if bus.enabled:
-        bus.emit("snapshot_restore", crash_cycle=spec.crash_cycle,
-                 rung_cycle=None, rung=None, outcome="cold_fallback",
-                 error=error)
+        fields = ({} if error is None
+                  else {"outcome": "cold_fallback", "error": error})
+        bus.emit("snapshot_restore", crash_cycle=crash_cycle,
+                 rung_cycle=None if rung is None else rung["cycle"],
+                 rung=None if rung is None else rung["rung"],
+                 source=source, **fields)
 
 
 def _cut(system, fault, spec: TrialSpec, all_done) -> int:
@@ -242,12 +248,12 @@ def _judge_image(spec: TrialSpec, workload, system, fault) -> Verdict:
 
 
 def _judge(spec: TrialSpec, workload, system, verdict: Verdict,
-           history: list, horizon: int,
-           restored_from: Optional[int]) -> Dict:
+           history: list, horizon: int) -> Dict:
     """The outcome of a trial: ``verdict`` (:func:`_judge_image` of the
     cut's persisted image) plus ``history`` (the run's oracle history
     from cycle 0) replayed through the persist-order oracle.  Reads the
-    system, never advances or mutates it."""
+    system, never advances or mutates it; records nothing of where the
+    trial started, so an outcome is a function of its spec alone."""
     fault_notes, rolled_back, messages = verdict
     violations = [
         {"kind": "structural", "cycle": spec.crash_cycle,
@@ -267,7 +273,6 @@ def _judge(spec: TrialSpec, workload, system, verdict: Verdict,
         "fault_notes": list(fault_notes),
         "violations": violations,
         "consistent": not violations,
-        "restored_from_cycle": restored_from,
     }
 
 
@@ -276,27 +281,26 @@ def run_trial(spec: TrialSpec) -> Dict:
     outcome dict.
 
     This is the definition of a trial: shrinking runs it, and every
-    outcome a :class:`_ResidentCell` serves must equal it.
+    outcome a :class:`_ResidentCell` serves must equal it.  A laddered
+    trial restores its nearest stored rung, but only for speed.
     """
     workload, system, fault, recorder, ladder = _build(spec)
-    restored_from = None
+    rung = error = None
     if ladder is not None and ladder.store is not None:
         try:
             rung = restore_nearest(system, ladder.store,
                                    ladder.index_name, spec.crash_cycle)
         except SnapshotError as exc:
-            # A corrupt or missing store degrades to a cold start: the
-            # trial's outcome must not depend on cache health.
+            # A corrupt or missing store degrades to a cold start.
             log.warning("snapshot restore failed (%s); starting cold", exc)
-            _emit_cold_fallback(spec, str(exc))
-            rung = None
-        if rung is not None:
-            restored_from = rung["cycle"]
+            error = str(exc)
+    _narrate_start(spec.crash_cycle, "cold" if rung is None else "store",
+                   rung, error)
     launch = system.launch()
     horizon = _cut(system, fault, spec, launch)
     outcome = _judge(spec, workload, system,
                      _judge_image(spec, workload, system, fault),
-                     history_from_recorder(recorder), horizon, restored_from)
+                     history_from_recorder(recorder), horizon)
     # The cut run is dropped with the system: abandoning its launch lets
     # reference counting free it (docs/ENGINE.md).
     system.env.abandon(launch)
@@ -319,22 +323,22 @@ class _ResidentCell:
 
     The cell keeps a *live run*: the fault-armed system it last drove,
     positioned at the previous trial's cut.  Every trial of a cell cuts
-    the same deterministic execution, so a trial at cycle ``c`` starts
-    from the latest of the live run (source ``forward``; only while it
-    is on the canonical trajectory and at or before ``c``), the nearest
-    usable rung at or before ``c`` read from the rung store and
-    restored in place (``store``), or a fresh build (``cold``), ties
-    going to the live run.  Trials in ascending order -- the order
-    planners emit -- thus cost one run per cell instead of the sum of
-    their crash cycles.
+    the same deterministic execution, so a trial at cycle ``c``
+    continues the live run (source ``forward``) while it is on the
+    canonical trajectory, at or before ``c`` and not behind the nearest
+    rung at or before ``c`` in the cell's rung index; otherwise it
+    restarts from that rung, read from the rung store and restored in
+    place (``store``), or from a fresh build (``cold``).  Only a
+    restart reads rung bytes; one whose rung the store cannot return
+    continues the live run when it can, and builds cold otherwise.
+    Trials in ascending order -- the order planners emit -- thus cost
+    one run per cell instead of the sum of their crash cycles.
 
     Outcomes equal :func:`run_trial`'s whichever start was taken:
     restore fully resets every component (the invariant the
-    restore-equivalence suite proves), and every trial reads and
-    hash-checks its nearest rung from the store, as :func:`run_trial`
-    does, so ``restored_from_cycle`` names the nearest usable rung, not
-    the start taken, and a damaged store gives every process the same
-    answer.  A cell without a rung store never captures or restores.
+    restore-equivalence suite proves), and no outcome records its start
+    (:func:`_narrate_start` does), so none depends on what the store
+    held.  A cell without a rung store never captures or restores.
 
     The cell also keeps the structural verdict of the image its live
     run's previous cut persisted, with the device's persist counts at
@@ -351,6 +355,14 @@ class _ResidentCell:
                       if spec.snapshot_every and spec.snapshot_dir
                       else None)
         self.index_name = _cell_index_name(spec)
+        # The cell's rung index, written by the profiling run before any
+        # trial: without one every restart is cold.
+        self._rungs: List[Dict] = []
+        if self.store is not None:
+            try:
+                self._rungs = self.store.load_index(self.index_name)
+            except SnapshotError as exc:
+                log.warning("snapshot index unavailable (%s)", exc)
         # The live run: ``_launch`` is its all-done event (None until a
         # run starts), ``_canonical`` whether it is still on the
         # canonical trajectory.
@@ -362,28 +374,23 @@ class _ResidentCell:
         # ((stores, blocks) persisted, verdict) at the live run's
         # previous cut.
         self._verdict: Optional[Tuple[Tuple[int, int], Verdict]] = None
-        self._rungs: Optional[List[Dict]] = None
-        # Why the latest rung lookup fell back cold (damaged store).
-        self._fallback_error: Optional[str] = None
 
-    def _restore_payload(self, spec: TrialSpec
+    def _restore_payload(self, rung: Optional[Dict]
                          ) -> Tuple[Optional[Dict], str]:
-        """(rung, source) for the nearest usable rung at or before the
-        crash cycle, its verified store bytes under ``blob``; (None,
-        "cold") when there is none.  A damaged store also leaves its
-        error in ``_fallback_error``."""
-        self._fallback_error = None
-        try:
-            if self._rungs is None:
-                self._rungs = self.store.load_index(self.index_name)
-            rung = nearest_rung(self._rungs, spec.crash_cycle)
-            if rung is None:
-                return None, "cold"
-            return {**rung, "blob": self.store.get(rung["key"])}, "store"
-        except SnapshotError as exc:
-            log.warning("snapshot restore failed (%s); starting cold", exc)
-            self._fallback_error = str(exc)
+        """A restart's start: (``rung`` with its verified store bytes
+        under ``blob``, "store"), or (None, "cold") without a rung.
+        Raises :class:`SnapshotError` when the store cannot return the
+        rung's bytes."""
+        if rung is None:
             return None, "cold"
+        return {**rung, "blob": self.store.get(rung["key"])}, "store"
+
+    def _continues(self, crash_cycle: int, rung: Optional[Dict]) -> bool:
+        """Whether the live run can serve a trial at ``crash_cycle``
+        instead of a restart from ``rung``."""
+        return (self._canonical
+                and (rung["cycle"] if rung is not None else 0)
+                <= self.system.env.now <= crash_cycle)
 
     def _restart(self, spec: TrialSpec, rung: Optional[Dict]) -> None:
         """Start a new live run from ``rung``, or from a fresh build.
@@ -430,25 +437,21 @@ class _ResidentCell:
         return history
 
     def run_trial(self, spec: TrialSpec) -> Dict:
-        rung, source = ((None, "cold") if self.store is None
-                        else self._restore_payload(spec))
-        restored_from = rung["cycle"] if rung is not None else None
-        if (self._canonical
-                and (restored_from or 0) <= self.system.env.now
-                <= spec.crash_cycle):
-            source = "forward"
+        rung, error = nearest_rung(self._rungs, spec.crash_cycle), None
+        if self._continues(spec.crash_cycle, rung):
+            rung, source = None, "forward"
         else:
-            self._restart(spec, rung)
-        bus = get_bus()
-        if bus.enabled:
-            fields = {}
-            if self._fallback_error is not None:
-                fields = {"outcome": "cold_fallback",
-                          "error": self._fallback_error}
-            bus.emit("snapshot_restore", crash_cycle=spec.crash_cycle,
-                     rung_cycle=restored_from,
-                     rung=rung["rung"] if rung is not None else None,
-                     source=source, **fields)
+            try:
+                rung, source = self._restore_payload(rung)
+            except SnapshotError as exc:
+                log.warning("snapshot restore failed (%s)", exc)
+                rung, source, error = None, "cold", str(exc)
+            if error is not None and self._continues(spec.crash_cycle,
+                                                     None):
+                source = "forward"
+            else:
+                self._restart(spec, rung)
+        _narrate_start(spec.crash_cycle, source, rung, error)
         horizon = _cut(self.system, self.fault, spec, self._launch)
         if not _keeps_running(self.fault):
             self._canonical = False
@@ -458,7 +461,7 @@ class _ResidentCell:
             self._verdict = (persisted, _judge_image(
                 spec, self.workload, self.system, self.fault))
         return _judge(spec, self.workload, self.system, self._verdict[1],
-                      self._live_history(), horizon, restored_from)
+                      self._live_history(), horizon)
 
 
 def _keeps_running(fault: FaultModel) -> bool:
@@ -710,14 +713,10 @@ class CampaignReport:
                 f"{self.total_trials} trials: {status})")
 
 
-#: Report fields that record wall-clock time, metrics or where a store
-#: lived, not an outcome (``params.snapshot_dir``, each failure's
-#: ``spec.snapshot_dir``, the crash-states ``timings``).  ``obsv`` is
-#: the metrics snapshot reports carried before the event log became
-#: the one aggregate record; it stays listed so those reports still
-#: fingerprint the same.
-_VOLATILE_REPORT_KEYS = frozenset({"elapsed_s", "obsv", "timings",
-                                   "snapshot_dir"})
+#: Report fields that record wall-clock time or where a store lived,
+#: not an outcome (``params.snapshot_dir``, each failure's
+#: ``spec.snapshot_dir``, the crash-states ``timings``).
+_VOLATILE_REPORT_KEYS = frozenset({"elapsed_s", "timings", "snapshot_dir"})
 
 
 def report_fingerprint(payload: Dict) -> str:
@@ -725,7 +724,9 @@ def report_fingerprint(payload: Dict) -> str:
     at any depth.  Identical campaigns fingerprint equally wherever
     their stores lived and however long they took, and so does a report
     reloaded from its JSON artifact (the payload is normalised through
-    a JSON round trip first)."""
+    a JSON round trip first).  No report names a rung or the start a
+    trial took, so a report is a function of its inputs whatever the
+    rung store held."""
     def scrub(value):
         if isinstance(value, dict):
             return {key: scrub(item) for key, item in value.items()
@@ -901,8 +902,7 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
             bus.emit("trial_finish", workload=spec.workload,
                      design=spec.design, crash_cycle=spec.crash_cycle,
                      consistent=outcome["consistent"],
-                     violations=len(outcome["violations"]),
-                     restored_from_cycle=outcome["restored_from_cycle"])
+                     violations=len(outcome["violations"]))
             if not outcome["consistent"]:
                 failures[cell].append(outcome)
                 for violation in outcome["violations"]:
@@ -937,9 +937,6 @@ def run_campaign(workloads: Sequence[str], designs: Sequence[str],
             "fault": fault,
             "total_cycles": profiles[cell].total_cycles,
             "trials": len(results[cell]),
-            "restored_trials": sum(
-                1 for outcome in results[cell]
-                if outcome.get("restored_from_cycle") is not None),
             "failures": cell_failures,
             "violation_kinds": sorted({
                 violation["kind"] for failure in cell_failures

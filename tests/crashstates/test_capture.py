@@ -6,6 +6,7 @@ import pytest
 
 import repro.crashstates.checker as checker
 from repro.crashstates.checker import check_cell
+from repro.obsv.bus import EventBus, bus_scope
 from repro.snapshot import nearest_rung
 from repro.validation.campaign import TrialSpec, _build
 
@@ -30,8 +31,16 @@ def test_checker_restores_what_a_capture_all_ladder_would(
         return cells[-1]
 
     monkeypatch.setattr(checker, "_Cell", recording_cell)
-    report = check_cell(spec, CYCLES, image_budget=16, shrink=True)
+    bus = EventBus()
+    seen = []
+    bus.subscribe(seen.append)
+    with bus_scope(bus):
+        report = check_cell(spec, CYCLES, image_budget=16, shrink=True)
     (cell,) = cells
+    # Each cycle is acquired once (shrinking probes only cycles not yet
+    # checked), and its start is recorded only on its event.
+    starts = {event["crash_cycle"]: event for event in seen
+              if event["kind"] == "snapshot_restore"}
 
     # The checker's canonical run before targeted capture: every rung,
     # device history on (history is captured state, so it is part of
@@ -44,11 +53,13 @@ def test_checker_restores_what_a_capture_all_ladder_would(
     restored = set()
     for payload in report["cycles"]:
         rung = nearest_rung(full.rungs, payload["crash_cycle"])
-        assert payload["restored_from"] == (
+        start = starts[payload["crash_cycle"]]
+        assert start["rung_cycle"] == (
             rung["cycle"] if rung is not None else None)
+        assert start["source"] == ("cold" if rung is None else "resident")
         if rung is not None:
             restored.add(rung["rung"])
-    assert report["restored_cycles"] > 0
+    assert restored
 
     # Exactly the rungs the requested cycles restore, at most one per
     # cycle.  The ladder reached unrestored rungs below the last of

@@ -7,6 +7,7 @@ import pytest
 
 from repro.crashstates.checker import (CRASH_STATES_SCHEMA_VERSION,
                                        check_cell)
+from repro.obsv.bus import EventBus, bus_scope
 from repro.validation.campaign import TrialSpec, _oracle_for, run_campaign
 
 
@@ -25,12 +26,25 @@ def strip_timings(payload):
     return payload
 
 
+def checked_with_starts(*args, **kwargs):
+    """check_cell's payload and the source of each acquisition's start,
+    which only its ``snapshot_restore`` event records."""
+    bus = EventBus()
+    seen = []
+    bus.subscribe(seen.append)
+    with bus_scope(bus):
+        payload = check_cell(*args, **kwargs)
+    return payload, [event["source"] for event in seen
+                     if event["kind"] == "snapshot_restore"]
+
+
 class TestCheckCell:
     def test_strict_cell_converges_within_budget(self):
         """A fig9-style strict cell: every enumerated image recovers,
         the floor image pins against persisted_snapshot, and some
         cycles restore from rungs rather than cold-booting."""
-        report = check_cell(spec_for("DPO"), CYCLES, image_budget=16)
+        report, sources = checked_with_starts(spec_for("DPO"), CYCLES,
+                                              image_budget=16)
         assert report["schema_version"] == CRASH_STATES_SCHEMA_VERSION
         assert report["model"] == "strict"
         assert report["consistent"]
@@ -38,7 +52,8 @@ class TestCheckCell:
         assert report["floor_mismatches"] == 0
         assert report["cycles_checked"] == len(CYCLES)
         assert report["images_enumerated"] >= len(CYCLES)
-        assert report["restored_cycles"] >= 1
+        assert len(sources) == len(CYCLES)
+        assert sources.count("resident") >= 1
         assert report["witness"] is None
 
     @pytest.mark.parametrize("design,model", [
@@ -84,22 +99,16 @@ class TestCheckCell:
 
     def test_cold_path_matches_warm(self):
         """restore=False cold-boots every acquire in the same laddered
-        timing universe; the enumerated images and verdicts must not
-        change."""
-        warm = check_cell(spec_for("DPO", snapshot_every=10), (1500,),
-                          image_budget=12)
-        cold = check_cell(spec_for("DPO", snapshot_every=10), (1500,),
-                          image_budget=12, restore=False)
-        assert warm["restored_cycles"] == 1
-        assert cold["restored_cycles"] == 0
-        for key in ("images_enumerated", "images_failed", "consistent",
-                    "floor_mismatches"):
-            assert warm[key] == cold[key]
-        warm_cycle = {k: v for k, v in warm["cycles"][0].items()
-                      if k not in ("restored_from",)}
-        cold_cycle = {k: v for k, v in cold["cycles"][0].items()
-                      if k not in ("restored_from",)}
-        assert warm_cycle == cold_cycle
+        timing universe; the payload -- enumerated images, verdicts and
+        all -- must not change."""
+        warm, warm_sources = checked_with_starts(
+            spec_for("DPO", snapshot_every=10), (1500,), image_budget=12)
+        cold, cold_sources = checked_with_starts(
+            spec_for("DPO", snapshot_every=10), (1500,), image_budget=12,
+            restore=False)
+        assert warm_sources == ["resident"]
+        assert cold_sources == ["cold"]
+        assert strip_timings(warm) == strip_timings(cold)
 
 
 class TestOracleGating:

@@ -19,10 +19,10 @@ DESIGNS = ["IntelX86", "PMEM-Spec", "DPO", "HOPS"]
 #: fault -> (report fingerprint, failing images, shrunk cells).
 PINNED = {
     "power-cut": (
-        "8c6ee6dab651200895c5f78063ca6a21cff4a106a60dcc33e0b6cae3190c15f1",
+        "0ec92c7e017d4e57c805b90578f3aee0d8a599e5cf7de898f9135a7eaaee3b2c",
         0, 0),
     "torn-log": (
-        "521ea882ebe2c95d02e97dc46971d955cd4628ae08ce7cdc043c90e90fb20c2d",
+        "a66290dcc8d94ae8745dc6e05c3708a4be607ad44eab38690f1a8cfdbf28d98f",
         119, 11),
 }
 
@@ -30,7 +30,7 @@ PINNED = {
 #: PMEM-Spec run overflows its speculation buffer, so the durable-state
 #: models judge images cut from runs under the Section 5.3 pause.
 PINNED_32_THREADS = (
-    "c1180e556c7036cf56a7a83c079d5f31c5396f821c76afc4d9eb67981ec0b36d", 522)
+    "6d3fc175435497c59923208547c8404cde506fcb925200c76e1587128a1d5245", 522)
 
 
 @pytest.mark.parametrize("fault", sorted(PINNED))

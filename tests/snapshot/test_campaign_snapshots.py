@@ -1,11 +1,14 @@
 """Snapshot-accelerated campaigns: warm trials equal cold trials, and a
-damaged store degrades to a cold start instead of changing outcomes."""
+damaged store degrades to a cold start instead of changing outcomes.
+Outcomes never say where a trial started; its ``snapshot_restore``
+event does."""
 
 import os
 from dataclasses import replace
 
 import pytest
 
+from repro.obsv.bus import EventBus, set_bus
 from repro.snapshot import SnapshotStore
 from repro.validation.campaign import (TrialSpec, _cell_index_name,
                                        profile_cell, run_trial,
@@ -22,49 +25,74 @@ def warm_cell(tmp_path):
     return spec, profile
 
 
+@pytest.fixture
+def starts():
+    """The ``snapshot_restore`` events of the trials a test runs."""
+    seen = []
+
+    def record(event):
+        if event["kind"] == "snapshot_restore":
+            seen.append(event)
+    bus = EventBus()
+    bus.subscribe(record)
+    set_bus(bus)
+    yield seen
+    set_bus(None)
+
+
 def _strip(outcome):
     outcome = dict(outcome)
-    outcome.pop("restored_from_cycle")
     outcome["spec"] = {k: v for k, v in outcome["spec"].items()
                        if k != "snapshot_dir"}
     return outcome
 
 
+def _started(starts, source):
+    """The one start narrated so far, which must be ``source``;
+    clears the list for the next trial."""
+    (event,) = starts
+    assert event["source"] == source
+    starts.clear()
+    return event
+
+
 class TestWarmTrialParity:
-    def test_warm_equals_cold(self, warm_cell):
+    def test_warm_equals_cold(self, warm_cell, starts):
         spec, profile = warm_cell
         crash = profile.total_cycles // 2
         cold_spec = replace(spec, snapshot_dir=None, crash_cycle=crash)
         warm = run_trial(replace(spec, crash_cycle=crash))
+        assert _started(starts, "store")["rung_cycle"] <= crash
         cold = run_trial(cold_spec)
-        assert warm["restored_from_cycle"] is not None
+        _started(starts, "cold")
         assert _strip(warm) == _strip(cold)
 
-    def test_early_crash_runs_cold(self, warm_cell):
+    def test_early_crash_runs_cold(self, warm_cell, starts):
         spec, _profile = warm_cell
-        outcome = run_trial(replace(spec, crash_cycle=1))
-        assert outcome["restored_from_cycle"] is None
+        run_trial(replace(spec, crash_cycle=1))
+        assert _started(starts, "cold")["rung"] is None
 
-    def test_trial_without_store_is_cold(self, warm_cell):
+    def test_trial_without_store_is_cold(self, warm_cell, starts):
         spec, profile = warm_cell
-        outcome = run_trial(replace(spec, snapshot_dir=None,
-                                    crash_cycle=profile.total_cycles // 2))
-        assert outcome["restored_from_cycle"] is None
+        run_trial(replace(spec, snapshot_dir=None,
+                          crash_cycle=profile.total_cycles // 2))
+        assert _started(starts, "cold")["rung"] is None
 
 
 class TestStoreDamageFallback:
-    def test_missing_index_falls_back_cold(self, warm_cell, tmp_path):
+    def test_missing_index_falls_back_cold(self, warm_cell, starts):
         spec, profile = warm_cell
         crash = profile.total_cycles // 2
         reference = _strip(run_trial(replace(
             spec, snapshot_dir=None, crash_cycle=crash)))
         store = SnapshotStore(spec.snapshot_dir)
         os.unlink(store._index_path(_cell_index_name(spec)))
+        starts.clear()
         outcome = run_trial(replace(spec, crash_cycle=crash))
-        assert outcome["restored_from_cycle"] is None
+        assert _started(starts, "cold")["outcome"] == "cold_fallback"
         assert _strip(outcome) == reference
 
-    def test_truncated_object_falls_back_cold(self, warm_cell):
+    def test_truncated_object_falls_back_cold(self, warm_cell, starts):
         spec, profile = warm_cell
         crash = profile.total_cycles // 2
         reference = _strip(run_trial(replace(
@@ -74,8 +102,10 @@ class TestStoreDamageFallback:
             path = store._object_path(rung["key"])
             with open(path, "r+b") as handle:
                 handle.truncate(16)
+        starts.clear()
         outcome = run_trial(replace(spec, crash_cycle=crash))
-        assert outcome["restored_from_cycle"] is None
+        event = _started(starts, "cold")
+        assert event["rung"] is None and "corrupt" in event["error"]
         assert _strip(outcome) == reference
 
 

@@ -7,7 +7,8 @@ that down three ways: every trial dict byte-identical between
 :class:`CampaignReport` JSON (minus timing/stats) byte-identical across
 ``jobs=1`` / pooled trial-at-a-time / batched execution, and the
 damaged-store fixture degrading both paths to the same cold outcome
-with a structured ``cold_fallback`` event.
+with a structured ``cold_fallback`` event.  No outcome names its start;
+``snapshot_restore`` events do.
 """
 
 import json
@@ -57,6 +58,20 @@ def canonical(report):
             failure["spec"] = {k: v for k, v in failure["spec"].items()
                               if k != "snapshot_dir"}
     return json.dumps(payload, sort_keys=True)
+
+
+def watch():
+    bus = EventBus()
+    seen = []
+    bus.subscribe(seen.append)
+    set_bus(bus)
+    return seen
+
+
+def starts(seen):
+    """(source, rung restored) of each ``snapshot_restore`` event."""
+    return [(e["source"], e["rung"]) for e in seen
+            if e["kind"] == "snapshot_restore"]
 
 
 class TestTrialDictEquivalence:
@@ -112,9 +127,11 @@ class TestTrialDictEquivalence:
         spec = TrialSpec(workload="queue", design="PMEM-Spec",
                          n_threads=2, fases_per_thread=6, seed=7)
         specs = [replace(spec, crash_cycle=c) for c in (500, 1500, 500)]
+        seen = watch()
         outcomes = run_trial_batch(specs)
+        assert starts(seen) == [("cold", None), ("forward", None),
+                                ("cold", None)]
         assert outcomes == [run_trial(s) for s in specs]
-        assert all(o["restored_from_cycle"] is None for o in outcomes)
 
 
 def run_modes(tmp_path, **overrides):
@@ -166,19 +183,17 @@ class TestDamagedStoreFallback:
         self._damage(spec)
         specs = [replace(spec, crash_cycle=crash),
                  replace(spec, crash_cycle=crash + 1)]
+        seen = watch()
         serial = [run_trial(s) for s in specs]
         _RESIDENT_CELLS.clear()
         batched = run_trial_batch(specs)
         assert batched == serial
-        assert all(o["restored_from_cycle"] is None for o in batched)
+        assert starts(seen) == [("cold", None)] * 3 + [("forward", None)]
 
     def test_cold_fallback_emits_structured_event(self, warm_cell):
         spec, profile = warm_cell
         self._damage(spec)
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        set_bus(bus)
+        seen = watch()
         run_trial(replace(spec, crash_cycle=profile.total_cycles // 2))
         assert validate_events(seen) == []
         falls = [e for e in seen if e["kind"] == "snapshot_restore"]
@@ -190,10 +205,7 @@ class TestDamagedStoreFallback:
     def test_batched_cold_fallback_emits_event_too(self, warm_cell):
         spec, profile = warm_cell
         self._damage(spec)
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        set_bus(bus)
+        seen = watch()
         run_trial_batch([replace(spec,
                                  crash_cycle=profile.total_cycles // 2)])
         falls = [e for e in seen if e.get("outcome") == "cold_fallback"]
@@ -204,13 +216,9 @@ class TestRestoreSourceEvents:
     def test_batched_trials_attribute_their_restores(self, warm_cell):
         spec, profile = warm_cell
         crash = profile.total_cycles // 2
-        bus = EventBus()
-        seen = []
-        bus.subscribe(seen.append)
-        set_bus(bus)
+        seen = watch()
         run_trial_batch([replace(spec, crash_cycle=crash),
                          replace(spec, crash_cycle=crash),   # live run
                          replace(spec, crash_cycle=1)])      # pre-rung
-        sources = [e["source"] for e in seen
-                   if e["kind"] == "snapshot_restore"]
+        sources = [source for source, _rung in starts(seen)]
         assert sources == ["store", "forward", "cold"]

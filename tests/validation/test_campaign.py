@@ -207,13 +207,11 @@ def test_program_cache_is_bounded_and_changes_no_report():
 
 class TestReportFingerprint:
     BASE = {"schema_version": 1, "elapsed_s": 1.5,
-            "obsv": {"events": 10},
             "params": {"budget": 4, "snapshot_dir": "/tmp/a"},
             "cells": [{"passes": 3}]}
 
     def test_ignores_wall_clock_and_location(self):
         other = {"schema_version": 1, "elapsed_s": 99.0,
-                 "obsv": {"events": 123},
                  "params": {"budget": 4, "snapshot_dir": "/tmp/b"},
                  "cells": [{"passes": 3}]}
         assert (report_fingerprint(self.BASE)

@@ -1,14 +1,15 @@
 """One trial path: every outcome a resident cell serves equals run_trial.
 
-A :class:`_ResidentCell` serves each trial of a cell from the latest of
-its live run, the nearest usable rung, or a fresh build.  This suite
+A :class:`_ResidentCell` serves each trial of a cell from its live run,
+the nearest rung its index names, or a fresh build.  This suite
 holds it to :func:`run_trial`, the fresh-build definition of a trial,
 for every fault model on four cells (unladdered, laddered, and
 laddered with truncated store objects, profiled through
 ``profile_cell`` or through ``profile_cell_seeding`` in the serving
 process), with crash cycles served ascending, descending, and shuffled
 with repeats through one cell.  It also pins the mechanism: which
-starts are taken and what each one costs.
+starts are taken, as ``snapshot_restore`` events say (no outcome names
+its start), and what each one costs.
 """
 
 import random
@@ -17,7 +18,7 @@ from dataclasses import replace
 import pytest
 
 from repro.obsv.bus import EventBus, set_bus, validate_events
-from repro.snapshot import SnapshotStore
+from repro.snapshot import SnapshotStore, nearest_rung
 from repro.system import System
 from repro.validation import campaign
 from repro.validation.campaign import (TrialSpec, _RESIDENT_CELLS,
@@ -83,20 +84,25 @@ def watch():
     return seen
 
 
+def restores(seen):
+    return [event for event in seen if event["kind"] == "snapshot_restore"]
+
+
 def restore_sources(seen):
-    return [event["source"] for event in seen
-            if event["kind"] == "snapshot_restore"]
+    return [event["source"] for event in restores(seen)]
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("fault", FAULT_NAMES)
 def test_every_start_equals_run_trial(kind, fault, tmp_path):
     spec, cycles = make_cell(kind, fault, tmp_path)
+    seen = watch()
     reference = {cycle: run_trial(replace(spec, crash_cycle=cycle))
                  for cycle in cycles}
+    sources = restore_sources(seen)
+    assert len(sources) == len(cycles)
     if kind != "laddered":
-        assert all(outcome["restored_from_cycle"] is None
-                   for outcome in reference.values())
+        assert set(sources) == {"cold"}
     if fault == "torn-log":
         assert not all(outcome["consistent"]
                        for outcome in reference.values())
@@ -149,24 +155,30 @@ def test_virtual_misspec_never_continues_a_live_run(monkeypatch, kind,
         assert counts["_build"] == len(cycles)
 
 
-def test_every_rung_lookup_reads_the_store(monkeypatch, tmp_path):
-    # No rung bytes outlive a trial: each trial reads and hash-checks
-    # its nearest rung, ``forward`` trials included, and starts from the
-    # live run, a stored rung or a fresh build.
+def test_only_a_restart_reads_a_rung(monkeypatch, tmp_path):
+    # The rung index alone decides between continuing the live run and
+    # restarting; only a restart from a rung reads and hash-checks its
+    # bytes, and it restores the nearest rung at or before the cut.
     spec, cycles = make_cell("laddered", "power-cut", tmp_path)
     rungs = SnapshotStore(spec.snapshot_dir).load_index(
         _cell_index_name(spec))
     counts = {}
     count_calls(monkeypatch, SnapshotStore, "get", counts)
     seen = watch()
-    with_rung = 0
     for order in orders(cycles).values():
         cell = _ResidentCell(spec)
         for cycle in order:
             cell.run_trial(replace(spec, crash_cycle=cycle))
-            with_rung += any(rung["cycle"] <= cycle for rung in rungs)
-    assert set(restore_sources(seen)) == {"forward", "store", "cold"}
-    assert counts["get"] == with_rung
+    starts = restores(seen)
+    assert {event["source"] for event in starts} == {
+        "forward", "store", "cold"}
+    restored = [event for event in starts if event["source"] == "store"]
+    assert counts["get"] == len(restored)
+    for event in restored:
+        assert event["rung_cycle"] == nearest_rung(
+            rungs, event["crash_cycle"])["cycle"]
+    assert all(event["rung"] is None for event in starts
+               if event["source"] != "store")
 
 
 def test_an_ascending_cell_shares_one_history(tmp_path):
@@ -186,21 +198,28 @@ def test_an_ascending_cell_shares_one_history(tmp_path):
 
 
 def test_cold_fallback_trial_emits_one_restore_event(tmp_path):
+    # One event per trial, the start taken.  A restart whose rung the
+    # store cannot return continues the live run when it can (the
+    # second cell's second trial: the live run is behind the rung) and
+    # builds cold otherwise (the first trial of each cell); a trial the
+    # live run serves by the index alone reads no rung.
     spec, cycles = make_cell("truncated", "power-cut", tmp_path)
-    seen = watch()
-    cell = _ResidentCell(spec)
     middle = cycles[len(cycles) // 2]
-    for cycle in (middle, middle + 1):
-        cell.run_trial(replace(spec, crash_cycle=cycle))
-    assert validate_events(seen) == []
-    restores = [event for event in seen
-                if event["kind"] == "snapshot_restore"]
-    # One event per trial: the start taken, marked as a fallback.
-    assert [event["source"] for event in restores] == ["cold", "forward"]
-    for event in restores:
-        assert event["outcome"] == "cold_fallback"
-        assert event["rung_cycle"] is None
-        assert "corrupt" in event["error"]
+    for order, fell_back in (((middle, middle + 1), [True, False]),
+                             ((1, middle), [False, True])):
+        seen = watch()
+        cell = _ResidentCell(spec)
+        for cycle in order:
+            cell.run_trial(replace(spec, crash_cycle=cycle))
+        assert validate_events(seen) == []
+        starts = restores(seen)
+        assert [event["source"] for event in starts] == ["cold", "forward"]
+        assert [event.get("outcome") == "cold_fallback"
+                for event in starts] == fell_back
+        for event in starts:
+            assert event["rung_cycle"] is None and event["rung"] is None
+            if event.get("outcome"):
+                assert "corrupt" in event["error"]
 
 
 def test_a_trial_that_raises_evicts_its_cell(monkeypatch):
