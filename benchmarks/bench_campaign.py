@@ -123,12 +123,12 @@ def _outcomes(reports) -> list:
 
 def _restore_sources(events) -> dict:
     """Trial-start counts by ``snapshot_restore`` source, plus cold
-    fallbacks and ``batch_finish`` chunks; a cold fallback counts only
-    as one."""
+    fallbacks and settled trial chunks (a ``task_finish`` with a
+    ``size``); a cold fallback counts only as one."""
     sources = {"forward": 0, "store": 0, "cold": 0,
                "cold_fallbacks": 0, "batches": 0}
     for event in events:
-        if event["kind"] == "batch_finish":
+        if event["kind"] == "task_finish" and "size" in event:
             sources["batches"] += 1
         elif event["kind"] == "snapshot_restore":
             if event.get("outcome") == "cold_fallback":
@@ -156,7 +156,7 @@ def run_campaign_bench(scratch: str) -> dict:
     with bus_scope(bus):
         reports["batched"], passes["batched"] = _campaign(
             intervals, f"{scratch}/batched",
-            executor=ParallelExecutor(jobs=JOBS, bus=bus), batch=CHUNK)
+            executor=ParallelExecutor(jobs=JOBS), batch=CHUNK)
 
     reference = _outcomes(reports["cold"])
     outcomes_match = all(_outcomes(report) == reference

@@ -40,7 +40,7 @@ import traceback
 
 from repro.harness import ParallelExecutor
 from repro.harness.pool import Task, WorkStealingPool
-from repro.obsv.bus import EventBus
+from repro.obsv.bus import EventBus, bus_scope
 from repro.validation import run_campaign
 from repro.validation.campaign import report_fingerprint
 
@@ -142,8 +142,8 @@ def run_steal_bench() -> dict:
     no_steal_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    stolen = WorkStealingPool(workers=2, bus=bus).run(
-        _straggler_tasks())
+    with bus_scope(bus):
+        stolen = WorkStealingPool(workers=2).run(_straggler_tasks())
     steal_s = time.perf_counter() - started
 
     return {

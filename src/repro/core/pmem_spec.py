@@ -138,9 +138,6 @@ class PMEMSpec(Design):
         self.stats["spec_revokes"] += 1
         return now + 1
 
-    def quiesce_time(self, now: int) -> int:
-        return max([now] + list(self._last_accept))
-
     def capture_state(self) -> dict:
         state = super().capture_state()
         state["last_accept"] = list(self._last_accept)

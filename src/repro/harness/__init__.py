@@ -34,7 +34,6 @@ from .sweep import (
     ParallelExecutor,
     RunSpec,
     Sweep,
-    SweepError,
     SweepResult,
     WorkerTaskError,
     build_spec_system,
@@ -52,7 +51,7 @@ __all__ = [
     "figure2_annotation_burden",
     "lazy_vs_eager_recovery", "misspeculation_rates",
     "ParallelExecutor", "RunSpec", "Sweep",
-    "SweepError", "SweepResult", "build_spec_system",
+    "SweepResult", "build_spec_system",
     "undo_vs_redo_ablation",
     "naive_tagging_ablation", "normalized_throughput",
     "table3_rows",

@@ -49,7 +49,7 @@ re-running an unchanged figure on an unchanged tree is free and any
 code change recomputes; ``validate`` keeps no store unless ``--resume
 DIR`` names one, so rerunning a killed campaign simulates only the
 tasks it never finished.  Journal lines written by older code are
-skipped, not pruned.
+dropped when a run first reads the journal.
 
 Output channels: experiment *data* (tables, figures, JSON, traces) goes
 to stdout; diagnostics (timings, cache provenance, progress) go to the
@@ -374,11 +374,10 @@ def cmd_profile(args) -> None:
         log.info("%s done in %.1fs (%d trace events)", spec.describe(),
                  elapsed, len(tracer))
         bus = get_bus()
-        if bus.enabled:
-            bus.emit("spec_start", index=0, describe=spec.describe())
-            bus.emit("spec_finish", index=0, describe=spec.describe(),
-                     elapsed_s=elapsed, cache_hit=False, retried=False,
-                     source="profile", cycles=result.cycles)
+        bus.emit("task_start", index=0, label=spec.describe())
+        bus.emit("task_finish", index=0, label=spec.describe(),
+                 elapsed_s=elapsed, source="profile", attempts=1,
+                 cycles=result.cycles)
     profile = profile_run(tracer, result.cycles, wall_s=elapsed,
                           label=spec.describe())
     out = args.profile_out or f"{spec.benchmark}-{spec.design}.folded"

@@ -25,11 +25,11 @@ Scheduling never changes results: tasks are pure functions of their
 argument, and outcomes come back in submission order.  ``workers <= 1``
 (or a single task, or a platform without process pools) runs everything
 inline under the same retry and quarantine rule.  Events a task emits
-reach the pool's bus either way, in the order the task emitted them:
-inline through the current bus, from a worker in the task's reply,
-which the parent merges into its bus just before it settles the task
-(under any start method).  A worker that dies loses its task's events
-with its result; the retry emits its own.
+reach the current bus (:func:`repro.obsv.get_bus`) either way, in the
+order the task emitted them: inline directly, from a worker in the
+task's reply, which the parent merges into its bus just before it
+settles the task (under any start method).  A worker that dies loses
+its task's events with its result; the retry emits its own.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..obsv.bus import NULL_BUS, Bus, EventBus, bus_scope, get_bus, set_bus
+from ..obsv.bus import NULL_BUS, Bus, EventBus, get_bus, set_bus
 from ..telemetry import current_context, get_logger, seed_context
 
 log = get_logger("harness.pool")
@@ -303,17 +303,12 @@ class _Run:
 class WorkStealingPool:
     """Run a batch of :class:`Task` with stealing, retry, quarantine.
 
-    ``workers`` is the process count (``<= 1`` runs inline); ``bus``
-    pins the event bus (default: the ambient
-    :func:`repro.obsv.get_bus` at each :meth:`run`).
+    ``workers`` is the process count (``<= 1`` runs inline).  Events go
+    to the current bus (:func:`repro.obsv.get_bus`) of each :meth:`run`.
     """
 
-    def __init__(self, workers: int = 1, bus: Optional[Bus] = None):
+    def __init__(self, workers: int = 1):
         self.workers = max(1, workers)
-        self.bus = bus
-
-    def _resolve_bus(self) -> Bus:
-        return self.bus if self.bus is not None else get_bus()
 
     # ------------------------------------------------------------- plan
 
@@ -359,7 +354,7 @@ class WorkStealingPool:
         outcomes; the caller decides whether that fails the run.
         """
         tasks = list(tasks)
-        run = _Run(tasks, self._resolve_bus(), on_result)
+        run = _Run(tasks, get_bus(), on_result)
         if self.workers > 1 and len(tasks) > 1:
             workers = self._start(min(self.workers, len(tasks)),
                                   run.bus.enabled)
@@ -372,18 +367,16 @@ class WorkStealingPool:
     # ------------------------------------------------------ inline mode
 
     def _run_inline(self, run: _Run) -> None:
-        with bus_scope(run.bus):
-            for seq, task in enumerate(run.tasks):
-                while run.outcomes[seq] is None:
-                    start = time.perf_counter()
-                    try:
-                        value = task.fn(task.arg)
-                    except Exception:
-                        run.fail(seq, traceback.format_exc(),
-                                 time.perf_counter() - start)
-                    else:
-                        run.succeed(seq, value,
-                                    time.perf_counter() - start)
+        for seq, task in enumerate(run.tasks):
+            while run.outcomes[seq] is None:
+                start = time.perf_counter()
+                try:
+                    value = task.fn(task.arg)
+                except Exception:
+                    run.fail(seq, traceback.format_exc(),
+                             time.perf_counter() - start)
+                else:
+                    run.succeed(seq, value, time.perf_counter() - start)
 
     # -------------------------------------------------------- pool mode
 

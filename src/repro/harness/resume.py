@@ -12,14 +12,21 @@ sources.  A task whose key the journal holds settles at once from it;
 the rest go to the worker pool and are journaled as each settles.  So
 rerunning a killed campaign simulates only what it never finished, a
 figure rerun on an unchanged tree simulates nothing, and any edit to
-the code misses every outcome journaled before it.  Lines written by
-older code are skipped, never pruned: the journal only grows.
+the code misses every outcome journaled before it.
 
-The journal is append-only JSON Lines: one ``{"key", "value"}`` record
-per settled task, the last record per key winning.  Each record is one
-``write``, so a kill tears at most the line being written.  The reader
-skips a line it cannot decode, and a reopened journal first ends a torn
-last line, so a tear costs one task a rerun and hides nothing after it.
+The journal is append-only JSON Lines: one ``{"code", "key", "value"}``
+record per settled task, the last record per key winning, where
+``code`` is the start of :func:`source_digest`.  Each record is one
+``write``, so a kill tears at most the line being written.  The journal
+holds only the running code's outcomes: reading it keeps the records
+stamped with that code and, when it meets any other line -- another
+tree's, an unstamped one written before stamping, or a tear -- rewrites
+the file with exactly the kept records (through a temporary file and
+``os.replace``).  So a tear costs one task a rerun, hides nothing after
+it and leaves the next record a line of its own, and a code change
+drops every older outcome at its first read.  A record that another
+process appends while this one rewrites the journal can be lost; that
+costs its task a rerun, never a wrong answer.
 
 This module imports nothing from :mod:`repro.validation`, so a figure
 sweep that journals its specs does not load the campaign engine.
@@ -32,6 +39,7 @@ import functools
 import hashlib
 import json
 import os
+import types
 from typing import Dict
 
 from ..system import SimResult
@@ -59,7 +67,8 @@ def source_digest() -> str:
 def _jsonify(value):
     """Canonical JSON-ready form of a task argument.  A dataclass field
     declared ``compare=False`` (``RunSpec.label``) is left out: it does
-    not make two arguments different."""
+    not make two arguments different.  A function or a partial is
+    keyed by its durable name (:func:`_task_name`)."""
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {item.name: _jsonify(getattr(value, item.name))
                 for item in dataclasses.fields(value) if item.compare}
@@ -67,6 +76,9 @@ def _jsonify(value):
         return [_jsonify(item) for item in value]
     if isinstance(value, dict):
         return {str(key): _jsonify(item) for key, item in value.items()}
+    if isinstance(value, (functools.partial, types.FunctionType,
+                          types.BuiltinFunctionType)):
+        return _task_name(value)
     return value
 
 
@@ -132,32 +144,52 @@ def _append(path: str, data: bytes) -> None:
         os.close(fd)
 
 
+def _code() -> str:
+    """The stamp on the running code's journal records."""
+    return source_digest()[:16]
+
+
+def _record(key: str, value) -> bytes:
+    """One journal line: ``key``'s outcome, stamped with the code."""
+    record = json.dumps({"code": _code(), "key": key, "value": value},
+                        sort_keys=True, separators=(",", ":"))
+    return (record + "\n").encode()
+
+
 def append_journal(path: str, key: str, value) -> None:
     """Journal one settled task's outcome (``value`` JSON-ready)."""
-    record = json.dumps({"key": key, "value": value}, sort_keys=True,
-                        separators=(",", ":"))
-    _append(path, (record + "\n").encode())
+    _append(path, _record(key, value))
 
 
 def load_journal(path: str) -> Dict[str, object]:
-    """Every journaled outcome by key, the last write per key winning.
+    """The running code's journaled outcomes by key, the last write per
+    key winning.
 
-    A line that does not decode (a tear) is skipped, not the end of
-    the journal; a torn last line is ended here so the next append
-    starts on a line of its own."""
+    Any other line -- another code's record, an unstamped one, or one
+    that does not decode (a tear) -- is dropped, and the journal is
+    rewritten with exactly the kept records."""
     try:
         with open(path, "rb") as handle:
             lines = handle.read().split(b"\n")
     except FileNotFoundError:
         return {}
+    code = _code()
     outcomes: Dict[str, object] = {}
+    stale = lines.pop() != b""              # a torn last line
     for line in lines:
         try:
             record = json.loads(line)
         except ValueError:
-            continue
-        if isinstance(record, dict) and "key" in record:
+            record = None
+        if (isinstance(record, dict) and record.get("code") == code
+                and "key" in record):
             outcomes[record["key"]] = record.get("value")
-    if lines[-1]:
-        _append(path, b"\n")
+        else:
+            stale = True
+    if stale:
+        temporary = f"{path}.{os.getpid()}.tmp"
+        with open(temporary, "wb") as handle:
+            handle.write(b"".join(_record(key, value)
+                                  for key, value in outcomes.items()))
+        os.replace(temporary, path)
     return outcomes

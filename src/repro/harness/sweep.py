@@ -15,30 +15,25 @@ into a :class:`SweepResult`:
   and replayed on a rerun, keyed by the code, the function and the
   argument (:mod:`repro.harness.resume`), so re-running an unchanged
   sweep on an unchanged tree is free and any code change recomputes;
-* a failed spec -- it raised, or its worker process died -- runs once
+* a failed task -- it raised, or its worker process died -- runs once
   more (:data:`repro.harness.pool.MAX_ATTEMPTS`); one that fails again
-  raises :class:`SweepError` with its last traceback attached.
+  raises :class:`WorkerTaskError` with its last traceback attached.
 
-Per-spec wall-clock timing and journal provenance land in
-``SimResult.stats["executor"]``; that section is host-specific and is
-deliberately excluded from ``SimResult.to_dict()`` so serialised
-results stay deterministic.
-
-Observability: every sweep narrates itself onto the current
-:mod:`repro.obsv.bus` -- ``sweep_start``, ``spec_start`` (where the
-spec runs; a journaled spec does not run), ``spec_finish``/``spec_error``
-(authoritative, parent-side; ``source`` says where the result came
-from, ``journal`` for a stored one), ``sweep_finish``.
-:meth:`ParallelExecutor.map` and ``map_batched`` narrate
-``task_*``/``batch_*`` the same way.  Worker-side events ride each
-task's reply back to the parent, which merges them into its bus just
-before it settles the task, so the log stays a single ordered stream
-and holds each task's events in the order ``jobs=1`` emits them.  The
-``progress`` lines and the end-of-sweep statistics are counted where
-those events are emitted, so they read the same whether or not a bus
-is enabled.
-Events are wall-clock-side bookkeeping: an enabled bus leaves every
-``SimResult`` payload bit-identical.
+A result holds only the answer.  Where each one came from is told on
+the current :mod:`repro.obsv.bus`, one way for every task that
+:meth:`~ParallelExecutor.run`, ``map`` and ``map_batched`` fan out:
+``task_start`` where the task runs (a journaled task does not run),
+then ``task_finish`` in the parent as it settles -- ``source`` says
+where the value came from (``journal`` for a stored one), ``attempts``
+how many executions it took (0 from the journal) -- or ``task_error``
+when it is quarantined.  A sweep adds ``sweep_start``/``sweep_finish``
+around its specs.  Worker-side events ride each task's reply back to
+the parent, which merges them into its bus just before it settles the
+task, so the log stays a single ordered stream and holds each task's
+events in the order ``jobs=1`` emits them.  The ``progress`` lines are
+counted where those events are emitted, so they read the same whether
+or not a bus is enabled.  Events are wall-clock-side bookkeeping: an
+enabled bus leaves every ``SimResult`` payload bit-identical.
 """
 
 from __future__ import annotations
@@ -61,7 +56,7 @@ from typing import (
 )
 
 from ..config import SystemConfig
-from ..obsv.bus import Bus, get_bus
+from ..obsv.bus import get_bus
 from ..persistency import design_by_name
 from ..system import SimResult, build_system
 from ..telemetry import get_logger, run_context
@@ -257,15 +252,14 @@ class Sweep:
 
 
 class SweepResult:
-    """Ordered (spec, result) pairs plus executor-level statistics."""
+    """Ordered (spec, result) pairs."""
 
     def __init__(self, specs: Sequence[RunSpec],
-                 results: Sequence[SimResult], stats: Dict):
+                 results: Sequence[SimResult]):
         if len(specs) != len(results):
             raise ValueError("specs and results length mismatch")
         self.specs = list(specs)
         self.results = list(results)
-        self.stats = stats
 
     def __len__(self) -> int:
         return len(self.results)
@@ -278,8 +272,7 @@ class SweepResult:
 
     def filter(self, predicate: Callable[[RunSpec], bool]) -> "SweepResult":
         kept = [(s, r) for s, r in self if predicate(s)]
-        return SweepResult([s for s, _ in kept], [r for _, r in kept],
-                           dict(self.stats))
+        return SweepResult([s for s, _ in kept], [r for _, r in kept])
 
     def table(self, row_key: Callable[[RunSpec], object],
               col_key: Callable[[RunSpec], object]
@@ -292,30 +285,23 @@ class SweepResult:
         return out
 
     def __repr__(self) -> str:
-        return (f"SweepResult({len(self)} runs, "
-                f"{self.stats.get('cache_hits', 0)} cached, "
-                f"{self.stats.get('elapsed_s', 0.0):.1f}s)")
+        return f"SweepResult({len(self)} runs)"
 
 
 # -------------------------------------------------------------- executor
 
 
-class SweepError(RuntimeError):
-    """A spec failed on every attempt the pool allows."""
-
-    def __init__(self, spec: RunSpec, message: str,
-                 worker_traceback: str = ""):
-        detail = f"spec {spec.describe()} failed: {message}"
-        if worker_traceback:
-            detail += f"\n--- worker traceback ---\n{worker_traceback}"
-        super().__init__(detail)
-        self.spec = spec
-        self.worker_traceback = worker_traceback
-
-
 class WorkerTaskError(RuntimeError):
-    """A map item or chunk failed on every attempt the pool allows, or
-    a chunk returned the wrong number of results."""
+    """A spec, item or chunk failed on every attempt the pool allows,
+    or a chunk returned the wrong number of results.  The message names
+    the task's label; ``worker_traceback`` is the last failed attempt's
+    traceback (empty for a wrong-length chunk)."""
+
+    def __init__(self, message: str, worker_traceback: str = ""):
+        if worker_traceback:
+            message += f"\n--- worker traceback ---\n{worker_traceback}"
+        super().__init__(message)
+        self.worker_traceback = worker_traceback
 
 
 def plan_batches(items: Sequence, key: Optional[Callable] = None,
@@ -407,50 +393,32 @@ def spec_hash(spec: RunSpec) -> str:
     return task_key(_run_spec, spec)[:12]
 
 
-def _announced(start: Tuple[str, Dict], context: Dict[str, str],
-               fn: Callable, arg):
-    """Task body: emit the task's ``*_start`` event where it runs
-    (inside ``context``), then call ``fn``."""
-    kind, fields = start
+def _announced(start: Dict, context: Dict[str, str], fn: Callable, arg):
+    """Task body: emit the task's ``task_start`` where it runs (inside
+    ``context``), then call ``fn``."""
     with run_context(**context):
-        get_bus().emit(kind, **fields)
+        get_bus().emit("task_start", **start)
         return fn(arg)
 
 
-def _task(key: str, fn: Callable, arg, start: Tuple[str, Dict],
-          label: str, affinity=None,
-          context: Optional[Dict[str, str]] = None) -> Task:
-    """The pool task for one spec, item or chunk, under its journal
-    key ``key``."""
+def _task(index: int, key: str, fn: Callable, arg, label: str,
+          affinity=None, context: Optional[Dict[str, str]] = None,
+          **fields) -> Task:
+    """The pool task for one spec, item or chunk under its journal key
+    ``key``; its ``task_start`` carries ``index``, ``label`` and
+    ``fields``."""
+    start = dict(index=index, label=label, **fields)
     return Task(key=key, arg=arg, affinity=affinity, label=label,
                 fn=functools.partial(_announced, start, context or {}, fn))
 
 
 def _source(outcome: TaskOutcome) -> str:
-    """Where a settled task's value came from, for ``*_finish``."""
+    """Where a settled task's value came from, for ``task_finish``."""
     if outcome.attempts == 0:
         return "journal"
     if outcome.worker < 0:
         return "serial"
     return "steal" if outcome.stolen else "pool"
-
-
-def _quarantined(outcome: TaskOutcome) -> str:
-    return f"quarantined after {outcome.attempts} attempt(s)"
-
-
-def _task_value(bus: Bus, report: Callable[[str, str], None], index: int,
-                label: str, outcome: TaskOutcome):
-    """A settled ``map``/``map_batched`` task's value; a quarantined one
-    emits ``task_error``, reports an ``error`` progress line and raises
-    :class:`WorkerTaskError`."""
-    if not outcome.ok:
-        bus.emit("task_error", index=index, label=label,
-                 error=error_tail(outcome.error))
-        report(label, "error")
-        raise WorkerTaskError(f"{label} {_quarantined(outcome)}\n"
-                              f"--- worker traceback ---\n{outcome.error}")
-    return outcome.value
 
 
 class ParallelExecutor:
@@ -465,21 +433,18 @@ class ParallelExecutor:
     ``stats`` counts ``tasks_from_journal`` and ``tasks_executed`` over
     the executor's life.  ``progress`` is an optional ``callable(str)``
     invoked once per settled spec, item or chunk with a
-    ``[done/total] label (how)`` line, ``how`` being ``cached`` (a
-    journaled spec), the elapsed time or ``error``.  ``bus`` pins the
-    event bus this executor publishes to; the default resolves
-    :func:`repro.obsv.bus.get_bus` at each ``run()``/``map()`` so the
-    CLI's ``--events-out`` scope is picked up automatically.
+    ``[done/total] label (how)`` line, ``how`` being ``journal``, the
+    elapsed time or ``error``.  Events go to the current bus
+    (:func:`repro.obsv.bus.get_bus`, which the CLI's ``--events-out``
+    scopes).
     """
 
     def __init__(self, jobs: Optional[int] = 1,
                  cache_dir: Optional[str] = None,
-                 progress: Optional[Callable[[str], None]] = None,
-                 bus: Optional[Bus] = None):
+                 progress: Optional[Callable[[str], None]] = None):
         self.jobs = max(1, jobs if jobs is not None
                         else (os.cpu_count() or 1))
         self.progress = progress
-        self.bus = bus
         self.journal: Optional[str] = None
         self.journaled: Dict[str, object] = {}
         if cache_dir is not None:
@@ -487,25 +452,6 @@ class ParallelExecutor:
             self.journal = os.path.join(cache_dir, JOURNAL_NAME)
             self.journaled = load_journal(self.journal)
         self.stats = {"tasks_from_journal": 0, "tasks_executed": 0}
-
-    def _resolve_bus(self) -> Bus:
-        """The pinned bus, else the process-current one (``NULL_BUS``
-        when observability is off)."""
-        return self.bus if self.bus is not None else get_bus()
-
-    def _reporter(self, total: int) -> Callable[[str, str], None]:
-        """``report(label, how)``: one ``progress`` line per settled
-        spec, item or chunk (a no-op without a callback)."""
-        progress = self.progress
-        if progress is None:
-            return lambda label, how: None
-        done = 0
-
-        def report(label: str, how: str) -> None:
-            nonlocal done
-            done += 1
-            progress(f"[{done}/{total}] {label} ({how})")
-        return report
 
     # -------------------------------------------------------- fan-out
 
@@ -515,23 +461,58 @@ class ParallelExecutor:
         journaled."""
         return task_key(fn, arg) if self.journal is not None else str(index)
 
-    def _fan_out(self, tasks: List[Task], bus: Bus,
-                 settle: Callable[[int, TaskOutcome], None]) -> None:
-        """Settle each task the journal holds from it (``attempts=0``),
-        run the rest on the worker pool (inline when ``jobs=1``) and
-        journal each that settles ok.  ``settle(position, outcome)``
-        runs in the parent as each task settles, and an exception it
-        raises stops the fan-out.  ``bus`` is the pool's: task events
-        and the pool's own reach it."""
+    def _fan_out(self, tasks: List[Task],
+                 finish: Optional[Callable[[int, object], Dict]] = None
+                 ) -> List[TaskOutcome]:
+        """Settle every task and narrate each one way; the outcomes come
+        back in task order.
+
+        A task the journal holds settles from it (``attempts=0``); the
+        rest run on the worker pool (inline when ``jobs=1``), and each
+        that settles ok is journaled.  As each task settles, the parent
+        emits ``task_finish`` -- ``index``, ``label``, ``elapsed_s``,
+        ``source``, ``attempts`` and the fields ``finish(index, value)``
+        returns -- and reports a progress line.  A quarantined task
+        emits ``task_error`` and raises :class:`WorkerTaskError`;
+        ``finish`` may raise too, to reject a value.  Either stops the
+        fan-out."""
+        bus = get_bus()
+        outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
+        settled = 0
+
+        def report(label: str, how: str) -> None:
+            if self.progress is not None:
+                self.progress(f"[{settled}/{len(tasks)}] {label} ({how})")
+
+        def settle(index: int, outcome: TaskOutcome) -> None:
+            nonlocal settled
+            settled += 1
+            label = tasks[index].label
+            if not outcome.ok:
+                bus.emit("task_error", index=index, label=label,
+                         error=error_tail(outcome.error))
+                report(label, "error")
+                raise WorkerTaskError(
+                    f"{label} quarantined after {outcome.attempts} "
+                    f"attempt(s)", worker_traceback=outcome.error)
+            fields = finish(index, outcome.value) if finish else {}
+            source = _source(outcome)
+            bus.emit("task_finish", index=index, label=label,
+                     elapsed_s=outcome.elapsed_s, source=source,
+                     attempts=outcome.attempts, **fields)
+            report(label, source if source == "journal"
+                   else f"{outcome.elapsed_s:.1f}s")
+            outcomes[index] = outcome
+
         pending: List[int] = []
-        for position, task in enumerate(tasks):
+        for index, task in enumerate(tasks):
             if task.key in self.journaled:
                 self.stats["tasks_from_journal"] += 1
-                settle(position, TaskOutcome(
-                    key=task.key, status="ok", attempts=0, index=position,
+                settle(index, TaskOutcome(
+                    key=task.key, status="ok", attempts=0, index=index,
                     value=decode_outcome(self.journaled[task.key])))
             else:
-                pending.append(position)
+                pending.append(index)
 
         def ran(outcome: TaskOutcome) -> None:
             if outcome.ok and self.journal is not None:
@@ -541,81 +522,46 @@ class ParallelExecutor:
             self.stats["tasks_executed"] += 1
             settle(pending[outcome.index], outcome)
 
-        WorkStealingPool(workers=self.jobs, bus=bus).run(
-            [tasks[position] for position in pending], on_result=ran)
+        WorkStealingPool(workers=self.jobs).run(
+            [tasks[index] for index in pending], on_result=ran)
+        return outcomes
 
     # -------------------------------------------------------------- run
 
     def run(self, sweep: Union[Sweep, RunSpec, Iterable[RunSpec]]
             ) -> SweepResult:
-        """Execute every spec; results come back in sweep order."""
+        """Execute every spec; results come back in sweep order.  Each
+        spec runs in its own ``spec_hash`` run context, and its
+        ``task_finish`` carries the result's ``cycles``."""
         specs = [sweep] if isinstance(sweep, RunSpec) else list(sweep)
         started = time.perf_counter()
-        results: List[Optional[SimResult]] = [None] * len(specs)
-        bus = self._resolve_bus()
-        report = self._reporter(len(specs))
-        walls: List[float] = []     # wall time of each simulated spec
-        cache_hits = retries = 0
-
-        def settle(index: int, outcome: TaskOutcome) -> None:
-            """One authoritative parent-side spec_finish per spec."""
-            nonlocal cache_hits, retries
-            describe = specs[index].describe()
-            if not outcome.ok:
-                bus.emit("spec_error", index=index, describe=describe,
-                         error=error_tail(outcome.error))
-                report(describe, "error")
-                raise SweepError(specs[index], _quarantined(outcome),
-                                 worker_traceback=outcome.error)
-            result = results[index] = outcome.value
-            elapsed, source = outcome.elapsed_s, _source(outcome)
-            cache_hit, retried = source == "journal", outcome.attempts > 1
-            cache_hits += cache_hit
-            retries += retried
-            if not cache_hit:
-                walls.append(elapsed)
-            result.stats["executor"] = {
-                "cache_hit": int(cache_hit), "elapsed_s": elapsed,
-                "retried": int(retried), "jobs": self.jobs}
-            bus.emit(
-                "spec_finish", index=index, describe=describe,
-                elapsed_s=elapsed, cache_hit=cache_hit, retried=retried,
-                source=source, cycles=result.cycles)
-            report(describe, "cached" if cache_hit else f"{elapsed:.1f}s")
-            log.debug("%s done (%s, %.1fs)", describe, source, elapsed)
-
+        bus = get_bus()
         bus.emit("sweep_start", n_specs=len(specs), jobs=self.jobs)
         tasks = []
         for index, spec in enumerate(specs):
             key = task_key(_run_spec, spec)
-            tasks.append(_task(
-                key, _run_spec, spec,
-                ("spec_start", {"index": index,
-                                "describe": spec.describe()}),
-                spec.describe(), affinity=index,
-                context={"spec_hash": key[:12]}))
-        self._fan_out(tasks, bus, settle)
+            tasks.append(_task(index, key, _run_spec, spec, spec.describe(),
+                               affinity=index,
+                               context={"spec_hash": key[:12]}))
+        outcomes = self._fan_out(
+            tasks, lambda index, result: {"cycles": result.cycles})
 
         elapsed = time.perf_counter() - started
-        cache_misses = len(specs) - cache_hits
-        stats = {
-            "jobs": self.jobs,
-            "n_specs": len(specs),
-            "cache_hits": cache_hits,
-            "cache_misses": cache_misses,
-            "retries": retries,
-            "elapsed_s": elapsed,
-        }
-        bus.emit("sweep_finish", n_specs=len(specs), cache_hits=cache_hits,
-                 cache_misses=cache_misses, retries=retries,
-                 elapsed_s=elapsed, busy_s=sum(walls), jobs=self.jobs)
+        walls = [outcome.elapsed_s for outcome in outcomes
+                 if outcome.attempts]
+        retries = sum(outcome.attempts > 1 for outcome in outcomes)
+        bus.emit("sweep_finish", n_specs=len(specs),
+                 from_journal=len(specs) - len(walls), executed=len(walls),
+                 retries=retries, elapsed_s=elapsed, busy_s=sum(walls),
+                 jobs=self.jobs)
         log.info(
-            "sweep done: %d specs in %.1fs (%d cached, %d simulated, "
-            "%d retried, jobs=%d, spec wall mean/max %.1f/%.1fs)",
-            len(specs), elapsed, cache_hits, cache_misses, retries,
-            self.jobs, sum(walls) / len(walls) if walls else 0.0,
+            "sweep done: %d specs in %.1fs (%d from the journal, %d "
+            "executed, %d retried, jobs=%d, spec wall mean/max "
+            "%.1f/%.1fs)", len(specs), elapsed, len(specs) - len(walls),
+            len(walls), retries, self.jobs,
+            sum(walls) / len(walls) if walls else 0.0,
             max(walls, default=0.0))
-        return SweepResult(specs, results, stats)
+        return SweepResult(specs, [outcome.value for outcome in outcomes])
 
     # -------------------------------------------------------------- map
 
@@ -625,30 +571,15 @@ class ParallelExecutor:
 
         The generic sibling of :meth:`run` for non-``RunSpec`` work (the
         validation campaign's profiling runs fan out through this): the
-        same pool, retry rule and store, but plain return values
-        instead of :class:`SimResult`.  ``fn`` and each item must
-        survive pickling when ``jobs > 1``.
+        same pool, retry rule, store and events, but plain return
+        values instead of :class:`SimResult`.  ``fn`` and each item
+        must survive pickling when ``jobs > 1``.
         """
-        items = list(items)
-        results: List = [None] * len(items)
-        bus = self._resolve_bus()
-        report = self._reporter(len(items))
-        labels = [describe(item) if describe is not None
-                  else f"item {index}" for index, item in enumerate(items)]
-
-        def settle(index: int, outcome: TaskOutcome) -> None:
-            results[index] = _task_value(bus, report, index, labels[index],
-                                         outcome)
-            bus.emit("task_finish", index=index, label=labels[index],
-                     elapsed_s=outcome.elapsed_s, source=_source(outcome))
-            report(labels[index], f"{outcome.elapsed_s:.1f}s")
-
-        self._fan_out([
-            _task(self._key(fn, item, index), fn, item,
-                  ("task_start", {"index": index, "label": labels[index]}),
-                  labels[index], affinity=index)
-            for index, item in enumerate(items)], bus, settle)
-        return results
+        tasks = [_task(index, self._key(fn, item, index), fn, item,
+                       describe(item) if describe is not None
+                       else f"item {index}", affinity=index)
+                 for index, item in enumerate(items)]
+        return [outcome.value for outcome in self._fan_out(tasks)]
 
     # ------------------------------------------------------ map_batched
 
@@ -668,42 +599,34 @@ class ParallelExecutor:
         items per shipped task (``None``/``0`` ships each whole group
         as one task).  Results come back in the original item order.
 
-        Pool and retry rule match :meth:`map`, but the bus carries one
-        ``batch_start``/``batch_finish`` per chunk instead of one
-        ``task_*`` pair per item: collapsing the per-item pickle
-        round-trips into one per chunk is the point.
+        Pool, retry rule and events match :meth:`map`, one task per
+        chunk rather than per item (collapsing the per-item pickle
+        round-trips into one per chunk is the point); a chunk's
+        ``task_start`` and ``task_finish`` carry its ``size``.
         """
         items = list(items)
         batches = plan_batches(items, key=key, chunk_size=chunk_size)
-        chunks = [[items[i] for i in indices] for indices in batches]
-        labels = [describe(chunk) if describe is not None
-                  else f"batch {index} (x{len(chunk)})"
-                  for index, chunk in enumerate(chunks)]
-        results: List = [None] * len(items)
-        bus = self._resolve_bus()
-        report = self._reporter(len(batches))
+        tasks = []
+        for index, indices in enumerate(batches):
+            chunk = [items[i] for i in indices]
+            tasks.append(_task(
+                index, self._key(fn, chunk, index), fn, chunk,
+                describe(chunk) if describe is not None
+                else f"batch {index} (x{len(chunk)})",
+                affinity=key(chunk[0]) if key is not None else None,
+                size=len(chunk)))
 
-        def settle(index: int, outcome: TaskOutcome) -> None:
-            value = _task_value(bus, report, index, labels[index], outcome)
-            indices = batches[index]
-            if (not isinstance(value, (list, tuple))
-                    or len(value) != len(indices)):
+        def finish(index: int, value) -> Dict:
+            size = len(batches[index])
+            if not isinstance(value, (list, tuple)) or len(value) != size:
                 count = len(value) if hasattr(value, "__len__") else value
                 raise WorkerTaskError(
-                    f"chunk {labels[index]} returned {count!r} result(s) "
-                    f"for a {len(indices)}-item batch")
-            for item_index, item in zip(indices, value):
-                results[item_index] = item
-            bus.emit("batch_finish", index=index, label=labels[index],
-                     size=len(indices), elapsed_s=outcome.elapsed_s,
-                     source=_source(outcome))
-            report(labels[index], f"{outcome.elapsed_s:.1f}s")
+                    f"chunk {tasks[index].label} returned {count!r} "
+                    f"result(s) for a {size}-item batch")
+            return {"size": size}
 
-        self._fan_out([
-            _task(self._key(fn, chunk, index), fn, chunk,
-                  ("batch_start", {"index": index, "label": labels[index],
-                                   "size": len(chunk)}),
-                  labels[index],
-                  affinity=key(chunk[0]) if key is not None else None)
-            for index, chunk in enumerate(chunks)], bus, settle)
+        results: List = [None] * len(items)
+        for indices, outcome in zip(batches, self._fan_out(tasks, finish)):
+            for item_index, value in zip(indices, outcome.value):
+                results[item_index] = value
         return results

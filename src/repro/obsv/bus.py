@@ -2,7 +2,7 @@
 
 Every sweep, campaign, and snapshot operation the harness performs can
 be narrated as a stream of small, schema-versioned JSON events --
-``sweep_start``, ``spec_finish``, ``trial_finish``,
+``sweep_start``, ``task_finish``, ``trial_finish``,
 ``snapshot_restore``, ``oracle_violation``, ... -- each carrying the
 active :mod:`repro.telemetry` run context (``run_id``/``spec_hash``)
 as correlation IDs plus a bus-assigned monotonic ``seq`` so a merged
@@ -47,7 +47,7 @@ log = get_logger("obsv.bus")
 #: Version of the event payload written to JSON-Lines logs.  Bump when
 #: required fields are added/renamed/removed; ``validate_events`` checks
 #: it so consumers fail fast on a log they cannot interpret.
-EVENT_SCHEMA_VERSION = 2
+EVENT_SCHEMA_VERSION = 3
 
 #: Required per-kind payload fields (beyond the envelope).  This is the
 #: machine-readable half of the schema; docs/OBSERVABILITY.md is the
@@ -56,20 +56,16 @@ EVENT_SCHEMA_VERSION = 2
 EVENT_KINDS: Dict[str, tuple] = {
     # -- sweeps (ParallelExecutor.run)
     "sweep_start": ("n_specs", "jobs"),
-    "sweep_finish": ("n_specs", "cache_hits", "cache_misses",
-                     "retries", "elapsed_s"),
-    "spec_start": ("index", "describe"),
-    "spec_finish": ("index", "describe", "elapsed_s", "cache_hit",
-                    "retried", "source"),
-    "spec_error": ("index", "describe", "error"),
-    # -- generic fan-out (ParallelExecutor.map)
+    "sweep_finish": ("n_specs", "from_journal", "executed", "retries",
+                     "elapsed_s"),
+    # -- fan-out (ParallelExecutor.run, map and map_batched): one task
+    #    per spec, item or chunk.  task_start where it runs; task_finish
+    #    (or task_error, when quarantined) in the parent as it settles.
+    #    A chunk's start and finish add ``size``, a spec's finish
+    #    ``cycles``.
     "task_start": ("index", "label"),
-    "task_finish": ("index", "label", "elapsed_s"),
+    "task_finish": ("index", "label", "elapsed_s", "source", "attempts"),
     "task_error": ("index", "label", "error"),
-    # -- batched fan-out (ParallelExecutor.map_batched): one pair per
-    #    shipped (group, chunk) task rather than one per item.
-    "batch_start": ("index", "label", "size"),
-    "batch_finish": ("index", "label", "size", "elapsed_s"),
     # -- retry/recovery (repro.harness.pool): one task_retry per
     #    re-execution, one task_quarantine when a poison task exhausts
     #    its policy and is set aside instead of sinking the pool.

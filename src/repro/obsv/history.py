@@ -17,9 +17,9 @@ Inputs
   trends without requiring embedded timestamps.
 * ``*events*.jsonl`` event logs from the :mod:`repro.obsv.bus`.
   Sweep and campaign summary events contribute throughput samples
-  (specs simulated per second -- cache misses, not hits --, trials
-  per second, cache hit ratio) to synthetic ``sweep`` / ``campaign``
-  series.
+  (specs simulated per second -- executed, not served from the
+  journal --, trials per second, journal ratio) to synthetic
+  ``sweep`` / ``campaign`` series.
 
 Outputs
 -------
@@ -98,16 +98,16 @@ def _summarize_events(path: str) -> List[BenchRecord]:
         if kind == "sweep_finish":
             metrics: Dict[str, float] = {}
             elapsed = float(event.get("elapsed_s") or 0.0)
-            hits = float(event.get("cache_hits") or 0.0)
-            misses = float(event.get("cache_misses") or 0.0)
+            stored = float(event.get("from_journal") or 0.0)
+            executed = float(event.get("executed") or 0.0)
             if elapsed > 0:
-                # Specs *simulated* per second: a cache hit costs a
-                # file read, not a simulation, so counting hits would
-                # read a warm cache as a faster simulator.
-                metrics["specs_per_sec"] = misses / elapsed
+                # Specs *simulated* per second: a journaled spec costs
+                # a file read, not a simulation, so counting it would
+                # read a warm journal as a faster simulator.
+                metrics["specs_per_sec"] = executed / elapsed
                 metrics["sweep_elapsed_s"] = elapsed
-            if hits + misses > 0:
-                metrics["cache_hit_ratio"] = hits / (hits + misses)
+            if stored + executed > 0:
+                metrics["journal_ratio"] = stored / (stored + executed)
             metrics["retries"] = float(event.get("retries") or 0.0)
             if metrics:
                 records.append(BenchRecord("sweep", path, metrics,

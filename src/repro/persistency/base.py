@@ -114,13 +114,6 @@ class Design:
         return ``now`` unchanged."""
         return now
 
-    # ------------------------------------------------------------ queries
-
-    def quiesce_time(self, now: int) -> int:
-        """Time by which all in-flight persistence work has landed; used
-        at end-of-run before crash snapshots and validation."""
-        return now
-
     # -------------------------------------------------------- snapshotting
 
     def capture_state(self) -> dict:

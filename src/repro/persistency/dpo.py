@@ -110,12 +110,6 @@ class DPO(Design):
         self.stats["volatile_barrier_stalls"] += done - now
         return done
 
-    def quiesce_time(self, now: int) -> int:
-        horizon = now
-        for core_id in range(len(self._pending)):
-            horizon = max(horizon, self._drained(core_id, now))
-        return horizon
-
     def capture_state(self) -> dict:
         state = super().capture_state()
         state["channel"] = self._channel.capture_state()

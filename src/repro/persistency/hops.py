@@ -230,12 +230,6 @@ class HOPS(Design):
                           args={"core": core_id}, cat="order")
         return done
 
-    def quiesce_time(self, now: int) -> int:
-        horizon = max([now] + list(self._fifo_drain))
-        for buffer in self._buffers:
-            horizon = max(horizon, buffer.drain_complete_time(now))
-        return horizon
-
     def capture_state(self) -> dict:
         state = super().capture_state()
         state["buffers"] = [buffer.capture_state()

@@ -64,9 +64,6 @@ class IntelX86Epoch(Design):
                           args={"core": core_id}, cat="order")
         return done
 
-    def quiesce_time(self, now: int) -> int:
-        return max([now] + list(self._clwb_horizon))
-
     def capture_state(self) -> dict:
         state = super().capture_state()
         state["clwb_horizon"] = list(self._clwb_horizon)

@@ -148,6 +148,3 @@ class StrandWeaver(Design):
             trace.instant("order", "fence", done,
                           args={"core": core_id}, cat="order")
         return done
-
-    def quiesce_time(self, now: int) -> int:
-        return max([now] + [state.outstanding for state in self._cores])

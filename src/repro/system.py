@@ -89,10 +89,9 @@ class SimResult:
         its outcome store).
 
         The payload is versioned (``schema_version``) and deterministic
-        for a given run: the host-specific ``stats["executor"]`` section
-        the parallel executor attaches (timings, cache provenance) is
-        excluded, so serial and parallel runs of the same spec serialise
-        identically.
+        for a given run: a result holds only what the simulation
+        computed, so serial, parallel and journaled runs of the same
+        spec serialise identically.
         """
         return {
             "schema_version": RESULT_SCHEMA_VERSION,
@@ -109,9 +108,7 @@ class SimResult:
             "stale_loads": self.stale_loads,
             "spec_buffer_overflows": self.spec_buffer_overflows,
             "freq_ghz": self.freq_ghz,
-            "stats": {section: counters
-                      for section, counters in self.stats.items()
-                      if section != "executor"},
+            "stats": dict(self.stats),
             "timeseries": self.timeseries,
         }
 

@@ -21,11 +21,11 @@ def read_json(path):
 
 
 def _sweep_story(path):
-    """The log's one ``sweep_finish`` and its ``spec_finish`` sources."""
+    """The log's one ``sweep_finish`` and its ``task_finish`` sources."""
     assert validate_event_log(str(path)) == []
     events = read_event_log(str(path))
     [finish] = [e for e in events if e["kind"] == "sweep_finish"]
-    sources = {e["source"] for e in events if e["kind"] == "spec_finish"}
+    sources = {e["source"] for e in events if e["kind"] == "task_finish"}
     return finish, sources
 
 
@@ -48,7 +48,7 @@ def test_cli_fig9_parallel_save_and_cache(tmp_path, capsys):
 
     # Every cell was simulated, by the pool's workers.
     finish, sources = _sweep_story(tmp_path / "events-1.jsonl")
-    assert (finish["cache_misses"], finish["cache_hits"]) == (cells, 0)
+    assert (finish["executed"], finish["from_journal"]) == (cells, 0)
     assert sources <= {"pool", "steal"} and "pool" in sources
 
     # Second run: all cells come from the journal, artifact identical.
@@ -57,7 +57,7 @@ def test_cli_fig9_parallel_save_and_cache(tmp_path, capsys):
     second = read_json(str(save_second / "fig9.json"))
     assert second["data"] == first["data"]
     finish, sources = _sweep_story(tmp_path / "events-2.jsonl")
-    assert (finish["cache_hits"], finish["cache_misses"]) == (cells, 0)
+    assert (finish["from_journal"], finish["executed"]) == (cells, 0)
     assert sources == {"journal"}
 
 

@@ -5,7 +5,7 @@ how work is shipped: same results, same order, per-chunk retry."""
 import pytest
 
 from repro.harness import ParallelExecutor
-from repro.obsv.bus import EventBus, set_bus, validate_events
+from repro.obsv.bus import EventBus, bus_scope, set_bus, validate_events
 
 
 def double_all(chunk):
@@ -32,11 +32,14 @@ def _restore_current_bus():
     set_bus(None)
 
 
-def observed_bus():
+def observed(executor, *args, **kwargs):
+    """Every event ``executor.map_batched(*args, **kwargs)`` emits."""
     bus = EventBus()
     seen = []
     bus.subscribe(seen.append)
-    return bus, seen
+    with bus_scope(bus):
+        executor.map_batched(*args, **kwargs)
+    return seen
 
 
 class TestResults:
@@ -68,40 +71,37 @@ class TestResults:
 
 class TestChunking:
     def test_chunk_size_bounds_batches(self):
-        bus, seen = observed_bus()
-        executor = ParallelExecutor(jobs=1, bus=bus)
-        executor.map_batched(double_all, list(range(10)), chunk_size=4)
-        sizes = [e["size"] for e in seen if e["kind"] == "batch_finish"]
+        seen = observed(ParallelExecutor(jobs=1), double_all,
+                        list(range(10)), chunk_size=4)
+        sizes = [e["size"] for e in seen if e["kind"] == "task_finish"]
         assert sizes == [4, 4, 2]
 
     def test_groups_never_share_a_chunk(self):
-        bus, seen = observed_bus()
-        executor = ParallelExecutor(jobs=1, bus=bus)
-        items = [0, 1, 0, 1, 0]
-        executor.map_batched(double_all, items, key=parity)
+        seen = observed(ParallelExecutor(jobs=1), double_all,
+                        [0, 1, 0, 1, 0], key=parity)
         sizes = sorted(e["size"] for e in seen
-                       if e["kind"] == "batch_finish")
+                       if e["kind"] == "task_finish")
         assert sizes == [2, 3]
 
 
 class TestEvents:
     def test_serial_emits_batch_finish_only(self):
-        bus, seen = observed_bus()
-        executor = ParallelExecutor(jobs=1, bus=bus)
-        executor.map_batched(double_all, list(range(6)), chunk_size=3,
-                             describe=lambda chunk: f"x{len(chunk)}")
+        """One ``task_finish`` per chunk, none per item."""
+        seen = observed(ParallelExecutor(jobs=1), double_all,
+                        list(range(6)), chunk_size=3,
+                        describe=lambda chunk: f"x{len(chunk)}")
         assert validate_events(seen) == []
-        finishes = [e for e in seen if e["kind"] == "batch_finish"]
+        finishes = [e for e in seen if e["kind"] == "task_finish"]
         assert [e["label"] for e in finishes] == ["x3", "x3"]
         assert all(e["source"] == "serial" for e in finishes)
 
     def test_pool_ships_batch_start_from_workers(self):
-        bus, seen = observed_bus()
-        executor = ParallelExecutor(jobs=2, bus=bus)
-        executor.map_batched(double_all, list(range(8)), chunk_size=2)
+        """Each chunk's ``task_start`` comes from where it ran."""
+        seen = observed(ParallelExecutor(jobs=2), double_all,
+                        list(range(8)), chunk_size=2)
         assert validate_events(seen) == []
-        starts = [e for e in seen if e["kind"] == "batch_start"]
-        finishes = [e for e in seen if e["kind"] == "batch_finish"]
+        starts = [e for e in seen if e["kind"] == "task_start"]
+        finishes = [e for e in seen if e["kind"] == "task_finish"]
         assert len(starts) == 4 and len(finishes) == 4
         parent_origin = finishes[0]["origin"]
         assert any(e["origin"] != parent_origin for e in starts)

@@ -34,13 +34,14 @@ CAMPAIGN = dict(workloads=["hashmap"], designs=["PMEM-Spec", "IntelX86"],
 BATCHED = """\
 import functools, json, sys
 from repro.harness import ParallelExecutor
-from repro.obsv.bus import EventBus
+from repro.obsv.bus import EventBus, set_bus
 from tests.harness.test_pool import die_once, double_chunk, parity
 bus = EventBus()
 retries = []
 bus.subscribe(lambda e: retries.append(e["error"])
               if e["kind"] == "task_retry" else None)
-out = ParallelExecutor(jobs=2, bus=bus).map_batched(
+set_bus(bus)
+out = ParallelExecutor(jobs=2).map_batched(
     functools.partial(die_once, sys.argv[1], double_chunk),
     list(range(12)), key=parity, chunk_size=3)
 print(json.dumps({"out": out, "retries": retries}))
@@ -67,31 +68,36 @@ print(json.dumps({"fingerprint": report_fingerprint(report.to_dict())}))
 SLEEPER = """\
 import sys
 from repro.harness.pool import Task, WorkStealingPool
-from repro.obsv.bus import EventBus
+from repro.obsv.bus import EventBus, set_bus
 from tests.harness.test_pool import nap
-WorkStealingPool(workers=2, bus=EventBus()).run(
+set_bus(EventBus())
+WorkStealingPool(workers=2).run(
     [Task(key=str(i), fn=nap, arg=(sys.argv[1], 0.2)) for i in range(500)])
 """
 
 STARTS = """\
-import collections, json, multiprocessing, os, sys
+import json, multiprocessing, os, sys
 multiprocessing.set_start_method(sys.argv[1])
 from repro.harness import ParallelExecutor, RunSpec
-from repro.obsv.bus import EventBus
+from repro.obsv.bus import EventBus, set_bus
 from tests.harness.test_pool import double_chunk, parity
 bus = EventBus()
-starts = collections.defaultdict(list)
-bus.subscribe(lambda e: starts[e["kind"]].append(e["index"])
-              if e["kind"].endswith("_start") and e["origin"] != os.getpid()
+starts = []
+bus.subscribe(lambda e: starts[-1].append(e["index"])
+              if e["kind"] == "task_start" and e["origin"] != os.getpid()
               else None)
-executor = ParallelExecutor(jobs=2, bus=bus)
+set_bus(bus)
+executor = ParallelExecutor(jobs=2)
+starts.append([])
 executor.run([RunSpec(benchmark="queue", design="PMEM-Spec", n_threads=2,
                       fases_per_thread=2, seed=seed) for seed in range(2)])
+starts.append([])
 executor.map(abs, [-1, -2, -3])
+starts.append([])
 executor.map_batched(double_chunk, list(range(8)), key=parity,
                      chunk_size=2)
-print(json.dumps({kind: sorted(indices)
-                  for kind, indices in starts.items()}))
+print(json.dumps({method: sorted(indices) for method, indices
+                  in zip(("run", "map", "map_batched"), starts)}))
 """
 
 HELD = """\
@@ -187,13 +193,13 @@ def test_campaign_with_a_killed_worker_matches_the_serial_report(
 @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
 def test_every_worker_start_event_reaches_the_parent(method):
     """Each task of a pooled sweep, ``map`` and ``map_batched`` emits its
-    ``*_start`` event in the worker that runs it; the event must reach
-    the parent's bus whatever the start method."""
+    ``task_start`` event in the worker that runs it; the event must
+    reach the parent's bus whatever the start method."""
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"no {method} start method here")
-    assert _run(STARTS, method) == {"spec_start": [0, 1],
-                                    "task_start": [0, 1, 2],
-                                    "batch_start": [0, 1, 2, 3]}
+    assert _run(STARTS, method) == {"run": [0, 1],
+                                    "map": [0, 1, 2],
+                                    "map_batched": [0, 1, 2, 3]}
 
 
 def test_stop_signals_are_held_only_while_a_worker_forks():

@@ -56,6 +56,10 @@ def _scale(factor, x):
     return factor * x
 
 
+def _apply(fn, x):
+    return fn(x)
+
+
 def _executor(tmp_path):
     return ParallelExecutor(jobs=1, cache_dir=str(tmp_path))
 
@@ -76,6 +80,17 @@ class TestTaskKey:
         assert key != task_key(functools.partial(_scale, 6), 1)
         assert key != task_key(functools.partial(_scale, factor=5), 1)
         assert key != task_key(_scale, 1)
+
+    def test_a_partial_binding_a_function_is_keyed_by_its_name(self):
+        """A function bound in a partial is keyed by its qualified name,
+        as the task function is; a bound lambda has none."""
+        key = task_key(functools.partial(_apply, _double), 1)
+        assert key == task_key(functools.partial(_apply, _double), 1)
+        assert key != task_key(functools.partial(_apply, _double_chunk),
+                               1)
+        assert key != task_key(functools.partial(_apply, "_double"), 1)
+        with pytest.raises(ValueError, match="<lambda> has no durable"):
+            task_key(functools.partial(_apply, lambda x: x), 1)
 
     def test_a_lambda_or_nested_function_has_no_durable_key(self):
         def nested(x):
@@ -163,6 +178,32 @@ class TestJournal:
             handle.write('{"key":"k3","val')            # SIGKILL tear
         assert load_journal(path) == {"k1": {"value": 1},
                                       "k2": {"value": 2}}
+
+    def test_the_journal_holds_only_the_running_codes_outcomes(
+            self, tmp_path, monkeypatch):
+        """Two executors over one directory under two codes: the second
+        drops the first's records, so the journal ends up holding only
+        its own."""
+        monkeypatch.setattr(resume, "source_digest", lambda: "a" * 64)
+        _executor(tmp_path).map(_double, [1, 2])
+        monkeypatch.setattr(resume, "source_digest", lambda: "b" * 64)
+        second = _executor(tmp_path)
+        assert second.map(_double, [1, 2, 3]) == [2, 4, 6]
+        assert second.stats == {"tasks_from_journal": 0,
+                                "tasks_executed": 3}
+        lines = (tmp_path / JOURNAL_NAME).read_text().splitlines()
+        assert [json.loads(line)["code"] for line in lines] == \
+            ["b" * 16] * 3
+
+    def test_after_a_torn_tail_the_next_append_starts_a_line(
+            self, tmp_path):
+        _executor(tmp_path).map(_double, [1])
+        path = tmp_path / JOURNAL_NAME
+        with open(path, "a") as handle:
+            handle.write('{"key":"k3","val')            # SIGKILL tear
+        assert _executor(tmp_path).map(_double, [1, 2]) == [2, 4]
+        assert [json.loads(line)["value"]["value"]
+                for line in path.read_text().splitlines()] == [2, 4]
 
     def test_task_journal_last_write_wins(self, tmp_path):
         path = str(tmp_path / JOURNAL_NAME)

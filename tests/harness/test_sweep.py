@@ -11,12 +11,12 @@ from repro.harness import (
     ParallelExecutor,
     RunSpec,
     Sweep,
-    SweepError,
+    WorkerTaskError,
 )
 from repro.harness.experiments import figure9
 from repro.harness.resume import JOURNAL_NAME, task_key
 from repro.harness.sweep import _execute_spec
-from repro.obsv.bus import EventBus
+from repro.obsv.bus import EventBus, bus_scope
 from repro.system import RESULT_SCHEMA_VERSION, SimResult
 from repro.workloads import BENCHMARKS
 
@@ -35,6 +35,24 @@ class Keeping(ParallelExecutor):
     def run(self, sweep):
         self.done = super().run(sweep)
         return self.done
+
+
+def observed(run):
+    """``run()``'s value and every event it emitted on a bus in scope."""
+    bus, seen = EventBus(), []
+    bus.subscribe(seen.append)
+    with bus_scope(bus):
+        value = run()
+    return value, seen
+
+
+def finishes(events):
+    return [e for e in events if e["kind"] == "task_finish"]
+
+
+def sweep_finish(events):
+    [finish] = [e for e in events if e["kind"] == "sweep_finish"]
+    return finish
 
 
 @pytest.fixture(scope="module")
@@ -144,13 +162,6 @@ class TestResultSchema:
         assert again.to_dict() == one_result.to_dict()
         assert again.throughput == one_result.throughput
 
-    def test_executor_stats_excluded_from_payload(self, one_result):
-        one_result.stats["executor"] = {"elapsed_s": 1.23, "cache_hit": 0}
-        try:
-            assert "executor" not in one_result.to_dict()["stats"]
-        finally:
-            del one_result.stats["executor"]
-
 
 class TestExecutor:
     def test_parallel_matches_serial_bit_for_bit(self):
@@ -167,11 +178,17 @@ class TestExecutor:
         assert done[0].workload == spec.benchmark
 
     def test_timing_stats_attached(self):
-        done = ParallelExecutor(jobs=1).run(SMALL_GRID)
-        for _, result in done:
-            info = result.stats["executor"]
-            assert info["cache_hit"] == 0
-            assert info["elapsed_s"] >= 0.0
+        """Each spec's timing and provenance ride its ``task_finish``;
+        the result holds only the answer."""
+        done, events = observed(
+            lambda: ParallelExecutor(jobs=1).run(SMALL_GRID))
+        assert [e["index"] for e in finishes(events)] == \
+            list(range(len(SMALL_GRID)))
+        for event, result in zip(finishes(events), done.results):
+            assert event["attempts"] == 1 and event["source"] == "serial"
+            assert event["elapsed_s"] >= 0.0
+            assert event["cycles"] == result.cycles
+            assert "executor" not in result.stats
 
     def test_progress_callback_fires_per_spec(self):
         lines = []
@@ -183,21 +200,21 @@ class TestExecutor:
 class TestCache:
     def test_second_run_served_entirely_from_cache(self, tmp_path):
         executor = ParallelExecutor(jobs=1, cache_dir=str(tmp_path))
-        first = executor.run(SMALL_GRID)
-        assert first.stats["cache_hits"] == 0
-        second = executor.run(SMALL_GRID)
-        assert second.stats["cache_hits"] == len(SMALL_GRID)
-        assert second.stats["cache_misses"] == 0
+        first, events = observed(lambda: executor.run(SMALL_GRID))
+        assert sweep_finish(events)["from_journal"] == 0
+        second, events = observed(lambda: executor.run(SMALL_GRID))
+        assert sweep_finish(events)["from_journal"] == len(SMALL_GRID)
+        assert sweep_finish(events)["executed"] == 0
         assert [r.to_dict() for r in second.results] == \
             [r.to_dict() for r in first.results]
-        assert all(r.stats["executor"]["cache_hit"] == 1
-                   for r in second.results)
+        assert all(e["source"] == "journal" and e["attempts"] == 0
+                   for e in finishes(events))
 
     def test_cache_shared_between_serial_and_parallel(self, tmp_path):
         ParallelExecutor(jobs=4, cache_dir=str(tmp_path)).run(SMALL_GRID)
-        done = ParallelExecutor(jobs=1,
-                                cache_dir=str(tmp_path)).run(SMALL_GRID)
-        assert done.stats["cache_hits"] == len(SMALL_GRID)
+        _, events = observed(lambda: ParallelExecutor(
+            jobs=1, cache_dir=str(tmp_path)).run(SMALL_GRID))
+        assert sweep_finish(events)["from_journal"] == len(SMALL_GRID)
 
     def test_corrupt_cache_entry_is_recomputed(self, tmp_path):
         ParallelExecutor(jobs=1, cache_dir=str(tmp_path)).run(SMALL_GRID)
@@ -205,10 +222,11 @@ class TestCache:
         records = journal.read_text().splitlines(keepends=True)
         records[0] = records[0][:40] + "\n"    # the first spec's, torn
         journal.write_text("".join(records))
-        done = ParallelExecutor(jobs=1,
-                                cache_dir=str(tmp_path)).run(SMALL_GRID)
-        assert done.stats["cache_hits"] == len(SMALL_GRID) - 1
-        assert done[0].stats["executor"]["cache_hit"] == 0
+        done, events = observed(lambda: ParallelExecutor(
+            jobs=1, cache_dir=str(tmp_path)).run(SMALL_GRID))
+        assert sweep_finish(events)["from_journal"] == len(SMALL_GRID) - 1
+        [first] = [e for e in finishes(events) if e["index"] == 0]
+        assert first["source"] == "serial"
         assert done[0].fases_committed > 0
 
     def test_code_change_misses_the_journal(self, tmp_path, monkeypatch):
@@ -221,8 +239,9 @@ class TestCache:
         monkeypatch.setattr(sweep_mod, "_execute_spec", lambda spec: (
             SimResult.from_dict(dict(stale.to_dict(),
                                      cycles=stale.cycles + 1))))
-        done = ParallelExecutor(jobs=1, cache_dir=str(tmp_path)).run(spec)
-        assert done.stats["cache_misses"] == 1
+        done, events = observed(lambda: ParallelExecutor(
+            jobs=1, cache_dir=str(tmp_path)).run(spec))
+        assert sweep_finish(events)["executed"] == 1
         assert done[0].cycles == stale.cycles + 1
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -231,18 +250,17 @@ class TestCache:
         """Figure 9 served entirely from the journal: the same table
         and every result's payload, with nothing simulated."""
         def figure():
-            bus, seen = EventBus(), []
-            bus.subscribe(seen.append)
-            executor = Keeping(jobs=jobs, cache_dir=str(tmp_path), bus=bus)
-            table = figure9(scale=0.05, executor=executor)
+            executor = Keeping(jobs=jobs, cache_dir=str(tmp_path))
+            table, seen = observed(
+                lambda: figure9(scale=0.05, executor=executor))
             return (table, [r.to_dict() for r in executor.done.results],
                     seen)
 
         simulated, replayed = figure(), figure()
         assert replayed[:2] == simulated[:2]
-        [finish] = [e for e in replayed[2] if e["kind"] == "sweep_finish"]
-        assert (finish["cache_hits"], finish["cache_misses"]) == (32, 0)
-        assert not [e for e in replayed[2] if e["kind"] == "spec_start"]
+        finish = sweep_finish(replayed[2])
+        assert (finish["from_journal"], finish["executed"]) == (32, 0)
+        assert not [e for e in replayed[2] if e["kind"] == "task_start"]
 
 
 class TestFailureHandling:
@@ -261,11 +279,12 @@ class TestFailureHandling:
             return real(spec)
 
         monkeypatch.setattr(sweep_mod, "_execute_spec", fails_once)
-        done = ParallelExecutor(jobs=2).run(SMALL_GRID)
-        assert done.stats["retries"] == len(SMALL_GRID)
+        done, events = observed(
+            lambda: ParallelExecutor(jobs=2).run(SMALL_GRID))
+        assert sweep_finish(events)["retries"] == len(SMALL_GRID)
         assert all(r.fases_committed > 0 for r in done.results)
-        assert all(r.stats["executor"]["retried"] == 1
-                   for r in done.results)
+        assert [e["attempts"] for e in finishes(events)] == \
+            [2] * len(SMALL_GRID)
 
     def test_deterministic_failure_surfaces_spec_and_traceback(
             self, monkeypatch):
@@ -273,19 +292,21 @@ class TestFailureHandling:
             raise RuntimeError("always broken")
 
         monkeypatch.setattr(sweep_mod, "_execute_spec", broken)
-        with pytest.raises(SweepError) as excinfo:
+        with pytest.raises(WorkerTaskError) as excinfo:
             ParallelExecutor(jobs=2).run(SMALL_GRID)
         message = str(excinfo.value)
         assert "always broken" in message
         assert "worker traceback" in message
-        assert excinfo.value.spec in list(SMALL_GRID)
+        assert "always broken" in excinfo.value.worker_traceback
+        assert message.split(" quarantined")[0] in \
+            [spec.describe() for spec in SMALL_GRID]
 
     def test_serial_failure_surfaces_too(self, monkeypatch):
         def broken(spec):
             raise RuntimeError("always broken")
 
         monkeypatch.setattr(sweep_mod, "_execute_spec", broken)
-        with pytest.raises(SweepError, match="always broken"):
+        with pytest.raises(WorkerTaskError, match="always broken"):
             ParallelExecutor(jobs=1).run(SMALL_GRID)
 
 

@@ -5,8 +5,10 @@ pickle them."""
 import os
 import time
 
+import pytest
+
 from repro.harness.pool import MAX_ATTEMPTS, Task, WorkStealingPool
-from repro.obsv import EventBus
+from repro.obsv import EventBus, bus_scope
 
 
 def _square(x):
@@ -34,11 +36,14 @@ def _flaky_once(arg):
     return value
 
 
-def _collecting_bus():
-    events = []
+@pytest.fixture
+def events():
+    """The events the test's pool runs emit, on a bus in scope."""
+    seen = []
     bus = EventBus()
-    bus.subscribe(events.append)
-    return bus, events
+    bus.subscribe(seen.append)
+    with bus_scope(bus):
+        yield seen
 
 
 def _tasks(fn, args, affinity=None):
@@ -77,9 +82,8 @@ class TestInline:
         assert [o.value for o in outcomes] == [9, 1, 16, 1, 25]
         assert all(o.ok and o.attempts == 1 for o in outcomes)
 
-    def test_retry_then_success(self, tmp_path):
-        bus, events = _collecting_bus()
-        pool = WorkStealingPool(workers=1, bus=bus)
+    def test_retry_then_success(self, tmp_path, events):
+        pool = WorkStealingPool(workers=1)
         marker = str(tmp_path / "marker")
         [outcome] = pool.run(_tasks(_flaky_once, [(marker, 7)]))
         assert outcome.ok and outcome.value == 7
@@ -88,9 +92,8 @@ class TestInline:
         assert [e["delay_s"] for e in events
                 if e["kind"] == "task_retry"] == [0.0]
 
-    def test_quarantine_does_not_sink_the_run(self):
-        bus, events = _collecting_bus()
-        pool = WorkStealingPool(workers=1, bus=bus)
+    def test_quarantine_does_not_sink_the_run(self, events):
+        pool = WorkStealingPool(workers=1)
         outcomes = pool.run(_tasks(_square, [2]) + [
             Task(key="bad", fn=_always_fails, arg=0, affinity=9)]
             + _tasks(_square, [3]))
@@ -130,9 +133,8 @@ class TestPool:
         assert all(o.ok for o in outcomes)
         assert all(o.worker >= 0 for o in outcomes)
 
-    def test_idle_worker_steals_from_straggler(self):
-        bus, events = _collecting_bus()
-        pool = WorkStealingPool(workers=2, bus=bus)
+    def test_idle_worker_steals_from_straggler(self, events):
+        pool = WorkStealingPool(workers=2)
         # Group "a" (one straggler + four quick tasks behind it) lands
         # on worker 0; group "b" (one quick task) on worker 1.  Worker
         # 1 drains instantly and must steal from the tail of deque 0.
@@ -149,9 +151,8 @@ class TestPool:
         assert all(e["thief"] != e["victim"] for e in steals)
         assert any(o.stolen for o in outcomes)
 
-    def test_retry_in_pool_mode(self, tmp_path):
-        bus, events = _collecting_bus()
-        pool = WorkStealingPool(workers=2, bus=bus)
+    def test_retry_in_pool_mode(self, tmp_path, events):
+        pool = WorkStealingPool(workers=2)
         marker = str(tmp_path / "marker")
         tasks = _tasks(_flaky_once, [(marker, 11)])
         tasks += _tasks(_square, [2, 3])

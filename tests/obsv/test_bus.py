@@ -151,15 +151,15 @@ class TestJsonlSink:
         with JsonlSink(path) as sink:
             bus.subscribe(sink)
             bus.emit("sweep_start", n_specs=1, jobs=1)
-            bus.emit("spec_finish", index=0, describe="d", elapsed_s=0.1,
-                     cache_hit=False, retried=False, source="serial")
-            bus.emit("sweep_finish", n_specs=1, cache_hits=0,
-                     cache_misses=1, retries=0, elapsed_s=0.1)
+            bus.emit("task_finish", index=0, label="d", elapsed_s=0.1,
+                     source="serial", attempts=1)
+            bus.emit("sweep_finish", n_specs=1, from_journal=0,
+                     executed=1, retries=0, elapsed_s=0.1)
         assert sink.written == 3
         assert validate_event_log(path) == []
         lines = open(path).read().splitlines()
         assert [json.loads(line)["kind"] for line in lines] == [
-            "sweep_start", "spec_finish", "sweep_finish"]
+            "sweep_start", "task_finish", "sweep_finish"]
 
     def test_write_after_close_is_noop(self, tmp_path):
         sink = JsonlSink(str(tmp_path / "e.jsonl"))

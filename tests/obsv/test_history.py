@@ -25,8 +25,8 @@ def write_events(path):
     with JsonlSink(str(path)) as sink:
         bus.subscribe(sink)
         bus.emit("sweep_start", n_specs=4, jobs=2)
-        bus.emit("sweep_finish", n_specs=4, cache_hits=1,
-                 cache_misses=3, retries=0, elapsed_s=2.0)
+        bus.emit("sweep_finish", n_specs=4, from_journal=1,
+                 executed=3, retries=0, elapsed_s=2.0)
         bus.emit("campaign_finish", trials=10, elapsed_s=5.0,
                  failures=1)
     return str(path)
@@ -63,29 +63,31 @@ class TestIngestion:
         assert len(by_series["sweep"]) == 1
         assert len(by_series["campaign"]) == 1
         sweep = by_series["sweep"][0]
-        # Simulated specs only: 3 misses in 2 s (the hit is not work).
+        # Simulated specs only: 3 executed in 2 s (the journaled one is
+        # not work).
         assert sweep.metrics["specs_per_sec"] == 1.5
-        assert sweep.metrics["cache_hit_ratio"] == 0.25
+        assert sweep.metrics["journal_ratio"] == 0.25
         assert by_series["campaign"][0].metrics["trials_per_sec"] == 2.0
 
     def test_a_cached_rerun_does_not_read_as_faster(self, tmp_path):
-        # The same sweep twice on one cache: every spec simulated, then
-        # every spec a cache hit in a fraction of the time.
+        # The same sweep twice on one journal: every spec simulated,
+        # then every spec served from the journal in a fraction of the
+        # time.
         runs = (("cold-events.jsonl", 0, 8, 4.0),
                 ("warm-events.jsonl", 8, 0, 0.01))
-        for when, (name, hits, misses, elapsed) in enumerate(runs):
+        for when, (name, stored, executed, elapsed) in enumerate(runs):
             path = str(tmp_path / name)
             bus = EventBus()
             with JsonlSink(path) as sink:
                 bus.subscribe(sink)
-                bus.emit("sweep_finish", n_specs=8, cache_hits=hits,
-                         cache_misses=misses, retries=0,
+                bus.emit("sweep_finish", n_specs=8, from_journal=stored,
+                         executed=executed, retries=0,
                          elapsed_s=elapsed)
             os.utime(path, (when, when))
         report = HistoryReport(collect_records(str(tmp_path)))
         rates = report.trends["sweep"]["specs_per_sec"]
         assert rates == [2.0, 0.0]
-        assert report.trends["sweep"]["cache_hit_ratio"] == [0.0, 1.0]
+        assert report.trends["sweep"]["journal_ratio"] == [0.0, 1.0]
 
     def test_collect_single_file(self, tmp_path):
         path = write_bench(tmp_path / "BENCH_x.json", "x", v=1.0)

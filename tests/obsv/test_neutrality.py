@@ -41,15 +41,9 @@ def kinds(seen, kind):
 
 
 def sim_payloads(outcome):
-    """Deterministic serialisation of every result, with the
-    host-specific executor section (wall-clock timings) dropped."""
-    payloads = []
-    for result in outcome.results:
-        payload = result.to_dict()
-        payload["stats"] = {k: v for k, v in payload["stats"].items()
-                            if k != "executor"}
-        payloads.append(json.dumps(payload, sort_keys=True))
-    return payloads
+    """Deterministic serialisation of every result."""
+    return [json.dumps(result.to_dict(), sort_keys=True)
+            for result in outcome.results]
 
 
 SPECS = [RunSpec(benchmark="queue", design="PMEM-Spec", n_threads=2,
@@ -64,9 +58,10 @@ class TestSweepNeutrality:
             self, tmp_path, jobs):
         plain = ParallelExecutor(jobs=jobs).run(SPECS)
         bus, seen = observed_bus(tmp_path, "sweep")
-        watched = ParallelExecutor(jobs=jobs, bus=bus).run(SPECS)
+        with bus_scope(bus):
+            watched = ParallelExecutor(jobs=jobs).run(SPECS)
         assert sim_payloads(watched) == sim_payloads(plain)
-        assert len(kinds(seen, "spec_finish")) == len(SPECS)
+        assert len(kinds(seen, "task_finish")) == len(SPECS)
 
     def test_current_bus_scope_neutral_too(self, tmp_path):
         plain = ParallelExecutor(jobs=1).run(SPECS)
@@ -74,7 +69,7 @@ class TestSweepNeutrality:
         with bus_scope(bus):
             watched = ParallelExecutor(jobs=1).run(SPECS)
         assert sim_payloads(watched) == sim_payloads(plain)
-        assert len(kinds(seen, "spec_finish")) == len(SPECS)
+        assert len(kinds(seen, "task_finish")) == len(SPECS)
 
 
 class TestSnapshotNeutrality:

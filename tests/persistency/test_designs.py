@@ -182,10 +182,6 @@ class TestPMEMSpecDesign:
             assert system.device.read(DATA_BASE + i * 64) == i + 1
         assert system.hierarchy.stats["llc_dirty_writebacks"] > 0
 
-    def test_quiesce_time_covers_last_persist(self):
-        system, result = run_design("PMEM-Spec")
-        assert system.design.quiesce_time(0) > 0
-
 
 class TestStrandWeaver:
     def test_registry_and_flavor(self):

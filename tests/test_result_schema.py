@@ -40,8 +40,3 @@ class TestSchemaV3:
         original = make_result()
         restored = SimResult.from_dict(original.to_dict())
         assert restored.throughput == pytest.approx(original.throughput)
-
-    def test_executor_stats_excluded_from_payload(self):
-        result = make_result()
-        result.stats["executor"] = {"elapsed_s": 1.23}
-        assert "executor" not in result.to_dict()["stats"]

@@ -154,22 +154,19 @@ class TestContextUnderMultiprocessing:
         # worker's own (set per spec inside the worker).
         from repro.harness import ParallelExecutor, RunSpec
         from repro.harness.sweep import spec_hash
-        from repro.obsv.bus import EventBus, set_bus
+        from repro.obsv.bus import EventBus, bus_scope
         bus = EventBus()
         seen = []
         bus.subscribe(seen.append)
         specs = [RunSpec(benchmark="queue", design="PMEM-Spec",
                          n_threads=2, fases_per_thread=2, seed=seed)
                  for seed in (1, 2)]
-        try:
-            with run_context(run_id="fig9-sweep"):
-                ParallelExecutor(jobs=2, bus=bus).run(specs)
-        finally:
-            set_bus(None)
+        with run_context(run_id="fig9-sweep"), bus_scope(bus):
+            ParallelExecutor(jobs=2).run(specs)
         parent_origin = seen[0]["origin"]
         shipped = [e for e in seen if e["origin"] != parent_origin]
         assert shipped, "no worker-side events were shipped"
         assert all(e["run_id"] == "fig9-sweep" for e in shipped)
         hashes = {e["spec_hash"] for e in shipped
-                  if e["kind"] == "spec_start"}
+                  if e["kind"] == "task_start"}
         assert hashes == {spec_hash(spec) for spec in specs}
